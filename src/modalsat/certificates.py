@@ -31,20 +31,19 @@ from .formula import (
     MajW,
     cnf_clauses,
     clause_entails,
-    conj_fold,
     eval_with,
     is_tautology_clause,
     modal_atoms,
     neg_fold,
     parse,
     pretty,
+    pretty_literal,
     subformulas,
 )
 from .logics import (
     LogicConfig,
     matchings,
     operator_legal,
-    refuting_matching_exists,
     side_condition,
 )
 from .onestep import (
@@ -56,7 +55,7 @@ from .onestep import (
     premise_cnf_clauses,
     premise_has_clause,
 )
-from .solver import SatNode, Solver, Verdict
+from .solver import SatNode, Verdict
 
 CERT_VERSION = 1
 
@@ -598,97 +597,39 @@ class ProofDoc:
     clause_proofs: tuple
 
 
-class ProofBuilder:
-    """Dual search: proves a formula clause by clause, answering each clause
-    with a rule instance whose conclusion is a subclause and whose premise
-    CNF clauses are provable recursively."""
-
-    def __init__(self, cfg: LogicConfig):
-        self.cfg = cfg
-        self.solver = Solver(cfg)
-        self.memo = {}
-        self.caveat = False
-
-    def prove(self, f: Formula) -> Optional[ProofDoc]:
-        if f in self.memo:
-            return self.memo[f]
-        clause_proofs = []
-        doc = None
-        for clause in cnf_clauses(f):
-            cp = self._prove_clause(clause)
-            if cp is None:
-                clause_proofs = None
-                break
-            clause_proofs.append(cp)
-        if clause_proofs is not None:
-            doc = ProofDoc(f, tuple(clause_proofs))
-        self.memo[f] = doc
-        return doc
-
-    def _prove_clause(self, clause) -> Optional[ClauseProof]:
-        if is_tautology_clause(clause):
-            return ClauseProof(clause, "leaf")
-        q = len(clause)
-        for mask in range(1, 1 << q):
-            sub = tuple(clause[i] for i in range(q) if mask >> i & 1)
-            if self.cfg.is_arithmetic():
-                cands = list(congruence_matchings(sub, self.cfg.logic))
-            else:
-                cands = matchings(sub, self.cfg)
-            for m in cands:
-                parts = self._premise_parts(m)
-                if parts is not None:
-                    return ClauseProof(clause, "rule", m, parts)
-            if self.cfg.is_arithmetic():
-                m = self._arith_matching(sub)
-                if m is not None:
-                    parts = self._premise_parts(m)
-                    if parts is not None:
-                        return ClauseProof(clause, "rule", m, parts)
-        return None
-
-    def _arith_matching(self, sub):
-        args = []
-        for _, a in sub:
-            if not isinstance(a, FModal) or isinstance(a.op, Atom):
-                return None
-            args.append(a.arg)
-        sat_patterns = set()
-        for bits in range(1 << len(args)):
-            pf = conj_fold(
-                [g if bits >> i & 1 else neg_fold(g) for i, g in enumerate(args)]
-            )
-            self.solver.root_depth = max(self.solver.root_depth, pf.depth)
-            sat, _ = self.solver.solve(pf, 0)
-            if sat:
-                sat_patterns.add(bits)
-        m, caveat = refuting_matching_exists(sub, sat_patterns, self.cfg)
-        if caveat:
-            self.caveat = True
-        return m
-
-    def _premise_parts(self, m: RuleMatching):
-        parts = []
-        for gamma in premise_cnf_clauses(m.premise()):
-            inst = neg_fold(negated_clause_instance(gamma, m.subst))
-            sub = self.prove(inst)
-            if sub is None:
-                return None
-            parts.append((gamma, sub))
-        return tuple(parts)
-
-
 def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc:
-    """Build a shallow proof of ``goal`` from an unsatisfiability verdict for
-    its negation."""
+    """Read a shallow proof of ``goal`` off the refutation of its negation.
+
+    Each refuted pseudovaluation of the negated goal is one CNF clause of the
+    goal, proved by the rule matching that refuted it; the premise parts are
+    the refuted children, read the same way."""
     if verdict.satisfiable:
         raise ValueError("cannot extract a proof from a satisfiable trace")
     if verdict.trace.formula is not neg_fold(goal):
         raise ValueError("trace does not refute the negation of the goal")
-    doc = ProofBuilder(cfg).prove(goal)
-    if doc is None:
-        raise RuntimeError("proof search failed for a refuted goal")
-    return doc
+    docs = {}
+
+    def clause_proofs(node) -> tuple:
+        return tuple(
+            ClauseProof(
+                tuple((not s, a) for s, a in valuation),
+                "rule",
+                m,
+                tuple((gamma, sub_doc(child)) for gamma, child in gamma_children),
+            )
+            for valuation, _, m, gamma_children in node.failures
+        )
+
+    def sub_doc(node) -> ProofDoc:
+        doc = docs.get(id(node))
+        if doc is None:
+            doc = docs[id(node)] = ProofDoc(neg_fold(node.formula), clause_proofs(node))
+        return doc
+
+    # The root keeps ``goal`` itself: for a double negation it differs from
+    # ``neg_fold`` of the refuted formula, and ``check_proof`` compares by
+    # identity.
+    return ProofDoc(goal, clause_proofs(verdict.trace))
 
 
 def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
@@ -759,11 +700,6 @@ def audit_proof_subformulas(doc: ProofDoc, goal: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def _lit_str(lit) -> str:
-    positive, a = lit
-    return pretty(a) if positive else "~" + pretty(a)
 
 
 def _lit_parse(text: str, n_agents: int):
@@ -886,7 +822,7 @@ def tableau_to_json(tb: Tableau) -> dict:
                     "dst": dst,
                     "label": {
                         "kind": "rule",
-                        "clause": [_lit_str(lit) for lit in clause],
+                        "clause": [pretty_literal(lit) for lit in clause],
                         "code": code.to_json(),
                         "substitution": [pretty(g) for g in subst],
                         "gamma": _gamma_json(gamma),
@@ -903,7 +839,7 @@ def tableau_to_json(tb: Tableau) -> dict:
             )
     payload = {
         "root": tb.root,
-        "nodes": [[_lit_str(lit) for lit in valuation] for valuation in tb.nodes],
+        "nodes": [[pretty_literal(lit) for lit in valuation] for valuation in tb.nodes],
         "edges": edges,
     }
     return {"kind": "tableau", "version": CERT_VERSION, "payload": payload}
@@ -950,7 +886,7 @@ def proof_to_json(doc: ProofDoc) -> dict:
 def _proof_payload(doc: ProofDoc) -> dict:
     clauses = []
     for cp in doc.clause_proofs:
-        entry = {"clause": [_lit_str(lit) for lit in cp.clause], "type": cp.kind}
+        entry = {"clause": [pretty_literal(lit) for lit in cp.clause], "type": cp.kind}
         if cp.kind == "rule":
             entry["rule"] = cp.matching.code.to_json()
             entry["substitution"] = [pretty(g) for g in cp.matching.subst]

@@ -8,7 +8,8 @@ Subcommands:
   selftest-rules sample rule instances and check them semantically
 
 Exit codes: 0 positive answer (sat / valid / certificate ok / rules sound),
-1 negative answer, 2 usage or input error, 3 answer carries a caveat.
+1 negative answer, 2 usage, input or internal error, 3 answer carries a
+caveat: a bounded search may have missed a refutation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import certificates, oracle, sampling
 from .formula import ParseError, neg_fold, parse, pretty
@@ -298,6 +300,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # Exit codes 0, 1 and 3 are verdicts; a crash must not read as one.
+        print("error: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc(limit=-5)
         return EXIT_ERROR
 
 

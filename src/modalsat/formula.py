@@ -315,23 +315,6 @@ def eval_with(f: Formula, assign: dict) -> bool:
 # conjunctively, totally assigning the modal atoms of some formula.
 
 
-def literal_formula(lit) -> Formula:
-    positive, a = lit
-    return a if positive else neg(a)
-
-
-def clause_formula(clause) -> Formula:
-    acc = BOT
-    for lit in clause:
-        g = literal_formula(lit)
-        acc = g if acc is BOT else disj(acc, g)
-    return acc
-
-
-def valuation_formula(h) -> Formula:
-    return conj_fold(literal_formula(lit) for lit in h)
-
-
 def is_tautology_clause(clause) -> bool:
     pos = {a for (s, a) in clause if s}
     return any(not s and a in pos for (s, a) in clause)
@@ -428,12 +411,6 @@ def pretty(f: Formula) -> str:
 def pretty_literal(lit) -> str:
     positive, a = lit
     return pretty(a) if positive else "~" + pretty(a)
-
-
-def pretty_clause(clause) -> str:
-    if not clause:
-        return "false"
-    return " | ".join(pretty_literal(lit) for lit in clause)
 
 
 # ---------------------------------------------------------------------------

@@ -282,10 +282,6 @@ def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _Infeasible(Exception):
-    pass
-
-
 def _linear_literal_data(clause, cfg: LogicConfig):
     """Per-literal (sign, kind, index) for the linear schema of the logic,
     or None when the clause does not fit the schema's shape."""
@@ -472,7 +468,8 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
                 ints=coeffs + (bound,),
                 rationals=tuple(p for _, p in rows),
             )
-        return RuleMatching(code, args), caveat
+        # A found point passed _check_point, so no refutation was lost.
+        return RuleMatching(code, args), False
     return None, caveat
 
 

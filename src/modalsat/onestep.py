@@ -249,11 +249,6 @@ def conclusion_clause(matching: RuleMatching, n_agents: int) -> tuple:
     )
 
 
-def is_contracted_instance(matching: RuleMatching, n_agents: int) -> bool:
-    clause = conclusion_clause(matching, n_agents)
-    return len(set(clause)) == len(clause)
-
-
 def negated_clause_instance(gamma, subst):
     """The negation of a premise CNF clause under a substitution: the
     conjunction of the negated instantiated literals, constant-folded."""

@@ -112,7 +112,3 @@ def sample_matchings(rng: random.Random, cfg: LogicConfig, count: int):
         else:
             out.extend(matchings(clause, cfg))
     return out[:count]
-
-
-def sample_formulas(rng: random.Random, cfg: LogicConfig, count: int, max_depth: int = 2):
-    return [random_formula(rng, cfg, max_depth) for _ in range(count)]

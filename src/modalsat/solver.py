@@ -18,6 +18,12 @@ calls and shared by all clauses.
 Traces record, per satisfiable node, one satisfiable demand per (clause,
 matching) pair plus (for linear logics) one child per satisfiable argument
 pattern; these are exactly the edges of a shallow tableau.
+
+UNSAT traces are the shallow proofs.  Each refuted pseudovaluation of the
+negated goal is one CNF clause of the goal, and the challenge that refuted
+it is the rule instance proving that clause; its children refute the
+negated premise clauses.  For linear logics those children are the
+projected demands of the found matching, each solved in its own right.
 """
 
 from __future__ import annotations
@@ -29,12 +35,12 @@ from .formula import (
     FModal,
     Formula,
     conj_fold,
+    eval_with,
     modal_atoms,
     neg_fold,
 )
 from .logics import LogicConfig, matchings, refuting_matching_exists, validate_formula
 from .onestep import (
-    RuleMatching,
     congruence_matchings,
     negated_clause_instance,
     premise_cnf_clauses,
@@ -63,7 +69,11 @@ class SatNode:
 
 @dataclass
 class UnsatNode:
-    """Refutation: every pseudovaluation has a failing challenge."""
+    """Refutation: every pseudovaluation has a failing challenge.
+
+    This is also the shallow proof of the negated formula: each failure is
+    one CNF clause (the negated valuation) answered by the failing rule
+    matching, with one refuted child per premise clause ``gamma``."""
 
     formula: Formula
     # (valuation, clause, matching, [(gamma, child_unsat_node), ...])
@@ -101,14 +111,15 @@ class Solver:
         if level > self.stats.recursion_peak:
             self.stats.recursion_peak = level
         # Recursion is bounded by modal depth: each level strips one layer.
-        assert f.depth + level <= self.root_depth, "recursion exceeded modal depth"
+        if f.depth + level > self.root_depth:
+            raise RuntimeError("recursion exceeded modal depth")
         failures = []
         result = None
         atoms = modal_atoms(f)
         n = len(atoms)
         for bits in range(1 << n):
             assign = {atoms[i]: bool(bits >> i & 1) for i in range(n)}
-            if not _eval(f, assign):
+            if not eval_with(f, assign):
                 continue
             valuation = tuple((assign[a], a) for a in atoms)
             verdict = self._check_valuation(f, valuation, level)
@@ -165,7 +176,7 @@ class Solver:
                 obligations.append(chosen)
             if self.cfg.is_arithmetic():
                 refuter = self._arith_challenge(
-                    clause, valuation, arith_atoms, pattern_table
+                    clause, valuation, arith_atoms, pattern_table, level
                 )
                 if refuter is not None:
                     return refuter
@@ -181,7 +192,7 @@ class Solver:
             table[bits] = self.solve(pf, level + 1)
         return table
 
-    def _arith_challenge(self, clause, valuation, arith_atoms, pattern_table):
+    def _arith_challenge(self, clause, valuation, arith_atoms, pattern_table, level):
         positions = []
         for _, a in clause:
             if not isinstance(a, FModal) or isinstance(a.op, Atom):
@@ -203,24 +214,11 @@ class Solver:
             return None
         gamma_children = []
         for gamma in premise_cnf_clauses(m.premise()):
-            bits = 0
-            for ci, (positive, _) in enumerate(gamma):
-                if not positive:
-                    bits |= 1 << ci
-            # Lift the projected pattern back to a witnessing full pattern:
-            # all full patterns restricting to it are unsatisfiable here.
-            _, child = pattern_table[_restrict_witness(pattern_table, positions, bits)]
+            sat, child = self.solve(negated_clause_instance(gamma, m.subst), level + 1)
+            if sat:
+                raise RuntimeError("refuting matching leaves a satisfiable demand")
             gamma_children.append((gamma, child))
         return (valuation, clause, m, gamma_children)
-
-
-def _restrict_witness(pattern_table, positions, proj_bits) -> int:
-    """Some full pattern index restricting to the projected pattern."""
-    full = 0
-    for ci, ai in enumerate(positions):
-        if proj_bits >> ci & 1:
-            full |= 1 << ai
-    return full
 
 
 def _pattern_formula(arith_atoms, bits: int) -> Formula:
@@ -231,18 +229,7 @@ def _pattern_formula(arith_atoms, bits: int) -> Formula:
     return conj_fold(parts)
 
 
-def _eval(f, assign) -> bool:
-    from .formula import eval_with
-
-    return eval_with(f, assign)
-
-
 def satisfiable(f: Formula, cfg: LogicConfig) -> Verdict:
     """Decide satisfiability of ``f`` in the configured logic."""
     return Solver(cfg).run(f)
 
-
-def demand_satisfiable(clause_gamma, matching: RuleMatching, cfg: LogicConfig) -> bool:
-    """Is the negation of the instantiated premise clause satisfiable?"""
-    demand = negated_clause_instance(clause_gamma, matching.subst)
-    return satisfiable(demand, cfg).satisfiable

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
+from modalsat.certificates import proof_to_json
 from modalsat.formula import FModal, Atom, modal_atoms
 from modalsat.logics import LogicConfig
 from modalsat.sampling import random_formula
@@ -41,3 +44,9 @@ def max_atoms_per_level(f) -> int:
     for a in here:
         best = max(best, max_atoms_per_level(a.arg))
     return best
+
+
+def proof_sha256(doc) -> str:
+    """Digest of a proof's JSON, serialized the way the CLI writes it."""
+    text = json.dumps(proof_to_json(doc), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

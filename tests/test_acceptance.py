@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_LOGICS, ARITH, config_for, corpus, max_atoms_per_level
+from conftest import ALL_LOGICS, ARITH, config_for, corpus, max_atoms_per_level, proof_sha256
 from modalsat.certificates import (
     audit_proof_subformulas,
     certificate_to_json,
@@ -87,6 +87,48 @@ VALID = [
     ("COAL:2", "[C 1,2](a | ~a)"),
 ]
 
+# sha256 of each VALID formula's proof JSON, in VALID order: pins the bytes
+# of every proof the solver's refutation yields.
+VALID_PROOF_SHA256 = dict(
+    zip(
+        VALID,
+        [
+            "414cff09808b335746ba58ee2d4a05b49dceb9836ef1aaf1b1f66dc7e7523526",
+            "28387a70726a08684459323a19a5a05c2644dfa45c508c8a67f77ade59b1efad",
+            "9140d96f61238d45243dc2be91ce9d0e7eccdc0877a81b97e10767d864d2fb1b",
+            "bde6796b2ac5af87a5b01debb9ca711e961f9af82a14d9d82facb988cc74607c",
+            "6db442177e4671eefc2d4d362e393061c18e9eae41608a9c11b5518a49897d11",
+            "7dea78732304effb5c03cbe06676c41a313b900c73e38e657e148cae44951118",
+            "72182fa8ecfa0abd0f64b88a70b7d6b5d35c6f067370b30ca296887b797b3a2b",
+            "7574afd8676e01f4555764ca5ce90a75197dc1d294092f14051991d1dd0b431f",
+            "950bdb7b3b25cc0336f569f5d65452ff007578351be8637a20c4239b2daaf244",
+            "ee7e82a79bafcf82736078cb5bfb8951df0f5037e9b0115d00dbcf5dd549c1b5",
+            "0170f2ce5d2a00fc33169eae216bce9fa0e9e12ee3363be59902a312fe46aee7",
+            "57e5ab8633a94be106fe17d7202f9ca75be48d6a3be9d32d6293643ab4cc6c0e",
+            "b5d95e89d85dcb86020f830238121e2c31cf0b545158e67b294dc28931e0be77",
+            "75c3ddf3d2b9db0a496efdee8fab423c94bf3035c1a977e0d2a3a5384aa1e934",
+            "d0826ad14bcdc4d739b13a471f6e18ec00cfc860e1ebc2beccddac9f8bac049b",
+            "9ade33aba5f17609a4763d90af65cc3730c6866d2146603d31d4c93854482319",
+            "00028c4a16e748597b67990fed57008920caa1f1f72ca9f61ef5cf2b8b4e3ee2",
+            "92d214deb57781cdcda37eabd42a44fb8f9d3454aec34f4aa9db578b9b12a9fe",
+            "ea579d5191321891e5ae432202996f81baea6ff6507f32b691ebe882f85f0e80",
+            "08e446436461ee7a8c16ce3219a5171c6e6397f955b62fff0abd74a59710f003",
+            "91dc63fb4c42a85b88796d5bc59c1ce3ffefe813247c5eb9299eb8126ca509a7",
+            "fef2164948d2a2445e57e3055e52866d9c443d06fc3b739bb09497bfc69b72d8",
+            "45c67a20e7d7695857877bf96588f63effd92987e1e35e46e0e94097ec5d8dec",
+            "3a4254456f5e77318c28e4b5b537e377f9f3fc2d2903c82397b02129393306cd",
+            "efa1d8152896ee9956ade871224111c054a6fc687f200224d46f45c9f58ccb6d",
+            "c6e0c31077dfc47d21dc51924d311c8cafb00852d08272ea81e6a79a5c5a081b",
+            "53a0147bb76fa2b1146b5f5b12fc9886d3eb28ecb6c82a4a0fb509269122f089",
+            "fc87887a55cab0096b073b34b767b54e6f9a0f7264ceedd0fe853b8e29ba9a64",
+            "05c33c4230db4f8fbee0bcf1408c4f420cd0c146c68504905a1e3d6dc1edc753",
+            "581fa45d87aef5244306fb82a5fc05aeeb2f4ce9b889063102a88d56bbd1e5e2",
+            "eadde38bb72c76f1f6ac43e1b4d8e51020fc4292b137d0b9ce98452900de1a53",
+            "067ec2b1000e4d4ebac904a34cdd22e1470f6efc49564e4dff72b75c60a0dca9",
+        ],
+    )
+)
+
 INVALID = [
     ("K", "[](a | b) -> ([]a | []b)"),
     ("PML", "L{1/2}(a | b) -> (L{1/2}a | L{1/2}b)"),
@@ -117,6 +159,7 @@ def test_validity_corpus_valid(spec, text):
     doc = extract_proof(verdict, f, cfg)
     ok, msg = check_proof(doc, f, cfg)
     assert ok, (text, msg)
+    assert proof_sha256(doc) == VALID_PROOF_SHA256[(spec, text)], text
 
 
 @pytest.mark.parametrize("spec,text", INVALID)

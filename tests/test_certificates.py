@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import proof_sha256
+from modalsat import certificates
 from modalsat.certificates import (
     ModelWitness,
     audit_proof_subformulas,
@@ -27,7 +29,7 @@ from modalsat.certificates import (
 from modalsat.formula import neg_fold, parse
 from modalsat.logics import LogicConfig
 from modalsat.oracle import brute_force_sat
-from modalsat.solver import satisfiable
+from modalsat.solver import Solver, satisfiable
 
 
 
@@ -51,7 +53,23 @@ VALID_CASES = [
     ("MAJ", "W a | W ~a"),
     ("PML", "L{0/1} a"),
     ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"),
+    # The goal is a double negation, so it is not neg_fold of the refuted
+    # formula; the proof must still be about the goal itself.
+    ("K", "~~([]a -> []a)"),
 ]
+
+# sha256 of each VALID_CASES proof's JSON.
+PROOF_SHA256 = {
+    ("K", "[](a -> b) -> ([]a -> []b)"): "414cff09808b335746ba58ee2d4a05b49dceb9836ef1aaf1b1f66dc7e7523526",
+    ("KD", "~ [] false"): "9140d96f61238d45243dc2be91ce9d0e7eccdc0877a81b97e10767d864d2fb1b",
+    ("E", "[]a -> []a"): "649c4969d797aa07180083b72c82bd4d34f29391be5425f70ee66bcfed64b903",
+    ("M", "[](a & b) -> []a"): "6db442177e4671eefc2d4d362e393061c18e9eae41608a9c11b5518a49897d11",
+    ("GML", "<1>a -> <0>a"): "7dea78732304effb5c03cbe06676c41a313b900c73e38e657e148cae44951118",
+    ("MAJ", "W a | W ~a"): "fb2882f306d57e2f89e0c7819e070afc7259061aa3ec7cd03a3d00a66a962ed3",
+    ("PML", "L{0/1} a"): "45c67a20e7d7695857877bf96588f63effd92987e1e35e46e0e94097ec5d8dec",
+    ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"): "581fa45d87aef5244306fb82a5fc05aeeb2f4ce9b889063102a88d56bbd1e5e2",
+    ("K", "~~([]a -> []a)"): "3a2f1087b25ba838d5aea53d4531b7024482d8cc2011a9a40be36cfd8cac8458",
+}
 
 
 # -- model checking -----------------------------------------------------------
@@ -233,10 +251,29 @@ def test_proof_roundtrip_and_check(logic, text):
     ok, msg = check_proof(doc, goal, cfg)
     assert ok, msg
     assert audit_proof_subformulas(doc, goal)
+    assert proof_sha256(doc) == PROOF_SHA256[(logic, text)]
     payload = certificate_to_json(doc)
     doc2 = certificate_from_json(json.loads(json.dumps(payload)), cfg.n_agents)
     ok2, msg2 = check_proof(doc2, goal, cfg)
     assert ok2, msg2
+
+
+@pytest.mark.parametrize("logic,text", VALID_CASES)
+def test_extract_proof_performs_no_search(logic, text, monkeypatch):
+    cfg = LogicConfig(logic=logic)
+    goal = parse(text, cfg.n_agents)
+    verdict = satisfiable(neg_fold(goal), cfg)
+
+    def search(*args, **kwargs):
+        raise AssertionError("proof extraction searched")
+
+    with monkeypatch.context() as patch:
+        for name in ("matchings", "congruence_matchings", "refuting_matching_exists"):
+            patch.setattr(certificates, name, search, raising=False)
+        patch.setattr(Solver, "solve", search)
+        doc = extract_proof(verdict, goal, cfg)
+    ok, msg = check_proof(doc, goal, cfg)
+    assert ok, msg
 
 
 def test_proof_of_propositional_validity_has_no_clauses():

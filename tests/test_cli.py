@@ -139,3 +139,15 @@ def test_selftest_rules(capsys):
         code, out, _ = run(capsys, "--logic", logic, "selftest-rules", "--count", "8")
         assert code == 0
         assert "all sound" in out
+
+
+def test_internal_errors_exit_two(tmp_path, capsys):
+    # Exit 1 means "unsatisfiable / invalid / rejected"; a crash must not.
+    code, _, err = run(capsys, "--logic", "K", "solve", "[]" * 1200 + "a")
+    assert code == 2
+    assert err.startswith("error:")
+    cert = tmp_path / "bad.json"
+    cert.write_text('{"kind":"proof","version":1}')
+    code, _, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
+    assert code == 2
+    assert err.startswith("error:")
