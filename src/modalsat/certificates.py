@@ -4,8 +4,10 @@ All three certificate kinds serialize to versioned JSON and are validated
 by checkers that do not consult the solver's internals:
 
 * a tableau is checked structurally (every node is a pseudovaluation, every
-  edge's demand is recomputed from its rule label, and for the finite-schema
-  logics every challenge of every node has an answering edge);
+  edge's demand is recomputed from its rule label, every finite-schema
+  challenge of every node has an answering edge, and in the linear logics no
+  linear rule refutes a node given the argument patterns its pattern edges
+  claim satisfiable);
 * a model is checked by direct semantic evaluation (``model_check``);
 * a proof is checked clause by clause against recomputed side conditions,
   conclusion entailment, and premise CNF coverage.
@@ -42,8 +44,12 @@ from .formula import (
 )
 from .logics import (
     LogicConfig,
+    clause_patterns,
     matchings,
     operator_legal,
+    pattern_formula,
+    proper_atoms,
+    refuting_matching_exists,
     side_condition,
 )
 from .onestep import (
@@ -255,6 +261,10 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
     if not _is_pseudovaluation_for(tb.nodes[tb.root], f):
         return False, "root is not a pseudovaluation for the formula"
     outgoing = {i: [] for i in range(n)}
+    # Linear logics: argument sign patterns per node that pattern edges claim
+    # satisfiable, as bitmasks over the node's proper modal atoms.
+    claimed = {i: set() for i in range(n)}
+    pattern_bits = {}  # node -> {pattern formula: bitmasks}
     for src, label, dst in tb.edges:
         if not (0 <= src < n and 0 <= dst < n):
             return False, "edge endpoint out of range"
@@ -285,19 +295,24 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
             if not cfg.is_arithmetic():
                 return False, "pattern edges only occur in linear logics"
             demand = label[1]
-            allowed = set()
-            for (_, a) in valuation:
-                if isinstance(a, FModal) and not isinstance(a.op, Atom):
-                    allowed |= set(subformulas(a.arg))
-            if not set(modal_atoms(demand)) <= {
-                g for g in allowed if isinstance(g, FModal)
-            }:
-                return False, "pattern formula not built from argument formulas"
+            if src not in pattern_bits:
+                pattern_bits[src] = {}
+                arith = proper_atoms(valuation)
+                for bits in range(1 << len(arith)):
+                    pattern_bits[src].setdefault(pattern_formula(arith, bits), set()).add(bits)
+            if demand not in pattern_bits[src]:
+                return False, "pattern formula is not a sign pattern of the node's arguments"
+            claimed[src] |= pattern_bits[src][demand]
         if not _is_pseudovaluation_for(tb.nodes[dst], demand):
             return False, "edge target is not a pseudovaluation for its demand"
         outgoing[src].append((label, dst))
-    # Challenge coverage: finite schemas (and congruence everywhere).
+    # Challenge coverage: finite schemas and congruence by answering edges;
+    # linear schemas by the absence of a matching that refutes the node given
+    # its claimed patterns (claimed patterns have checked children, so they
+    # are satisfiable, and fewer satisfiable patterns only make refuting
+    # easier).
     for i, valuation in enumerate(tb.nodes):
+        arith = proper_atoms(valuation)
         q = len(valuation)
         for mask in range(1, 1 << q):
             clause = tuple(
@@ -317,6 +332,13 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
                 )
                 if not answered:
                     return False, "unanswered challenge at node %d" % i
+            if cfg.is_arithmetic():
+                sat_patterns = clause_patterns(clause, arith, claimed[i])
+                if (
+                    sat_patterns is not None
+                    and refuting_matching_exists(clause, sat_patterns, cfg)[0] is not None
+                ):
+                    return False, "linear rule refutes node %d" % i
     return True, "ok"
 
 
@@ -486,31 +508,29 @@ class _ModelBuilder:
         sink = self._make_sink()
         support = sorted(kids) + [sink]
         literals = list(self._literals(i))
+        # Weights w_t >= 0 of total mass at least 1, normalized afterwards; the
+        # homogeneous form is what ``linarith.feasible`` accepts.
         cons = []
         var = {t: "w%d" % t for t in support}
         for t in support:
             cons.append(({var[t]: Fraction(1)}, Fraction(0), False))
-        total = {var[t]: Fraction(1) for t in support}
-        cons.append((dict(total), Fraction(-1), False))
-        cons.append(({v: -c for v, c in total.items()}, Fraction(1), False))
+        cons.append(({var[t]: Fraction(1) for t in support}, Fraction(-1), False))
         for s, a in literals:
-            inside = {
-                var[t]: Fraction(1)
+            # inside - p * total, as a coefficient per weight
+            excess = {
+                var[t]: (1 if self.checker.check(t, a.arg) else 0) - a.op.prob
                 for t in support
-                if self.checker.check(t, a.arg)
             }
             if s:
-                cons.append((dict(inside), -a.op.prob, False))
+                cons.append((excess, Fraction(0), False))
             else:
-                cons.append(({v: -c for v, c in inside.items()}, a.op.prob, True))
-        try:
-            point = linarith.feasible(cons, [var[t] for t in support], self.cfg.fm_budget)
-        except linarith.SearchBudgetExceeded:
-            return False
+                cons.append(({v: -c for v, c in excess.items()}, Fraction(0), True))
+        point = linarith.feasible(cons, [var[t] for t in support])
         if point is None:
             return False
+        mass = sum(point.values())
         self.w.dist[i] = {
-            t: point[var[t]] for t in support if point[var[t]] > 0
+            t: point[var[t]] / mass for t in support if point[var[t]] > 0
         }
         return True
 
@@ -932,16 +952,23 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(doc: dict, n_agents: int):
+    """Read a certificate; raises ValueError for an unsupported version, an
+    unknown kind, or a missing or ill-typed field."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed certificate: not a JSON object")
     kind = doc.get("kind")
     if doc.get("version") != CERT_VERSION:
         raise ValueError("unsupported certificate version %r" % doc.get("version"))
-    if kind == "model":
-        return model_from_json(doc)
-    if kind == "tableau":
-        return tableau_from_json(doc, n_agents)
-    if kind == "proof":
+    if kind not in ("model", "tableau", "proof"):
+        raise ValueError("unknown certificate kind %r" % kind)
+    try:
+        if kind == "model":
+            return model_from_json(doc)
+        if kind == "tableau":
+            return tableau_from_json(doc, n_agents)
         return proof_from_json(doc, n_agents)
-    raise ValueError("unknown certificate kind %r" % kind)
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise ValueError("malformed certificate: %s: %s" % (type(exc).__name__, exc)) from exc
 
 
 def check_certificate(cert, f: Formula, cfg: LogicConfig):

@@ -8,14 +8,13 @@ Subcommands:
   selftest-rules sample rule instances and check them semantically
 
 Exit codes: 0 positive answer (sat / valid / certificate ok / rules sound),
-1 negative answer, 2 usage, input or internal error, 3 answer carries a
-caveat: a bounded search may have missed a refutation.
+1 negative answer, 2 usage, input or internal error, 3 only from ``model``:
+the formula is satisfiable but model synthesis failed within its bounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -35,8 +34,8 @@ EXIT_CAVEAT = 3
 
 def _defaults() -> dict:
     """Flag defaults, optionally overridden by a JSON file named by the
-    MODALSAT_CONFIG environment variable (keys: logic, coeff_bound, format)."""
-    defaults = {"logic": "K", "coeff_bound": 64, "format": "human"}
+    MODALSAT_CONFIG environment variable (keys: logic, format)."""
+    defaults = {"logic": "K", "format": "human"}
     path = os.environ.get("MODALSAT_CONFIG")
     if path:
         with open(path) as fh:
@@ -57,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--logic",
         default=defaults["logic"],
         help="one of E, M, K, KD, COAL:n, GML, MAJ, PML (default K)",
-    )
-    p.add_argument(
-        "--coeff-bound",
-        type=int,
-        default=defaults["coeff_bound"],
-        help="bound for the fallback coefficient search in linear logics",
     )
     p.add_argument(
         "--format",
@@ -111,11 +104,6 @@ def _emit(args, record, human_line):
         print(human_line)
 
 
-def _config(args) -> LogicConfig:
-    cfg = parse_logic_spec(args.logic)
-    return dataclasses.replace(cfg, coeff_bound=args.coeff_bound)
-
-
 def _parse_formula(text: str, cfg: LogicConfig):
     f = parse(text, cfg.n_agents)
     validate_formula(f, cfg)
@@ -156,10 +144,7 @@ def _solve_one(text: str, args, cfg: LogicConfig) -> int:
         else:
             notes.append("no tableau: formula is unsatisfiable")
     suffix = ("  [" + "; ".join(notes) + "]") if notes else ""
-    caveat_mark = "  (caveat: bounded search)" if verdict.caveat else ""
-    _emit(args, record, "%s  %s%s%s" % (pretty(f), status, caveat_mark, suffix))
-    if verdict.caveat:
-        return EXIT_CAVEAT
+    _emit(args, record, "%s  %s%s" % (pretty(f), status, suffix))
     return EXIT_YES if verdict.satisfiable else EXIT_NO
 
 
@@ -199,11 +184,8 @@ def _cmd_prove(args, cfg: LogicConfig) -> int:
         record["certificate"] = args.cert
         notes.append("proof written to %s" % args.cert)
     status = "valid" if valid else "not valid"
-    caveat_mark = "  (caveat: bounded search)" if verdict.caveat else ""
     suffix = ("  [" + "; ".join(notes) + "]") if notes else ""
-    _emit(args, record, "%s  %s%s%s" % (pretty(goal), status, caveat_mark, suffix))
-    if verdict.caveat:
-        return EXIT_CAVEAT
+    _emit(args, record, "%s  %s%s" % (pretty(goal), status, suffix))
     return EXIT_YES if valid else EXIT_NO
 
 
@@ -286,7 +268,7 @@ def _cmd_selftest(args, cfg: LogicConfig) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config(args)
+        cfg = parse_logic_spec(args.logic)
         if args.command == "solve":
             return _cmd_solve(args, cfg)
         if args.command == "prove":

@@ -1,157 +1,105 @@
-"""Exact feasibility of linear inequality systems over the rationals.
+"""Exact feasibility of linear inequality systems closed under scaling up.
 
 A constraint is ``(coeffs, const, strict)`` standing for
-``sum(coeffs[v] * x_v) + const >= 0`` (``> 0`` when strict), with Fraction
-coefficients.  Feasibility is decided by Fourier-Motzkin elimination; on
-success a sample point with small entries is reconstructed by
-back-substitution, preferring integers near zero.
+``sum(coeffs[v] * x_v) + const >= 0`` (``> 0`` when strict), with rational
+coefficients over free (unsigned) variables.  Every ``const`` must be
+``<= 0``: then the solution set is closed under scaling up, so a strict row
+is feasible exactly when ``a.x + const >= 1`` is, and no epsilon is needed.
+
+Feasibility is decided exactly by a phase-1 simplex with Bland's
+smallest-index rule, which cannot cycle (Bland, *New finite pivoting rules
+for the simplex method*, Math. Oper. Res. 1977).  It pivots on integers:
+every entry is kept as a numerator over the common denominator ``d``, the
+magnitude of the current basis determinant, so each update divides exactly
+(Edmonds' integer pivoting, as in Avis' lrs).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
 
-class SearchBudgetExceeded(Exception):
-    """Raised when elimination grows past the configured constraint budget."""
-
-
-def _normalize(coeffs, const, strict):
-    coeffs = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
-    return (coeffs, Fraction(const), bool(strict))
-
-
-def _dedupe(constraints):
-    seen = set()
-    out = []
-    for coeffs, const, strict in constraints:
-        key = (tuple(sorted(coeffs.items())), const, strict)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((coeffs, const, strict))
-    return out
-
-
-def _combine(lower, upper, var):
-    """Eliminate ``var`` from a pair with positive / negative coefficient."""
-    lc, lk, ls = lower
-    uc, uk, us = upper
-    a = lc[var]
-    b = -uc[var]
-    coeffs = {}
-    for v, c in lc.items():
-        if v != var:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + b * c
-    for v, c in uc.items():
-        if v != var:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + a * c
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
-    return (coeffs, b * lk + a * uk, ls or us)
-
-
-def _evaluate(coeffs, const, point):
-    total = const
-    for v, c in coeffs.items():
-        total += c * point[v]
-    return total
-
-
-def _pick_value(lb, lb_strict, ub, ub_strict) -> Optional[Fraction]:
-    """Pick a small rational in the interval, or None if it is empty."""
-    if lb is not None and ub is not None:
-        if lb > ub or (lb == ub and (lb_strict or ub_strict)):
-            return None
-    lo_int = None
-    if lb is not None:
-        lo_int = -(-lb.numerator // lb.denominator)  # ceil
-        if lb_strict and lo_int == lb:
-            lo_int += 1
-    hi_int = None
-    if ub is not None:
-        hi_int = ub.numerator // ub.denominator  # floor
-        if ub_strict and hi_int == ub:
-            hi_int -= 1
-    if lo_int is None and hi_int is None:
-        return Fraction(0)
-    if lo_int is None:
-        return Fraction(min(hi_int, 0))
-    if hi_int is None:
-        return Fraction(max(lo_int, 0))
-    if lo_int <= hi_int:
-        if lo_int <= 0 <= hi_int:
-            return Fraction(0)
-        return Fraction(lo_int if lo_int > 0 else hi_int)
-    # No integer fits; fall back to the midpoint of the rational interval.
-    return (lb + ub) / 2
-
-
-def feasible(constraints, variables, max_constraints: int = 50000) -> Optional[dict]:
+def feasible(constraints, variables) -> Optional[dict]:
     """Return a satisfying assignment (dict var -> Fraction) or None.
 
-    ``variables`` fixes the elimination order; every variable mentioned by a
-    constraint must be listed.
+    ``variables`` lists every variable a constraint mentions and fixes the
+    variable order, hence which vertex is returned.  Raises ValueError for a
+    constraint with a positive constant.
     """
-    work = _dedupe(_normalize(c, k, s) for c, k, s in constraints)
-    stack = []
-    for var in reversed(list(variables)):
-        lowers = []
-        uppers = []
-        rest = []
-        for con in work:
-            a = con[0].get(var)
-            if a is None:
-                rest.append(con)
-            elif a > 0:
-                lowers.append(con)
-            else:
-                uppers.append(con)
-        stack.append((var, lowers, uppers))
-        new = list(rest)
-        for lo in lowers:
-            for up in uppers:
-                new.append(_combine(lo, up, var))
-        work = _dedupe(new)
-        if len(work) > max_constraints:
-            raise SearchBudgetExceeded(
-                "elimination produced %d constraints" % len(work)
-            )
-    for coeffs, const, strict in work:
-        if const < 0 or (strict and const == 0):
+    n = len(variables)
+    col = {v: j for j, v in enumerate(variables)}
+    rows = []  # a.x >= b with b >= 0
+    for coeffs, const, strict in constraints:
+        if const > 0:
+            raise ValueError("constraint constant %s is positive" % const)
+        a = [Fraction(0)] * n
+        for v, c in coeffs.items():
+            a[col[v]] += c
+        rows.append(a + [Fraction(1 if strict else 0) - const])
+    # One scale for all rows keeps the phase-1 objective a plain sum.
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    rows = [([int(c * scale) for c in row[:-1]], int(row[-1] * scale)) for row in rows]
+    # A dictionary: each basic variable equals its row's last entry plus the
+    # row times the nonbasic columns, all over ``d``.  Variable labels, which
+    # Bland's rule orders: x_j = u_j - v_j with u_j = j and v_j = n + j; the
+    # surplus of row i is 2n + i; its artificial is 2n + m + i.  A row with
+    # b = 0 has its surplus basic; a row with b > 0 has its artificial basic
+    # and its surplus as a column.
+    m = len(rows)
+    need = [i for i, (_, b) in enumerate(rows) if b]
+    labels = list(range(2 * n)) + [2 * n + i for i in need]
+    tableau = []
+    basis = []
+    for i, (a, b) in enumerate(rows):
+        surplus = [1 if k == i else 0 for k in need]
+        if b:
+            tableau.append([-c for c in a] + a + surplus + [b])
+            basis.append(2 * n + m + i)
+        else:
+            tableau.append(a + [-c for c in a] + surplus + [0])
+            basis.append(2 * n + i)
+    d = 1
+    # Phase-1 objective: the sum of the basic artificials, to be driven to 0.
+    obj = [0] * (len(labels) + 1)
+    for row, label in zip(tableau, basis):
+        if label >= 2 * n + m:
+            obj = [o + c for o, c in zip(obj, row)]
+    while obj[-1]:
+        entering = [(labels[j], j) for j in range(len(labels)) if obj[j] < 0]
+        if not entering:
             return None
-    point = {}
-    for var, lowers, uppers in reversed(stack):
-        lb = None
-        lb_strict = False
-        for coeffs, const, strict in lowers:
-            a = coeffs[var]
-            rest = const
-            for v, c in coeffs.items():
-                if v != var:
-                    rest += c * point[v]
-            bound = -rest / a
-            if lb is None or bound > lb or (bound == lb and strict):
-                lb = bound
-                lb_strict = strict
-        ub = None
-        ub_strict = False
-        for coeffs, const, strict in uppers:
-            a = coeffs[var]
-            rest = const
-            for v, c in coeffs.items():
-                if v != var:
-                    rest += c * point[v]
-            bound = -rest / a
-            if ub is None or bound < ub or (bound == ub and strict):
-                ub = bound
-                ub_strict = strict
-        value = _pick_value(lb, lb_strict, ub, ub_strict)
-        if value is None:
-            return None
-        point[var] = value
-    for coeffs, const, strict in _dedupe(_normalize(c, k, s) for c, k, s in constraints):
-        total = _evaluate(coeffs, const, point)
-        if total < 0 or (strict and total == 0):
-            return None
-    return point
+        enter = min(entering)[1]
+        # The objective is bounded below by 0, so some artificial row limits
+        # the step and ``leave`` is found.
+        leave = min(
+            (Fraction(row[-1], -row[enter]), basis[i], i)
+            for i, row in enumerate(tableau)
+            if row[enter] < 0
+        )[2]
+        pivot = tableau[leave]
+        p = pivot[enter]
+        for row in tableau + [obj]:
+            if row is not pivot:
+                f = row[enter]
+                row[:] = [(c * p - f * q) // d for c, q in zip(row, pivot)]
+                row[enter] = f
+        pivot[:] = [-q for q in pivot]
+        pivot[enter] = d
+        d = p
+        if d < 0:
+            d = -d
+            for row in tableau + [obj]:
+                row[:] = [-c for c in row]
+        basis[leave], labels[enter] = labels[enter], basis[leave]
+        if labels[enter] >= 2 * n + m:
+            # An artificial that left the basis never needs to return.
+            del labels[enter]
+            for row in tableau + [obj]:
+                del row[enter]
+    value = [Fraction(0)] * (2 * n)
+    for row, label in zip(tableau, basis):
+        if label < 2 * n:
+            value[label] = Fraction(row[-1], d)
+    return {v: value[j] - value[n + j] for j, v in enumerate(variables)}

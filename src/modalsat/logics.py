@@ -22,12 +22,12 @@ literal) and a premise bound.  ``refuting_matching_exists`` decides whether
 coefficients exist making every premise CNF clause's negation unsatisfiable,
 given the set of satisfiable sign patterns of the argument formulas.  The
 constraint systems are scale-invariant, so rational feasibility (decided
-exactly by Fourier-Motzkin) coincides with integer feasibility; a small
-brute-force pass runs first to prefer small coefficients.
+exactly by ``linarith.feasible``) coincides with integer feasibility.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,6 +42,8 @@ from .formula import (
     GDiamond,
     LProb,
     MajW,
+    conj_fold,
+    neg_fold,
     subformulas,
 )
 from .onestep import (
@@ -61,8 +63,6 @@ class LogicConfig:
 
     logic: str
     n_agents: int = 2
-    coeff_bound: int = 64
-    fm_budget: int = 50000
     # certificate synthesis bounds
     max_weight: int = 16
     # oracle bounds
@@ -282,6 +282,35 @@ def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def proper_atoms(valuation) -> list:
+    """The proper modal atoms of a pseudovaluation, in its order."""
+    return [a for (_, a) in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
+
+
+def pattern_formula(arith_atoms, bits: int) -> Formula:
+    """The sign pattern ``bits`` of the atoms' arguments as a conjunction."""
+    parts = []
+    for i, a in enumerate(arith_atoms):
+        arg = a.arg
+        parts.append(arg if bits >> i & 1 else neg_fold(arg))
+    return conj_fold(parts)
+
+
+def clause_patterns(clause, arith_atoms, sat_bits):
+    """Project argument sign patterns (bitmasks over ``arith_atoms``) onto the
+    positions of ``clause``; None when a clause literal is not a proper modal
+    atom, so no linear schema matches the clause."""
+    positions = []
+    for _, a in clause:
+        if not isinstance(a, FModal) or isinstance(a.op, Atom):
+            return None
+        positions.append(arith_atoms.index(a))
+    return {
+        sum(1 << ci for ci, ai in enumerate(positions) if bits >> ai & 1)
+        for bits in sat_bits
+    }
+
+
 def _linear_literal_data(clause, cfg: LogicConfig):
     """Per-literal (sign, kind, index) for the linear schema of the logic,
     or None when the clause does not fit the schema's shape."""
@@ -401,18 +430,8 @@ def _small_search(signs, cons, use_t, branch) -> Optional[dict]:
 
 
 def _scale_to_integers(point) -> dict:
-    lcm = 1
-    for v in point.values():
-        den = v.denominator
-        g = _gcd(lcm, den)
-        lcm = lcm // g * den
+    lcm = math.lcm(*(v.denominator for v in point.values()))
     return {k: v * lcm for k, v in point.items()}
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
@@ -422,34 +441,26 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     ``sat_patterns`` is the set of satisfiable sign patterns, as bitmasks
     over clause positions (bit i set = argument of literal i true).
 
-    Returns ``(matching_or_None, caveat)``; ``caveat`` is True when the
-    exact search had to be abandoned for a bounded one that found nothing.
+    Returns ``(matching_or_None, caveat)``.  The search is exact, so
+    ``caveat`` is always False; the pair is the interface callers read.
     """
     data = _linear_literal_data(clause, cfg)
     if data is None:
         return None, False
     signs, rows, args = data
     use_t = cfg.logic != "GML"
+    variables = [_x(i) for i in range(len(signs))] + (["t"] if use_t else [])
     branches = ("nonneg", "neg") if cfg.logic == "MAJ" else (None,)
-    caveat = False
     for branch in branches:
         cons = _build_constraints(signs, rows, sat_patterns, cfg, branch)
-        point = _small_search(signs, cons, use_t, branch)
-        if point is None:
-            variables = [_x(i) for i in range(len(signs))]
-            if use_t:
-                variables.append("t")
-            try:
-                point = linarith.feasible(cons, variables, cfg.fm_budget)
-            except linarith.SearchBudgetExceeded:
-                caveat = True
-                point = _bounded_fallback(signs, cons, use_t, branch, cfg)
-            if point is not None:
-                point = _scale_to_integers(point)
-                if not _check_point(cons, point):
-                    point = None
+        point = linarith.feasible(cons, variables)
         if point is None:
             continue
+        # Small coefficients make readable certificates; the scaled LP
+        # point is the exact answer when none fits.
+        point = _small_search(signs, cons, use_t, branch) or _scale_to_integers(point)
+        if not _check_point(cons, point):
+            raise RuntimeError("coefficient point fails its own constraint system")
         coeffs = tuple(
             int(point[_x(i)]) * (1 if signs[i] else -1) for i in range(len(signs))
         )
@@ -468,41 +479,5 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
                 ints=coeffs + (bound,),
                 rationals=tuple(p for _, p in rows),
             )
-        # A found point passed _check_point, so no refutation was lost.
         return RuleMatching(code, args), False
-    return None, caveat
-
-
-def _bounded_fallback(signs, cons, use_t, branch, cfg) -> Optional[dict]:
-    """Depth-first bounded integer search used only when Fourier-Motzkin
-    exceeds its budget; incomplete beyond the coefficient bound."""
-    q = len(signs)
-    bound = cfg.coeff_bound
-    if q > 6:
-        return None
-    magnitudes = list(range(1, min(bound, 8) + 1))
-    if use_t:
-        if branch == "nonneg":
-            t_values = list(range(0, min(bound, 8) + 1))
-        elif branch == "neg":
-            t_values = list(range(-1, -min(bound, 8) - 1, -1))
-        else:
-            t_values = sorted(range(-min(bound, 8), min(bound, 8) + 1), key=lambda v: (abs(v), v))
-    else:
-        t_values = [0]
-    for t in t_values:
-        point = {"t": Fraction(t)} if use_t else {}
-
-        def rec(i):
-            if i == q:
-                return _check_point(cons, point)
-            for m in magnitudes:
-                point[_x(i)] = Fraction(m)
-                if rec(i + 1):
-                    return True
-            del point[_x(i)]
-            return False
-
-        if rec(0):
-            return point
-    return None
+    return None, False

@@ -106,8 +106,8 @@ def sample_matchings(rng: random.Random, cfg: LogicConfig, count: int):
             q = len(clause)
             full = 1 << q
             sat_patterns = {bits for bits in range(full) if rng.random() < 0.5}
-            m, caveat = refuting_matching_exists(clause, sat_patterns, cfg)
-            if m is not None and not caveat:
+            m, _ = refuting_matching_exists(clause, sat_patterns, cfg)
+            if m is not None:
                 out.append(m)
         else:
             out.extend(matchings(clause, cfg))

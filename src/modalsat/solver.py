@@ -30,16 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import (
-    Atom,
-    FModal,
-    Formula,
-    conj_fold,
-    eval_with,
-    modal_atoms,
-    neg_fold,
+from .formula import Formula, eval_with, modal_atoms
+from .logics import (
+    LogicConfig,
+    clause_patterns,
+    matchings,
+    pattern_formula,
+    proper_atoms,
+    refuting_matching_exists,
+    validate_formula,
 )
-from .logics import LogicConfig, matchings, refuting_matching_exists, validate_formula
 from .onestep import (
     congruence_matchings,
     negated_clause_instance,
@@ -84,7 +84,7 @@ class UnsatNode:
 class Verdict:
     satisfiable: bool
     trace: object
-    caveat: bool
+    caveat: bool  # the search is exact, so never set; kept in the JSON output
     stats: SolveStats
 
 
@@ -93,14 +93,13 @@ class Solver:
         self.cfg = cfg
         self.memo = {}
         self.stats = SolveStats()
-        self.caveat = False
         self.root_depth = 0
 
     def run(self, f: Formula) -> Verdict:
         validate_formula(f, self.cfg)
         self.root_depth = max(self.root_depth, f.depth)
         sat, node = self.solve(f, 0)
-        return Verdict(sat, node, self.caveat, self.stats)
+        return Verdict(sat, node, False, self.stats)
 
     def solve(self, f: Formula, level: int):
         cached = self.memo.get(f)
@@ -139,17 +138,14 @@ class Solver:
         pattern_table = None
         arith_atoms = None
         if self.cfg.is_arithmetic():
-            arith_atoms = [
-                a for (_, a) in valuation
-                if isinstance(a, FModal) and not isinstance(a.op, Atom)
-            ]
+            arith_atoms = proper_atoms(valuation)
             pattern_table = {}
             if arith_atoms:
                 pattern_table = self._pattern_table(arith_atoms, level)
                 for bits, (sat, child) in sorted(pattern_table.items()):
                     if sat:
                         obligations.append(
-                            ("pattern", _pattern_formula(arith_atoms, bits), child)
+                            ("pattern", pattern_formula(arith_atoms, bits), child)
                         )
         q = len(valuation)
         for mask in range(1, 1 << q):
@@ -187,29 +183,19 @@ class Solver:
         table = {}
         k = len(arith_atoms)
         for bits in range(1 << k):
-            pf = _pattern_formula(arith_atoms, bits)
+            pf = pattern_formula(arith_atoms, bits)
             self.stats.patterns_solved += 1
             table[bits] = self.solve(pf, level + 1)
         return table
 
     def _arith_challenge(self, clause, valuation, arith_atoms, pattern_table, level):
-        positions = []
-        for _, a in clause:
-            if not isinstance(a, FModal) or isinstance(a.op, Atom):
-                return None
-            positions.append(arith_atoms.index(a))
-        sat_patterns = set()
-        for bits, (sat, _) in pattern_table.items():
-            if sat:
-                proj = 0
-                for ci, ai in enumerate(positions):
-                    if bits >> ai & 1:
-                        proj |= 1 << ci
-                sat_patterns.add(proj)
+        sat_patterns = clause_patterns(
+            clause, arith_atoms, [bits for bits, (sat, _) in pattern_table.items() if sat]
+        )
+        if sat_patterns is None:
+            return None
         self.stats.matchings_checked += 1
-        m, caveat = refuting_matching_exists(clause, sat_patterns, self.cfg)
-        if caveat:
-            self.caveat = True
+        m, _ = refuting_matching_exists(clause, sat_patterns, self.cfg)
         if m is None:
             return None
         gamma_children = []
@@ -219,14 +205,6 @@ class Solver:
                 raise RuntimeError("refuting matching leaves a satisfiable demand")
             gamma_children.append((gamma, child))
         return (valuation, clause, m, gamma_children)
-
-
-def _pattern_formula(arith_atoms, bits: int) -> Formula:
-    parts = []
-    for i, a in enumerate(arith_atoms):
-        arg = a.arg
-        parts.append(arg if bits >> i & 1 else neg_fold(arg))
-    return conj_fold(parts)
 
 
 def satisfiable(f: Formula, cfg: LogicConfig) -> Verdict:

@@ -9,6 +9,7 @@ from conftest import proof_sha256
 from modalsat import certificates
 from modalsat.certificates import (
     ModelWitness,
+    Tableau,
     audit_proof_subformulas,
     certificate_from_json,
     certificate_to_json,
@@ -26,7 +27,7 @@ from modalsat.certificates import (
     tableau_to_json,
     tableau_to_model,
 )
-from modalsat.formula import neg_fold, parse
+from modalsat.formula import neg_fold, parse, pseudovaluations_for
 from modalsat.logics import LogicConfig
 from modalsat.oracle import brute_force_sat
 from modalsat.solver import Solver, satisfiable
@@ -197,6 +198,41 @@ def test_tableau_rejects_tampered_node():
             break
     ok, _ = check_tableau(tb, f, cfg)
     assert not ok
+
+
+# Unsatisfiable linear-logic formulas for which a lone edgeless node answers
+# every congruence challenge, so only the linear rules can expose the forgery.
+FORGED_LINEAR = [
+    ("GML", "<1>a & ~<0>a"),
+    ("GML", "<0>a & <0>~a & ~<1>(a | ~a)"),
+    ("PML", "L{1/2}a & L{2/3}~a"),
+    ("MAJ", "M a & ~W a"),
+]
+
+
+@pytest.mark.parametrize("logic,text", FORGED_LINEAR)
+def test_tableau_rejects_forged_linear_node(logic, text):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text, cfg.n_agents)
+    assert not satisfiable(f, cfg).satisfiable
+    valuations = list(pseudovaluations_for(f))
+    assert valuations
+    for valuation in valuations:
+        ok, msg = check_tableau(Tableau(0, [valuation], []), f, cfg)
+        assert not ok and "refutes" in msg
+
+
+def test_tableau_rejects_partial_sign_pattern():
+    # A pattern edge must claim a full sign pattern of the node's arguments;
+    # ``a`` alone does not say how the argument of <0>a fares.
+    cfg = LogicConfig(logic="GML")
+    f = parse("<1>a & <0>a")
+    tb = extract_tableau(satisfiable(f, cfg), cfg)
+    child = len(tb.nodes)
+    tb.nodes.append(((True, parse("a")),))
+    tb.edges.append((tb.root, ("pattern", parse("a")), child))
+    ok, msg = check_tableau(tb, f, cfg)
+    assert not ok and "sign pattern" in msg
 
 
 # -- model synthesis ----------------------------------------------------------

@@ -151,3 +151,34 @@ def test_internal_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_malformed_certificates_exit_two(tmp_path, capsys):
+    # A certificate file is outside input: a missing or ill-typed field is
+    # reported as such, not as an internal error.
+    docs = [
+        {"kind": "proof", "version": 1},
+        {
+            "kind": "tableau",
+            "version": 1,
+            "payload": {"root": 0, "nodes": [["a"]], "edges": [{"src": 0, "dst": 0}]},
+        },
+        {
+            "kind": "model",
+            "version": 1,
+            "payload": {
+                "model_kind": "kripke",
+                "root": "zero",
+                "states": [0],
+                "labels": {"0": ["a"]},
+                "succ": {"0": []},
+            },
+        },
+    ]
+    for doc in docs:
+        cert = tmp_path / "bad.json"
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
+        assert code == 2
+        assert err.startswith("error: malformed certificate")
+        assert "Traceback" not in err and out == ""

@@ -184,10 +184,8 @@ def test_refuting_search_found_by_fallback_has_no_caveat():
     clause = _clause(
         [(False, "<0>a0"), (False, "<0>a1"), (False, "<0>a2"), (False, "<0>a3"), (True, "<0>a4")]
     )
-    # Fourier-Motzkin finds the matching within its default budget; with no
-    # budget the bounded fallback finds the same one.  A found matching is
-    # checked, so no refutation was lost and no caveat is due.
-    for cfg in (LogicConfig("GML"), LogicConfig("GML", fm_budget=0)):
-        m, caveat = refuting_matching_exists(clause, {0, 0b11111}, cfg)
-        assert m is not None and m.code.ints == (-1, -1, -1, -1, 4, 0)
-        assert not caveat
+    # Five literals are past the small search, so the exact search finds the
+    # matching.  A found matching is checked, so no caveat is due.
+    m, caveat = refuting_matching_exists(clause, {0, 0b11111}, LogicConfig("GML"))
+    assert m is not None and m.code.ints == (-1, -1, -1, -1, 4, 0)
+    assert not caveat

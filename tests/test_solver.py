@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from modalsat.certificates import check_tableau, extract_tableau, model_check, tableau_to_model
 from modalsat.formula import neg_fold, parse, pretty
 from modalsat.logics import LogicConfig
 from modalsat.oracle import brute_force_sat
@@ -110,3 +111,25 @@ def test_solver_never_contradicts_oracle(logic):
         witness = brute_force_sat(f, cfg)
         if witness is not None:
             assert verdict.satisfiable, pretty(f)
+
+
+# The widest linear family members of the benchmark corpus; each is
+# satisfiable by construction.
+LINEAR_WIDE = [
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & <4>a4 & ~<5>(a0 | a1 | a2 | a3 | a4)"),
+    ("MAJ", "W a0 & W a1 & W a2 & W a3 & ~<0>(a0 & a1 & a2 & a3)"),
+    ("PML", "L{1/4}a0 & L{1/4}a1 & L{1/4}a2 & L{1/4}a3 & ~L{1/1}(a0 | a1 | a2 | a3)"),
+]
+
+
+@pytest.mark.parametrize("logic,text", LINEAR_WIDE)
+def test_linear_width_families_certified(logic, text):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    verdict = satisfiable(f, cfg)
+    assert verdict.satisfiable and not verdict.caveat
+    tb = extract_tableau(verdict, cfg)
+    ok, msg = check_tableau(tb, f, cfg)
+    assert ok, msg
+    w = tableau_to_model(tb, cfg)
+    assert w is not None and model_check(w, w.root, f)
