@@ -8,13 +8,16 @@ by checkers that do not consult the solver's internals:
   challenge of every node has an answering edge, and in the linear logics no
   linear rule refutes a node given the argument patterns its pattern edges
   claim satisfiable);
-* a model is checked by direct semantic evaluation (``model_check``);
+* a model is checked to be a legal structure of the logic
+  (``validate_structure``) and then by direct semantic evaluation
+  (``model_check``);
 * a proof is checked clause by clause against recomputed side conditions,
   conclusion entailment, and premise CNF coverage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -44,8 +47,8 @@ from .formula import (
 )
 from .logics import (
     LogicConfig,
+    challenges,
     clause_patterns,
-    matchings,
     operator_legal,
     pattern_formula,
     proper_atoms,
@@ -55,7 +58,6 @@ from .logics import (
 from .onestep import (
     RuleCode,
     RuleMatching,
-    congruence_matchings,
     conclusion_clause,
     negated_clause_instance,
     premise_cnf_clauses,
@@ -176,6 +178,99 @@ def _merge(agents, own, mine, rest, theirs):
 
 def model_check(witness: ModelWitness, state: int, f: Formula) -> bool:
     return _Checker(witness).check(state, f)
+
+
+MODEL_KINDS = {
+    "K": "kripke",
+    "KD": "kripke",
+    "E": "neighbourhood",
+    "M": "neighbourhood",
+    "GML": "multigraph",
+    "MAJ": "multigraph",
+    "PML": "distribution",
+    "COAL": "game",
+}
+
+
+def validate_structure(w: ModelWitness, cfg: LogicConfig):
+    """Is the witness a legal finite structure of the logic?  Returns
+    (ok, message).  The frame conditions (seriality for KD, up-closure for M)
+    come from the logic, never from the witness's ``serial`` and
+    ``monotone`` flags; ``monotone`` only says that the listed
+    neighbourhoods generate an up-closed family, which ``model_check``
+    evaluates as such."""
+    if w.kind != MODEL_KINDS[cfg.logic]:
+        return False, "a %s model is not a structure of %s" % (w.kind, cfg.logic)
+    states = set(w.states)
+    if len(states) != len(w.states):
+        return False, "a state is listed twice"
+    if w.root not in states:
+        return False, "root %r is not a state" % (w.root,)
+    structure = {
+        "kripke": w.succ,
+        "multigraph": w.weights,
+        "neighbourhood": w.neigh,
+        "distribution": w.dist,
+        "game": w.games,
+    }[w.kind]
+    for s in list(w.labels) + list(structure):
+        if s not in states:
+            return False, "state %r is not in the model's states" % (s,)
+    for s in w.states:
+        if w.kind == "kripke":
+            succ = w.succ.get(s, ())
+            if not set(succ) <= states:
+                return False, "a successor of state %r is not a state" % (s,)
+            if cfg.logic == "KD" and not succ:
+                return False, "state %r has no successor in a serial model" % (s,)
+        elif w.kind == "multigraph":
+            for t, c in w.weights.get(s, {}).items():
+                if t not in states:
+                    return False, "a successor of state %r is not a state" % (s,)
+                if type(c) is not int or c < 0:
+                    return False, "weight %r at state %r is not a natural number" % (c, s)
+        elif w.kind == "neighbourhood":
+            hoods = w.neigh.get(s, ())
+            if not all(member <= states for member in hoods):
+                return False, "a neighbourhood of state %r holds a non-state" % (s,)
+            if cfg.logic == "M" and not w.monotone and not _up_closed(hoods, states):
+                return False, "the neighbourhoods of state %r are not up-closed" % (s,)
+        elif w.kind == "distribution":
+            dist = w.dist.get(s, {})
+            if not set(dist) <= states:
+                return False, "a successor of state %r is not a state" % (s,)
+            if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
+                return False, "the distribution of state %r is not a probability" % (s,)
+        else:
+            ok, msg = _check_game(w.games.get(s), states, cfg.n_agents)
+            if not ok:
+                return False, "state %r: %s" % (s, msg)
+    return True, "ok"
+
+
+def _up_closed(hoods, states) -> bool:
+    """A family of subsets is up-closed within ``states`` iff adding any one
+    state to a member gives a member."""
+    family = set(hoods)
+    return all(member | {t} in family for member in family for t in states - member)
+
+
+def _check_game(game, states, n_agents: int):
+    if game is None:
+        return False, "no game"
+    sizes, table = game
+    if len(sizes) != n_agents or any(type(k) is not int or k < 1 for k in sizes):
+        return False, "strategy counts do not fit %d agents" % n_agents
+    # Distinct in-range profiles, as many as there are: the table is total.
+    in_range = all(
+        len(p) == n_agents and all(type(c) is int and 0 <= c < k for c, k in zip(p, sizes))
+        for p in table
+    )
+    if not in_range or len(table) != math.prod(sizes):
+        return False, "the outcome table is not total over the strategy profiles"
+    if not set(table.values()) <= states:
+        return False, "an outcome is not a state"
+    return True, "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +408,7 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
     # easier).
     for i, valuation in enumerate(tb.nodes):
         arith = proper_atoms(valuation)
-        q = len(valuation)
-        for mask in range(1, 1 << q):
-            clause = tuple(
-                (not s, a) for j, (s, a) in enumerate(valuation) if mask >> j & 1
-            )
-            if cfg.is_arithmetic():
-                cands = congruence_matchings(clause, cfg.logic)
-            else:
-                cands = matchings(clause, cfg)
+        for clause, cands in challenges(valuation, cfg):
             for m in cands:
                 answered = any(
                     label[0] == "rule"
@@ -361,17 +448,8 @@ class _ModelBuilder:
     def __init__(self, tb: Tableau, cfg: LogicConfig):
         self.tb = tb
         self.cfg = cfg
-        kind = {
-            "K": "kripke",
-            "KD": "kripke",
-            "E": "neighbourhood",
-            "M": "neighbourhood",
-            "GML": "multigraph",
-            "MAJ": "multigraph",
-            "PML": "distribution",
-        }[cfg.logic]
         self.w = ModelWitness(
-            kind=kind,
+            kind=MODEL_KINDS[cfg.logic],
             root=tb.root,
             states=list(range(len(tb.nodes))),
             labels={},
@@ -722,11 +800,14 @@ def audit_proof_subformulas(doc: ProofDoc, goal: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _lit_parse(text: str, n_agents: int):
-    f = parse(text, n_agents)
+def _literal(f: Formula):
     if isinstance(f, FNot):
         return (False, f.arg)
     return (True, f)
+
+
+def _lit_parse(text: str, n_agents: int):
+    return _literal(parse(text, n_agents))
 
 
 def _frac_str(q: Fraction) -> str:
@@ -791,7 +872,7 @@ def model_from_json(doc: dict) -> ModelWitness:
         monotone=bool(payload.get("monotone", False)),
     )
     if w.kind == "kripke":
-        w.succ = {int(s): tuple(v) for s, v in payload["succ"].items()}
+        w.succ = {int(s): tuple(int(t) for t in v) for s, v in payload["succ"].items()}
     elif w.kind == "multigraph":
         w.weights = {
             int(s): {int(t): int(c) for t, c in v.items()}
@@ -799,7 +880,7 @@ def model_from_json(doc: dict) -> ModelWitness:
         }
     elif w.kind == "neighbourhood":
         w.neigh = {
-            int(s): tuple(frozenset(member) for member in v)
+            int(s): tuple(frozenset(int(t) for t in member) for member in v)
             for s, v in payload["neigh"].items()
         }
     elif w.kind == "distribution":
@@ -810,7 +891,7 @@ def model_from_json(doc: dict) -> ModelWitness:
     elif w.kind == "game":
         w.games = {
             int(s): (
-                tuple(v["sizes"]),
+                tuple(int(k) for k in v["sizes"]),
                 {
                     tuple(int(i) for i in k.split(",") if i != ""): int(t)
                     for k, t in v["table"].items()
@@ -867,8 +948,18 @@ def tableau_to_json(tb: Tableau) -> dict:
 
 def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
     payload = doc["payload"]
+    parsed = {}
+
+    def formula(text):
+        # Edges repeat the node literals; formulas are interned, so one parse
+        # per distinct text yields the very same objects.
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse(text, n_agents)
+        return f
+
     nodes = [
-        tuple(_lit_parse(t, n_agents) for t in valuation)
+        tuple(_literal(formula(t)) for t in valuation)
         for valuation in payload["nodes"]
     ]
     edges = []
@@ -880,9 +971,9 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
                     int(e["src"]),
                     (
                         "rule",
-                        tuple(_lit_parse(t, n_agents) for t in label["clause"]),
+                        tuple(_literal(formula(t)) for t in label["clause"]),
                         RuleCode.from_json(label["code"]),
-                        tuple(parse(t, n_agents) for t in label["substitution"]),
+                        tuple(formula(t) for t in label["substitution"]),
                         _gamma_parse(label["gamma"]),
                     ),
                     int(e["dst"]),
@@ -892,7 +983,7 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
             edges.append(
                 (
                     int(e["src"]),
-                    ("pattern", parse(label["formula"], n_agents)),
+                    ("pattern", formula(label["formula"])),
                     int(e["dst"]),
                 )
             )
@@ -974,6 +1065,9 @@ def certificate_from_json(doc: dict, n_agents: int):
 def check_certificate(cert, f: Formula, cfg: LogicConfig):
     """Dispatching checker: (ok, message)."""
     if isinstance(cert, ModelWitness):
+        ok, msg = validate_structure(cert, cfg)
+        if not ok:
+            return False, msg
         ok = model_check(cert, cert.root, f)
         return ok, "ok" if ok else "model does not satisfy the formula at its root"
     if isinstance(cert, Tableau):

@@ -211,7 +211,7 @@ def _cmd_model(args, cfg: LogicConfig) -> int:
             "%s  satisfiable, but model synthesis failed within bounds" % pretty(f),
         )
         return EXIT_CAVEAT
-    ok = certificates.model_check(witness, witness.root, f)
+    ok, _ = certificates.check_certificate(witness, f, cfg)
     if not ok:
         print("error: synthesized model failed its own check", file=sys.stderr)
         return EXIT_ERROR

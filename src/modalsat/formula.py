@@ -327,31 +327,40 @@ def clause_entails(c1, c2) -> bool:
     return set(c1) <= set(c2)
 
 
-def pseudovaluations_for(f: Formula) -> Iterator[tuple]:
-    """Total sign assignments to the modal atoms of ``f`` that propositionally
-    satisfy ``f``, in binary-counter order (bit i set = atom i positive)."""
+def assignments(f: Formula, want: bool = True) -> Iterator[tuple]:
+    """Total sign assignments to the modal atoms of ``f`` under which ``f``
+    evaluates to ``want``, as pseudovaluations in binary-counter order (bit i
+    set = atom i positive): exactly the rows of the truth table with that
+    value.
+
+    Shannon expansion through ``subst_fold``, most significant atom first,
+    false before true: a subtree in which ``f`` is already decided is skipped
+    when it has the other value and filled in whole when it has ``want``."""
     atoms = modal_atoms(f)
-    n = len(atoms)
-    for bits in range(1 << n):
-        assign = {atoms[i]: bool(bits >> i & 1) for i in range(n)}
-        if eval_with(f, assign):
-            yield tuple((assign[a], a) for a in atoms)
+    if not atoms:
+        # Constants that were built without folding, such as conj(TOP, TOP).
+        if eval_with(f, {}) == want:
+            yield ()
+        return
+    decided = TOP if want else BOT
+
+    def expand(g, k, suffix):
+        # atoms[k:] are assigned in ``suffix``; ``g`` is ``f`` under them.
+        if g is TOP or g is BOT:
+            if g is decided:
+                for bits in range(1 << k):
+                    yield tuple((bool(bits >> i & 1), atoms[i]) for i in range(k)) + suffix
+            return
+        a = atoms[k - 1]
+        for value in (False, True):
+            yield from expand(subst_fold(g, a, value), k - 1, ((value, a),) + suffix)
+
+    yield from expand(f, len(atoms), ())
 
 
-def prop_tautology(f: Formula, table_limit: int = 18) -> bool:
+def prop_tautology(f: Formula) -> bool:
     """Is ``f`` true under every assignment to its modal atoms?"""
-    atoms = modal_atoms(f)
-    if len(atoms) <= table_limit:
-        n = len(atoms)
-        for bits in range(1 << n):
-            assign = {atoms[i]: bool(bits >> i & 1) for i in range(n)}
-            if not eval_with(f, assign):
-                return False
-        return True
-    a = atoms[0]
-    return prop_tautology(subst_fold(f, a, True), table_limit) and prop_tautology(
-        subst_fold(f, a, False), table_limit
-    )
+    return next(assignments(f, want=False), None) is None
 
 
 def subst_fold(f: Formula, target: Formula, value: bool) -> Formula:
@@ -370,14 +379,9 @@ def subst_fold(f: Formula, target: Formula, value: bool) -> Formula:
 def cnf_clauses(f: Formula) -> tuple:
     """Canonical CNF over the modal atoms of ``f``: one maxterm per falsifying
     assignment, in binary-counter order.  Empty for propositional validities."""
-    atoms = modal_atoms(f)
-    n = len(atoms)
-    out = []
-    for bits in range(1 << n):
-        assign = {atoms[i]: bool(bits >> i & 1) for i in range(n)}
-        if not eval_with(f, assign):
-            out.append(tuple((not assign[a], a) for a in atoms))
-    return tuple(out)
+    return tuple(
+        tuple((not s, a) for s, a in valuation) for valuation in assignments(f, want=False)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,83 @@ def matchings(clause, cfg: LogicConfig) -> list:
     return out
 
 
+def challenges(valuation, cfg: LogicConfig):
+    """The universal challenges of a pseudovaluation: ``(clause, matchings)``
+    for each clause over negated literals of ``valuation`` that some schema
+    can match, in increasing mask order (bit i = literal i of the valuation).
+
+    Candidate clauses come from the schemas' shapes, so a clause no schema
+    matches is never built; ``matchings`` then decides each candidate.  In
+    the linear logics every nonempty clause of proper modal atoms is a
+    challenge, with its congruence matchings, because the coefficient search
+    needs each one.  Propositional atoms never enter a clause."""
+    # Clause literal i is the negation of valuation literal i.
+    pos, neg = [], []
+    for i, (s, a) in enumerate(valuation):
+        if isinstance(a, FModal) and not isinstance(a.op, Atom):
+            (neg if s else pos).append(i)
+    if cfg.is_arithmetic():
+        masks = set(_submasks(pos + neg))
+    else:
+        masks = {
+            1 << i | 1 << j
+            for i in pos
+            for j in neg
+            if valuation[i][1].op == valuation[j][1].op
+        }
+        if cfg.logic in ("K", "KD"):
+            negs = _submasks(neg)
+            masks.update(1 << i | m for i in pos for m in negs)
+            if cfg.logic == "KD":
+                masks.update(negs)
+        elif cfg.logic == "COAL":
+            masks.update(_coalition_masks(valuation, pos, neg, cfg))
+    masks.discard(0)
+    for mask in sorted(masks):
+        clause = tuple(
+            (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
+        )
+        if cfg.is_arithmetic():
+            yield clause, congruence_matchings(clause, cfg.logic)
+        else:
+            found = matchings(clause, cfg)
+            if found:
+                yield clause, found
+
+
+def _submasks(indices) -> list:
+    """Every mask over the given bit positions, the empty one included."""
+    masks = [0]
+    for i in indices:
+        masks += [m | 1 << i for m in masks]
+    return masks
+
+
+def _coalition_masks(valuation, pos, neg, cfg: LogicConfig):
+    """Clauses the coalition schemas can match: a family of clause-negative
+    literals with pairwise disjoint coalitions, together with clause-positive
+    literals holding at most one non-grand coalition."""
+    coal = {}
+    for i in pos + neg:
+        op = valuation[i][1].op
+        if isinstance(op, Coal):
+            coal[i] = op.agents
+    families = [(0, frozenset())]
+    for i in neg:
+        if i in coal:
+            families += [
+                (m | 1 << i, used | coal[i])
+                for m, used in families
+                if not used & coal[i]
+            ]
+    grand = cfg.grand_coalition
+    positives = _submasks([i for i in pos if coal.get(i) == grand])
+    positives += [
+        m | 1 << i for i in pos if i in coal and coal[i] != grand for m in positives
+    ]
+    return {m | p for m, _ in families for p in positives}
+
+
 def _pairwise_disjoint(sets) -> bool:
     seen = set()
     for s in sets:

@@ -35,14 +35,13 @@ from .formula import (
     MajW,
     subformulas,
 )
-from .logics import LogicConfig, matchings, refuting_matching_exists
+from .logics import LogicConfig, challenges, refuting_matching_exists
 from .onestep import (
     ClausePremise,
     LinearPremise,
     RuleCode,
     RuleMatching,
     code_operators,
-    congruence_matchings,
 )
 from .certificates import ModelWitness, model_check
 
@@ -725,21 +724,13 @@ def strict_completeness_probe(
     from .formula import atom, modal
 
     lits = tuple((s, modal(op, atom("v%d" % i))) for i, (s, op) in enumerate(chi))
-    q = len(lits)
-    for mask in range(1, 1 << q):
-        positions = [i for i in range(q) if mask >> i & 1]
-        sub = tuple(lits[i] for i in positions)
-        sub_tau = tuple(tau[i] for i in positions)
-        if cfg.is_arithmetic():
-            cands = list(congruence_matchings(sub, cfg.logic))
-        else:
-            cands = matchings(sub, cfg)
+    position = {a: i for i, (_, a) in enumerate(lits)}
+    for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg):
+        sub_tau = tuple(tau[position[a]] for _, a in sub)
         for m in cands:
             if _premise_holds(m.premise(), sub_tau, n):
                 return m
-        if cfg.is_arithmetic() and all(
-            isinstance(a, FModal) and not isinstance(a.op, Atom) for (_, a) in sub
-        ):
+        if cfg.is_arithmetic():
             table = {
                 sum(1 << k for k in range(len(sub)) if x in sub_tau[k])
                 for x in range(n)

@@ -2,10 +2,13 @@
 
 A formula is satisfiable iff some pseudovaluation H (a propositionally
 consistent total sign assignment to its modal atoms) survives every
-universal challenge: for every nonempty clause built from negations of H's
-literals and every rule matching of that clause, some clause of the premise
-CNF must have a satisfiable negation (a strictly shallower formula, solved
-recursively).
+universal challenge: for every rule matching of a clause built from
+negations of H's literals, some clause of the premise CNF must have a
+satisfiable negation (a strictly shallower formula, solved recursively).
+Pseudovaluations come from ``assignments``, which prunes the truth table
+wherever the formula is already decided; challenges come from
+``challenges``, which builds only the clauses some schema can match.  Both
+keep binary-counter order, so traces do not depend on the pruning.
 
 For the finite schemas the matchings of each clause are enumerated directly.
 For the linear schemas the universal quantifier over matchings is decided by
@@ -30,18 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import Formula, eval_with, modal_atoms
+from .formula import Formula, assignments
 from .logics import (
     LogicConfig,
+    challenges,
     clause_patterns,
-    matchings,
     pattern_formula,
     proper_atoms,
     refuting_matching_exists,
     validate_formula,
 )
 from .onestep import (
-    congruence_matchings,
     negated_clause_instance,
     premise_cnf_clauses,
 )
@@ -114,13 +116,7 @@ class Solver:
             raise RuntimeError("recursion exceeded modal depth")
         failures = []
         result = None
-        atoms = modal_atoms(f)
-        n = len(atoms)
-        for bits in range(1 << n):
-            assign = {atoms[i]: bool(bits >> i & 1) for i in range(n)}
-            if not eval_with(f, assign):
-                continue
-            valuation = tuple((assign[a], a) for a in atoms)
+        for valuation in assignments(f):
             verdict = self._check_valuation(f, valuation, level)
             if isinstance(verdict, SatNode):
                 result = (True, verdict)
@@ -147,15 +143,7 @@ class Solver:
                         obligations.append(
                             ("pattern", pattern_formula(arith_atoms, bits), child)
                         )
-        q = len(valuation)
-        for mask in range(1, 1 << q):
-            clause = tuple(
-                (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
-            )
-            if self.cfg.is_arithmetic():
-                cands = congruence_matchings(clause, self.cfg.logic)
-            else:
-                cands = matchings(clause, self.cfg)
+        for clause, cands in challenges(valuation, self.cfg):
             for m in cands:
                 self.stats.matchings_checked += 1
                 gamma_children = []

@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 
-from modalsat.certificates import proof_to_json
+from modalsat.certificates import proof_to_json, tableau_to_json
 from modalsat.formula import FModal, Atom, modal_atoms
 from modalsat.logics import LogicConfig
 from modalsat.sampling import random_formula
@@ -46,7 +46,15 @@ def max_atoms_per_level(f) -> int:
     return best
 
 
-def proof_sha256(doc) -> str:
-    """Digest of a proof's JSON, serialized the way the CLI writes it."""
-    text = json.dumps(proof_to_json(doc), sort_keys=True, separators=(",", ":"))
+def _json_sha256(doc) -> str:
+    """Digest of a certificate's JSON, serialized the way the CLI writes it."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def proof_sha256(doc) -> str:
+    return _json_sha256(proof_to_json(doc))
+
+
+def tableau_sha256(tb) -> str:
+    return _json_sha256(tableau_to_json(tb))

@@ -20,6 +20,7 @@ from modalsat.certificates import (
     extract_tableau,
     model_check,
     tableau_to_model,
+    validate_structure,
 )
 from modalsat.formula import neg, neg_fold, parse
 from modalsat.logics import LogicConfig, side_condition
@@ -200,6 +201,7 @@ def test_certificate_loop(logic):
                 w = brute_force_sat(f, cfg)
             assert w is not None, logic
             assert model_check(w, w.root, f)
+            assert validate_structure(w, cfg) == (True, "ok"), logic
         else:
             goal = neg(f)
             doc = extract_proof(verdict, goal, cfg)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import proof_sha256
+from conftest import proof_sha256, tableau_sha256
 from modalsat import certificates
 from modalsat.certificates import (
     ModelWitness,
@@ -26,9 +26,10 @@ from modalsat.certificates import (
     tableau_from_json,
     tableau_to_json,
     tableau_to_model,
+    validate_structure,
 )
-from modalsat.formula import neg_fold, parse, pseudovaluations_for
-from modalsat.logics import LogicConfig
+from modalsat.formula import assignments, neg_fold, parse
+from modalsat.logics import LogicConfig, parse_logic_spec
 from modalsat.oracle import brute_force_sat
 from modalsat.solver import Solver, satisfiable
 
@@ -151,6 +152,114 @@ def test_model_check_game():
     assert not model_check(w, 0, parse("[C 2]a", 2))
 
 
+# -- model structure ----------------------------------------------------------
+
+# Models that ``model_check`` alone accepts for formulas that are
+# unsatisfiable in their logic, or that are not structures of the logic at
+# all; each must be rejected before evaluation.
+FORGED_MODELS = [
+    # A dead end in KD, whatever the ``serial`` flag claims.
+    (
+        "KD",
+        "[]false",
+        ModelWitness(kind="kripke", root=0, states=[0], labels={}, serial=True, succ={0: ()}),
+    ),
+    # A "distribution" of mass 2.
+    (
+        "PML",
+        "L{1/2}a & L{2/3}~a",
+        ModelWitness(
+            kind="distribution",
+            root=0,
+            states=[0, 1, 2],
+            labels={1: frozenset({"a"})},
+            dist={0: {1: Fraction(1), 2: Fraction(1)}, 1: {1: Fraction(1)}, 2: {2: Fraction(1)}},
+        ),
+    ),
+    # Neighbourhoods that are not up-closed, read literally in M.
+    (
+        "M",
+        "[](a & b) & ~[]a",
+        ModelWitness(
+            kind="neighbourhood",
+            root=0,
+            states=[0, 1],
+            labels={0: frozenset({"a", "b"}), 1: frozenset({"a"})},
+            neigh={0: (frozenset({0}),), 1: ()},
+        ),
+    ),
+    # A root that is not a state.
+    (
+        "K",
+        "[]a & ~a",
+        ModelWitness(kind="kripke", root=5, states=[0], labels={}, succ={0: ()}),
+    ),
+    # A negative weight cancels a successor.
+    (
+        "GML",
+        "<0>a & ~<0>(a | b)",
+        ModelWitness(
+            kind="multigraph",
+            root=0,
+            states=[0, 1, 2],
+            labels={1: frozenset({"a"}), 2: frozenset({"b"})},
+            weights={0: {1: 1, 2: -1}},
+        ),
+    ),
+    # A successor outside the states.
+    (
+        "K",
+        "~[]a",
+        ModelWitness(kind="kripke", root=0, states=[0], labels={}, succ={0: (3,)}),
+    ),
+    # A game whose outcome table misses a strategy profile.
+    (
+        "COAL",
+        "[C 1]a",
+        ModelWitness(
+            kind="game",
+            root=0,
+            states=[0, 1],
+            labels={1: frozenset({"a"})},
+            games={0: ((2, 1), {(0, 0): 1}), 1: ((1, 1), {(0, 0): 1})},
+        ),
+    ),
+    # A Kripke model offered for a graded logic.
+    (
+        "GML",
+        "a",
+        ModelWitness(kind="kripke", root=0, states=[0], labels={0: frozenset({"a"})}),
+    ),
+]
+
+
+@pytest.mark.parametrize("logic,text,witness", FORGED_MODELS)
+def test_check_certificate_rejects_ill_formed_models(logic, text, witness):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text, cfg.n_agents)
+    ok, msg = validate_structure(witness, cfg)
+    assert not ok
+    assert check_certificate(witness, f, cfg) == (False, msg)
+    doc = json.loads(json.dumps(model_to_json(witness)))
+    assert not check_certificate(certificate_from_json(doc, cfg.n_agents), f, cfg)[0]
+
+
+def test_structure_frame_conditions_come_from_the_logic():
+    # An explicitly up-closed family is a monotone structure without the flag.
+    w = ModelWitness(
+        kind="neighbourhood",
+        root=0,
+        states=[0, 1],
+        labels={0: frozenset({"a", "b"}), 1: frozenset({"a"})},
+        neigh={0: (frozenset({0}), frozenset({0, 1})), 1: ()},
+    )
+    assert validate_structure(w, LogicConfig(logic="M")) == (True, "ok")
+    assert check_certificate(w, parse("[](a & b) & []a"), LogicConfig(logic="M"))[0]
+    # Without the seriality flag a serial model is still a KD model.
+    w = ModelWitness(kind="kripke", root=0, states=[0], labels={}, succ={0: (0,)})
+    assert validate_structure(w, LogicConfig(logic="KD")) == (True, "ok")
+
+
 # -- tableau extraction and checking ------------------------------------------
 
 
@@ -215,7 +324,7 @@ def test_tableau_rejects_forged_linear_node(logic, text):
     cfg = LogicConfig(logic=logic)
     f = parse(text, cfg.n_agents)
     assert not satisfiable(f, cfg).satisfiable
-    valuations = list(pseudovaluations_for(f))
+    valuations = list(assignments(f))
     assert valuations
     for valuation in valuations:
         ok, msg = check_tableau(Tableau(0, [valuation], []), f, cfg)
@@ -249,9 +358,11 @@ def test_tableau_to_model(logic, text):
         w = brute_force_sat(f, cfg)
     assert w is not None
     assert model_check(w, w.root, f)
+    assert check_certificate(w, f, cfg) == (True, "ok")
     doc = model_to_json(w)
     w2 = model_from_json(json.loads(json.dumps(doc)))
     assert model_check(w2, w2.root, f)
+    assert check_certificate(w2, f, cfg) == (True, "ok")
 
 
 def test_kd_model_is_serial():
@@ -366,6 +477,106 @@ def test_check_proof_rejects_tampered_rule():
     doc2 = proof_from_json(payload, cfg.n_agents)
     ok, _ = check_proof(doc2, goal, cfg)
     assert not ok
+
+
+# -- pinned tableau bytes -----------------------------------------------------
+
+# The satisfiable width families of the benchmark corpus (bench/corpus.py),
+# with atom prefix "a": K, KD and COAL:3 ``~L a0 & ... & L(a0 | ...)``, K
+# with propositional literals beside ``~[]ab & []ac``, and the GML, MAJ and
+# PML linear width families.
+
+
+def _names(n):
+    return ["a%d" % i for i in range(n)]
+
+
+def _wide(neg_op, pos_op, n):
+    xs = _names(n)
+    return " & ".join(["~%s%s" % (neg_op, x) for x in xs] + ["%s(%s)" % (pos_op, " | ".join(xs))])
+
+
+def _family_cases():
+    cases = []
+    cases += [("K", _wide("[]", "[]", n)) for n in range(2, 10)]
+    cases += [("KD", _wide("[]", "[]", n)) for n in range(2, 10)]
+    cases += [("COAL:3", _wide("[C 1]", "[C 1,2,3]", n)) for n in range(2, 10)]
+    for n in range(2, 11):
+        lits = [("" if i % 2 == 0 else "~") + x for i, x in enumerate(_names(n))]
+        cases.append(("K", " & ".join(lits + ["~[]ab", "[]ac"])))
+    for n in range(2, 6):
+        xs = _names(n)
+        parts = ["<%d>%s" % (i, x) for i, x in enumerate(xs)]
+        cases.append(("GML", " & ".join(parts + ["~<%d>(%s)" % (n, " | ".join(xs))])))
+    for n in range(2, 5):
+        xs = _names(n)
+        cases.append(("MAJ", " & ".join(["W " + x for x in xs] + ["~<0>(%s)" % " & ".join(xs)])))
+    for n in range(2, 5):
+        xs = _names(n)
+        parts = ["L{1/%d}%s" % (n, x) for x in xs]
+        cases.append(("PML", " & ".join(parts + ["~L{1/1}(%s)" % " | ".join(xs)])))
+    return cases
+
+
+# sha256 of each family member's tableau JSON: pins the order in which
+# valuations and challenges are enumerated, byte for byte.
+TABLEAU_SHA256 = {
+    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "011c3b676e8c50203c269da36c883a6b458b917e7660c797dd68811970708af8",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "223f8e7aacfba1f208c592c8e5c88283bc3ef24e93d97b018f6adba992bd515c",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "7ae235a117371a403111a9529df3186d6c8bd89f36e52fac381654a9616f68af",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "9160f5d4e4b58d6ee834d57fa344d4709bdd386102ef0e16904fd5c76dde693f",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "5507cd013cc24db650eb3ecda3bd34743bf21a05064df862d6edac1473e24d43",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "4ec5b675cdeef6abcab74f38678be3758813dbd81704db4e7803505fb990ce81",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "08976e8ceb436561338f6558bedeef7d1cc4811d1dc85fe3454a8870ac389d75",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "7c6c11eb9e5057a9e6c7b0db0f1994097bf1868c342453e82557f1e083a34c03",
+    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "480584fd057d1eb78226dc318c155327eda0c433759623baa79b820478a54074",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "a00492083fe82237dabd681e7ddc6fb45cda17110d97a17ab982d98c3c05571e",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "507931a2c423bcd99bffb1e466d8a18f38bce2f6a7e5da91953c45dc09fe9f64",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "d666b53fee7dfbaa14548826583937f0a6e585a209192099e08e14aff5dc2ec4",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "87f61827532b05a7daeacb7b74eada1af424e04fbb1d4ac119e91126ae11deee",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "20ddad41670c58dcf2429ddc3164a4522e8d0eda6e18c75960f60bf002d8cd38",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "db8963acf709bac17a086c609b7417236203012b5f589b7ca83723f8f6a2980e",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "dcf9dc1911a217735acc073e1359c74099ba854b53634279cc7c0a95bb1fb9df",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & [C 1,2,3](a0 | a1)"): "7c7c8bdd7ef3403311ab23f8e48c37bbf2856ea465a9d477356fcf8ba846140a",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & [C 1,2,3](a0 | a1 | a2)"): "fd0a68e3dfdaff3e4fe26d532cfe55da3971aa94250f95f49c4d6979f932e643",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & [C 1,2,3](a0 | a1 | a2 | a3)"): "4d5dc45f2b9dd06c2c9d66520d0de2538ef63a173c13e9b67a54456a0ba35d97",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & [C 1,2,3](a0 | a1 | a2 | a3 | a4)"): "f46ba5d678e5a8f5f8451b2205fa38cbae7f4e196a1f0ed44b3f70304a858427",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5)"): "3b3a28cf81d8ee3ebbb4ee3df01658d79c77edfb8c2189d327b3b7e8ebb67683",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "ba349ffa074f3dbe74974049862df16675d8fa077d72689756c3883a2c6af9a5",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "6b22f16729ff82c93a353883471355cad6890fe2cfaa233caa6dbe617ae7edcd",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & ~[C 1]a8 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "48f868f833c432d4c9c07058aff53249c7aef68a7185a2bbda745d785d4cdfcc",
+    ("K", "a0 & ~a1 & ~[]ab & []ac"): "f8b0f36a18f7c8a17a1035b2245b7b4052316d3d16e8242f86d8d2e07ad7d8ac",
+    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "b58d4ad9dcc15778d88c2e9763ed2513006dcfbcfb6dc4f3a98917d939ea274b",
+    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "37f1d1bf56c2d027d07e93e305dfe34f2ebf77a2fd0a5ff3f781e88ead4beadf",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "61999a9e35a0afd7358762a2c09e656453bd456c270a34b0a85055d143215fd7",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "b1abfd1f700392b235b681a1d11e464c084e90a58489f588a9bcd13a24ebcd8a",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "fcfb23f8b040d314d15a7e56b41cb1971299e9d9f8dd4d0df38d1e9b15e9f5d7",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "967af0b1540f77698914a96907771d6d090ace47937df64a2de30d6f0d6d2060",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "1c4554ad285af4590dd96cfd0cf8b6ed1286362a97429aca5ee670ffca9b546e",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "5120ed10cefeb1ba33f892341589c6cd9034075fa590f175f7d71452d878abfd",
+    ("GML", "<0>a0 & <1>a1 & ~<2>(a0 | a1)"): "6652ad5f8be88b7ed8e4cb49c77ca2acf59e93e1454585bcf9aba40b30d1b74c",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & ~<3>(a0 | a1 | a2)"): "11348a789eb4a8669319c71a574da6be9f7cfa80476529552b6d04f690925baf",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & ~<4>(a0 | a1 | a2 | a3)"): "b37ae2f28751f9dae642d360aa0c14d491a16c3705093ffa8ee6775ea924a1c2",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & <4>a4 & ~<5>(a0 | a1 | a2 | a3 | a4)"): "b6a60c33e34fc8a9e87a110816631a003cc4658c680bd3423178c1026767d6f1",
+    ("MAJ", "W a0 & W a1 & ~<0>(a0 & a1)"): "13b1191426ddba4450ef1db1f4043b18e7da4ac620e1af852afcdef32fe30b5c",
+    ("MAJ", "W a0 & W a1 & W a2 & ~<0>(a0 & a1 & a2)"): "7013a4f4dff6476987e5b8056bfb066ecdb2bd0cdba392cd87ecc0a551fe69ea",
+    ("MAJ", "W a0 & W a1 & W a2 & W a3 & ~<0>(a0 & a1 & a2 & a3)"): "ceaa38217bdac429ea66267d8eb2353c80b9db3e7e9183650d3cbe090a297f02",
+    ("PML", "L{1/2}a0 & L{1/2}a1 & ~L{1/1}(a0 | a1)"): "144283d072aa1ad1312446bd99f81401d44108a9a903dee429a34e882042b1ae",
+    ("PML", "L{1/3}a0 & L{1/3}a1 & L{1/3}a2 & ~L{1/1}(a0 | a1 | a2)"): "f416a6a0c3779ff8035ec3ee1c3dbd7d491cabf315e00c3fe830f3cf9edff4aa",
+    ("PML", "L{1/4}a0 & L{1/4}a1 & L{1/4}a2 & L{1/4}a3 & ~L{1/1}(a0 | a1 | a2 | a3)"): "9478f7bab2b9146c09f279096beca93f6a157acd34f4b940fce310d45a5b3461",
+}
+
+
+@pytest.mark.parametrize("spec,text", _family_cases())
+def test_family_tableau_bytes_pinned(spec, text):
+    cfg = parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
+    verdict = satisfiable(f, cfg)
+    assert verdict.satisfiable
+    tb = extract_tableau(verdict, cfg)
+    ok, msg = check_tableau(tb, f, cfg)
+    assert ok, msg
+    assert tableau_sha256(tb) == TABLEAU_SHA256[(spec, text)]
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -174,6 +174,17 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
                 "succ": {"0": []},
             },
         },
+        {
+            "kind": "model",
+            "version": 1,
+            "payload": {
+                "model_kind": "kripke",
+                "root": 0,
+                "states": [0],
+                "labels": {"0": ["a"]},
+                "succ": {"0": [[0]]},
+            },
+        },
     ]
     for doc in docs:
         cert = tmp_path / "bad.json"

@@ -12,7 +12,10 @@ from modalsat.formula import (
     GDiamond,
     LProb,
     MajW,
+    BOT,
     ParseError,
+    TOP,
+    assignments,
     atom,
     bot,
     cnf_clauses,
@@ -31,7 +34,6 @@ from modalsat.formula import (
     parse,
     pretty,
     prop_tautology,
-    pseudovaluations_for,
     size,
     subformulas,
 )
@@ -137,7 +139,7 @@ def test_modal_atoms_first_occurrence_order():
 
 def test_pseudovaluations_binary_counter_order():
     f = parse("a | b")
-    vals = list(pseudovaluations_for(f))
+    vals = list(assignments(f))
     # Binary counter over (a, b): 01, 10, 11 survive entailment of a | b.
     rendered = [tuple(s for (s, _) in v) for v in vals]
     assert rendered == [(True, False), (False, True), (True, True)]
@@ -145,7 +147,7 @@ def test_pseudovaluations_binary_counter_order():
 
 def test_pseudovaluations_entail_formula():
     f = parse("([]a -> []b) & ~[]c")
-    for v in pseudovaluations_for(f):
+    for v in assignments(f):
         assign = {a: s for (s, a) in v}
         assert eval_with(f, assign)
 
@@ -158,6 +160,54 @@ def test_prop_tautology():
     assert prop_tautology(parse("(a -> b) -> (~b -> ~a)"))
     assert not prop_tautology(parse("a | b"))
     assert prop_tautology(parse("[]a -> []a"))
+
+
+def _truth_table(f, want):
+    """The rows of the plain 2^n truth table where ``f`` evaluates to ``want``."""
+    atoms = modal_atoms(f)
+    rows = []
+    for bits in range(1 << len(atoms)):
+        assign = {atoms[i]: bool(bits >> i & 1) for i in range(len(atoms))}
+        if eval_with(f, assign) == want:
+            rows.append(tuple((assign[a], a) for a in atoms))
+    return rows
+
+
+@pytest.mark.parametrize("want", [True, False])
+@pytest.mark.parametrize("logic", ["K", "GML", "PML", "COAL"])
+def test_assignments_match_truth_table(logic, want):
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(31)
+    for _ in range(300):
+        f = random_formula(rng, cfg, max_depth=2, size_budget=16)
+        assert list(assignments(f, want)) == _truth_table(f, want), pretty(f)
+
+
+# Formulas made only of constants that ``subst_fold`` never sees, because
+# they have no atom to substitute: they must be evaluated as they stand.
+CONSTANT_ONLY = [
+    conj(neg(bot()), neg(bot())),  # true & true, built without folding
+    neg(neg(bot())),  # ~~false
+    conj(neg(bot()), bot()),
+    neg(conj(neg(bot()), neg(bot()))),
+    BOT,
+    TOP,
+]
+
+
+@pytest.mark.parametrize("want", [True, False])
+@pytest.mark.parametrize("f", CONSTANT_ONLY, ids=pretty)
+def test_assignments_of_constant_only_formulas(f, want):
+    assert list(assignments(f, want)) == _truth_table(f, want)
+    g = conj(f, atom("p"))  # constants beside an atom are folded away
+    assert list(assignments(g, want)) == _truth_table(g, want)
+
+
+def test_prop_tautology_many_atoms():
+    # Past the size of any truth table: pruning decides it.
+    xs = ["p%d" % i for i in range(40)]
+    assert prop_tautology(parse("(%s) -> p0" % " & ".join(xs)))
+    assert not prop_tautology(parse(" | ".join(xs)))
 
 
 def test_clause_entails():

@@ -1,13 +1,18 @@
 """Logic configurations, schema matchings, side conditions, and the
 coefficient search for the linear logics."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from modalsat.formula import parse
+from conftest import ALL_LOGICS
+from modalsat import certificates, logics, oracle, solver
+from modalsat.certificates import check_proof, check_tableau, extract_proof, extract_tableau
+from modalsat.formula import Atom, FModal, neg, parse, subformulas
 from modalsat.logics import (
     LogicConfig,
+    challenges,
     matchings,
     operator_legal,
     parse_logic_spec,
@@ -15,7 +20,8 @@ from modalsat.logics import (
     side_condition,
     validate_formula,
 )
-from modalsat.onestep import RuleCode, conclusion_clause
+from modalsat.onestep import RuleCode, conclusion_clause, congruence_matchings
+from modalsat.sampling import random_formula
 from modalsat.oracle import one_step_sound
 
 
@@ -189,3 +195,88 @@ def test_refuting_search_found_by_fallback_has_no_caveat():
     m, caveat = refuting_matching_exists(clause, {0, 0b11111}, LogicConfig("GML"))
     assert m is not None and m.code.ints == (-1, -1, -1, -1, 4, 0)
     assert not caveat
+
+
+# -- challenge generation -----------------------------------------------------
+
+
+def _mask_loop_challenges(valuation, cfg):
+    """The challenge loop ``challenges`` replaces: every one of the 2^q
+    sub-clauses, kept when a finite schema matches it or, in the linear
+    logics, when it is made of proper modal atoms only."""
+    out = []
+    for mask in range(1, 1 << len(valuation)):
+        clause = tuple(
+            (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
+        )
+        if cfg.is_arithmetic():
+            found = congruence_matchings(clause, cfg.logic)
+            proper = all(
+                isinstance(a, FModal) and not isinstance(a.op, Atom) for _, a in clause
+            )
+            if found or proper:
+                out.append((clause, found))
+        else:
+            found = matchings(clause, cfg)
+            if found:
+                out.append((clause, found))
+    return out
+
+
+CHALLENGE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"] + [
+    LogicConfig(logic="COAL", n_agents=k) for k in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("cfg", CHALLENGE_CONFIGS, ids=lambda c: "%s:%d" % (c.logic, c.n_agents))
+def test_challenges_match_mask_loop(cfg):
+    rng = random.Random(4242)
+    # Modal atoms at every level of random formulas, propositional ones
+    # included, with every operator the sampler draws for the logic.
+    pool = []
+    for _ in range(40):
+        f = random_formula(rng, cfg, max_depth=2, size_budget=14)
+        pool += [g for g in subformulas(f) if isinstance(g, FModal) and g not in pool]
+    nontrivial = 0
+    for _ in range(250):
+        atoms = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+        valuation = tuple((rng.random() < 0.5, a) for a in atoms)
+        expected = _mask_loop_challenges(valuation, cfg)
+        assert list(challenges(valuation, cfg)) == expected, valuation
+        nontrivial += bool(expected)
+    assert nontrivial >= 50
+
+
+def _k_prop(n, sat):
+    lits = [("" if i % 2 == 0 else "~") + "p%d" % i for i in range(n)]
+    return " & ".join(lits + ["~[]b", "[]c" if sat else "[](b & c)"])
+
+
+@pytest.mark.parametrize("n", [2, 6, 10])
+def test_no_clause_holds_a_propositional_atom(n, monkeypatch):
+    cfg = LogicConfig(logic="K")
+    original = logics.matchings
+    seen = []
+
+    def guarded(clause, cfg):
+        assert all(
+            isinstance(a, FModal) and not isinstance(a.op, Atom) for _, a in clause
+        ), clause
+        seen.append(clause)
+        return original(clause, cfg)
+
+    for module in (logics, solver, certificates, oracle):
+        if getattr(module, "matchings", None) is original:
+            monkeypatch.setattr(module, "matchings", guarded)
+    sat_f = parse(_k_prop(n, True))
+    verdict = solver.satisfiable(sat_f, cfg)
+    assert verdict.satisfiable
+    ok, msg = check_tableau(extract_tableau(verdict, cfg), sat_f, cfg)
+    assert ok, msg
+    unsat_f = parse(_k_prop(n, False))
+    verdict = solver.satisfiable(unsat_f, cfg)
+    assert not verdict.satisfiable
+    goal = neg(unsat_f)
+    ok, msg = check_proof(extract_proof(verdict, goal, cfg), goal, cfg)
+    assert ok, msg
+    assert seen

@@ -133,3 +133,25 @@ def test_linear_width_families_certified(logic, text):
     assert ok, msg
     w = tableau_to_model(tb, cfg)
     assert w is not None and model_check(w, w.root, f)
+
+
+# Arguments made only of constants, built without folding: their sign
+# patterns are constant-only demands with no atom to branch on.
+CONSTANT_ARGUMENTS = [
+    ("GML", "<0>(true & true) & ~<0>~~false"),
+    ("MAJ", "W (true & true) & ~<0>~~false"),
+    ("PML", "L{1/2}(true & true) & ~L{1/2}~~false"),
+]
+
+
+@pytest.mark.parametrize("logic,text", CONSTANT_ARGUMENTS)
+def test_constant_only_arguments(logic, text):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    verdict = satisfiable(f, cfg)
+    assert verdict.satisfiable
+    tb = extract_tableau(verdict, cfg)
+    ok, msg = check_tableau(tb, f, cfg)
+    assert ok, msg
+    w = tableau_to_model(tb, cfg)
+    assert w is not None and model_check(w, w.root, f)
