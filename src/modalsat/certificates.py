@@ -10,7 +10,8 @@ by checkers that do not consult the solver's internals:
   claim satisfiable);
 * a model is checked to be a legal structure of the logic
   (``validate_structure``) and then by direct semantic evaluation
-  (``model_check``);
+  (``model_check``), which decides every modal operator with
+  ``semantics.lift``;
 * a proof is checked clause by clause against recomputed side conditions,
   conclusion entailment, and premise CNF coverage.
 """
@@ -25,15 +26,10 @@ from typing import Optional
 from . import linarith
 from .formula import (
     Atom,
-    Box,
-    Coal,
     FAnd,
     FModal,
     FNot,
     Formula,
-    GDiamond,
-    LProb,
-    MajW,
     cnf_clauses,
     clause_entails,
     eval_with,
@@ -60,9 +56,11 @@ from .onestep import (
     RuleMatching,
     conclusion_clause,
     negated_clause_instance,
+    parse_fraction,
     premise_cnf_clauses,
     premise_has_clause,
 )
+from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
 
 CERT_VERSION = 1
@@ -73,10 +71,23 @@ CERT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+# The ModelWitness field holding each kind's structures, and the structure
+# of a state that the field does not list.
+_STRUCTURE_FIELDS = {
+    "kripke": ("succ", ()),
+    "multigraph": ("weights", {}),
+    "neighbourhood": ("neigh", ()),
+    "distribution": ("dist", {}),
+    "game": ("games", None),
+}
+
+
 @dataclass
 class ModelWitness:
     """A concrete finite model; ``kind`` selects which structure field is
-    populated.  States are integers; ``labels`` maps states to true atoms."""
+    populated, each mapping a state to its one-step structure in the format
+    of ``semantics.lift``.  States are integers; ``labels`` maps states to
+    true atoms."""
 
     kind: str  # kripke | multigraph | neighbourhood | distribution | game
     root: int
@@ -90,11 +101,18 @@ class ModelWitness:
     dist: dict = field(default_factory=dict)
     games: dict = field(default_factory=dict)
 
+    def structures(self) -> dict:
+        """The populated structure field: state -> one-step structure."""
+        return getattr(self, _STRUCTURE_FIELDS[self.kind][0])
+
 
 class _Checker:
     def __init__(self, witness: ModelWitness):
         self.w = witness
+        self.structs = witness.structures()
+        self.empty = _STRUCTURE_FIELDS[witness.kind][1]
         self.memo = {}
+        self.truth_sets = {}
 
     def check(self, state: int, f: Formula) -> bool:
         key = (state, f)
@@ -113,83 +131,21 @@ class _Checker:
             if isinstance(f, FNot):
                 return not self.check(state, f.arg)
             return False  # bottom
-        op = f.op
-        if isinstance(op, Atom):
-            return op.name in w.labels.get(state, ())
-        if isinstance(op, Box) and w.kind == "kripke":
-            return all(self.check(t, f.arg) for t in w.succ.get(state, ()))
-        if isinstance(op, Box) and w.kind == "neighbourhood":
-            truth = frozenset(t for t in w.states if self.check(t, f.arg))
-            hoods = w.neigh.get(state, ())
-            if w.monotone:
-                return any(member <= truth for member in hoods)
-            return truth in hoods
-        if isinstance(op, GDiamond):
-            mass = sum(
-                c for t, c in w.weights.get(state, {}).items() if self.check(t, f.arg)
-            )
-            return mass > op.grade
-        if isinstance(op, MajW):
-            inside = 0
-            outside = 0
-            for t, c in w.weights.get(state, {}).items():
-                if self.check(t, f.arg):
-                    inside += c
-                else:
-                    outside += c
-            return inside >= outside
-        if isinstance(op, LProb):
-            mass = sum(
-                p for t, p in w.dist.get(state, {}).items() if self.check(t, f.arg)
-            )
-            return mass >= op.prob
-        if isinstance(op, Coal):
-            sizes, table = w.games[state]
-            agents = list(range(1, len(sizes) + 1))
-            own = [i for i in agents if i in op.agents]
-            rest = [i for i in agents if i not in op.agents]
-            for mine in _profiles([sizes[i - 1] for i in own]):
-                if all(
-                    self.check(table[_merge(agents, own, mine, rest, theirs)], f.arg)
-                    for theirs in _profiles([sizes[i - 1] for i in rest])
-                ):
-                    return True
-            return False
-        raise ValueError("operator %s not checkable in %s model" % (op.render(), w.kind))
-
-
-def _profiles(sizes):
-    if not sizes:
-        return [()]
-    out = [()]
-    for s in sizes:
-        out = [p + (i,) for p in out for i in range(s)]
-    return out
-
-
-def _merge(agents, own, mine, rest, theirs):
-    choice = {}
-    for a, v in zip(own, mine):
-        choice[a] = v
-    for a, v in zip(rest, theirs):
-        choice[a] = v
-    return tuple(choice[a] for a in agents)
+        if isinstance(f.op, Atom):
+            return f.op.name in w.labels.get(state, ())
+        struct = self.structs.get(state, self.empty)
+        if w.kind == "neighbourhood":
+            inside = self.truth_sets.get(f.arg)
+            if inside is None:
+                inside = frozenset(t for t in w.states if self.check(t, f.arg))
+                self.truth_sets[f.arg] = inside
+        else:
+            inside = {t for t in points_of(w.kind, struct) if self.check(t, f.arg)}
+        return lift(w.kind, f.op, struct, inside, w.monotone)
 
 
 def model_check(witness: ModelWitness, state: int, f: Formula) -> bool:
     return _Checker(witness).check(state, f)
-
-
-MODEL_KINDS = {
-    "K": "kripke",
-    "KD": "kripke",
-    "E": "neighbourhood",
-    "M": "neighbourhood",
-    "GML": "multigraph",
-    "MAJ": "multigraph",
-    "PML": "distribution",
-    "COAL": "game",
-}
 
 
 def validate_structure(w: ModelWitness, cfg: LogicConfig):
@@ -206,14 +162,7 @@ def validate_structure(w: ModelWitness, cfg: LogicConfig):
         return False, "a state is listed twice"
     if w.root not in states:
         return False, "root %r is not a state" % (w.root,)
-    structure = {
-        "kripke": w.succ,
-        "multigraph": w.weights,
-        "neighbourhood": w.neigh,
-        "distribution": w.dist,
-        "game": w.games,
-    }[w.kind]
-    for s in list(w.labels) + list(structure):
+    for s in list(w.labels) + list(w.structures()):
         if s not in states:
             return False, "state %r is not in the model's states" % (s,)
     for s in w.states:
@@ -548,30 +497,28 @@ class _ModelBuilder:
             reps.append(t)
         nb = len(blocks)
         cap = self.cfg.max_weight
+        # Per literal, the blocks whose members satisfy its argument.
+        insides = [
+            {b for b in range(nb) if blocks[b][li]} for li in range(len(literals))
+        ]
 
         def satisfied(weights) -> bool:
-            for li, (s, a) in enumerate(literals):
-                inside = sum(w for b, w in enumerate(weights) if blocks[b][li])
-                total = sum(weights)
-                if isinstance(a.op, GDiamond):
-                    ok = inside > a.op.grade
-                else:
-                    ok = inside >= total - inside
-                if ok != s:
+            for (s, a), inside in zip(literals, insides):
+                if lift("multigraph", a.op, weights, inside) != s:
                     return False
             return True
 
-        found = self._weight_search([0] * nb, 0, cap, satisfied)
+        found = self._weight_search(dict.fromkeys(range(nb), 0), 0, cap, satisfied)
         if found is None:
             return False
         self.w.weights[i] = {
-            reps[b]: wgt for b, wgt in enumerate(found) if wgt > 0
+            reps[b]: wgt for b, wgt in found.items() if wgt > 0
         }
         return True
 
     def _weight_search(self, weights, idx, cap, satisfied):
         if idx == len(weights):
-            return list(weights) if satisfied(weights) else None
+            return dict(weights) if satisfied(weights) else None
         for value in range(cap + 1):
             weights[idx] = value
             got = self._weight_search(weights, idx + 1, cap, satisfied)
@@ -647,10 +594,7 @@ class _ModelBuilder:
                 result = frozenset(
                     t
                     for t in self.w.states
-                    if any(
-                        member == inner or (self.w.monotone and member <= inner)
-                        for member in alpha[t]
-                    )
+                    if lift("neighbourhood", g.op, alpha[t], inner, self.w.monotone)
                 )
             else:
                 result = frozenset()
@@ -814,11 +758,6 @@ def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _frac_parse(text: str) -> Fraction:
-    num, den = str(text).split("/")
-    return Fraction(int(num), int(den))
-
-
 def model_to_json(w: ModelWitness) -> dict:
     payload = {
         "model_kind": w.kind,
@@ -885,7 +824,7 @@ def model_from_json(doc: dict) -> ModelWitness:
         }
     elif w.kind == "distribution":
         w.dist = {
-            int(s): {int(t): _frac_parse(p) for t, p in v.items()}
+            int(s): {int(t): parse_fraction(p) for t, p in v.items()}
             for s, v in payload["dist"].items()
         }
     elif w.kind == "game":

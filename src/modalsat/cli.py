@@ -199,7 +199,6 @@ def _cmd_model(args, cfg: LogicConfig) -> int:
             "%s  unsatisfiable: no model" % pretty(f),
         )
         return EXIT_NO
-    witness = None
     tb = certificates.extract_tableau(verdict, cfg)
     witness = certificates.tableau_to_model(tb, cfg)
     if witness is None:

@@ -31,6 +31,15 @@ from .formula import (
 )
 
 
+def parse_fraction(text) -> Fraction:
+    """Read a rational written ``p/q``; raises ValueError for any other text,
+    a zero denominator included."""
+    num, den = str(text).split("/")
+    if int(den) == 0:
+        raise ValueError("zero denominator in %r" % (text,))
+    return Fraction(int(num), int(den))
+
+
 # ---------------------------------------------------------------------------
 # Premises
 # ---------------------------------------------------------------------------
@@ -163,15 +172,11 @@ class RuleCode:
 
     @staticmethod
     def from_json(data: dict) -> "RuleCode":
-        rationals = []
-        for item in data.get("rationals", ()):
-            num, den = str(item).split("/")
-            rationals.append(Fraction(int(num), int(den)))
         return RuleCode(
             logic=str(data["logic"]),
             scheme=str(data["scheme"]),
             ints=tuple(int(i) for i in data.get("ints", ())),
-            rationals=tuple(rationals),
+            rationals=tuple(parse_fraction(item) for item in data.get("rationals", ())),
             grades=tuple(int(g) for g in data.get("grades", ())),
             coalitions=tuple(frozenset(int(i) for i in c) for c in data.get("coalitions", ())),
         )

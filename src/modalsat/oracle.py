@@ -1,7 +1,8 @@
 """Independent semantic oracle.
 
 Everything here evaluates the modal operators directly against small concrete
-structures, without touching the solver:
+structures, without touching the solver; the truth conditions are those of
+``semantics.lift``, and the structures are in its format:
 
 * ``one_step_sound`` checks a rule instance against all structures over small
   carriers;
@@ -24,15 +25,10 @@ from typing import Optional
 
 from .formula import (
     Atom,
-    Box,
-    Coal,
     FAnd,
     FModal,
     FNot,
     Formula,
-    GDiamond,
-    LProb,
-    MajW,
     subformulas,
 )
 from .logics import LogicConfig, challenges, refuting_matching_exists
@@ -44,6 +40,7 @@ from .onestep import (
     code_operators,
 )
 from .certificates import ModelWitness, model_check
+from .semantics import MODEL_KINDS, lift, points_of, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +49,6 @@ from .certificates import ModelWitness, model_check
 
 
 class PowersetBackend:
-    kind = "kripke"
-
     def __init__(self, serial: bool):
         self.serial = serial
 
@@ -61,13 +56,8 @@ class PowersetBackend:
         for mask in range(1 if self.serial else 0, 1 << n):
             yield frozenset(i for i in range(n) if mask >> i & 1)
 
-    def lift(self, op, struct, subset: frozenset) -> bool:
-        return struct <= subset
-
 
 class NeighbourhoodBackend:
-    kind = "neighbourhood"
-
     def __init__(self, monotone: bool):
         self.monotone = monotone
 
@@ -91,32 +81,17 @@ class NeighbourhoodBackend:
                     continue
             yield alpha
 
-    def lift(self, op, struct, subset: frozenset) -> bool:
-        if self.monotone:
-            return any(member <= subset for member in struct)
-        return subset in struct
-
 
 class MultisetBackend:
-    kind = "multigraph"
-
     def __init__(self, max_multiplicity: int):
         self.max_multiplicity = max_multiplicity
 
     def structures(self, n: int):
-        return itertools.product(range(self.max_multiplicity + 1), repeat=n)
-
-    def lift(self, op, struct, subset: frozenset) -> bool:
-        inside = sum(struct[i] for i in subset)
-        if isinstance(op, GDiamond):
-            return inside > op.grade
-        total = sum(struct)
-        return inside >= total - inside
+        for ws in itertools.product(range(self.max_multiplicity + 1), repeat=n):
+            yield dict(enumerate(ws))
 
 
 class DistributionBackend:
-    kind = "distribution"
-
     def __init__(self, max_denominator: int):
         self.max_denominator = max_denominator
 
@@ -129,10 +104,7 @@ class DistributionBackend:
                 dist = tuple(Fraction(p, den) for p in parts)
                 if dist not in seen:
                     seen.add(dist)
-                    yield dist
-
-    def lift(self, op, struct, subset: frozenset) -> bool:
-        return sum((struct[i] for i in subset), Fraction(0)) >= op.prob
+                    yield dict(enumerate(dist))
 
 
 def _compositions(total: int, parts: int):
@@ -146,8 +118,6 @@ def _compositions(total: int, parts: int):
 
 
 class GameBackend:
-    kind = "game"
-
     def __init__(self, n_agents: int, max_strategies: int):
         self.n_agents = n_agents
         self.max_strategies = max_strategies
@@ -161,21 +131,6 @@ class GameBackend:
             profiles = list(itertools.product(*(range(s) for s in sizes)))
             for outcomes in itertools.product(range(n), repeat=len(profiles)):
                 yield (sizes, dict(zip(profiles, outcomes)))
-
-    def lift(self, op, struct, subset: frozenset) -> bool:
-        sizes, table = struct
-        agents = list(range(1, self.n_agents + 1))
-        own = [a for a in agents if a in op.agents]
-        rest = [a for a in agents if a not in op.agents]
-        for mine in itertools.product(*(range(sizes[a - 1]) for a in own)):
-            choice = dict(zip(own, mine))
-            if all(
-                table[tuple({**choice, **dict(zip(rest, theirs))}[a] for a in agents)]
-                in subset
-                for theirs in itertools.product(*(range(sizes[a - 1]) for a in rest))
-            ):
-                return True
-        return False
 
 
 def backend_for(cfg: LogicConfig):
@@ -245,17 +200,24 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
     ops = code_operators(code, cfg.n_agents)
     signs = code.signs()
     backend = backend_for(cfg)
+    kind = MODEL_KINDS[cfg.logic]
+    monotone = cfg.logic == "M"
     for n in range(max_carrier + 1):
         subsets = [
             frozenset(i for i in range(n) if mask >> i & 1)
             for mask in range(1 << n)
         ]
-        for tau in itertools.product(subsets, repeat=q):
-            if not _premise_holds(premise, tau, n):
-                continue
-            for struct in backend.structures(n):
+        taus = [
+            tau
+            for tau in itertools.product(subsets, repeat=q)
+            if _premise_holds(premise, tau, n)
+        ]
+        if not taus:
+            continue
+        for struct in backend.structures(n):
+            for tau in taus:
                 if not any(
-                    backend.lift(ops[i], struct, tau[i]) == signs[i]
+                    lift(kind, ops[i], struct, tau[i], monotone) == signs[i]
                     for i in range(q)
                 ):
                     return False
@@ -275,7 +237,22 @@ class _Proto:
     def __init__(self, sid, label, struct):
         self.sid = sid
         self.label = label  # frozenset of atom names
-        self.struct = struct  # kind-specific, referencing child protos
+        self.struct = struct  # as semantics.lift reads it, over child protos
+
+
+def _names_and_args(f: Formula):
+    """The atom names and the distinct modal arguments of ``f``, each in
+    order of first occurrence among its subformulas."""
+    names = []
+    args = []
+    for g in subformulas(f):
+        if isinstance(g, FModal):
+            if isinstance(g.op, Atom):
+                if g.op.name not in names:
+                    names.append(g.op.name)
+            elif g.arg not in args:
+                args.append(g.arg)
+    return names, args
 
 
 class _TreeEnumerator:
@@ -285,24 +262,8 @@ class _TreeEnumerator:
     def __init__(self, f: Formula, cfg: LogicConfig):
         self.f = f
         self.cfg = cfg
-        self.kind = {
-            "K": "kripke",
-            "KD": "kripke",
-            "GML": "multigraph",
-            "MAJ": "multigraph",
-            "PML": "distribution",
-            "COAL": "game",
-        }[cfg.logic]
-        subs = subformulas(f)
-        self.prop_names = []
-        self.args = []
-        for g in subs:
-            if isinstance(g, FModal):
-                if isinstance(g.op, Atom):
-                    if g.op.name not in self.prop_names:
-                        self.prop_names.append(g.op.name)
-                elif g.arg not in self.args:
-                    self.args.append(g.arg)
+        self.kind = MODEL_KINDS[cfg.logic]
+        self.prop_names, self.args = _names_and_args(f)
         self.memo = {}
         self.next_sid = 0
 
@@ -324,47 +285,10 @@ class _TreeEnumerator:
             return not self.holds(proto, g.arg)
         if not isinstance(g, FModal):
             return False  # bottom
-        op = g.op
-        if isinstance(op, Atom):
-            return op.name in proto.label
-        if isinstance(op, Box):
-            return all(self.holds(t, g.arg) for t in proto.struct)
-        if isinstance(op, GDiamond):
-            inside = sum(c for t, c in proto.struct if self.holds(t, g.arg))
-            return inside > op.grade
-        if isinstance(op, MajW):
-            inside = sum(c for t, c in proto.struct if self.holds(t, g.arg))
-            total = sum(c for _, c in proto.struct)
-            return inside >= total - inside
-        if isinstance(op, LProb):
-            inside = sum(
-                (p for t, p in proto.struct if self.holds(t, g.arg)), Fraction(0)
-            )
-            return inside >= op.prob
-        if isinstance(op, Coal):
-            sizes, table = proto.struct
-            agents = list(range(1, self.cfg.n_agents + 1))
-            own = [a for a in agents if a in op.agents]
-            rest = [a for a in agents if a not in op.agents]
-            for mine in itertools.product(*(range(sizes[a - 1]) for a in own)):
-                choice = dict(zip(own, mine))
-                if all(
-                    self.holds(
-                        table[
-                            tuple(
-                                {**choice, **dict(zip(rest, theirs))}[a]
-                                for a in agents
-                            )
-                        ],
-                        g.arg,
-                    )
-                    for theirs in itertools.product(
-                        *(range(sizes[a - 1]) for a in rest)
-                    )
-                ):
-                    return True
-            return False
-        raise AssertionError(op)
+        if isinstance(g.op, Atom):
+            return g.op.name in proto.label
+        inside = {t for t in points_of(self.kind, proto.struct) if self.holds(t, g.arg)}
+        return lift(self.kind, g.op, proto.struct, inside)
 
     # -- structure generation ------------------------------------------------
 
@@ -380,13 +304,13 @@ class _TreeEnumerator:
         kind = self.kind
         if kind == "kripke":
             if self.cfg.logic == "KD":
-                yield [proto_slot]
+                yield (proto_slot,)
             else:
-                yield []
+                yield ()
         elif kind == "multigraph":
-            yield []
+            yield {}
         elif kind == "distribution":
-            yield [(proto_slot, Fraction(1))]
+            yield {proto_slot: Fraction(1)}
         elif kind == "game":
             sizes = tuple(1 for _ in range(self.cfg.n_agents))
             profile = tuple(0 for _ in range(self.cfg.n_agents))
@@ -397,12 +321,12 @@ class _TreeEnumerator:
         kind = self.kind
         cfg = self.cfg
         if kind == "kripke":
-            yield list(children)
+            yield children
         elif kind == "multigraph":
             for ws in itertools.product(
                 range(1, cfg.max_multiplicity + 1), repeat=len(children)
             ):
-                yield list(zip(children, ws))
+                yield dict(zip(children, ws))
         elif kind == "distribution":
             seen = set()
             for den in range(len(children), cfg.max_denominator + 1):
@@ -411,7 +335,7 @@ class _TreeEnumerator:
                     if probs in seen:
                         continue
                     seen.add(probs)
-                    yield list(zip(children, probs))
+                    yield dict(zip(children, probs))
         elif kind == "game":
             for sizes in itertools.product(
                 range(1, cfg.max_strategies + 1), repeat=cfg.n_agents
@@ -423,22 +347,9 @@ class _TreeEnumerator:
     def _make(self, label, struct) -> _Proto:
         proto = _Proto(self.next_sid, label, None)
         self.next_sid += 1
-        proto.struct = self._patch(struct, proto)
+        # Self-loop placeholders (None) become the new proto.
+        proto.struct = relabel(self.kind, struct, lambda t: proto if t is None else t)
         return proto
-
-    def _patch(self, struct, proto):
-        """Replace self-loop placeholders (None) with the new proto."""
-        fix = lambda t: proto if t is None else t
-        if self.kind == "kripke":
-            return tuple(fix(t) for t in struct)
-        if self.kind == "multigraph":
-            return tuple((fix(t), c) for t, c in struct)
-        if self.kind == "distribution":
-            return tuple((fix(t), p) for t, p in struct)
-        if self.kind == "game":
-            sizes, table = struct
-            return (sizes, {prof: fix(t) for prof, t in table.items()})
-        raise AssertionError(self.kind)
 
     # -- the search ----------------------------------------------------------
 
@@ -511,6 +422,7 @@ class _TreeEnumerator:
             labels={},
             serial=cfg.logic == "KD",
         )
+        structs = w.structures()
         ids = {}
 
         def visit(proto: _Proto) -> int:
@@ -520,23 +432,7 @@ class _TreeEnumerator:
             ids[proto.sid] = s
             w.states.append(s)
             w.labels[s] = proto.label
-            if self.kind == "kripke":
-                w.succ[s] = ()
-                w.succ[s] = tuple(visit(t) for t in proto.struct)
-            elif self.kind == "multigraph":
-                w.weights[s] = {}
-                for t, c in proto.struct:
-                    w.weights[s][visit(t)] = c
-            elif self.kind == "distribution":
-                w.dist[s] = {}
-                for t, p in proto.struct:
-                    tid = visit(t)
-                    w.dist[s][tid] = w.dist[s].get(tid, Fraction(0)) + p
-            elif self.kind == "game":
-                sizes, table = proto.struct
-                w.games[s] = (sizes, {})
-                for prof, t in table.items():
-                    w.games[s][1][prof] = visit(t)
+            structs[s] = relabel(self.kind, proto.struct, visit)
             return s
 
         w.root = visit(root)
@@ -549,16 +445,7 @@ def _neighbourhood_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
     for the monotone logic, included) argument truth sets get consistent
     bits, then read the neighbourhoods off the positive bits."""
     monotone = cfg.logic == "M"
-    subs = subformulas(f)
-    prop_names = []
-    args = []
-    for g in subs:
-        if isinstance(g, FModal):
-            if isinstance(g.op, Atom):
-                if g.op.name not in prop_names:
-                    prop_names.append(g.op.name)
-            elif g.arg not in args:
-                args.append(g.arg)
+    prop_names, args = _names_and_args(f)
     args.sort(key=lambda g: g.depth)  # stable: ties keep first-occurrence order
     np, na = len(prop_names), len(args)
 
@@ -706,10 +593,11 @@ def resolve_rules(code1: RuleCode, code2: RuleCode, i: int, j: int) -> Optional[
 def clause_valid_on(chi, tau, n: int, cfg: LogicConfig) -> bool:
     """Is the abstract clause ``chi`` (pairs of sign and operator) true under
     every structure, given the argument subsets ``tau``?"""
-    backend = backend_for(cfg)
-    for struct in backend.structures(n):
+    kind = MODEL_KINDS[cfg.logic]
+    for struct in backend_for(cfg).structures(n):
         if not any(
-            backend.lift(op, struct, tau[i]) == s for i, (s, op) in enumerate(chi)
+            lift(kind, op, struct, tau[i], cfg.logic == "M") == s
+            for i, (s, op) in enumerate(chi)
         ):
             return False
     return True

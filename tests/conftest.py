@@ -6,7 +6,7 @@ import hashlib
 import json
 import random
 
-from modalsat.certificates import proof_to_json, tableau_to_json
+from modalsat.certificates import model_to_json, proof_to_json, tableau_to_json
 from modalsat.formula import FModal, Atom, modal_atoms
 from modalsat.logics import LogicConfig
 from modalsat.sampling import random_formula
@@ -58,3 +58,8 @@ def proof_sha256(doc) -> str:
 
 def tableau_sha256(tb) -> str:
     return _json_sha256(tableau_to_json(tb))
+
+
+def model_sha256(*ws) -> str:
+    """Digest of one or more models' JSON, in order."""
+    return _json_sha256([model_to_json(w) for w in ws])

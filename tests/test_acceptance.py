@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_LOGICS, ARITH, config_for, corpus, max_atoms_per_level, proof_sha256
+from conftest import (
+    ALL_LOGICS,
+    ARITH,
+    config_for,
+    corpus,
+    max_atoms_per_level,
+    model_sha256,
+    proof_sha256,
+)
 from modalsat.certificates import (
     audit_proof_subformulas,
     certificate_to_json,
@@ -183,10 +191,24 @@ def test_validity_corpus_invalid(spec, text):
 
 CORPUS_SIZE = 500
 
+# sha256 of every model the loop below builds, in corpus order, per logic
+# (coalition logic synthesizes none): pins model synthesis byte for byte.
+LOOP_MODELS_SHA256 = {
+    "E": "7baf7fc125afb47429b9cb0747eec3e2cfdfe888844c3da07883efdb37ce9d61",
+    "M": "af75a04c7a4345d2021978954c70d0df4a8962fd985daeee99c3a8d79c8dc062",
+    "K": "cdb776319c64a5c251257ccce0c9a468f1ed2c6be8d778c3c1b9cd9ce548c279",
+    "KD": "f6095aacc46773dec2c8fc83d17a375490875b7629e4176087548e0828cefb16",
+    "COAL": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "GML": "270e66abdebe5ef874fe1e2f15f8ccf762576d58c4a698a2c860a87f8599654b",
+    "MAJ": "572eb3fe72a77c2e1f0b1ff4f59470b7ebcd54c9a3be889ca7a6aaf18aee215c",
+    "PML": "ee72c7cd622c4328b86641dd514eaa7756beb17a46cb929ac634c6d4da2f759d",
+}
+
 
 @pytest.mark.parametrize("logic", ALL_LOGICS)
 def test_certificate_loop(logic):
     cfg, formulas = corpus(logic, CORPUS_SIZE, seed=2024)
+    models = []
     for f in formulas:
         verdict = satisfiable(f, cfg)
         assert verdict.stats.recursion_peak <= f.depth
@@ -202,12 +224,14 @@ def test_certificate_loop(logic):
             assert w is not None, logic
             assert model_check(w, w.root, f)
             assert validate_structure(w, cfg) == (True, "ok"), logic
+            models.append(w)
         else:
             goal = neg(f)
             doc = extract_proof(verdict, goal, cfg)
             ok, msg = check_proof(doc, goal, cfg)
             assert ok, (logic, msg)
             assert audit_proof_subformulas(doc, goal)
+    assert model_sha256(*models) == LOOP_MODELS_SHA256[logic]
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +240,25 @@ def test_certificate_loop(logic):
 
 ORACLE_BUDGET = {"GML": 60, "MAJ": 80, "PML": 40, "COAL": 60}
 
+# sha256 of every witness the oracle finds below, in corpus order, per logic.
+ORACLE_MODELS_SHA256 = {
+    "E": "c36ffcc410e1258028b5bd2ccc6acabbff0169666170c879cd8406fa3d96b633",
+    "M": "bf5c2811bd668d4e8d06f31a5f6adddce467f4e43bbc921c894b438fddc78c2a",
+    "K": "000d0fae282afa447383623675b60674c1e44b43a53c825ec7f18ac935633749",
+    "KD": "55daa2e1d16f3bb7f798679037a865d0ba02da8585614a300c82932fe9c8224d",
+    "COAL": "f957898c032af3e9906a519c8de626bc1192d8ecb36e91144fb2d40f767ef687",
+    "GML": "2b87cd137f0bf6fe584f5f935ecaa785ba8e47c5799ba10b290d34bde5c02f1f",
+    "MAJ": "ece281055a406cd1e843505bf5bc258d28ae9020bdfecc89c12434dec11a549d",
+    "PML": "9ea4d657126c495f07e925bbb8ecee417e244cacb6494a8e483888c70c7da112",
+}
+
 
 @pytest.mark.parametrize("logic", ALL_LOGICS)
 def test_oracle_agreement(logic):
     budget = ORACLE_BUDGET.get(logic, 120)
     cfg, formulas = corpus(logic, CORPUS_SIZE, seed=2024)
     checked = exact = 0
+    models = []
     for f in formulas:
         if checked >= budget:
             break
@@ -233,12 +270,14 @@ def test_oracle_agreement(logic):
         if w is not None:
             # Any witness the oracle finds must be confirmed by the solver.
             assert verdict.satisfiable, (logic, f)
+            models.append(w)
         if max_atoms_per_level(f) <= 2:
             # Here bounded tree search is exhaustive: exact agreement.
             exact += 1
             assert verdict.satisfiable == (w is not None), (logic, f)
     assert checked >= 30
     assert exact >= 10
+    assert model_sha256(*models) == ORACLE_MODELS_SHA256[logic]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,13 @@ def test_model_check_kripke():
     assert model_check(w, 0, parse("[](a | b)"))
     assert not model_check(w, 0, parse("[]a"))
     assert model_check(w, 0, parse("~[]a & ~[]b"))
+    # A dead end satisfies [] false; a serial state does not.
+    assert model_check(w, 1, parse("[]false"))
+    w.succ[1] = (1,)
+    assert not model_check(w, 1, parse("[]false"))
+    # A kripke model has no game to evaluate a coalition on.
+    with pytest.raises(ValueError):
+        model_check(w, 0, parse("[C 1]a", 2))
 
 
 def test_model_check_multigraph():
@@ -102,6 +109,9 @@ def test_model_check_multigraph():
     assert not model_check(w, 0, parse("<2>a"))
     assert model_check(w, 0, parse("W a"))  # 2 of 3 successors
     assert not model_check(w, 0, parse("W ~a"))
+    assert model_check(w, 1, parse("W a & W ~a & ~<0>(a | ~a)"))  # no successors
+    w.weights[0] = {1: 1, 2: 1}
+    assert model_check(w, 0, parse("W a & W ~a"))  # a tie
 
 
 def test_model_check_distribution():
@@ -118,6 +128,7 @@ def test_model_check_distribution():
     )
     assert model_check(w, 0, parse("L{2/3}a"))
     assert not model_check(w, 0, parse("L{3/4}a"))
+    assert model_check(w, 0, parse("L{1/3}~a"))  # mass exactly 1/3
 
 
 def test_model_check_neighbourhood():
@@ -130,8 +141,11 @@ def test_model_check_neighbourhood():
     )
     assert model_check(w, 0, parse("[]a"))
     assert not model_check(w, 0, parse("[](a | ~a)"))  # {0,1} not a member
+    assert not model_check(w, 0, parse("[]false"))
     w.monotone = True
     assert model_check(w, 0, parse("[](a | ~a)"))  # superset of {1}
+    assert model_check(w, 0, parse("[]a"))
+    assert not model_check(w, 0, parse("[]false"))  # {} is no superset of {1}
 
 
 def test_model_check_game():
@@ -150,6 +164,8 @@ def test_model_check_game():
     assert model_check(w, 0, parse("[C 1]a", 2))
     assert model_check(w, 0, parse("[C 1]b", 2))
     assert not model_check(w, 0, parse("[C 2]a", 2))
+    # The grand coalition picks a whole profile.
+    assert model_check(w, 0, parse("[C 1,2]b & ~[C 1,2](~a & ~b)", 2))
 
 
 # -- model structure ----------------------------------------------------------

@@ -185,6 +185,33 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
                 "succ": {"0": [[0]]},
             },
         },
+        {
+            "kind": "model",
+            "version": 1,
+            "payload": {
+                "model_kind": "distribution",
+                "root": 0,
+                "states": [0],
+                "labels": {"0": ["a"]},
+                "dist": {"0": {"0": "1/0"}},
+            },
+        },
+        {
+            "kind": "proof",
+            "version": 1,
+            "payload": {
+                "formula": "a",
+                "clauses": [
+                    {
+                        "clause": ["a"],
+                        "type": "rule",
+                        "rule": {"logic": "PML", "scheme": "PML", "ints": [1, 0], "rationals": ["2/0"]},
+                        "substitution": ["a"],
+                        "parts": [],
+                    }
+                ],
+            },
+        },
     ]
     for doc in docs:
         cert = tmp_path / "bad.json"

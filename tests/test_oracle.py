@@ -19,8 +19,9 @@ from modalsat.oracle import (
 )
 from modalsat.certificates import model_check
 from modalsat.sampling import sample_matchings
+from modalsat.semantics import lift
 
-from conftest import ALL_LOGICS
+from conftest import ALL_LOGICS, model_sha256
 
 
 # -- backends -----------------------------------------------------------------
@@ -31,6 +32,13 @@ def test_powerset_backend_serial():
     assert list(backend_for(LogicConfig(logic="KD")).structures(0)) == []
     assert len(list(backend_for(LogicConfig(logic="K")).structures(2))) == 4
     assert len(list(backend_for(LogicConfig(logic="KD")).structures(2))) == 3
+    # Relational K has a dead end, where [] false holds; serial KD has none.
+    nothing = frozenset()
+    assert lift("kripke", Box(), frozenset(), nothing)
+    for struct in backend_for(LogicConfig(logic="KD")).structures(2):
+        assert not lift("kripke", Box(), struct, nothing)
+    assert lift("kripke", Box(), frozenset({0, 1}), frozenset({0, 1}))
+    assert not lift("kripke", Box(), frozenset({0, 1}), frozenset({0}))
 
 
 def test_neighbourhood_backend_monotone_upclosed():
@@ -45,33 +53,58 @@ def test_neighbourhood_backend_monotone_upclosed():
     assert frozenset({frozenset(), frozenset({0})}) in collections
     # A collection holding only the empty set is not up-closed over 1 state.
     assert frozenset({frozenset()}) not in collections
+    # Read as generators, {{0}} also holds {0, 1}; read exactly, it does not.
+    hoods = (frozenset({0}),)
+    assert lift("neighbourhood", Box(), hoods, frozenset({0}))
+    assert not lift("neighbourhood", Box(), hoods, frozenset({0, 1}))
+    assert lift("neighbourhood", Box(), hoods, frozenset({0, 1}), monotone=True)
+    assert not lift("neighbourhood", Box(), hoods, frozenset({1}), monotone=True)
+    # On an up-closed collection both readings agree.
+    subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    for alpha in mono.structures(2):
+        for inside in subsets:
+            assert lift("neighbourhood", Box(), alpha, inside) == lift(
+                "neighbourhood", Box(), alpha, inside, monotone=True
+            )
 
 
 def test_multiset_lift():
-    be = backend_for(LogicConfig(logic="GML"))
-    struct = (2, 1)  # multiplicities for states 0 and 1
-    assert be.lift(GDiamond(2), struct, frozenset({0, 1}))
-    assert not be.lift(GDiamond(2), struct, frozenset({0}))
-    assert be.lift(MajW(), struct, frozenset({0}))
-    assert not be.lift(MajW(), struct, frozenset({1}))
+    struct = {0: 2, 1: 1}  # multiplicities for states 0 and 1
+    assert lift("multigraph", GDiamond(2), struct, frozenset({0, 1}))
+    assert not lift("multigraph", GDiamond(2), struct, frozenset({0}))
+    assert lift("multigraph", MajW(), struct, frozenset({0}))
+    assert not lift("multigraph", MajW(), struct, frozenset({1}))
+    # W is weak majority: a tie satisfies both sides, and so does no mass.
+    tie = {0: 1, 1: 1}
+    assert lift("multigraph", MajW(), tie, frozenset({0}))
+    assert lift("multigraph", MajW(), tie, frozenset({1}))
+    assert lift("multigraph", MajW(), {}, frozenset())
+    assert not lift("multigraph", GDiamond(0), {}, frozenset())
 
 
 def test_distribution_lift():
-    be = backend_for(LogicConfig(logic="PML"))
-    struct = (Fraction(2, 3), Fraction(1, 3))
-    assert be.lift(LProb(Fraction(1, 2)), struct, frozenset({0}))
-    assert not be.lift(LProb(Fraction(1, 2)), struct, frozenset({1}))
+    struct = {0: Fraction(2, 3), 1: Fraction(1, 3)}
+    assert lift("distribution", LProb(Fraction(1, 2)), struct, frozenset({0}))
+    assert not lift("distribution", LProb(Fraction(1, 2)), struct, frozenset({1}))
+    # L{p} holds at mass exactly p.
+    assert lift("distribution", LProb(Fraction(2, 3)), struct, frozenset({0}))
+    assert lift("distribution", LProb(Fraction(1, 3)), struct, frozenset({1}))
+    assert not lift("distribution", LProb(Fraction(2, 3)), struct, frozenset({1}))
 
 
 def test_game_lift_monotone_in_coalition():
-    be = backend_for(LogicConfig(logic="COAL"))
     sizes = (2, 1)
     table = {(0, 0): 0, (1, 0): 1}
     # Agent 1 alone can force either state.
-    assert be.lift(Coal(frozenset({1}), 2), (sizes, table), frozenset({0}))
-    assert be.lift(Coal(frozenset({1}), 2), (sizes, table), frozenset({1}))
+    assert lift("game", Coal(frozenset({1}), 2), (sizes, table), frozenset({0}))
+    assert lift("game", Coal(frozenset({1}), 2), (sizes, table), frozenset({1}))
     # Agent 2 alone can force neither.
-    assert not be.lift(Coal(frozenset({2}), 2), (sizes, table), frozenset({0}))
+    assert not lift("game", Coal(frozenset({2}), 2), (sizes, table), frozenset({0}))
+    # The grand coalition forces any reachable outcome, and nothing else.
+    grand = Coal(frozenset({1, 2}), 2)
+    assert lift("game", grand, (sizes, table), frozenset({0}))
+    assert lift("game", grand, (sizes, table), frozenset({1}))
+    assert not lift("game", grand, (sizes, table), frozenset({2}))
 
 
 # -- one-step soundness -------------------------------------------------------
@@ -140,6 +173,18 @@ BF_CASES = [
 ]
 
 
+# sha256 of each satisfiable BF_CASES witness's JSON: pins the order of the
+# brute-force search.
+BF_MODEL_SHA256 = {
+    ("K", "[](a | b) & ~[]a"): "5e0931836bd802bcfbdeaf021c7cd8026f899f652eb7aaf376ccd61cf101cb83",
+    ("E", "[]a & ~[]b & [](b | ~b)"): "b058686a2ea778b24e8647d9ed7a1653cd2e05ea49f1c39fd9dce75bbca3ef90",
+    ("GML", "<1>a & ~<2>a"): "35646e847b2801544abaad2ecef19d7618fa4a38ad690a70d7161a4f35192077",
+    ("MAJ", "W a & W ~a"): "f0183d31c2fd8344c20467f554432ce1a2dc45036a24e903953cd1e5c93182ad",
+    ("PML", "L{1/3}a & L{1/3}b & L{1/3}(~a & ~b)"): "3b7a1ee60d2ccc9ca77897e08adeaf005d96295d69c96de628814ff751bd2876",
+    ("COAL", "[C 1]a & ~[C 2]a"): "c4059bbf2c7f4652055c462cea9d3d80327b79d1d7e9fa5db8dcdf6cf1a91dbe",
+}
+
+
 @pytest.mark.parametrize("logic,text,expected", BF_CASES)
 def test_brute_force_known_cases(logic, text, expected):
     cfg = LogicConfig(logic=logic)
@@ -148,6 +193,7 @@ def test_brute_force_known_cases(logic, text, expected):
     assert (w is not None) == expected
     if w is not None:
         assert model_check(w, w.root, f)
+        assert model_sha256(w) == BF_MODEL_SHA256[(logic, text)]
 
 
 # -- resolution ---------------------------------------------------------------
