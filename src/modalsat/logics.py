@@ -20,8 +20,9 @@ For the linear schemas a clause has infinitely many matchings, indexed by
 nonzero integer coefficients (one per literal, sign agreeing with the
 literal) and a premise bound.  ``refuting_matching_exists`` decides whether
 coefficients exist making every premise CNF clause's negation unsatisfiable,
-given the set of satisfiable sign patterns of the argument formulas.  The
-constraint systems are scale-invariant, so rational feasibility (decided
+given the set of satisfiable sign patterns of the argument formulas, and
+``challenges`` offers that matching as one more candidate of the clause.
+The constraint systems are scale-invariant, so rational feasibility (decided
 exactly by ``linarith.feasible``) coincides with integer feasibility.
 """
 
@@ -59,18 +60,10 @@ ARITHMETIC_LOGICS = ("GML", "MAJ", "PML")
 
 @dataclass
 class LogicConfig:
-    """A logic tag plus search and oracle bounds."""
+    """A logic tag plus, for coalition logic, the number of agents."""
 
     logic: str
     n_agents: int = 2
-    # certificate synthesis bounds
-    max_weight: int = 16
-    # oracle bounds
-    max_carrier: int = 3
-    max_multiplicity: int = 4
-    max_denominator: int = 12
-    max_strategies: int = 2
-    branch_bound: int = 4
 
     def __post_init__(self):
         if self.logic not in LOGICS:
@@ -146,8 +139,8 @@ def _clause_ops(clause):
 
 def matchings(clause, cfg: LogicConfig) -> list:
     """All matchings of the finite schemas against a clause, congruence
-    included.  Linear-schema matchings are reached through
-    ``refuting_matching_exists`` instead (there are infinitely many)."""
+    included.  A linear schema has infinitely many matchings; ``challenges``
+    adds the one that matters, the refuting one."""
     out = list(congruence_matchings(clause, cfg.logic))
     shape = _clause_ops(clause)
     if shape is None:
@@ -193,22 +186,26 @@ def matchings(clause, cfg: LogicConfig) -> list:
     return out
 
 
-def challenges(valuation, cfg: LogicConfig):
-    """The universal challenges of a pseudovaluation: ``(clause, matchings)``
-    for each clause over negated literals of ``valuation`` that some schema
-    can match, in increasing mask order (bit i = literal i of the valuation).
+def challenges(valuation, cfg: LogicConfig, sat_bits):
+    """The universal challenges of a pseudovaluation: ``(clause, candidates)``
+    for each clause over negated literals of ``valuation`` that some rule
+    matches, in increasing mask order (bit i = literal i of the valuation).
 
     Candidate clauses come from the schemas' shapes, so a clause no schema
-    matches is never built; ``matchings`` then decides each candidate.  In
-    the linear logics every nonempty clause of proper modal atoms is a
-    challenge, with its congruence matchings, because the coefficient search
-    needs each one.  Propositional atoms never enter a clause."""
+    matches is never built.  A clause's candidates are its finite-schema
+    matchings (``matchings``).  In the linear logics they are followed by
+    the refuting linear matching, when one exists: ``sat_bits`` holds the
+    satisfiable sign patterns of the arguments, as bitmasks over
+    ``proper_atoms(valuation)``, and the refuting matching leaves every one
+    of its demands unsatisfiable.  A clause is yielded only when it has a
+    candidate.  Propositional atoms never enter a clause."""
     # Clause literal i is the negation of valuation literal i.
     pos, neg = [], []
     for i, (s, a) in enumerate(valuation):
         if isinstance(a, FModal) and not isinstance(a.op, Atom):
             (neg if s else pos).append(i)
     if cfg.is_arithmetic():
+        atoms = proper_atoms(valuation)
         masks = set(_submasks(pos + neg))
     else:
         masks = {
@@ -229,12 +226,14 @@ def challenges(valuation, cfg: LogicConfig):
         clause = tuple(
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
+        found = matchings(clause, cfg)
         if cfg.is_arithmetic():
-            yield clause, congruence_matchings(clause, cfg.logic)
-        else:
-            found = matchings(clause, cfg)
-            if found:
-                yield clause, found
+            patterns = clause_patterns(clause, atoms, sat_bits)
+            refuter, _ = refuting_matching_exists(clause, patterns, cfg)
+            if refuter is not None:
+                found.append(refuter)
+        if found:
+            yield clause, found
 
 
 def _submasks(indices) -> list:
@@ -375,17 +374,17 @@ def pattern_formula(arith_atoms, bits: int) -> Formula:
 
 def clause_patterns(clause, arith_atoms, sat_bits):
     """Project argument sign patterns (bitmasks over ``arith_atoms``) onto the
-    positions of ``clause``; None when a clause literal is not a proper modal
-    atom, so no linear schema matches the clause."""
-    positions = []
-    for _, a in clause:
-        if not isinstance(a, FModal) or isinstance(a.op, Atom):
-            return None
-        positions.append(arith_atoms.index(a))
-    return {
-        sum(1 << ci for ci, ai in enumerate(positions) if bits >> ai & 1)
-        for bits in sat_bits
-    }
+    positions of ``clause``, whose atoms come from ``arith_atoms`` in the same
+    order, as the clauses of ``challenges`` do."""
+    positions = [arith_atoms.index(a) for _, a in clause]
+    within = sum(1 << ai for ai in positions)
+    patterns = {bits & within for bits in sat_bits}
+    # Close the gaps between the clause's atoms, highest first.
+    for ai in reversed(range(max(positions))):
+        if not within >> ai & 1:
+            low = (1 << ai) - 1
+            patterns = {bits & low | bits >> 1 & ~low for bits in patterns}
+    return patterns
 
 
 def _linear_literal_data(clause, cfg: LogicConfig):

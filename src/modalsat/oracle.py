@@ -31,7 +31,7 @@ from .formula import (
     Formula,
     subformulas,
 )
-from .logics import LogicConfig, challenges, refuting_matching_exists
+from .logics import LogicConfig, challenges
 from .onestep import (
     ClausePremise,
     LinearPremise,
@@ -41,6 +41,15 @@ from .onestep import (
 )
 from .certificates import ModelWitness, model_check
 from .semantics import MODEL_KINDS, lift, points_of, relabel
+
+# Search bounds: carrier size for rule soundness and the neighbourhood
+# search, weights, probability denominators and strategies per agent of the
+# enumerated structures, and children per state of the tree search.
+MAX_CARRIER = 3
+MAX_MULTIPLICITY = 4
+MAX_DENOMINATOR = 12
+MAX_STRATEGIES = 2
+BRANCH_BOUND = 4
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +92,17 @@ class NeighbourhoodBackend:
 
 
 class MultisetBackend:
-    def __init__(self, max_multiplicity: int):
-        self.max_multiplicity = max_multiplicity
-
     def structures(self, n: int):
-        for ws in itertools.product(range(self.max_multiplicity + 1), repeat=n):
+        for ws in itertools.product(range(MAX_MULTIPLICITY + 1), repeat=n):
             yield dict(enumerate(ws))
 
 
 class DistributionBackend:
-    def __init__(self, max_denominator: int):
-        self.max_denominator = max_denominator
-
     def structures(self, n: int):
         if n == 0:
             return
         seen = set()
-        for den in range(1, self.max_denominator + 1):
+        for den in range(1, MAX_DENOMINATOR + 1):
             for parts in _compositions(den, n):
                 dist = tuple(Fraction(p, den) for p in parts)
                 if dist not in seen:
@@ -118,16 +121,13 @@ def _compositions(total: int, parts: int):
 
 
 class GameBackend:
-    def __init__(self, n_agents: int, max_strategies: int):
+    def __init__(self, n_agents: int):
         self.n_agents = n_agents
-        self.max_strategies = max_strategies
 
     def structures(self, n: int):
         if n == 0:
             return
-        for sizes in itertools.product(
-            range(1, self.max_strategies + 1), repeat=self.n_agents
-        ):
+        for sizes in itertools.product(range(1, MAX_STRATEGIES + 1), repeat=self.n_agents):
             profiles = list(itertools.product(*(range(s) for s in sizes)))
             for outcomes in itertools.product(range(n), repeat=len(profiles)):
                 yield (sizes, dict(zip(profiles, outcomes)))
@@ -143,11 +143,11 @@ def backend_for(cfg: LogicConfig):
     if cfg.logic == "M":
         return NeighbourhoodBackend(monotone=True)
     if cfg.logic in ("GML", "MAJ"):
-        return MultisetBackend(cfg.max_multiplicity)
+        return MultisetBackend()
     if cfg.logic == "PML":
-        return DistributionBackend(cfg.max_denominator)
+        return DistributionBackend()
     if cfg.logic == "COAL":
-        return GameBackend(cfg.n_agents, cfg.max_strategies)
+        return GameBackend(cfg.n_agents)
     raise ValueError("unknown logic %r" % cfg.logic)
 
 
@@ -178,11 +178,11 @@ _SOUNDNESS_CACHE = {}
 
 
 def one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int = None) -> bool:
-    """Checks the one-step rule instance: over every carrier up to the bound,
-    every argument assignment validating the premise, and every structure,
-    some conclusion literal must hold."""
+    """Checks the one-step rule instance: over every carrier up to the bound
+    (``MAX_CARRIER`` unless given), every argument assignment validating the
+    premise, and every structure, some conclusion literal must hold."""
     if max_carrier is None:
-        max_carrier = cfg.max_carrier
+        max_carrier = MAX_CARRIER
     cache_key = (code, cfg.logic, cfg.n_agents, max_carrier)
     cached = _SOUNDNESS_CACHE.get(cache_key)
     if cached is not None:
@@ -324,12 +324,12 @@ class _TreeEnumerator:
             yield children
         elif kind == "multigraph":
             for ws in itertools.product(
-                range(1, cfg.max_multiplicity + 1), repeat=len(children)
+                range(1, MAX_MULTIPLICITY + 1), repeat=len(children)
             ):
                 yield dict(zip(children, ws))
         elif kind == "distribution":
             seen = set()
-            for den in range(len(children), cfg.max_denominator + 1):
+            for den in range(len(children), MAX_DENOMINATOR + 1):
                 for parts in _compositions(den - len(children), len(children)):
                     probs = tuple(Fraction(p + 1, den) for p in parts)
                     if probs in seen:
@@ -338,7 +338,7 @@ class _TreeEnumerator:
                     yield dict(zip(children, probs))
         elif kind == "game":
             for sizes in itertools.product(
-                range(1, cfg.max_strategies + 1), repeat=cfg.n_agents
+                range(1, MAX_STRATEGIES + 1), repeat=cfg.n_agents
             ):
                 profiles = list(itertools.product(*(range(s) for s in sizes)))
                 for outs in itertools.product(children, repeat=len(profiles)):
@@ -379,7 +379,7 @@ class _TreeEnumerator:
             for label in self._labels():
                 for struct in self._terminal_structs(None):
                     yield self._make(label, struct)
-            for size in range(1, self.cfg.branch_bound + 1):
+            for size in range(1, BRANCH_BOUND + 1):
                 for children in itertools.combinations(pool, size):
                     for label in self._labels():
                         for struct in self._child_structs(children):
@@ -449,7 +449,7 @@ def _neighbourhood_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
     args.sort(key=lambda g: g.depth)  # stable: ties keep first-occurrence order
     np, na = len(prop_names), len(args)
 
-    for n in range(1, cfg.max_carrier + 1):
+    for n in range(1, MAX_CARRIER + 1):
         width = n * (np + na)
         if width > 22:
             break
@@ -613,17 +613,11 @@ def strict_completeness_probe(
 
     lits = tuple((s, modal(op, atom("v%d" % i))) for i, (s, op) in enumerate(chi))
     position = {a: i for i, (_, a) in enumerate(lits)}
-    for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg):
+    # The argument sign pattern of each carrier point, over all literals.
+    sat_bits = {sum(1 << k for k in range(len(lits)) if x in tau[k]) for x in range(n)}
+    for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg, sat_bits):
         sub_tau = tuple(tau[position[a]] for _, a in sub)
         for m in cands:
             if _premise_holds(m.premise(), sub_tau, n):
-                return m
-        if cfg.is_arithmetic():
-            table = {
-                sum(1 << k for k in range(len(sub)) if x in sub_tau[k])
-                for x in range(n)
-            }
-            m, _ = refuting_matching_exists(sub, table, cfg)
-            if m is not None:
                 return m
     return None

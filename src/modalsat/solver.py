@@ -10,13 +10,16 @@ wherever the formula is already decided; challenges come from
 ``challenges``, which builds only the clauses some schema can match.  Both
 keep binary-counter order, so traces do not depend on the pruning.
 
-For the finite schemas the matchings of each clause are enumerated directly.
-For the linear schemas the universal quantifier over matchings is decided by
-``refuting_matching_exists``: H fails iff coefficients exist under which
-every premise CNF clause has an unsatisfiable negation, which only depends
-on which sign patterns of the argument formulas are satisfiable.  The
-pattern table is computed once per pseudovaluation by recursive solver
-calls and shared by all clauses.
+Each challenge is a clause with its candidate matchings, and one loop
+answers them all.  For the finite schemas the candidates are the clause's
+matchings.  For the linear schemas the universal quantifier over matchings
+is decided by ``refuting_matching_exists``: H fails iff coefficients exist
+under which every premise CNF clause has an unsatisfiable negation, which
+only depends on which sign patterns of the argument formulas are
+satisfiable.  The pattern table is computed once per pseudovaluation by
+recursive solver calls and handed to ``challenges``, which appends the
+refuting matching, when there is one, to the clause's candidates.  Its
+demands are then solved like any other; each must be unsatisfiable.
 
 Traces record, per satisfiable node, one satisfiable demand per (clause,
 matching) pair plus (for linear logics) one child per satisfiable argument
@@ -37,13 +40,12 @@ from .formula import Formula, assignments
 from .logics import (
     LogicConfig,
     challenges,
-    clause_patterns,
     pattern_formula,
     proper_atoms,
-    refuting_matching_exists,
     validate_formula,
 )
 from .onestep import (
+    LINEAR_SCHEMES,
     negated_clause_instance,
     premise_cnf_clauses,
 )
@@ -86,7 +88,6 @@ class UnsatNode:
 class Verdict:
     satisfiable: bool
     trace: object
-    caveat: bool  # the search is exact, so never set; kept in the JSON output
     stats: SolveStats
 
 
@@ -101,7 +102,7 @@ class Solver:
         validate_formula(f, self.cfg)
         self.root_depth = max(self.root_depth, f.depth)
         sat, node = self.solve(f, 0)
-        return Verdict(sat, node, False, self.stats)
+        return Verdict(sat, node, self.stats)
 
     def solve(self, f: Formula, level: int):
         cached = self.memo.get(f)
@@ -131,19 +132,17 @@ class Solver:
 
     def _check_valuation(self, f: Formula, valuation: tuple, level: int):
         obligations = []
-        pattern_table = None
-        arith_atoms = None
-        if self.cfg.is_arithmetic():
-            arith_atoms = proper_atoms(valuation)
-            pattern_table = {}
-            if arith_atoms:
-                pattern_table = self._pattern_table(arith_atoms, level)
-                for bits, (sat, child) in sorted(pattern_table.items()):
-                    if sat:
-                        obligations.append(
-                            ("pattern", pattern_formula(arith_atoms, bits), child)
-                        )
-        for clause, cands in challenges(valuation, self.cfg):
+        sat_bits = set()
+        arith_atoms = proper_atoms(valuation) if self.cfg.is_arithmetic() else ()
+        if arith_atoms:
+            for bits in range(1 << len(arith_atoms)):
+                pf = pattern_formula(arith_atoms, bits)
+                self.stats.patterns_solved += 1
+                sat, child = self.solve(pf, level + 1)
+                if sat:
+                    sat_bits.add(bits)
+                    obligations.append(("pattern", pf, child))
+        for clause, cands in challenges(valuation, self.cfg, sat_bits):
             for m in cands:
                 self.stats.matchings_checked += 1
                 gamma_children = []
@@ -157,42 +156,10 @@ class Solver:
                     gamma_children.append((gamma, child))
                 if chosen is None:
                     return (valuation, clause, m, gamma_children)
+                if m.code.scheme in LINEAR_SCHEMES:
+                    raise RuntimeError("refuting matching leaves a satisfiable demand")
                 obligations.append(chosen)
-            if self.cfg.is_arithmetic():
-                refuter = self._arith_challenge(
-                    clause, valuation, arith_atoms, pattern_table, level
-                )
-                if refuter is not None:
-                    return refuter
-        node = SatNode(f, valuation, obligations)
-        return node
-
-    def _pattern_table(self, arith_atoms, level: int) -> dict:
-        table = {}
-        k = len(arith_atoms)
-        for bits in range(1 << k):
-            pf = pattern_formula(arith_atoms, bits)
-            self.stats.patterns_solved += 1
-            table[bits] = self.solve(pf, level + 1)
-        return table
-
-    def _arith_challenge(self, clause, valuation, arith_atoms, pattern_table, level):
-        sat_patterns = clause_patterns(
-            clause, arith_atoms, [bits for bits, (sat, _) in pattern_table.items() if sat]
-        )
-        if sat_patterns is None:
-            return None
-        self.stats.matchings_checked += 1
-        m, _ = refuting_matching_exists(clause, sat_patterns, self.cfg)
-        if m is None:
-            return None
-        gamma_children = []
-        for gamma in premise_cnf_clauses(m.premise()):
-            sat, child = self.solve(negated_clause_instance(gamma, m.subst), level + 1)
-            if sat:
-                raise RuntimeError("refuting matching leaves a satisfiable demand")
-            gamma_children.append((gamma, child))
-        return (valuation, clause, m, gamma_children)
+        return SatNode(f, valuation, obligations)
 
 
 def satisfiable(f: Formula, cfg: LogicConfig) -> Verdict:

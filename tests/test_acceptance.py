@@ -163,7 +163,6 @@ def test_validity_corpus_valid(spec, text):
     verdict = satisfiable(neg_fold(f), cfg)
     elapsed = time.monotonic() - start
     assert not verdict.satisfiable, text
-    assert not verdict.caveat
     assert elapsed < 5.0
     doc = extract_proof(verdict, f, cfg)
     ok, msg = check_proof(doc, f, cfg)
@@ -385,7 +384,6 @@ def _pipeline_report(logic):
         records.append(
             {
                 "satisfiable": verdict.satisfiable,
-                "caveat": verdict.caveat,
                 "certificate": cert,
                 "model": model,
             }

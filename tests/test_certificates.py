@@ -29,7 +29,8 @@ from modalsat.certificates import (
     validate_structure,
 )
 from modalsat.formula import assignments, neg_fold, parse
-from modalsat.logics import LogicConfig, parse_logic_spec
+from modalsat.logics import LogicConfig, challenges, parse_logic_spec
+from modalsat.onestep import negated_clause_instance, premise_cnf_clauses
 from modalsat.oracle import brute_force_sat
 from modalsat.solver import Solver, satisfiable
 
@@ -345,6 +346,30 @@ def test_tableau_rejects_forged_linear_node(logic, text):
     for valuation in valuations:
         ok, msg = check_tableau(Tableau(0, [valuation], []), f, cfg)
         assert not ok and "refutes" in msg
+
+
+@pytest.mark.parametrize("logic,text", FORGED_LINEAR)
+def test_tableau_rejects_answered_linear_refuters(logic, text):
+    # Claim no pattern satisfiable, then answer each refuting linear matching
+    # with a rule edge to a satisfiable demand.  Each such edge is well formed,
+    # but it answers only the refuter of the claimed patterns, while the
+    # node's true patterns may admit another, so no edge may answer a linear
+    # rule.  A refuter whose demands are all unsatisfiable stays unanswered.
+    cfg = LogicConfig(logic=logic)
+    f = parse(text, cfg.n_agents)
+    for valuation in assignments(f):
+        nodes, edges = [valuation], []
+        for clause, cands in challenges(valuation, cfg, set()):
+            for m in cands:
+                for gamma in premise_cnf_clauses(m.premise()):
+                    demand = negated_clause_instance(gamma, m.subst)
+                    if satisfiable(demand, cfg).satisfiable:
+                        edges.append((0, ("rule", clause, m.code, m.subst, gamma), len(nodes)))
+                        nodes.append(next(assignments(demand)))
+                        break
+        ok, msg = check_tableau(Tableau(0, nodes, edges), f, cfg)
+        assert not ok
+        assert ("answers a linear" if edges else "refutes") in msg, msg
 
 
 def test_tableau_rejects_partial_sign_pattern():
