@@ -312,9 +312,9 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
     # satisfiable, as bitmasks over the node's proper modal atoms.
     claimed = {i: set() for i in range(n)}
     pattern_bits = {}  # node -> {pattern formula: bitmasks}
-    for src, label, dst in tb.edges:
+    for k, (src, label, dst) in enumerate(tb.edges):
         if not (0 <= src < n and 0 <= dst < n):
-            return False, "edge endpoint out of range"
+            return False, "edge %d: endpoint out of range" % k
         valuation = tb.nodes[src]
         negations = {(not s, a) for (s, a) in valuation}
         if label[0] == "rule":
@@ -322,30 +322,30 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
             if code.scheme in LINEAR_SCHEMES:
                 # A linear rule is only ever a refuter: answering one refuter
                 # would let a different refuter of the node go unseen.
-                msg = "rule edge at node %d answers a linear %s rule"
-                return False, msg % (src, code.scheme)
+                msg = "edge %d: the rule edge at node %d answers a linear %s rule"
+                return False, msg % (k, src, code.scheme)
             if not clause or not set(clause) <= negations:
-                return False, "clause is not built from negated node literals"
+                return False, "edge %d: clause is not built from negated node literals" % k
             m = RuleMatching(code, subst)
             if not side_condition(code, cfg):
-                return False, "rule code fails its side condition"
+                return False, "edge %d: rule code fails its side condition" % k
             try:
                 concl = conclusion_clause(m, cfg.n_agents)
             except (ValueError, IndexError):
-                return False, "malformed rule code"
+                return False, "edge %d: malformed rule code" % k
             if concl != clause:
-                return False, "rule conclusion does not match the clause"
+                return False, "edge %d: rule conclusion does not match the clause" % k
             if any(
                 isinstance(a, FModal) and not operator_legal(a.op, cfg)
                 for (_, a) in concl
             ):
-                return False, "rule uses an operator outside the logic"
+                return False, "edge %d: rule uses an operator outside the logic" % k
             if not premise_has_clause(m.premise(), gamma):
-                return False, "gamma is not a premise CNF clause"
+                return False, "edge %d: gamma is not a premise CNF clause" % k
             demand = negated_clause_instance(gamma, subst)
         else:
             if not cfg.is_arithmetic():
-                return False, "pattern edges only occur in linear logics"
+                return False, "edge %d: pattern edges only occur in linear logics" % k
             demand = label[1]
             if src not in pattern_bits:
                 pattern_bits[src] = {}
@@ -353,10 +353,10 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
                 for bits in range(1 << len(arith)):
                     pattern_bits[src].setdefault(pattern_formula(arith, bits), set()).add(bits)
             if demand not in pattern_bits[src]:
-                return False, "pattern formula is not a sign pattern of the node's arguments"
+                return False, "edge %d: pattern formula is not a sign pattern of the node's arguments" % k
             claimed[src] |= pattern_bits[src][demand]
         if not _is_pseudovaluation_for(tb.nodes[dst], demand):
-            return False, "edge target is not a pseudovaluation for its demand"
+            return False, "edge %d: target is not a pseudovaluation for its demand" % k
         outgoing[src].append((label, dst))
     # Challenge coverage: every candidate of every challenge has an answering
     # edge.  In the linear logics the challenges are asked against the
@@ -533,13 +533,12 @@ class _ModelBuilder:
         sink = self._make_sink()
         support = sorted(kids) + [sink]
         literals = list(self._literals(i))
-        # Weights w_t >= 0 of total mass at least 1, normalized afterwards; the
-        # homogeneous form is what ``linarith.feasible`` accepts.
-        cons = []
+        # Weights w_t >= 0 (non-negative columns) of total mass at least 1,
+        # normalized afterwards; the homogeneous form is what
+        # ``linarith.feasible`` accepts.
         var = {t: "w%d" % t for t in support}
-        for t in support:
-            cons.append(({var[t]: Fraction(1)}, Fraction(0), False))
-        cons.append(({var[t]: Fraction(1) for t in support}, Fraction(-1), False))
+        weights = [var[t] for t in support]
+        cons = [(dict.fromkeys(weights, Fraction(1)), Fraction(-1), False)]
         for s, a in literals:
             # inside - p * total, as a coefficient per weight
             excess = {
@@ -550,7 +549,7 @@ class _ModelBuilder:
                 cons.append((excess, Fraction(0), False))
             else:
                 cons.append(({v: -c for v, c in excess.items()}, Fraction(0), True))
-        point = linarith.feasible(cons, [var[t] for t in support])
+        point = linarith.feasible(cons, weights, nonneg=set(weights))
         if point is None:
             return False
         mass = sum(point.values())

@@ -2,9 +2,10 @@
 
 A constraint is ``(coeffs, const, strict)`` standing for
 ``sum(coeffs[v] * x_v) + const >= 0`` (``> 0`` when strict), with rational
-coefficients over free (unsigned) variables.  Every ``const`` must be
-``<= 0``: then the solution set is closed under scaling up, so a strict row
-is feasible exactly when ``a.x + const >= 1`` is, and no epsilon is needed.
+coefficients over free (unsigned) variables, except those the caller
+declares non-negative.  Every ``const`` must be ``<= 0``: then the solution
+set is closed under scaling up, so a strict row is feasible exactly when
+``a.x + const >= 1`` is, and no epsilon is needed.
 
 Feasibility is decided exactly by a phase-1 simplex with Bland's
 smallest-index rule, which cannot cycle (Bland, *New finite pivoting rules
@@ -21,15 +22,18 @@ from fractions import Fraction
 from typing import Optional
 
 
-def feasible(constraints, variables) -> Optional[dict]:
+def feasible(constraints, variables, nonneg=()) -> Optional[dict]:
     """Return a satisfying assignment (dict var -> Fraction) or None.
 
     ``variables`` lists every variable a constraint mentions and fixes the
-    variable order, hence which vertex is returned.  Raises ValueError for a
-    constraint with a positive constant.
+    variable order, hence which vertex is returned.  Variables in ``nonneg``
+    are constrained to be ``>= 0``; they get one column instead of two, and
+    the other columns keep their labels, so an empty ``nonneg`` changes
+    nothing.  Raises ValueError for a constraint with a positive constant.
     """
     n = len(variables)
     col = {v: j for j, v in enumerate(variables)}
+    free = [j for j, v in enumerate(variables) if v not in nonneg]
     rows = []  # a.x >= b with b >= 0
     for coeffs, const, strict in constraints:
         if const > 0:
@@ -43,22 +47,22 @@ def feasible(constraints, variables) -> Optional[dict]:
     rows = [([int(c * scale) for c in row[:-1]], int(row[-1] * scale)) for row in rows]
     # A dictionary: each basic variable equals its row's last entry plus the
     # row times the nonbasic columns, all over ``d``.  Variable labels, which
-    # Bland's rule orders: x_j = u_j - v_j with u_j = j and v_j = n + j; the
-    # surplus of row i is 2n + i; its artificial is 2n + m + i.  A row with
-    # b = 0 has its surplus basic; a row with b > 0 has its artificial basic
-    # and its surplus as a column.
+    # Bland's rule orders: x_j = u_j - v_j with u_j = j and v_j = n + j, and
+    # x_j = u_j when x_j is non-negative; the surplus of row i is 2n + i; its
+    # artificial is 2n + m + i.  A row with b = 0 has its surplus basic; a row
+    # with b > 0 has its artificial basic and its surplus as a column.
     m = len(rows)
     need = [i for i, (_, b) in enumerate(rows) if b]
-    labels = list(range(2 * n)) + [2 * n + i for i in need]
+    labels = list(range(n)) + [n + j for j in free] + [2 * n + i for i in need]
     tableau = []
     basis = []
     for i, (a, b) in enumerate(rows):
         surplus = [1 if k == i else 0 for k in need]
         if b:
-            tableau.append([-c for c in a] + a + surplus + [b])
+            tableau.append([-c for c in a] + [a[j] for j in free] + surplus + [b])
             basis.append(2 * n + m + i)
         else:
-            tableau.append(a + [-c for c in a] + surplus + [0])
+            tableau.append(a + [-a[j] for j in free] + surplus + [0])
             basis.append(2 * n + i)
     d = 1
     # Phase-1 objective: the sum of the basic artificials, to be driven to 0.

@@ -22,6 +22,8 @@ literal) and a premise bound.  ``refuting_matching_exists`` decides whether
 coefficients exist making every premise CNF clause's negation unsatisfiable,
 given the set of satisfiable sign patterns of the argument formulas, and
 ``challenges`` offers that matching as one more candidate of the clause.
+Whether any clause of a node has such a matching is a single relaxed
+system (``node_refutable``), asked before the per-clause search.
 The constraint systems are scale-invariant, so rational feasibility (decided
 exactly by ``linarith.feasible``) coincides with integer feasibility.
 """
@@ -197,8 +199,11 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     the refuting linear matching, when one exists: ``sat_bits`` holds the
     satisfiable sign patterns of the arguments, as bitmasks over
     ``proper_atoms(valuation)``, and the refuting matching leaves every one
-    of its demands unsatisfiable.  A clause is yielded only when it has a
-    candidate.  Propositional atoms never enter a clause."""
+    of its demands unsatisfiable.  The per-clause search for it runs only
+    when ``node_refutable`` finds that some clause has one, so a node no
+    linear rule refutes costs one relaxed system, not one per clause.  A
+    clause is yielded only when it has a candidate.  Propositional atoms
+    never enter a clause."""
     # Clause literal i is the negation of valuation literal i.
     pos, neg = [], []
     for i, (s, a) in enumerate(valuation):
@@ -207,6 +212,7 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     if cfg.is_arithmetic():
         atoms = proper_atoms(valuation)
         masks = set(_submasks(pos + neg))
+        refutable = node_refutable(valuation, sat_bits, cfg)
     else:
         masks = {
             1 << i | 1 << j
@@ -227,7 +233,7 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
         found = matchings(clause, cfg)
-        if cfg.is_arithmetic():
+        if cfg.is_arithmetic() and refutable:
             patterns = clause_patterns(clause, atoms, sat_bits)
             refuter, _ = refuting_matching_exists(clause, patterns, cfg)
             if refuter is not None:
@@ -410,7 +416,8 @@ def _linear_literal_data(clause, cfg: LogicConfig):
 
 
 def _build_constraints(signs, rows, sat_patterns, cfg, branch):
-    """Constraint list over magnitude variables x_i >= 1 and bound t.
+    """Constraint list over magnitude variables x_i and bound t, without
+    the magnitudes' lower bounds.
 
     ``branch`` is None (GML: bound fixed 0; PML: bound variable) or for MAJ
     one of "nonneg"/"neg" fixing the sign of the premise bound.
@@ -418,8 +425,6 @@ def _build_constraints(signs, rows, sat_patterns, cfg, branch):
     q = len(signs)
     use_t = cfg.logic != "GML"
     cons = []
-    for i in range(q):
-        cons.append(({_x(i): Fraction(1)}, Fraction(-1), False))
     # Every satisfiable sign pattern J must satisfy r(J) >= bound.
     for bits in sorted(sat_patterns):
         coeffs = {}
@@ -467,6 +472,10 @@ def _build_constraints(signs, rows, sat_patterns, cfg, branch):
 
 def _x(i: int) -> str:
     return "x%d" % i
+
+
+def _branches(cfg: LogicConfig) -> tuple:
+    return ("nonneg", "neg") if cfg.logic == "MAJ" else (None,)
 
 
 def _check_point(cons, point) -> bool:
@@ -526,9 +535,9 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     signs, rows, args = data
     use_t = cfg.logic != "GML"
     variables = [_x(i) for i in range(len(signs))] + (["t"] if use_t else [])
-    branches = ("nonneg", "neg") if cfg.logic == "MAJ" else (None,)
-    for branch in branches:
-        cons = _build_constraints(signs, rows, sat_patterns, cfg, branch)
+    at_least_one = [({_x(i): Fraction(1)}, Fraction(-1), False) for i in range(len(signs))]
+    for branch in _branches(cfg):
+        cons = at_least_one + _build_constraints(signs, rows, sat_patterns, cfg, branch)
         point = linarith.feasible(cons, variables)
         if point is None:
             continue
@@ -557,3 +566,43 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
             )
         return RuleMatching(code, args), False
     return None, False
+
+
+def node_refutable(valuation, sat_bits, cfg: LogicConfig) -> bool:
+    """Whether some clause over the proper modal atoms of ``valuation`` has a
+    refuting linear matching, that is, whether ``refuting_matching_exists``
+    finds one against ``clause_patterns`` for some clause.
+
+    One relaxed system over all the atoms answers this: the clause system
+    of the whole node with every ``x_i >= 1`` weakened to ``x_i >= 0``.
+    The support S of a solution is a clause, the pattern rows restricted to
+    S are exactly its projected patterns, and since every constant is
+    ``<= 0`` scaling the solution up restores ``x_i >= 1`` on S.  A
+    clause's solution extends to all atoms by zeros.  The GML grade row and
+    the MAJ premise row force a nonzero x; MAJ keeps its two bound branches.
+    PML's premise row is strict exactly for all-negative clauses, so at a
+    node with a positive atom the support must hold one; an all-negative
+    refuter loses nothing by that, since its strict premise row leaves room
+    for any positive atom at a small enough coefficient.  Atoms outside the
+    logic's linear schema leave the answer to the per-clause search."""
+    clause = tuple(
+        (not s, a)
+        for s, a in valuation
+        if isinstance(a, FModal) and not isinstance(a.op, Atom)
+    )
+    if not clause:
+        return False
+    data = _linear_literal_data(clause, cfg)
+    if data is None:
+        return True
+    signs, rows, _ = data
+    xs = [_x(i) for i in range(len(signs))]
+    variables = xs + (["t"] if cfg.logic != "GML" else [])
+    for branch in _branches(cfg):
+        cons = _build_constraints(signs, rows, sat_bits, cfg, branch)
+        if cfg.logic == "PML":
+            support = [x for x, s in zip(xs, signs) if s] or xs
+            cons.append((dict.fromkeys(support, Fraction(1)), Fraction(-1), False))
+        if linarith.feasible(cons, variables, nonneg=xs) is not None:
+            return True
+    return False

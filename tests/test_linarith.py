@@ -1,5 +1,6 @@
 """Exact rational feasibility: the phase-1 simplex behind the linear rules."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -64,3 +65,22 @@ def test_infeasible_systems_return_none():
     # Only the strictness makes this one infeasible.
     cons = [({"x": F(1)}, F(0), False), ({"x": F(-1)}, F(0), False), ({"x": F(1)}, F(0), True)]
     assert feasible(cons, ["x"]) is None
+
+
+def test_nonneg_columns_agree_with_explicit_rows():
+    rng = random.Random(2718)
+    variables = ["a", "b", "c", "d"]
+    outcomes = set()
+    for _ in range(300):
+        cons = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = {v: F(rng.randint(-3, 3), rng.randint(1, 3)) for v in rng.sample(variables, rng.randint(1, 4))}
+            cons.append((coeffs, F(-rng.randint(0, 2)), rng.random() < 0.3))
+        nonneg = set(rng.sample(variables, rng.randint(0, 4)))
+        explicit = feasible(cons + [({v: F(1)}, F(0), False) for v in sorted(nonneg)], variables)
+        point = feasible(cons, variables, nonneg)
+        assert (point is None) == (explicit is None), (cons, nonneg)
+        if point is not None:
+            assert _holds(cons, point) and all(point[v] >= 0 for v in nonneg)
+        outcomes.add((point is None, bool(nonneg)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}

@@ -13,7 +13,9 @@ from modalsat.formula import Atom, FModal, neg, parse, subformulas
 from modalsat.logics import (
     LogicConfig,
     challenges,
+    clause_patterns,
     matchings,
+    node_refutable,
     operator_legal,
     parse_logic_spec,
     refuting_matching_exists,
@@ -252,7 +254,9 @@ CHALLENGE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"]
 def test_challenges_match_mask_loop(cfg, monkeypatch):
     # The real search is exact but slow over thousands of clauses; both sides
     # read the same fake, so this compares enumeration and projection only.
+    # The gate would answer for the real search, so it is opened everywhere.
     monkeypatch.setattr(logics, "refuting_matching_exists", _fake_refuter)
+    monkeypatch.setattr(logics, "node_refutable", lambda valuation, sat_bits, cfg: True)
     rng = random.Random(4242)
     # Modal atoms at every level of random formulas, propositional ones
     # included, with every operator the sampler draws for the logic.
@@ -270,6 +274,56 @@ def test_challenges_match_mask_loop(cfg, monkeypatch):
         assert list(challenges(valuation, cfg, sat_bits)) == expected, valuation
         nontrivial += bool(expected)
     assert nontrivial >= 50
+
+
+def _linear_atom(rng, cfg, name):
+    if cfg.logic == "PML":
+        return parse("L{%s}%s" % (rng.choice(["0/1", "1/4", "1/3", "1/2", "2/3", "3/4", "1/1"]), name))
+    if cfg.logic == "MAJ" and rng.random() < 0.5:
+        return parse("W " + name)
+    return parse("<%d>%s" % (rng.randint(0, 3), name))
+
+
+def _some_clause_refuted(valuation, sat_bits, cfg):
+    """The question ``node_refutable`` answers, asked clause by clause."""
+    atoms = logics.proper_atoms(valuation)
+    literals = [(not s, a) for s, a in valuation if a in atoms]
+    for mask in range(1, 1 << len(literals)):
+        clause = tuple(lit for i, lit in enumerate(literals) if mask >> i & 1)
+        patterns = clause_patterns(clause, atoms, sat_bits)
+        if refuting_matching_exists(clause, patterns, cfg)[0] is not None:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
+def test_node_refutable_matches_mask_loop(logic):
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(7070)
+    seen = set()
+    for trial in range(150):
+        k = rng.randint(1, 5)
+        valuation = [(rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k)]
+        if trial % 3 == 0:
+            # Propositional atoms sit in valuations but never in clauses.
+            valuation.insert(rng.randint(0, k), (rng.random() < 0.5, parse("q")))
+        if trial % 10 == 0:
+            # All clause literals negative: strict in PML.
+            valuation = [(True, a) for _, a in valuation]
+        valuation = tuple(valuation)
+        density = rng.random()
+        sat_bits = set() if trial % 25 == 0 else {
+            bits for bits in range(1 << k) if rng.random() < density
+        }
+        expected = _some_clause_refuted(valuation, sat_bits, cfg)
+        assert node_refutable(valuation, sat_bits, cfg) == expected, (valuation, sat_bits)
+        signs = {s for s, a in valuation if a in logics.proper_atoms(valuation)}
+        kind = "all-negative" if signs == {True} else "some-positive"
+        seen.add((kind, not sat_bits, expected))
+    assert {(kind, expected) for kind, _, expected in seen} == {
+        (kind, expected) for kind in ("all-negative", "some-positive") for expected in (True, False)
+    }
+    assert any(empty for _, empty, _ in seen)
 
 
 def _k_prop(n, sat):

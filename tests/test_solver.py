@@ -134,6 +134,29 @@ def test_linear_width_families_certified(logic, text):
     assert w is not None and model_check(w, w.root, f)
 
 
+# The width-8 members of the same families, ``gml_wide(8)``, ``maj_wide(8)``
+# and ``pml_wide(8)`` in the benchmark corpus: nine proper modal atoms at
+# the root, so 511 clauses per pseudovaluation.
+LINEAR_WIDTH_8 = [
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & <4>a4 & <5>a5 & <6>a6 & <7>a7"
+     " & ~<8>(a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"),
+    ("MAJ", "W a0 & W a1 & W a2 & W a3 & W a4 & W a5 & W a6 & W a7"
+     " & ~<0>(a0 & a1 & a2 & a3 & a4 & a5 & a6 & a7)"),
+    ("PML", "L{1/8}a0 & L{1/8}a1 & L{1/8}a2 & L{1/8}a3 & L{1/8}a4 & L{1/8}a5 & L{1/8}a6"
+     " & L{1/8}a7 & ~L{1/1}(a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"),
+]
+
+
+@pytest.mark.parametrize("logic,text", LINEAR_WIDTH_8)
+def test_linear_width_8_families_certified(logic, text):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    verdict = satisfiable(f, cfg)
+    assert verdict.satisfiable
+    ok, msg = check_tableau(extract_tableau(verdict, cfg), f, cfg)
+    assert ok, msg
+
+
 # Arguments made only of constants, built without folding: their sign
 # patterns are constant-only demands with no atom to branch on.
 CONSTANT_ARGUMENTS = [
