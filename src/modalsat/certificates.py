@@ -393,6 +393,31 @@ def tableau_to_model(tb: Tableau, cfg: LogicConfig) -> Optional[ModelWitness]:
     return builder.build()
 
 
+def _weight_search(literals, insides, weights, idx, cap):
+    """The lexicographically first block weights in ``0 .. cap`` that extend
+    ``weights`` from block ``idx`` on and give every literal ``(sign, atom)``
+    its sign; ``insides`` holds, per literal, the blocks inside its argument.
+    ``<k>`` and ``W`` are monotone in the weight inside their argument and
+    antitone in the weight outside, so a prefix is dropped as soon as some
+    literal fails at its most favourable completion: ``cap`` on each free
+    block whose membership equals the literal's sign, 0 on the others."""
+    for (s, a), inside in zip(literals, insides):
+        best = dict(weights)
+        for b in range(idx, len(weights)):
+            best[b] = cap if (b in inside) == s else 0
+        if lift("multigraph", a.op, best, inside) != s:
+            return None
+    if idx == len(weights):
+        return dict(weights)
+    for value in range(cap + 1):
+        weights[idx] = value
+        got = _weight_search(literals, insides, weights, idx + 1, cap)
+        if got is not None:
+            return got
+    weights[idx] = 0
+    return None
+
+
 class _ModelBuilder:
     def __init__(self, tb: Tableau, cfg: LogicConfig):
         self.tb = tb
@@ -496,36 +521,19 @@ class _ModelBuilder:
             blocks.append(vec)
             reps.append(t)
         nb = len(blocks)
-        cap = MAX_WEIGHT
         # Per literal, the blocks whose members satisfy its argument.
         insides = [
             {b for b in range(nb) if blocks[b][li]} for li in range(len(literals))
         ]
-
-        def satisfied(weights) -> bool:
-            for (s, a), inside in zip(literals, insides):
-                if lift("multigraph", a.op, weights, inside) != s:
-                    return False
-            return True
-
-        found = self._weight_search(dict.fromkeys(range(nb), 0), 0, cap, satisfied)
+        found = _weight_search(
+            literals, insides, dict.fromkeys(range(nb), 0), 0, MAX_WEIGHT
+        )
         if found is None:
             return False
         self.w.weights[i] = {
             reps[b]: wgt for b, wgt in found.items() if wgt > 0
         }
         return True
-
-    def _weight_search(self, weights, idx, cap, satisfied):
-        if idx == len(weights):
-            return dict(weights) if satisfied(weights) else None
-        for value in range(cap + 1):
-            weights[idx] = value
-            got = self._weight_search(weights, idx + 1, cap, satisfied)
-            if got is not None:
-                return got
-        weights[idx] = 0
-        return None
 
     # -- distributions -----------------------------------------------------
 

@@ -7,7 +7,12 @@ structures, without touching the solver; the truth conditions are those of
 * ``one_step_sound`` checks a rule instance against all structures over small
   carriers;
 * ``brute_force_sat`` searches for a finite tree-shaped (or carrier-based, for
-  the neighbourhood logics) model by exhaustive bounded enumeration;
+  the neighbourhood logics) model by exhaustive bounded enumeration.  The
+  tree search groups candidate states by type: their modal truths depend
+  only on the one-step structure and the children's truths, so each
+  structure is lifted once per distinct input and a candidate is built only
+  when it is kept.  The witness is the first in the candidate order (size,
+  child combination, label, structure);
 * ``resolve_rules`` cut-combines two linear rule instances on a pivot literal;
 * ``strict_completeness_probe`` hunts for a rule instance matching a clause
   that is valid over a given concrete one-step argument assignment.
@@ -19,7 +24,9 @@ small-formula regimes used by the tests the bounds are exhaustive.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +36,10 @@ from .formula import (
     FModal,
     FNot,
     Formula,
+    atom,
+    eval_with,
+    modal,
+    modal_atoms,
     subformulas,
 )
 from .logics import LogicConfig, challenges
@@ -101,13 +112,12 @@ class DistributionBackend:
     def structures(self, n: int):
         if n == 0:
             return
-        seen = set()
         for den in range(1, MAX_DENOMINATOR + 1):
             for parts in _compositions(den, n):
-                dist = tuple(Fraction(p, den) for p in parts)
-                if dist not in seen:
-                    seen.add(dist)
-                    yield dict(enumerate(dist))
+                # In lowest terms only: each distribution comes once, at its
+                # least denominator.
+                if math.gcd(den, *parts) == 1:
+                    yield {i: Fraction(p, den) for i, p in enumerate(parts)}
 
 
 def _compositions(total: int, parts: int):
@@ -214,13 +224,25 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
         ]
         if not taus:
             continue
+        # Per literal, the assignments that give its argument each set, as
+        # a bit mask over ``taus``.
+        giving = [{} for _ in range(q)]
+        for k, tau in enumerate(taus):
+            for i, inside in enumerate(tau):
+                giving[i][inside] = giving[i].get(inside, 0) | 1 << k
         for struct in backend.structures(n):
-            for tau in taus:
-                if not any(
-                    lift(kind, ops[i], struct, tau[i], monotone) == signs[i]
-                    for i in range(q)
-                ):
-                    return False
+            # The assignments under which every literal so far fails.
+            failing = (1 << len(taus)) - 1
+            for i in range(q):
+                failing &= sum(
+                    mask
+                    for inside, mask in giving[i].items()
+                    if lift(kind, ops[i], struct, inside, monotone) != signs[i]
+                )
+                if not failing:
+                    break
+            else:
+                return False
     return True
 
 
@@ -257,7 +279,24 @@ def _names_and_args(f: Formula):
 
 class _TreeEnumerator:
     """Level-wise enumeration of bounded tree models (with self-loop leaves
-    where the logic forbids dead ends)."""
+    where the logic forbids dead ends).
+
+    Level ``d`` keeps the first candidate for each vector of truths of the
+    atoms and of the modal arguments of depth at most ``d``; the root is the
+    first candidate where ``f`` holds.  Candidates come in the order (size,
+    child combination, label, structure), terminal ones first, and are
+    grouped by type rather than evaluated one by one.  A candidate with
+    children gets its modal truths from its structure and its children's
+    truths alone, and its label matters only through the atoms the tracked
+    formulas read at top level.  So the structures over child positions are
+    lifted once per distinct input (child count, operators, argument
+    positions), structures with equal modal truths collapse into the first
+    of them, and a child combination or a label that agrees with an earlier
+    one on everything read is skipped.  None of this skips a candidate that
+    could be kept, so levels and witness are those of the one-by-one
+    enumeration; only a candidate that enters a level, or the root, becomes
+    a ``_Proto``.  Structures are generated lazily, so the root search stops
+    at its first hit even where a child count has billions of them."""
 
     def __init__(self, f: Formula, cfg: LogicConfig):
         self.f = f
@@ -266,6 +305,9 @@ class _TreeEnumerator:
         self.prop_names, self.args = _names_and_args(f)
         self.memo = {}
         self.next_sid = 0
+        self.templates = {}  # child count -> structures over child positions
+        self.lifts = {}  # (child count, op, inside mask) -> truth per template
+        self.types = {}  # (child count, ops, masks) -> list from ``_types``
 
     # -- truth of a formula at a proto --------------------------------------
 
@@ -298,117 +340,199 @@ class _TreeEnumerator:
                 nm for i, nm in enumerate(self.prop_names) if mask >> i & 1
             )
 
-    def _terminal_structs(self, proto_slot):
-        """Structures with no real children; proto_slot lets self-loops refer
-        to the state being created."""
+    def _terminal_structs(self):
+        """Structures with no real children; ``None`` stands for the state
+        being created, so that self-loops can refer to it."""
         kind = self.kind
         if kind == "kripke":
             if self.cfg.logic == "KD":
-                yield (proto_slot,)
+                yield (None,)
             else:
                 yield ()
         elif kind == "multigraph":
             yield {}
         elif kind == "distribution":
-            yield {proto_slot: Fraction(1)}
+            yield {None: Fraction(1)}
         elif kind == "game":
             sizes = tuple(1 for _ in range(self.cfg.n_agents))
             profile = tuple(0 for _ in range(self.cfg.n_agents))
-            yield (sizes, {profile: proto_slot})
+            yield (sizes, {profile: None})
 
-    def _child_structs(self, children):
-        """Structures over a fixed non-empty tuple of child protos."""
+    def _child_structs(self, size: int):
+        """Structures over ``size`` children, whose points are the child
+        positions ``0 .. size - 1``."""
         kind = self.kind
-        cfg = self.cfg
         if kind == "kripke":
-            yield children
+            yield tuple(range(size))
         elif kind == "multigraph":
-            for ws in itertools.product(
-                range(1, MAX_MULTIPLICITY + 1), repeat=len(children)
-            ):
-                yield dict(zip(children, ws))
+            for ws in itertools.product(range(1, MAX_MULTIPLICITY + 1), repeat=size):
+                yield dict(enumerate(ws))
         elif kind == "distribution":
-            seen = set()
-            for den in range(len(children), MAX_DENOMINATOR + 1):
-                for parts in _compositions(den - len(children), len(children)):
-                    probs = tuple(Fraction(p + 1, den) for p in parts)
-                    if probs in seen:
-                        continue
-                    seen.add(probs)
-                    yield dict(zip(children, probs))
+            for den in range(size, MAX_DENOMINATOR + 1):
+                for parts in _compositions(den - size, size):
+                    # In lowest terms only, as in ``DistributionBackend``.
+                    if math.gcd(den, *(p + 1 for p in parts)) == 1:
+                        yield {i: Fraction(p + 1, den) for i, p in enumerate(parts)}
         elif kind == "game":
             for sizes in itertools.product(
-                range(1, MAX_STRATEGIES + 1), repeat=cfg.n_agents
+                range(1, MAX_STRATEGIES + 1), repeat=self.cfg.n_agents
             ):
                 profiles = list(itertools.product(*(range(s) for s in sizes)))
-                for outs in itertools.product(children, repeat=len(profiles)):
+                for outs in itertools.product(range(size), repeat=len(profiles)):
                     yield (sizes, dict(zip(profiles, outs)))
 
-    def _make(self, label, struct) -> _Proto:
+    def _column(self, size: int, op, mask: int) -> tuple:
+        """The truth of ``op`` under each kept structure over ``size``
+        children when its argument holds at the child positions in
+        ``mask``."""
+        key = (size, op, mask)
+        got = self.lifts.get(key)
+        if got is None:
+            inside = frozenset(i for i in range(size) if mask >> i & 1)
+            got = self.lifts[key] = tuple(
+                lift(self.kind, op, t, inside) for t in self.templates[size]
+            )
+        return got
+
+    def _walk(self, size: int, ops: tuple, masks: tuple):
+        """Each structure over ``size`` children with the truths of ``ops``,
+        given each operator's argument positions in ``masks``.
+
+        Until one walk has gone through all of them, the structures are
+        generated and lifted one at a time, so a caller that stops early
+        (the root, at its first hit) pays only for the prefix it saw.  A
+        walk that reaches the end keeps the structures and its truths, and
+        from then on each (operator, mask) is lifted once over all of
+        them."""
+        templates = self.templates.get(size)
+        if templates is not None:
+            columns = [self._column(size, op, m) for op, m in zip(ops, masks)]
+            yield from zip(templates, zip(*columns) if ops else itertools.repeat(()))
+            return
+        kind = self.kind
+        insides = [frozenset(i for i in range(size) if m >> i & 1) for m in masks]
+        columns = [[] for _ in ops]
+        for struct in self._child_structs(size):
+            bits = tuple(lift(kind, op, struct, s) for op, s in zip(ops, insides))
+            for column, bit in zip(columns, bits):
+                column.append(bit)
+            yield struct, bits
+        self.templates[size] = list(self._child_structs(size))
+        for op, m, column in zip(ops, masks, columns):
+            self.lifts[(size, op, m)] = tuple(column)
+
+    def _types(self, size: int, ops: tuple, masks: tuple):
+        """(structure, truths of ``ops``) for the first structure over
+        ``size`` children with each distinct tuple of truths, in structure
+        order; the list of a finished call is kept for the same input."""
+        key = (size, ops, masks)
+        done = self.types.get(key)
+        if done is not None:
+            yield from done
+            return
+        types = []
+        seen = set()
+        for struct, bits in self._walk(size, ops, masks):
+            if bits not in seen:
+                seen.add(bits)
+                types.append((struct, bits))
+                yield struct, bits
+                if len(seen) == 1 << len(ops):
+                    break  # every tuple of truths is taken
+        self.types[key] = types
+
+    def _make(self, label, template, children=()) -> _Proto:
         proto = _Proto(self.next_sid, label, None)
         self.next_sid += 1
-        # Self-loop placeholders (None) become the new proto.
-        proto.struct = relabel(self.kind, struct, lambda t: proto if t is None else t)
+        # Positions become children; the placeholder None becomes the proto.
+        proto.struct = relabel(
+            self.kind, template, lambda t: proto if t is None else children[t]
+        )
         return proto
 
     # -- the search ----------------------------------------------------------
 
+    def _candidates(self, pool, goals):
+        """The first candidate over children from ``pool`` for each distinct
+        tuple of truths of ``goals``, in candidate order, as pairs of that
+        tuple and a function that builds the candidate's proto."""
+        labels = list(self._labels())
+        seen = set()
+        for label in labels:
+            for struct in self._terminal_structs():
+                proto = self._make(label, struct)
+                got = tuple(self.holds(proto, g) for g in goals)
+                if got not in seen:
+                    seen.add(got)
+                    yield got, lambda proto=proto: proto
+        if not pool:
+            return
+        tops = []
+        for g in goals:
+            for a in modal_atoms(g):
+                if a not in tops:
+                    tops.append(a)
+        atoms = [a for a in tops if not isinstance(a.op, Atom)]
+        ops = tuple(a.op for a in atoms)
+        props = [a for a in tops if isinstance(a.op, Atom)]
+        # A child-based candidate's label matters only through the atoms the
+        # goals read at top level.  Of the labels that agree on those, the
+        # one without any other atom comes first, so only it can be new.
+        read = frozenset(a.op.name for a in props)
+        label_truths = [
+            (label, {a: a.op.name in label for a in props})
+            for label in labels
+            if label <= read
+        ]
+        # Each pool proto's truth of each atom's argument.
+        args = [tuple(self.holds(t, a.arg) for a in atoms) for t in pool]
+        values = {}  # (label, modal truths) -> truths of goals
+        keys = set()
+        for size in range(1, min(BRANCH_BOUND, len(pool)) + 1):
+            for combo in itertools.combinations(range(len(pool)), size):
+                key = tuple(args[i] for i in combo)
+                if key in keys:
+                    continue  # an earlier combination had the same types
+                keys.add(key)
+                masks = tuple(
+                    sum(1 << p for p, row in enumerate(key) if row[k])
+                    for k in range(len(atoms))
+                )
+                children = tuple(pool[i] for i in combo)
+                for label, truths in label_truths:
+                    for struct, bits in self._types(size, ops, masks):
+                        got = values.get((label, bits))
+                        if got is None:
+                            assign = dict(truths)
+                            assign.update(zip(atoms, bits))
+                            got = tuple(eval_with(g, assign) for g in goals)
+                            values[(label, bits)] = got
+                        if got not in seen:
+                            seen.add(got)
+                            yield got, functools.partial(
+                                self._make, label, struct, children
+                            )
+
     def search(self, depth_bound: int) -> Optional[_Proto]:
+        props = tuple(atom(nm) for nm in self.prop_names)
         level = []
-        vectors = set()
-
-        def tracked(d):
-            names = tuple(self.prop_names)
-            return names, tuple(g for g in self.args if g.depth <= d)
-
-        def vec(proto, d):
-            names, gs = tracked(d)
-            return (
-                tuple(nm in proto.label for nm in names),
-                tuple(self.holds(proto, g) for g in gs),
-            )
-
-        def add(proto, d, pool):
-            v = vec(proto, d)
-            if v not in vectors:
-                vectors.add(v)
-                pool.append(proto)
-
-        # Candidate generation shared between inner levels and the root.
-        def candidates(pool):
-            for label in self._labels():
-                for struct in self._terminal_structs(None):
-                    yield self._make(label, struct)
-            for size in range(1, BRANCH_BOUND + 1):
-                for children in itertools.combinations(pool, size):
-                    for label in self._labels():
-                        for struct in self._child_structs(children):
-                            yield self._make(label, struct)
-
-        if depth_bound == 0:
-            for label in self._labels():
-                for struct in self._terminal_structs(None):
-                    proto = self._make(label, struct)
-                    if self.holds(proto, self.f):
-                        return proto
-            return None
-
         for d in range(depth_bound):
-            new_pool = []
+            goals = props + tuple(g for g in self.args if g.depth <= d)
             vectors = set()
+            pool = []
             for proto in level:
-                add(proto, d, new_pool)
-            if d == 0:
-                for label in self._labels():
-                    for struct in self._terminal_structs(None):
-                        add(self._make(label, struct), d, new_pool)
-            else:
-                for proto in candidates(level):
-                    add(proto, d, new_pool)
-            level = new_pool
-        for proto in candidates(level):
-            if self.holds(proto, self.f):
-                return proto
+                got = tuple(self.holds(proto, g) for g in goals)
+                if got not in vectors:
+                    vectors.add(got)
+                    pool.append(proto)
+            for got, build in self._candidates(level, goals):
+                if got not in vectors:
+                    vectors.add(got)
+                    pool.append(build())
+            level = pool
+        for got, build in self._candidates(level, (self.f,)):
+            if got[0]:
+                return build()
         return None
 
     # -- witness materialization ----------------------------------------------
@@ -609,8 +733,6 @@ def strict_completeness_probe(
     """Given a clause of signed operators valid over ``tau``, find a rule
     instance whose conclusion is a subclause and whose premise holds pointwise
     on the carrier.  Returns None when no instance is found."""
-    from .formula import atom, modal
-
     lits = tuple((s, modal(op, atom("v%d" % i))) for i, (s, op) in enumerate(chi))
     position = {a: i for i, (_, a) in enumerate(lits)}
     # The argument sign pattern of each carrier point, over all literals.

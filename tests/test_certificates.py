@@ -1,6 +1,8 @@
 """Certificates: tableaux, models, proofs, and their JSON round-trips."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from conftest import proof_sha256, tableau_sha256
 from modalsat import certificates
 from modalsat.certificates import (
+    MAX_WEIGHT,
     ModelWitness,
+    _weight_search,
     Tableau,
     audit_proof_subformulas,
     certificate_from_json,
@@ -28,10 +32,11 @@ from modalsat.certificates import (
     tableau_to_model,
     validate_structure,
 )
-from modalsat.formula import assignments, neg_fold, parse
+from modalsat.formula import GDiamond, MajW, assignments, atom, modal, neg_fold, parse
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec
 from modalsat.onestep import negated_clause_instance, premise_cnf_clauses
 from modalsat.oracle import brute_force_sat
+from modalsat.semantics import lift
 from modalsat.solver import Solver, satisfiable
 
 
@@ -424,6 +429,42 @@ def test_pml_model_mass_sums_to_one():
     assert w is not None
     for s in w.states:
         assert sum(w.dist[s].values()) == 1
+
+
+def _exhaustive_weights(literals, insides, blocks, cap):
+    """The first block weights in lexicographic order that give every
+    literal its sign."""
+    for ws in itertools.product(range(cap + 1), repeat=blocks):
+        weights = dict(enumerate(ws))
+        if all(
+            lift("multigraph", a.op, weights, inside) == s
+            for (s, a), inside in zip(literals, insides)
+        ):
+            return weights
+    return None
+
+
+@pytest.mark.parametrize("logic", ("GML", "MAJ"))
+def test_weight_search_matches_exhaustive(logic):
+    rng = random.Random(13)
+    outcomes = []
+    for _ in range(150):
+        blocks = rng.randrange(1, 5)
+        # Caps below MAX_WEIGHT keep the exhaustive search small.
+        cap = {1: MAX_WEIGHT, 2: MAX_WEIGHT, 3: 9, 4: 5}[blocks]
+        literals = []
+        insides = []
+        for k in range(rng.randrange(1, 4)):
+            if logic == "MAJ" and rng.random() < 0.5:
+                op = MajW()
+            else:
+                op = GDiamond(rng.randrange(0, 2 * cap))
+            literals.append((rng.random() < 0.5, modal(op, atom("v%d" % k))))
+            insides.append({b for b in range(blocks) if rng.random() < 0.5})
+        got = _weight_search(literals, insides, dict.fromkeys(range(blocks), 0), 0, cap)
+        assert got == _exhaustive_weights(literals, insides, blocks, cap), literals
+        outcomes.append(got is not None)
+    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
 
 
 # -- proofs -------------------------------------------------------------------

@@ -1,15 +1,25 @@
 """The semantic oracle: one-step soundness, brute-force models, resolution,
 and the completeness probe."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, parse
-from modalsat.logics import LogicConfig, side_condition
-from modalsat.onestep import RuleCode
+from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, neg_fold, parse
+from modalsat.logics import LogicConfig, parse_logic_spec, side_condition
+from modalsat.onestep import RuleCode, code_operators, premise_of
 from modalsat.oracle import (
+    BRANCH_BOUND,
+    MAX_DENOMINATOR,
+    MAX_MULTIPLICITY,
+    MAX_STRATEGIES,
+    _compositions,
+    _one_step_sound,
+    _premise_holds,
+    _Proto,
+    _TreeEnumerator,
     backend_for,
     brute_force_sat,
     clause_valid_on,
@@ -17,9 +27,9 @@ from modalsat.oracle import (
     resolve_rules,
     strict_completeness_probe,
 )
-from modalsat.certificates import model_check
-from modalsat.sampling import sample_matchings
-from modalsat.semantics import lift
+from modalsat.certificates import ModelWitness, model_check, model_to_json
+from modalsat.sampling import random_formula, sample_matchings
+from modalsat.semantics import MODEL_KINDS, lift, relabel
 
 from conftest import ALL_LOGICS, model_sha256
 
@@ -66,6 +76,19 @@ def test_neighbourhood_backend_monotone_upclosed():
             assert lift("neighbourhood", Box(), alpha, inside) == lift(
                 "neighbourhood", Box(), alpha, inside, monotone=True
             )
+
+
+def test_distribution_backend_yields_each_distribution_once():
+    for n in range(1, 4):
+        seen = set()
+        want = []
+        for den in range(1, MAX_DENOMINATOR + 1):
+            for parts in _compositions(den, n):
+                dist = tuple(Fraction(p, den) for p in parts)
+                if dist not in seen:
+                    seen.add(dist)
+                    want.append(dict(enumerate(dist)))
+        assert list(backend_for(LogicConfig(logic="PML")).structures(n)) == want
 
 
 def test_multiset_lift():
@@ -152,6 +175,62 @@ def test_gml_side_condition_boundary():
         code = RuleCode("GML", "GML", (1, -1, 0), (), (k_pos, k_neg), ())
         assert one_step_sound(code, cfg, max_carrier=2) == sound
         assert side_condition(code, cfg) == sound
+
+
+def _reference_one_step_sound(code, cfg, max_carrier):
+    """One-step soundness checked assignment by assignment: every structure,
+    every premise-validating argument assignment, one ``lift`` per literal."""
+    q = code.arity()
+    premise = premise_of(code)
+    ops = code_operators(code, cfg.n_agents)
+    signs = code.signs()
+    kind = MODEL_KINDS[cfg.logic]
+    for n in range(max_carrier + 1):
+        subsets = [
+            frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)
+        ]
+        taus = [
+            tau
+            for tau in itertools.product(subsets, repeat=q)
+            if _premise_holds(premise, tau, n)
+        ]
+        if not taus:
+            continue
+        for struct in backend_for(cfg).structures(n):
+            for tau in taus:
+                if not any(
+                    lift(kind, ops[i], struct, tau[i], cfg.logic == "M") == signs[i]
+                    for i in range(q)
+                ):
+                    return False
+    return True
+
+
+def _flip_first(code):
+    """``code`` with its first conclusion literal's sign flipped, which
+    usually makes it unsound."""
+    return RuleCode(
+        code.logic,
+        code.scheme,
+        (-code.ints[0],) + code.ints[1:],
+        code.rationals,
+        code.grades,
+        code.coalitions,
+    )
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS)
+def test_one_step_sound_matches_per_assignment_reference(logic):
+    cfg = LogicConfig(logic=logic)
+    max_carrier = 2 if logic in ("PML", "COAL") else 3
+    rng = random.Random(29)
+    verdicts = []
+    for m in sample_matchings(rng, cfg, 12):
+        for code in (m.code, _flip_first(m.code)):
+            got = _one_step_sound(code, cfg, max_carrier)
+            assert got == _reference_one_step_sound(code, cfg, max_carrier), code
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts, logic
 
 
 # -- brute force --------------------------------------------------------------
@@ -329,3 +408,225 @@ def test_probe_random_valid_clauses():
                 found += 1
         assert tried > 0, logic
         assert found > 0, logic
+
+
+# -- the tree search against its candidate-by-candidate form -------------------
+
+
+def _reference_child_structs(enum, children):
+    """The structures over a fixed non-empty tuple of child protos."""
+    kind = enum.kind
+    if kind == "kripke":
+        yield children
+    elif kind == "multigraph":
+        for ws in itertools.product(range(1, MAX_MULTIPLICITY + 1), repeat=len(children)):
+            yield dict(zip(children, ws))
+    elif kind == "distribution":
+        seen = set()
+        for den in range(len(children), MAX_DENOMINATOR + 1):
+            for parts in _compositions(den - len(children), len(children)):
+                probs = tuple(Fraction(p + 1, den) for p in parts)
+                if probs in seen:
+                    continue
+                seen.add(probs)
+                yield dict(zip(children, probs))
+    elif kind == "game":
+        for sizes in itertools.product(
+            range(1, MAX_STRATEGIES + 1), repeat=enum.cfg.n_agents
+        ):
+            profiles = list(itertools.product(*(range(s) for s in sizes)))
+            for outs in itertools.product(children, repeat=len(profiles)):
+                yield (sizes, dict(zip(profiles, outs)))
+
+
+@pytest.mark.parametrize("spec", ("K", "KD", "COAL:2", "GML", "PML"))
+def test_child_structs_match_reference(spec):
+    cfg = parse_logic_spec(spec)
+    enum = _TreeEnumerator(parse("a", cfg.n_agents), cfg)
+    for size in range(1, BRANCH_BOUND + 1):
+        children = tuple("c%d" % i for i in range(size))
+        got = [
+            relabel(enum.kind, t, children.__getitem__)
+            for t in enum._child_structs(size)
+        ]
+        assert got == list(_reference_child_structs(enum, children)), size
+
+
+class _OverBudget(Exception):
+    pass
+
+
+# Protos the reference may build before it gives up on a formula.
+REFERENCE_PROTOS = 5000
+
+
+def _reference_search(enum, depth_bound):
+    """The tree search with every candidate built as a proto and every
+    tracked formula evaluated on it, in the order (size, children, label,
+    structure)."""
+    level = []
+    vectors = set()
+
+    def make(label, struct):
+        if enum.next_sid >= REFERENCE_PROTOS:
+            raise _OverBudget()
+        proto = _Proto(enum.next_sid, label, None)
+        enum.next_sid += 1
+        proto.struct = relabel(enum.kind, struct, lambda t: proto if t is None else t)
+        return proto
+
+    def tracked(d):
+        names = tuple(enum.prop_names)
+        return names, tuple(g for g in enum.args if g.depth <= d)
+
+    def vec(proto, d):
+        names, gs = tracked(d)
+        return (
+            tuple(nm in proto.label for nm in names),
+            tuple(enum.holds(proto, g) for g in gs),
+        )
+
+    def add(proto, d, pool):
+        v = vec(proto, d)
+        if v not in vectors:
+            vectors.add(v)
+            pool.append(proto)
+
+    def candidates(pool):
+        for label in enum._labels():
+            for struct in enum._terminal_structs():
+                yield make(label, struct)
+        for size in range(1, BRANCH_BOUND + 1):
+            for children in itertools.combinations(pool, size):
+                for label in enum._labels():
+                    for struct in _reference_child_structs(enum, children):
+                        yield make(label, struct)
+
+    if depth_bound == 0:
+        for label in enum._labels():
+            for struct in enum._terminal_structs():
+                proto = make(label, struct)
+                if enum.holds(proto, enum.f):
+                    return proto
+        return None
+
+    for d in range(depth_bound):
+        new_pool = []
+        vectors = set()
+        for proto in level:
+            add(proto, d, new_pool)
+        if d == 0:
+            for label in enum._labels():
+                for struct in enum._terminal_structs():
+                    add(make(label, struct), d, new_pool)
+        else:
+            for proto in candidates(level):
+                add(proto, d, new_pool)
+        level = new_pool
+    for proto in candidates(level):
+        if enum.holds(proto, enum.f):
+            return proto
+    return None
+
+
+def _witness_json(enum, root):
+    return None if root is None else model_to_json(enum.materialize(root))
+
+
+@pytest.mark.parametrize("spec", ("K", "KD", "COAL:2", "COAL:3", "GML", "MAJ", "PML"))
+def test_tree_search_matches_reference(spec):
+    cfg = parse_logic_spec(spec)
+    rng = random.Random(41)
+    outcomes = []
+    for _ in range(60):
+        f = random_formula(rng, cfg, max_depth=2, size_budget=9)
+        for g in (f, neg_fold(f)):
+            ref = _TreeEnumerator(g, cfg)
+            try:
+                want = _witness_json(ref, _reference_search(ref, g.depth))
+            except _OverBudget:
+                continue
+            enum = _TreeEnumerator(g, cfg)
+            assert _witness_json(enum, enum.search(g.depth)) == want, g
+            outcomes.append(want is not None)
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 5, spec
+
+
+def test_tree_search_wide_coalitions_match_reference():
+    # Two distinct successors under five agents: two children have 2^32
+    # game tables, so the root must walk them lazily and stop at its hit.
+    cfg = parse_logic_spec("COAL:5")
+    f = parse("[C 1,2,3,4,5]a & [C 1,2,3,4,5]~a", cfg.n_agents)
+    ref = _TreeEnumerator(f, cfg)
+    want = _witness_json(ref, _reference_search(ref, f.depth))
+    assert want is not None
+    enum = _TreeEnumerator(f, cfg)
+    assert _witness_json(enum, enum.search(f.depth)) == want
+
+
+def test_tree_search_finds_three_successors_under_four_agents():
+    # Three successors under four agents: three children have 3^16 game
+    # tables per choice of children.  The reference would build about 1.6
+    # million candidates over two children first, so the witness is written
+    # out instead: no two children can satisfy the three pairwise exclusive
+    # arguments, the first combination of three (labels {}, {a}, {b}) can,
+    # and the first game over it reaching all three is strategy counts
+    # (1, 1, 2, 2) with outcomes 0, 0, 1, 2 in profile order.
+    cfg = parse_logic_spec("COAL:4")
+    f = parse(
+        "[C 1,2,3,4](~a & ~b) & [C 1,2,3,4](a & ~b) & [C 1,2,3,4](~a & b)",
+        cfg.n_agents,
+    )
+    enum = _TreeEnumerator(f, cfg)
+    root = enum.search(f.depth)
+    assert root is not None
+    want = ModelWitness(
+        kind="game",
+        root=0,
+        states=[0, 1, 2, 3],
+        labels={
+            0: frozenset(),
+            1: frozenset(),
+            2: frozenset({"a"}),
+            3: frozenset({"b"}),
+        },
+        games={
+            0: (
+                (1, 1, 2, 2),
+                {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 2, (0, 0, 1, 1): 3},
+            ),
+            **{s: ((1, 1, 1, 1), {(0, 0, 0, 0): s}) for s in (1, 2, 3)},
+        },
+    )
+    assert model_check(want, 0, f)
+    assert _witness_json(enum, root) == model_to_json(want)
+
+
+# Two crosscheck formulas on which the candidate-by-candidate search built
+# 176155 and 366209 protos; each is pinned by its witness digest and by a
+# bound on the protos built.
+HEAVY_CASES = [
+    (
+        "GML",
+        "<2> <0> q & <0> ~(n & ~b)",
+        "1f320a539f0799df420fca5a2efc4dc1c260156ec29ecb5b50eb9c1643fed2a6",
+        40,
+    ),
+    (
+        "PML",
+        "L{1/2} L{0/1} ~(~~(y & ~m) & ~~(m & ~r))",
+        "c6c1f906c7fd7abeefe69e0e11b437406df6f26a1a5e3202c3b9c9824ebff892",
+        20,
+    ),
+]
+
+
+@pytest.mark.parametrize("logic,text,digest,max_protos", HEAVY_CASES)
+def test_tree_search_builds_few_protos(logic, text, digest, max_protos):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text, cfg.n_agents)
+    enum = _TreeEnumerator(f, cfg)
+    root = enum.search(f.depth)
+    assert root is not None
+    assert enum.next_sid <= max_protos
+    assert model_sha256(enum.materialize(root)) == digest
