@@ -546,7 +546,7 @@ class _ModelBuilder:
         # ``linarith.feasible`` accepts.
         var = {t: "w%d" % t for t in support}
         weights = [var[t] for t in support]
-        cons = [(dict.fromkeys(weights, Fraction(1)), Fraction(-1), False)]
+        cons = [(dict.fromkeys(weights, 1), -1, False)]
         for s, a in literals:
             # inside - p * total, as a coefficient per weight
             excess = {
@@ -554,9 +554,9 @@ class _ModelBuilder:
                 for t in support
             }
             if s:
-                cons.append((excess, Fraction(0), False))
+                cons.append((excess, 0, False))
             else:
-                cons.append(({v: -c for v, c in excess.items()}, Fraction(0), True))
+                cons.append(({v: -c for v, c in excess.items()}, 0, True))
         point = linarith.feasible(cons, weights, nonneg=set(weights))
         if point is None:
             return False
@@ -682,47 +682,58 @@ def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc
 
 
 def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
-    """Independent proof checking; returns (ok, message)."""
+    """Independent proof checking; returns (ok, message).  A rejection below
+    the root names the failing clause by its index path from the root, such
+    as ``clause 1 > part 0 > clause 2: leaf clause is not a tautology``."""
     if doc.formula is not goal:
         return False, "proof is not about the stated goal"
-    return _check_doc(doc, cfg)
+    return _check_doc(doc, cfg, ())
 
 
-def _check_doc(doc: ProofDoc, cfg: LogicConfig):
+def _reject(path, msg):
+    return False, ("%s: %s" % (" > ".join(path), msg) if path else msg)
+
+
+def _check_doc(doc: ProofDoc, cfg: LogicConfig, path: tuple):
     expected = cnf_clauses(doc.formula)
     got = tuple(cp.clause for cp in doc.clause_proofs)
     if got != expected:
-        return False, "clause list does not match the CNF of the node formula"
-    for cp in doc.clause_proofs:
+        return _reject(path, "clause list does not match the CNF of the node formula")
+    for c, cp in enumerate(doc.clause_proofs):
+        at = path + ("clause %d" % c,)
         if cp.kind == "leaf":
             if not is_tautology_clause(cp.clause):
-                return False, "leaf clause is not a tautology"
+                return _reject(at, "leaf clause is not a tautology")
             continue
         if cp.kind != "rule" or cp.matching is None:
-            return False, "malformed clause proof"
+            return _reject(at, "malformed clause proof")
         m = cp.matching
         if not side_condition(m.code, cfg):
-            return False, "rule code fails its side condition"
+            return _reject(at, "rule code fails its side condition")
         try:
             concl = conclusion_clause(m, cfg.n_agents)
         except (ValueError, IndexError):
-            return False, "malformed rule code"
+            return _reject(at, "malformed rule code")
         if any(
             isinstance(a, FModal) and not operator_legal(a.op, cfg)
             for (_, a) in concl
         ):
-            return False, "rule uses an operator outside the logic"
+            return _reject(at, "rule uses an operator outside the logic")
         if not clause_entails(concl, cp.clause):
-            return False, "rule conclusion does not entail the clause"
-        seen = {gamma: sub for gamma, sub in cp.parts}
-        for gamma in premise_cnf_clauses(m.premise()):
-            sub = seen.get(gamma)
-            if sub is None:
-                return False, "premise CNF clause without a sub-proof"
-            want = neg_fold(negated_clause_instance(gamma, m.subst))
-            if sub.formula is not want:
-                return False, "sub-proof proves the wrong instance"
-            ok, msg = _check_doc(sub, cfg)
+            return _reject(at, "rule conclusion does not entail the clause")
+        # One part per premise CNF clause, in their order: a part outside
+        # that list, or a second copy of one, would go unchecked.
+        premise = tuple(premise_cnf_clauses(m.premise()))
+        if len(cp.parts) != len(premise):
+            msg = "%d parts for %d premise CNF clauses" % (len(cp.parts), len(premise))
+            return _reject(at, msg)
+        for j, ((gamma, sub), want_gamma) in enumerate(zip(cp.parts, premise)):
+            here = at + ("part %d" % j,)
+            if gamma != want_gamma:
+                return _reject(here, "gamma is not premise CNF clause %d" % j)
+            if sub.formula is not neg_fold(negated_clause_instance(gamma, m.subst)):
+                return _reject(here, "sub-proof proves the wrong instance")
+            ok, msg = _check_doc(sub, cfg, here)
             if not ok:
                 return False, msg
     return True, "ok"
@@ -757,8 +768,20 @@ def _literal(f: Formula):
     return (True, f)
 
 
-def _lit_parse(text: str, n_agents: int):
-    return _literal(parse(text, n_agents))
+def _formula_reader(n_agents: int):
+    """A parser for the formula texts of one certificate that parses each
+    distinct text once.  Certificates repeat texts (tableau edges repeat
+    node literals, proof parts repeat clause literals), and formulas are
+    interned, so a repeated text yields the very object a parse would."""
+    parsed = {}
+
+    def formula(text):
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse(text, n_agents)
+        return f
+
+    return formula
 
 
 def _frac_str(q: Fraction) -> str:
@@ -894,16 +917,7 @@ def tableau_to_json(tb: Tableau) -> dict:
 
 def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
     payload = doc["payload"]
-    parsed = {}
-
-    def formula(text):
-        # Edges repeat the node literals; formulas are interned, so one parse
-        # per distinct text yields the very same objects.
-        f = parsed.get(text)
-        if f is None:
-            f = parsed[text] = parse(text, n_agents)
-        return f
-
+    formula = _formula_reader(n_agents)
     nodes = [
         tuple(_literal(formula(t)) for t in valuation)
         for valuation in payload["nodes"]
@@ -956,26 +970,26 @@ def _proof_payload(doc: ProofDoc) -> dict:
 
 
 def proof_from_json(doc: dict, n_agents: int) -> ProofDoc:
-    return _proof_parse(doc["payload"], n_agents)
+    formula = _formula_reader(n_agents)
 
+    def read(payload: dict) -> ProofDoc:
+        clause_proofs = []
+        for entry in payload["clauses"]:
+            clause = tuple(_literal(formula(t)) for t in entry["clause"])
+            if entry["type"] == "leaf":
+                clause_proofs.append(ClauseProof(clause, "leaf"))
+                continue
+            code = RuleCode.from_json(entry["rule"])
+            subst = tuple(formula(t) for t in entry["substitution"])
+            parts = tuple(
+                (_gamma_parse(p["gamma"]), read(p["sub"])) for p in entry["parts"]
+            )
+            clause_proofs.append(
+                ClauseProof(clause, "rule", RuleMatching(code, subst), parts)
+            )
+        return ProofDoc(formula(payload["formula"]), tuple(clause_proofs))
 
-def _proof_parse(payload: dict, n_agents: int) -> ProofDoc:
-    clause_proofs = []
-    for entry in payload["clauses"]:
-        clause = tuple(_lit_parse(t, n_agents) for t in entry["clause"])
-        if entry["type"] == "leaf":
-            clause_proofs.append(ClauseProof(clause, "leaf"))
-            continue
-        code = RuleCode.from_json(entry["rule"])
-        subst = tuple(parse(t, n_agents) for t in entry["substitution"])
-        parts = tuple(
-            (_gamma_parse(p["gamma"]), _proof_parse(p["sub"], n_agents))
-            for p in entry["parts"]
-        )
-        clause_proofs.append(
-            ClauseProof(clause, "rule", RuleMatching(code, subst), parts)
-        )
-    return ProofDoc(parse(payload["formula"], n_agents), tuple(clause_proofs))
+    return read(doc["payload"])
 
 
 def certificate_to_json(cert) -> dict:

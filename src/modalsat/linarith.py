@@ -13,6 +13,11 @@ for the simplex method*, Math. Oper. Res. 1977).  It pivots on integers:
 every entry is kept as a numerator over the common denominator ``d``, the
 magnitude of the current basis determinant, so each update divides exactly
 (Edmonds' integer pivoting, as in Avis' lrs).
+
+Coefficients and constants may be ``int`` or ``Fraction``.  Every row is
+scaled by the lcm of all denominators (1 when every value is an int), and
+from there on the search runs on Python ints alone: the ratio test compares
+by cross-multiplication, and only the returned point is made of Fractions.
 """
 
 from __future__ import annotations
@@ -38,13 +43,20 @@ def feasible(constraints, variables, nonneg=()) -> Optional[dict]:
     for coeffs, const, strict in constraints:
         if const > 0:
             raise ValueError("constraint constant %s is positive" % const)
-        a = [Fraction(0)] * n
+        rows.append((coeffs, (1 if strict else 0) - const))
+    # One scale for all rows keeps the phase-1 objective a plain sum.  An
+    # int's denominator is 1, so integer rows are never scaled.
+    scale = math.lcm(
+        *(c.denominator for coeffs, b in rows for c in coeffs.values()),
+        *(b.denominator for _, b in rows),
+    )
+    scaled = []
+    for coeffs, b in rows:
+        a = [0] * n
         for v, c in coeffs.items():
-            a[col[v]] += c
-        rows.append(a + [Fraction(1 if strict else 0) - const])
-    # One scale for all rows keeps the phase-1 objective a plain sum.
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
-    rows = [([int(c * scale) for c in row[:-1]], int(row[-1] * scale)) for row in rows]
+            a[col[v]] = c.numerator * (scale // c.denominator)
+        scaled.append((a, b.numerator * (scale // b.denominator)))
+    rows = scaled
     # A dictionary: each basic variable equals its row's last entry plus the
     # row times the nonbasic columns, all over ``d``.  Variable labels, which
     # Bland's rule orders: x_j = u_j - v_j with u_j = j and v_j = n + j, and
@@ -75,13 +87,19 @@ def feasible(constraints, variables, nonneg=()) -> Optional[dict]:
         if not entering:
             return None
         enter = min(entering)[1]
-        # The objective is bounded below by 0, so some artificial row limits
-        # the step and ``leave`` is found.
-        leave = min(
-            (Fraction(row[-1], -row[enter]), basis[i], i)
-            for i, row in enumerate(tableau)
-            if row[enter] < 0
-        )[2]
+        # The ratio test: the least row[-1] / -row[enter], ties to the
+        # smallest basis label, compared by cross-multiplication.  The
+        # objective is bounded below by 0, so some artificial row limits the
+        # step and ``leave`` is found.
+        leave = None
+        for i, row in enumerate(tableau):
+            c = row[enter]
+            if c < 0 and (
+                leave is None
+                or row[-1] * best_c < best_b * -c
+                or row[-1] * best_c == best_b * -c and basis[i] < basis[leave]
+            ):
+                leave, best_b, best_c = i, row[-1], -c
         pivot = tableau[leave]
         p = pivot[enter]
         for row in tableau + [obj]:

@@ -427,46 +427,43 @@ def _build_constraints(signs, rows, sat_patterns, cfg, branch):
     cons = []
     # Every satisfiable sign pattern J must satisfy r(J) >= bound.
     for bits in sorted(sat_patterns):
-        coeffs = {}
-        for i in range(q):
-            if bits >> i & 1:
-                coeffs[_x(i)] = Fraction(1 if signs[i] else -1)
+        coeffs = {_x(i): 1 if signs[i] else -1 for i in range(q) if bits >> i & 1}
         if use_t:
-            coeffs["t"] = coeffs.get("t", Fraction(0)) - 1
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        cons.append((coeffs, Fraction(0), False))
+            coeffs["t"] = -1
+        cons.append((coeffs, 0, False))
     if cfg.logic == "GML":
         coeffs = {}
         for i, (kind, k) in enumerate(rows):
-            coeffs[_x(i)] = Fraction(k + 1 if not signs[i] else -k)
-        cons.append((coeffs, Fraction(-1), False))
+            coeffs[_x(i)] = k + 1 if not signs[i] else -k
+        cons.append((coeffs, -1, False))
     elif cfg.logic == "MAJ":
         coeffs = {}
         for i, (kind, k) in enumerate(rows):
             if kind == "g":
-                coeffs[_x(i)] = Fraction(k + 1 if not signs[i] else -k)
+                coeffs[_x(i)] = k + 1 if not signs[i] else -k
             elif signs[i]:
-                coeffs[_x(i)] = Fraction(1)
+                coeffs[_x(i)] = 1
         if branch == "nonneg":
-            coeffs["t"] = coeffs.get("t", Fraction(0)) - 1
-        cons.append((dict(coeffs), Fraction(-1), False))
+            coeffs["t"] = -1
+        cons.append((coeffs, -1, False))
         # 2m - (signed sum of W coefficients) >= 0
-        coeffs2 = {"t": Fraction(2)}
+        coeffs2 = {"t": 2}
         for i, (kind, k) in enumerate(rows):
             if kind == "w":
-                coeffs2[_x(i)] = Fraction(-1 if signs[i] else 1)
-        cons.append((coeffs2, Fraction(0), False))
+                coeffs2[_x(i)] = -1 if signs[i] else 1
+        cons.append((coeffs2, 0, False))
         if branch == "nonneg":
-            cons.append(({"t": Fraction(1)}, Fraction(0), False))
+            cons.append(({"t": 1}, 0, False))
         else:
-            cons.append(({"t": Fraction(-1)}, Fraction(0), True))
+            cons.append(({"t": -1}, 0, True))
     elif cfg.logic == "PML":
-        coeffs = {"t": Fraction(1)}
+        # The one row with rational coefficients: the probabilities.
+        coeffs = {"t": 1}
         for i, (kind, p) in enumerate(rows):
             coeffs[_x(i)] = -p if signs[i] else p
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
         strict = all(not s for s in signs)
-        cons.append((coeffs, Fraction(0), strict))
+        cons.append((coeffs, 0, strict))
     return cons
 
 
@@ -506,9 +503,9 @@ def _small_search(signs, cons, use_t, branch) -> Optional[dict]:
         stack = [base + [m] for base in stack for m in magnitudes]
     for t in t_values:
         for combo in stack:
-            point = {_x(i): Fraction(combo[i]) for i in range(q)}
+            point = {_x(i): combo[i] for i in range(q)}
             if use_t:
-                point["t"] = Fraction(t)
+                point["t"] = t
             if _check_point(cons, point):
                 return point
     return None
@@ -516,7 +513,7 @@ def _small_search(signs, cons, use_t, branch) -> Optional[dict]:
 
 def _scale_to_integers(point) -> dict:
     lcm = math.lcm(*(v.denominator for v in point.values()))
-    return {k: v * lcm for k, v in point.items()}
+    return {k: v.numerator * (lcm // v.denominator) for k, v in point.items()}
 
 
 def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
@@ -535,7 +532,7 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     signs, rows, args = data
     use_t = cfg.logic != "GML"
     variables = [_x(i) for i in range(len(signs))] + (["t"] if use_t else [])
-    at_least_one = [({_x(i): Fraction(1)}, Fraction(-1), False) for i in range(len(signs))]
+    at_least_one = [({_x(i): 1}, -1, False) for i in range(len(signs))]
     for branch in _branches(cfg):
         cons = at_least_one + _build_constraints(signs, rows, sat_patterns, cfg, branch)
         point = linarith.feasible(cons, variables)
@@ -546,10 +543,8 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
         point = _small_search(signs, cons, use_t, branch) or _scale_to_integers(point)
         if not _check_point(cons, point):
             raise RuntimeError("coefficient point fails its own constraint system")
-        coeffs = tuple(
-            int(point[_x(i)]) * (1 if signs[i] else -1) for i in range(len(signs))
-        )
-        bound = int(point["t"]) if use_t else 0
+        coeffs = tuple(point[_x(i)] * (1 if signs[i] else -1) for i in range(len(signs)))
+        bound = point["t"] if use_t else 0
         if cfg.logic == "GML":
             code = RuleCode(
                 cfg.logic, "GML", ints=coeffs + (bound,), grades=tuple(k for _, k in rows)
@@ -583,7 +578,10 @@ def node_refutable(valuation, sat_bits, cfg: LogicConfig) -> bool:
     PML's premise row is strict exactly for all-negative clauses, so at a
     node with a positive atom the support must hold one; an all-negative
     refuter loses nothing by that, since its strict premise row leaves room
-    for any positive atom at a small enough coefficient.  Atoms outside the
+    for any positive atom at a small enough coefficient.  Pattern rows that
+    another pattern row implies are dropped first (``_unimplied_patterns``),
+    which the bool answer cannot show; the per-clause search keeps every
+    row, since its LP vertex can become a certificate.  Atoms outside the
     logic's linear schema leave the answer to the per-clause search."""
     clause = tuple(
         (not s, a)
@@ -598,11 +596,30 @@ def node_refutable(valuation, sat_bits, cfg: LogicConfig) -> bool:
     signs, rows, _ = data
     xs = [_x(i) for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
+    patterns = _unimplied_patterns(signs, sat_bits)
     for branch in _branches(cfg):
-        cons = _build_constraints(signs, rows, sat_bits, cfg, branch)
+        cons = _build_constraints(signs, rows, patterns, cfg, branch)
         if cfg.logic == "PML":
             support = [x for x, s in zip(xs, signs) if s] or xs
-            cons.append((dict.fromkeys(support, Fraction(1)), Fraction(-1), False))
+            cons.append((dict.fromkeys(support, 1), -1, False))
         if linarith.feasible(cons, variables, nonneg=xs) is not None:
             return True
     return False
+
+
+def _unimplied_patterns(signs, sat_bits) -> set:
+    """The patterns of ``sat_bits`` whose rows no other pattern row implies
+    when every ``x_i >= 0``.
+
+    The row of pattern J is the sum of x_i over J's clause-positive atoms
+    minus the sum over its clause-negative atoms, at least the bound.  So
+    J' implies J when J' has a subset of J's clause-positive atoms and a
+    superset of its clause-negative atoms, that is, when the key
+    ``J' ^ negative`` is a subset of ``J ^ negative``.  Only the minimal
+    keys are kept; a key holding some other key holds a minimal one."""
+    negative = sum(1 << i for i, s in enumerate(signs) if not s)
+    kept = []
+    for key in sorted({bits ^ negative for bits in sat_bits}, key=int.bit_count):
+        if all(k & key != k for k in kept):
+            kept.append(key)
+    return {key ^ negative for key in kept}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import proof_sha256, tableau_sha256
-from modalsat import certificates
+from modalsat import certificates, cli
 from modalsat.certificates import (
     MAX_WEIGHT,
     ModelWitness,
@@ -559,6 +559,77 @@ def test_check_proof_rejects_tampered_rule():
     doc2 = proof_from_json(payload, cfg.n_agents)
     ok, _ = check_proof(doc2, goal, cfg)
     assert not ok
+
+
+def _k_proof_json(text):
+    cfg = LogicConfig(logic="K")
+    goal = parse(text)
+    doc = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
+    return cfg, goal, proof_to_json(doc)
+
+
+# A part whose sub-proof would fail any check: ``p`` has one CNF clause.
+_FORGED_SUB = {"formula": "p", "clauses": []}
+
+
+@pytest.mark.parametrize("forgery", ["extra gamma", "duplicated gamma"])
+def test_check_proof_rejects_parts_outside_the_premise_order(forgery, tmp_path, capsys):
+    text = "[](a -> b) -> ([]a -> []b)"
+    cfg, goal, payload = _k_proof_json(text)
+    parts = payload["payload"]["clauses"][0]["parts"]
+    assert len(parts) == 1
+    if forgery == "extra gamma":
+        parts.append({"gamma": [[True, 0], [True, 1], [True, 2], [True, 3]], "sub": _FORGED_SUB})
+    else:
+        # The first of two copies of the one premise clause.
+        parts.insert(0, {"gamma": parts[0]["gamma"], "sub": _FORGED_SUB})
+    doc = proof_from_json(payload, cfg.n_agents)
+    assert check_proof(doc, goal, cfg) == (False, "clause 0: 2 parts for 1 premise CNF clauses")
+    cert = tmp_path / "proof.json"
+    cert.write_text(json.dumps(payload))
+    assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
+    assert "ok" not in capsys.readouterr().out.split()
+
+
+def _inner_clause(payload):
+    return payload["payload"]["clauses"][0]["parts"][0]["sub"]["clauses"][0]
+
+
+def _set_inner_ints(payload):
+    _inner_clause(payload)["rule"]["ints"] = [1, -1, 1]
+
+
+def _set_inner_gamma(payload):
+    _inner_clause(payload)["parts"][0]["gamma"] = [[True, 0], [False, 1], [True, 2]]
+
+
+def _set_inner_sub_formula(payload):
+    _inner_clause(payload)["parts"][0]["sub"]["formula"] = "p"
+
+
+def _drop_inner_clauses(payload):
+    payload["payload"]["clauses"][0]["parts"][0]["sub"]["clauses"] = []
+
+
+def _drop_root_clauses(payload):
+    payload["payload"]["clauses"] = []
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_set_inner_ints, "clause 0 > part 0 > clause 0: rule code fails its side condition"),
+        (_set_inner_gamma, "clause 0 > part 0 > clause 0 > part 0: gamma is not premise CNF clause 0"),
+        (_set_inner_sub_formula, "clause 0 > part 0 > clause 0 > part 0: sub-proof proves the wrong instance"),
+        (_drop_inner_clauses, "clause 0 > part 0: clause list does not match the CNF of the node formula"),
+        (_drop_root_clauses, "clause list does not match the CNF of the node formula"),
+    ],
+)
+def test_check_proof_names_the_failing_clause(tamper, message):
+    cfg, goal, payload = _k_proof_json("[][](a -> b) -> ([][]a -> [][]b)")
+    assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (True, "ok")
+    tamper(payload)
+    assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (False, message)
 
 
 # -- pinned tableau bytes -----------------------------------------------------

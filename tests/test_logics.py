@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_LOGICS
-from modalsat import certificates, logics, oracle, solver
+from modalsat import certificates, linarith, logics, oracle, solver
 from modalsat.certificates import check_proof, check_tableau, extract_proof, extract_tableau
 from modalsat.formula import Atom, FModal, neg, parse, subformulas
 from modalsat.logics import (
@@ -25,6 +25,7 @@ from modalsat.logics import (
 from modalsat.onestep import RuleCode, conclusion_clause, congruence_matchings
 from modalsat.sampling import random_formula
 from modalsat.oracle import one_step_sound
+from test_solver import LINEAR_WIDTH_8
 
 
 def test_parse_logic_spec():
@@ -324,6 +325,80 @@ def test_node_refutable_matches_mask_loop(logic):
         (kind, expected) for kind in ("all-negative", "some-positive") for expected in (True, False)
     }
     assert any(empty for _, empty, _ in seen)
+
+
+def _unpruned_gate(valuation, sat_bits, cfg):
+    """``node_refutable``'s relaxed system with every pattern row kept."""
+    clause = tuple((not s, a) for s, a in valuation if a in logics.proper_atoms(valuation))
+    signs, rows, _ = logics._linear_literal_data(clause, cfg)
+    xs = ["x%d" % i for i in range(len(signs))]
+    variables = xs + (["t"] if cfg.logic != "GML" else [])
+    for branch in logics._branches(cfg):
+        cons = logics._build_constraints(signs, rows, sat_bits, cfg, branch)
+        if cfg.logic == "PML":
+            support = [x for x, s in zip(xs, signs) if s] or xs
+            cons.append((dict.fromkeys(support, 1), -1, False))
+        if linarith.feasible(cons, variables, nonneg=xs) is not None:
+            return True
+    return False
+
+
+def _implies(signs, strong, weak):
+    """Whether, with every x_i >= 0, the pattern row of ``strong`` implies
+    that of ``weak``: ``strong`` has a subset of ``weak``'s clause-positive
+    atoms and a superset of its clause-negative ones."""
+    for i, positive in enumerate(signs):
+        has_strong, has_weak = bool(strong >> i & 1), bool(weak >> i & 1)
+        if positive and has_strong and not has_weak:
+            return False
+        if not positive and has_weak and not has_strong:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
+def test_gate_drops_only_implied_rows(logic):
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(9191)
+    answers = set()
+    dropped = 0
+    for trial in range(120):
+        k = rng.randint(1, 7)
+        valuation = [(rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k)]
+        if trial % 4 == 0:
+            valuation.insert(rng.randint(0, k), (rng.random() < 0.5, parse("q")))
+        valuation = tuple(valuation)
+        signs = [not s for s, a in valuation if a in logics.proper_atoms(valuation)]
+        density = rng.random()
+        sat_bits = {bits for bits in range(1 << k) if rng.random() < density}
+        kept = logics._unimplied_patterns(signs, sat_bits)
+        assert kept <= sat_bits and bool(kept) == bool(sat_bits)
+        for bits in sat_bits - kept:
+            assert any(_implies(signs, other, bits) for other in kept), (signs, bits)
+        for bits in kept:
+            assert not any(_implies(signs, other, bits) for other in kept - {bits})
+        dropped += len(sat_bits - kept)
+        expected = _unpruned_gate(valuation, sat_bits, cfg)
+        assert node_refutable(valuation, sat_bits, cfg) == expected, (valuation, sat_bits)
+        answers.add(expected)
+    assert answers == {True, False} and dropped > 1000
+
+
+@pytest.mark.parametrize("logic,text", LINEAR_WIDTH_8)
+def test_gate_rows_at_width_8_roots(logic, text, monkeypatch):
+    # The root has nine proper modal atoms and 256 satisfiable patterns;
+    # the unpruned gate passed 257 to 259 rows.
+    original = linarith.feasible
+    gate_rows = []
+
+    def spy(constraints, variables, nonneg=()):
+        if nonneg and len(variables) >= 9:
+            gate_rows.append(len(constraints))
+        return original(constraints, variables, nonneg)
+
+    monkeypatch.setattr(linarith, "feasible", spy)
+    assert solver.satisfiable(parse(text), LogicConfig(logic=logic)).satisfiable
+    assert gate_rows and max(gate_rows) <= 16, gate_rows
 
 
 def _k_prop(n, sat):
