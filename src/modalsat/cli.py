@@ -244,6 +244,10 @@ def _cmd_check_cert(args, cfg: LogicConfig) -> int:
 
 
 def _cmd_selftest(args, cfg: LogicConfig) -> int:
+    if args.count < 1:
+        # Checking no instance would report "all sound" about nothing.
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_ERROR
     rng = random.Random(args.seed)
     ms = sampling.sample_matchings(rng, cfg, args.count)
     bad = []

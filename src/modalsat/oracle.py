@@ -5,7 +5,13 @@ structures, without touching the solver; the truth conditions are those of
 ``semantics.lift``, and the structures are in its format:
 
 * ``one_step_sound`` checks a rule instance against all structures over small
-  carriers;
+  carriers, up to renaming the carrier's points.  Predicate liftings are
+  natural transformations, so renaming the points of a structure and of the
+  argument sets alike leaves every literal's truth unchanged; and the
+  premise holds point by point, so the argument assignments it validates
+  are the products of per-point sign patterns, a set closed under renaming.
+  A counterexample therefore exists only if one exists at a single
+  representative of each structure's orbit, with every assignment tried;
 * ``brute_force_sat`` searches for a finite tree-shaped (or carrier-based, for
   the neighbourhood logics) model by exhaustive bounded enumeration.  The
   tree search groups candidate states by type: their modal truths depend
@@ -184,6 +190,57 @@ def _premise_holds(premise, tau, n: int) -> bool:
     raise TypeError(premise)
 
 
+def _point_patterns(premise, q: int) -> list:
+    """The argument sign patterns (bit ``i``: the point is in argument
+    ``i``) that one point may have under the premise, in increasing order."""
+    point = frozenset({0})
+    return [
+        bits
+        for bits in range(1 << q)
+        if _premise_holds(
+            premise, tuple(point if bits >> i & 1 else frozenset() for i in range(q)), 1
+        )
+    ]
+
+
+def _assignments(patterns: list, q: int, n: int) -> list:
+    """Every assignment over carrier ``n`` that validates the premise with
+    the per-point ``patterns``, as one subset bit mask per argument: the
+    premise holds pointwise, so these are exactly the ways of giving each
+    point one of the patterns."""
+    rows = [(0,) * q]
+    for x in range(n):
+        rows = [
+            tuple(m | (bits >> i & 1) << x for i, m in enumerate(row))
+            for row in rows
+            for bits in patterns
+        ]
+    return rows
+
+
+def _canonical(kind: str, struct) -> bool:
+    """Is ``struct`` the representative of its orbit under permutations of
+    the carrier ``0 .. n - 1``?  Each orbit of the backend's structures has
+    exactly one; neighbourhood structures are all kept."""
+    if kind == "kripke":
+        # The successors are 0 .. k - 1.
+        return struct == frozenset(range(len(struct)))
+    if kind in ("multigraph", "distribution"):
+        # The weights do not increase along the points.
+        ws = list(struct.values())
+        return all(a >= b for a, b in zip(ws, ws[1:]))
+    if kind == "game":
+        # The outcomes first occur in the order 0, 1, ... over the profiles.
+        fresh = 0
+        for t in struct[1].values():
+            if t > fresh:
+                return False
+            if t == fresh:
+                fresh += 1
+        return True
+    return True
+
+
 _SOUNDNESS_CACHE = {}
 
 
@@ -203,41 +260,50 @@ def one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int = None) ->
 
 
 def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
+    """``one_step_sound`` without the cache, checking one structure per
+    orbit under permutations of the carrier.
+
+    If the structure ``s`` and the assignment ``t`` make every conclusion
+    literal fail, so do ``p s`` and ``p t`` for any permutation ``p``:
+    ``lift`` is natural in the points, the backend's structures are closed
+    under renaming, and so is the set of premise-validating assignments,
+    since the premise is checked point by point.  So it is enough to try
+    every assignment against the representative (``_canonical``) of each
+    orbit.  For the same reason the valid assignments over ``n`` points are
+    the ``n``-fold products of the sign patterns valid at one point."""
     from .onestep import premise_of
 
     q = code.arity()
-    premise = premise_of(code)
     ops = code_operators(code, cfg.n_agents)
     signs = code.signs()
     backend = backend_for(cfg)
     kind = MODEL_KINDS[cfg.logic]
     monotone = cfg.logic == "M"
+    patterns = _point_patterns(premise_of(code), q)
     for n in range(max_carrier + 1):
+        count = len(patterns) ** n
+        if not count:
+            continue
         subsets = [
             frozenset(i for i in range(n) if mask >> i & 1)
             for mask in range(1 << n)
         ]
-        taus = [
-            tau
-            for tau in itertools.product(subsets, repeat=q)
-            if _premise_holds(premise, tau, n)
-        ]
-        if not taus:
-            continue
-        # Per literal, the assignments that give its argument each set, as
-        # a bit mask over ``taus``.
+        # Per literal, the assignments that give its argument each subset
+        # (keyed by its bit mask), as a bit mask over the assignments.
         giving = [{} for _ in range(q)]
-        for k, tau in enumerate(taus):
-            for i, inside in enumerate(tau):
+        for k, masks in enumerate(_assignments(patterns, q, n)):
+            for i, inside in enumerate(masks):
                 giving[i][inside] = giving[i].get(inside, 0) | 1 << k
         for struct in backend.structures(n):
+            if not _canonical(kind, struct):
+                continue
             # The assignments under which every literal so far fails.
-            failing = (1 << len(taus)) - 1
+            failing = (1 << count) - 1
             for i in range(q):
                 failing &= sum(
                     mask
                     for inside, mask in giving[i].items()
-                    if lift(kind, ops[i], struct, inside, monotone) != signs[i]
+                    if lift(kind, ops[i], struct, subsets[inside], monotone) != signs[i]
                 )
                 if not failing:
                     break

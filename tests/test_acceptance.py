@@ -292,7 +292,9 @@ def test_sampled_matchings_sound(logic):
     rng = random.Random(77)
     ms = sample_matchings(rng, cfg, MATCHING_SAMPLES)
     assert len(ms) == MATCHING_SAMPLES
-    carrier = 2 if logic in ARITH else None
+    # PML stays at carrier 2: at the default 3, its 422 distinct instances
+    # take about 4 s on a 2-vCPU host.
+    carrier = 2 if logic == "PML" else None
     for code in sorted({m.code for m in ms}, key=repr):
         assert side_condition(code, cfg), (logic, code)
         assert one_step_sound(code, cfg, max_carrier=carrier), (logic, code)

@@ -141,6 +141,15 @@ def test_selftest_rules(capsys):
         assert "all sound" in out
 
 
+def test_selftest_rules_rejects_empty_count(capsys):
+    # A count below 1 checks nothing, so it must not report "all sound".
+    for count in ("0", "-3"):
+        code, out, err = run(capsys, "--logic", "K", "selftest-rules", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_internal_errors_exit_two(tmp_path, capsys):
     # Exit 1 means "unsatisfiable / invalid / rejected"; a crash must not.
     code, _, err = run(capsys, "--logic", "K", "solve", "[]" * 1200 + "a")

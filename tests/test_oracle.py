@@ -15,8 +15,11 @@ from modalsat.oracle import (
     MAX_DENOMINATOR,
     MAX_MULTIPLICITY,
     MAX_STRATEGIES,
+    _assignments,
+    _canonical,
     _compositions,
     _one_step_sound,
+    _point_patterns,
     _premise_holds,
     _Proto,
     _TreeEnumerator,
@@ -219,18 +222,113 @@ def _flip_first(code):
     )
 
 
-@pytest.mark.parametrize("logic", ALL_LOGICS)
-def test_one_step_sound_matches_per_assignment_reference(logic):
-    cfg = LogicConfig(logic=logic)
-    max_carrier = 2 if logic in ("PML", "COAL") else 3
+def _assert_matches_reference(cfg, count, max_carrier):
     rng = random.Random(29)
     verdicts = []
-    for m in sample_matchings(rng, cfg, 12):
+    for m in sample_matchings(rng, cfg, count):
         for code in (m.code, _flip_first(m.code)):
             got = _one_step_sound(code, cfg, max_carrier)
             assert got == _reference_one_step_sound(code, cfg, max_carrier), code
             verdicts.append(got)
-    assert True in verdicts and False in verdicts, logic
+    assert True in verdicts and False in verdicts, cfg
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS)
+def test_one_step_sound_matches_per_assignment_reference(logic):
+    max_carrier = 2 if logic in ("PML", "COAL") else 3
+    _assert_matches_reference(LogicConfig(logic=logic), 12, max_carrier)
+
+
+@pytest.mark.parametrize("logic", ["PML", "COAL"])
+def test_one_step_sound_matches_reference_at_carrier_3(logic):
+    # The reference is slow at carrier 3 for these two, so the sample is
+    # smaller than above.
+    _assert_matches_reference(LogicConfig(logic=logic), 3, 3)
+
+
+def _orbit_errors(kind, n, structures, keep):
+    """What is wrong with ``keep`` as a choice of one representative per
+    orbit of ``structures`` under permutations of the carrier ``0 .. n - 1``:
+    the kept structures that relabel to each other, and the structures that
+    no kept one relabels to."""
+
+    def key(struct):
+        if kind == "kripke":
+            return frozenset(struct)
+        if kind == "game":
+            return (struct[0], tuple(sorted(struct[1].items())))
+        return tuple(sorted(struct.items()))
+
+    errors = []
+    covered = set()
+    for struct in structures:
+        if not keep(struct):
+            continue
+        orbit = {
+            key(relabel(kind, struct, perm.__getitem__))
+            for perm in itertools.permutations(range(n))
+        }
+        if orbit & covered:
+            errors.append(("duplicate", key(struct)))
+        covered |= orbit
+    everything = {key(t) for t in structures}
+    errors.extend(("missed", k) for k in everything - covered)
+    errors.extend(("stray", k) for k in covered - everything)
+    return errors
+
+
+@pytest.mark.parametrize("spec", ["K", "KD", "GML", "MAJ", "PML", "COAL:2", "COAL:3"])
+def test_canonical_structures_cover_each_orbit_once(spec):
+    cfg = parse_logic_spec(spec)
+    kind = MODEL_KINDS[cfg.logic]
+    for n in range(4):
+        structures = list(backend_for(cfg).structures(n))
+        assert _orbit_errors(kind, n, structures, lambda t: _canonical(kind, t)) == []
+
+
+def test_orbit_check_rejects_wrong_representatives():
+    structures = list(backend_for(LogicConfig(logic="GML")).structures(3))
+
+    def decreasing(struct):
+        ws = list(struct.values())
+        return all(a > b for a, b in zip(ws, ws[1:]))
+
+    # Strictly decreasing weights miss every orbit with a repeated weight;
+    # keeping everything keeps each orbit more than once.
+    assert ("missed", ((0, 1), (1, 1), (2, 0))) in _orbit_errors(
+        "multigraph", 3, structures, decreasing
+    )
+    assert ("duplicate", ((0, 0), (1, 1), (2, 0))) in _orbit_errors(
+        "multigraph", 3, structures, lambda t: True
+    )
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS)
+def test_assignments_are_products_of_point_patterns(logic):
+    # Clause premises (E, M, K, KD, COAL) and linear ones (GML, MAJ, PML):
+    # the assignments built from one point's patterns are exactly those
+    # that pass the premise check over the whole carrier.
+    cfg = LogicConfig(logic=logic)
+    rejected = 0
+    for m in sample_matchings(random.Random(31), cfg, 6):
+        q = m.code.arity()
+        premise = premise_of(m.code)
+        patterns = _point_patterns(premise, q)
+        for n in range(4):
+            subsets = [
+                frozenset(x for x in range(n) if mask >> x & 1)
+                for mask in range(1 << n)
+            ]
+            want = {
+                tuple(sum(1 << x for x in t) for t in tau)
+                for tau in itertools.product(subsets, repeat=q)
+                if _premise_holds(premise, tau, n)
+            }
+            got = _assignments(patterns, q, n)
+            assert len(got) == len(set(got))
+            assert set(got) == want, (m.code, n)
+            rejected += len(subsets) ** q - len(want)
+    assert rejected, logic
 
 
 # -- brute force --------------------------------------------------------------
