@@ -55,6 +55,8 @@ from .onestep import (
     RuleCode,
     RuleMatching,
     conclusion_clause,
+    json_bool,
+    json_int,
     negated_clause_instance,
     parse_fraction,
     premise_cnf_clauses,
@@ -110,8 +112,16 @@ class ModelWitness:
 
 
 class _Checker:
+    """Truth of formulas at the states of a finite model: the one evaluator
+    behind ``check-cert``, model synthesis and the oracle's tree search.  It
+    reads the witness's structures as they are when a truth is first asked
+    for and remembers each truth, so a caller may add states (or, during
+    synthesis, neighbourhoods) between queries."""
+
     def __init__(self, witness: ModelWitness):
         self.w = witness
+        self.kind = witness.kind
+        self.monotone = witness.monotone
         self.structs = witness.structures()
         self.empty = _STRUCTURE_FIELDS[witness.kind][1]
         self.memo = {}
@@ -126,8 +136,16 @@ class _Checker:
         self.memo[key] = result
         return result
 
+    def truth_set(self, f: Formula) -> frozenset:
+        """The states where ``f`` holds (neighbourhood models, whose box
+        reads a whole truth set)."""
+        got = self.truth_sets.get(f)
+        if got is None:
+            got = frozenset(t for t in self.w.states if self.check(t, f))
+            self.truth_sets[f] = got
+        return got
+
     def _eval(self, state, f) -> bool:
-        w = self.w
         if not isinstance(f, FModal):
             if isinstance(f, FAnd):
                 return self.check(state, f.lhs) and self.check(state, f.rhs)
@@ -135,16 +153,14 @@ class _Checker:
                 return not self.check(state, f.arg)
             return False  # bottom
         if isinstance(f.op, Atom):
-            return f.op.name in w.labels.get(state, ())
+            return f.op.name in self.w.labels.get(state, ())
+        kind = self.kind
         struct = self.structs.get(state, self.empty)
-        if w.kind == "neighbourhood":
-            inside = self.truth_sets.get(f.arg)
-            if inside is None:
-                inside = frozenset(t for t in w.states if self.check(t, f.arg))
-                self.truth_sets[f.arg] = inside
+        if kind == "neighbourhood":
+            inside = self.truth_set(f.arg)
         else:
-            inside = {t for t in points_of(w.kind, struct) if self.check(t, f.arg)}
-        return lift(w.kind, f.op, struct, inside, w.monotone)
+            inside = {t for t in points_of(kind, struct) if self.check(t, f.arg)}
+        return lift(kind, f.op, struct, inside, self.monotone)
 
 
 def model_check(witness: ModelWitness, state: int, f: Formula) -> bool:
@@ -300,6 +316,20 @@ def _is_pseudovaluation_for(valuation, f: Formula) -> bool:
     return eval_with(f, assign)
 
 
+def _rule_conclusion(m: RuleMatching, cfg: LogicConfig):
+    """The conclusion of the rule instance ``m`` once it is checked to be a
+    rule of the logic: (conclusion, None), or (None, why it is not)."""
+    if not side_condition(m.code, cfg):
+        return None, "rule code fails its side condition"
+    try:
+        concl = conclusion_clause(m, cfg.n_agents)
+    except (ValueError, IndexError):
+        return None, "malformed rule code"
+    if any(isinstance(a, FModal) and not operator_legal(a.op, cfg) for (_, a) in concl):
+        return None, "rule uses an operator outside the logic"
+    return concl, None
+
+
 def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
     """Structural validity: returns (ok, message)."""
     n = len(tb.nodes)
@@ -327,19 +357,11 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
             if not clause or not set(clause) <= negations:
                 return False, "edge %d: clause is not built from negated node literals" % k
             m = RuleMatching(code, subst)
-            if not side_condition(code, cfg):
-                return False, "edge %d: rule code fails its side condition" % k
-            try:
-                concl = conclusion_clause(m, cfg.n_agents)
-            except (ValueError, IndexError):
-                return False, "edge %d: malformed rule code" % k
+            concl, msg = _rule_conclusion(m, cfg)
+            if msg is not None:
+                return False, "edge %d: %s" % (k, msg)
             if concl != clause:
                 return False, "edge %d: rule conclusion does not match the clause" % k
-            if any(
-                isinstance(a, FModal) and not operator_legal(a.op, cfg)
-                for (_, a) in concl
-            ):
-                return False, "edge %d: rule uses an operator outside the logic" % k
             if not premise_has_clause(m.premise(), gamma):
                 return False, "edge %d: gamma is not a premise CNF clause" % k
             demand = negated_clause_instance(gamma, subst)
@@ -432,8 +454,6 @@ class _ModelBuilder:
         )
         self.checker = _Checker(self.w)
         self.sink = None
-        # Intensional neighbourhoods during construction: formulas per state.
-        self.neigh_formulas = {}
 
     def _make_sink(self) -> int:
         if self.sink is None:
@@ -464,7 +484,7 @@ class _ModelBuilder:
                 if s and isinstance(a, FModal) and isinstance(a.op, Atom)
             )
         if self.w.kind == "neighbourhood":
-            return self._build_neighbourhood(order, children)
+            return self._build_neighbourhood()
         for i in order:
             if not self._build_node(i, sorted(children[i])):
                 return None
@@ -568,59 +588,29 @@ class _ModelBuilder:
 
     # -- neighbourhoods ----------------------------------------------------
 
-    def _build_neighbourhood(self, order, children) -> Optional[ModelWitness]:
+    def _build_neighbourhood(self) -> Optional[ModelWitness]:
         # Neighbourhoods are generated by the positive box arguments of each
-        # node.  Generator truth sets are computed in formula-depth order
-        # against the neighbourhoods frozen so far; the finished extensional
-        # model is then re-validated literal by literal, so a staging
-        # discrepancy can only make synthesis fail, never lie.
-        gens = {}
-        for i in order:
-            seen = []
-            for s, a in self._literals(i):
-                if s and a.arg not in seen:
-                    seen.append(a.arg)
-            gens[i] = seen
-        alpha = {i: [] for i in range(len(self.tb.nodes))}
-        vec_cache = {}
-
-        def tv(g) -> frozenset:
-            cached = vec_cache.get(g)
-            if cached is not None:
-                return cached
-            if isinstance(g, FAnd):
-                result = tv(g.lhs) & tv(g.rhs)
-            elif isinstance(g, FNot):
-                result = frozenset(self.w.states) - tv(g.arg)
-            elif isinstance(g, FModal) and isinstance(g.op, Atom):
-                result = frozenset(
-                    t for t in self.w.states if g.op.name in self.w.labels[t]
-                )
-            elif isinstance(g, FModal):
-                inner = tv(g.arg)
-                result = frozenset(
-                    t
-                    for t in self.w.states
-                    if lift("neighbourhood", g.op, alpha[t], inner, self.w.monotone)
-                )
-            else:
-                result = frozenset()
-            vec_cache[g] = result
-            return result
-
+        # node.  Generator truth sets are read, in formula-depth order, by
+        # the builder's checker off the neighbourhood lists as they grow;
+        # the finished model is then re-validated literal by literal with a
+        # fresh checker, so a staging discrepancy can only make synthesis
+        # fail, never lie.
+        nodes = range(len(self.tb.nodes))
+        gens = {i: {a.arg for s, a in self._literals(i) if s} for i in nodes}
+        for i in nodes:
+            self.w.neigh[i] = []
         ordered_gens = sorted(
-            {g for seen in gens.values() for g in seen},
-            key=lambda g: (g.depth, pretty(g)),
+            set().union(*gens.values()), key=lambda g: (g.depth, pretty(g))
         )
         for g in ordered_gens:
-            vector = tv(g)
-            for i in range(len(self.tb.nodes)):
-                if g in gens[i] and vector not in alpha[i]:
-                    alpha[i].append(vector)
-        for i in range(len(self.tb.nodes)):
-            self.w.neigh[i] = tuple(alpha[i])
+            vector = self.checker.truth_set(g)
+            for i in nodes:
+                if g in gens[i] and vector not in self.w.neigh[i]:
+                    self.w.neigh[i].append(vector)
+        for i in nodes:
+            self.w.neigh[i] = tuple(self.w.neigh[i])
         checker = _Checker(self.w)
-        for i in range(len(self.tb.nodes)):
+        for i in nodes:
             for s, a in self.tb.nodes[i]:
                 if checker.check(i, a) != s:
                     return None
@@ -708,17 +698,9 @@ def _check_doc(doc: ProofDoc, cfg: LogicConfig, path: tuple):
         if cp.kind != "rule" or cp.matching is None:
             return _reject(at, "malformed clause proof")
         m = cp.matching
-        if not side_condition(m.code, cfg):
-            return _reject(at, "rule code fails its side condition")
-        try:
-            concl = conclusion_clause(m, cfg.n_agents)
-        except (ValueError, IndexError):
-            return _reject(at, "malformed rule code")
-        if any(
-            isinstance(a, FModal) and not operator_legal(a.op, cfg)
-            for (_, a) in concl
-        ):
-            return _reject(at, "rule uses an operator outside the logic")
+        concl, msg = _rule_conclusion(m, cfg)
+        if msg is not None:
+            return _reject(at, msg)
         if not clause_entails(concl, cp.clause):
             return _reject(at, "rule conclusion does not entail the clause")
         # One part per premise CNF clause, in their order: a part outside
@@ -830,26 +812,36 @@ def model_to_json(w: ModelWitness) -> dict:
     return {"kind": "model", "version": CERT_VERSION, "payload": payload}
 
 
+def _json_label(names) -> frozenset:
+    if type(names) is not list or any(type(nm) is not str for nm in names):
+        raise ValueError("label %r is not a list of atom names" % (names,))
+    return frozenset(names)
+
+
 def model_from_json(doc: dict) -> ModelWitness:
+    """Read a model as written: state ids, weights, strategy counts and
+    outcomes must be JSON integers and the flags JSON booleans, so that
+    ``validate_structure`` judges the file's values, not coerced ones.
+    Mapping keys are strings and are read as integers."""
     payload = doc["payload"]
     w = ModelWitness(
         kind=payload["model_kind"],
-        root=int(payload["root"]),
-        states=[int(s) for s in payload["states"]],
-        labels={int(s): frozenset(v) for s, v in payload["labels"].items()},
-        serial=bool(payload.get("serial", False)),
-        monotone=bool(payload.get("monotone", False)),
+        root=json_int(payload["root"]),
+        states=[json_int(s) for s in payload["states"]],
+        labels={int(s): _json_label(v) for s, v in payload["labels"].items()},
+        serial=json_bool(payload.get("serial", False)),
+        monotone=json_bool(payload.get("monotone", False)),
     )
     if w.kind == "kripke":
-        w.succ = {int(s): tuple(int(t) for t in v) for s, v in payload["succ"].items()}
+        w.succ = {int(s): tuple(json_int(t) for t in v) for s, v in payload["succ"].items()}
     elif w.kind == "multigraph":
         w.weights = {
-            int(s): {int(t): int(c) for t, c in v.items()}
+            int(s): {int(t): json_int(c) for t, c in v.items()}
             for s, v in payload["weights"].items()
         }
     elif w.kind == "neighbourhood":
         w.neigh = {
-            int(s): tuple(frozenset(int(t) for t in member) for member in v)
+            int(s): tuple(frozenset(json_int(t) for t in member) for member in v)
             for s, v in payload["neigh"].items()
         }
     elif w.kind == "distribution":
@@ -860,9 +852,9 @@ def model_from_json(doc: dict) -> ModelWitness:
     elif w.kind == "game":
         w.games = {
             int(s): (
-                tuple(int(k) for k in v["sizes"]),
+                tuple(json_int(k) for k in v["sizes"]),
                 {
-                    tuple(int(i) for i in k.split(",") if i != ""): int(t)
+                    tuple(int(i) for i in k.split(",") if i != ""): json_int(t)
                     for k, t in v["table"].items()
                 },
             )
@@ -878,7 +870,7 @@ def _gamma_json(gamma):
 
 
 def _gamma_parse(data):
-    return tuple((bool(s), int(v)) for s, v in data)
+    return tuple((json_bool(s), json_int(v)) for s, v in data)
 
 
 def tableau_to_json(tb: Tableau) -> dict:
@@ -928,7 +920,7 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
         if label["kind"] == "rule":
             edges.append(
                 (
-                    int(e["src"]),
+                    json_int(e["src"]),
                     (
                         "rule",
                         tuple(_literal(formula(t)) for t in label["clause"]),
@@ -936,18 +928,18 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
                         tuple(formula(t) for t in label["substitution"]),
                         _gamma_parse(label["gamma"]),
                     ),
-                    int(e["dst"]),
+                    json_int(e["dst"]),
                 )
             )
         else:
             edges.append(
                 (
-                    int(e["src"]),
+                    json_int(e["src"]),
                     ("pattern", formula(label["formula"])),
-                    int(e["dst"]),
+                    json_int(e["dst"]),
                 )
             )
-    return Tableau(int(payload["root"]), nodes, edges)
+    return Tableau(json_int(payload["root"]), nodes, edges)
 
 
 def proof_to_json(doc: ProofDoc) -> dict:
@@ -1008,8 +1000,9 @@ def certificate_from_json(doc: dict, n_agents: int):
     if not isinstance(doc, dict):
         raise ValueError("malformed certificate: not a JSON object")
     kind = doc.get("kind")
-    if doc.get("version") != CERT_VERSION:
-        raise ValueError("unsupported certificate version %r" % doc.get("version"))
+    version = doc.get("version")
+    if type(version) is not int or version != CERT_VERSION:
+        raise ValueError("unsupported certificate version %r" % (version,))
     if kind not in ("model", "tableau", "proof"):
         raise ValueError("unknown certificate kind %r" % kind)
     try:

@@ -239,11 +239,6 @@ def size(f: Formula) -> int:
     raise TypeError("unknown formula: %r" % (f,))
 
 
-def depth(f: Formula) -> int:
-    """Modal nesting depth; atoms contribute zero."""
-    return f.depth
-
-
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------

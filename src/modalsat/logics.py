@@ -402,9 +402,7 @@ def _linear_literal_data(clause, cfg: LogicConfig):
     signs, ops, args = shape
     rows = []
     for op in ops:
-        if cfg.logic == "GML" and isinstance(op, GDiamond):
-            rows.append(("g", op.grade))
-        elif cfg.logic == "MAJ" and isinstance(op, GDiamond):
+        if cfg.logic in ("GML", "MAJ") and isinstance(op, GDiamond):
             rows.append(("g", op.grade))
         elif cfg.logic == "MAJ" and isinstance(op, MajW):
             rows.append(("w", None))

@@ -40,6 +40,21 @@ def parse_fraction(text) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def json_int(value) -> int:
+    """A JSON integer as read; raises ValueError for a bool, a float, a
+    string or anything else that ``int()`` would coerce."""
+    if type(value) is not int:
+        raise ValueError("%r is not an integer" % (value,))
+    return value
+
+
+def json_bool(value) -> bool:
+    """A JSON boolean as read; raises ValueError for any other value."""
+    if type(value) is not bool:
+        raise ValueError("%r is not a boolean" % (value,))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Premises
 # ---------------------------------------------------------------------------
@@ -175,10 +190,12 @@ class RuleCode:
         return RuleCode(
             logic=str(data["logic"]),
             scheme=str(data["scheme"]),
-            ints=tuple(int(i) for i in data.get("ints", ())),
+            ints=tuple(json_int(i) for i in data.get("ints", ())),
             rationals=tuple(parse_fraction(item) for item in data.get("rationals", ())),
-            grades=tuple(int(g) for g in data.get("grades", ())),
-            coalitions=tuple(frozenset(int(i) for i in c) for c in data.get("coalitions", ())),
+            grades=tuple(json_int(g) for g in data.get("grades", ())),
+            coalitions=tuple(
+                frozenset(json_int(i) for i in c) for c in data.get("coalitions", ())
+            ),
         )
 
 

@@ -2,7 +2,10 @@
 
 Everything here evaluates the modal operators directly against small concrete
 structures, without touching the solver; the truth conditions are those of
-``semantics.lift``, and the structures are in its format:
+``semantics.lift``, and the structures are in its format.  Formula truth at
+the states of a finite model has one evaluator, ``certificates._Checker``:
+the same checker serves ``check-cert``, model synthesis and the tree search
+below.
 
 * ``one_step_sound`` checks a rule instance against all structures over small
   carriers, up to renaming the carrier's points.  Predicate liftings are
@@ -17,8 +20,9 @@ structures, without touching the solver; the truth conditions are those of
   tree search groups candidate states by type: their modal truths depend
   only on the one-step structure and the children's truths, so each
   structure is lifted once per distinct input and a candidate is built only
-  when it is kept.  The witness is the first in the candidate order (size,
-  child combination, label, structure);
+  when it is kept, as a state of one scratch model that the checker reads.
+  The witness is the first in the candidate order (size, child combination,
+  label, structure);
 * ``resolve_rules`` cut-combines two linear rule instances on a pivot literal;
 * ``strict_completeness_probe`` hunts for a rule instance matching a clause
   that is valid over a given concrete one-step argument assignment.
@@ -56,8 +60,8 @@ from .onestep import (
     RuleMatching,
     code_operators,
 )
-from .certificates import ModelWitness, model_check
-from .semantics import MODEL_KINDS, lift, points_of, relabel
+from .certificates import ModelWitness, _Checker, model_check
+from .semantics import MODEL_KINDS, lift, relabel
 
 # Search bounds: carrier size for rule soundness and the neighbourhood
 # search, weights, probability denominators and strategies per agent of the
@@ -317,17 +321,6 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _Proto:
-    """A concrete state under construction inside a scratch model."""
-
-    __slots__ = ("sid", "label", "struct")
-
-    def __init__(self, sid, label, struct):
-        self.sid = sid
-        self.label = label  # frozenset of atom names
-        self.struct = struct  # as semantics.lift reads it, over child protos
-
-
 def _names_and_args(f: Formula):
     """The atom names and the distinct modal arguments of ``f``, each in
     order of first occurrence among its subformulas."""
@@ -360,43 +353,22 @@ class _TreeEnumerator:
     of them, and a child combination or a label that agrees with an earlier
     one on everything read is skipped.  None of this skips a candidate that
     could be kept, so levels and witness are those of the one-by-one
-    enumeration; only a candidate that enters a level, or the root, becomes
-    a ``_Proto``.  Structures are generated lazily, so the root search stops
-    at its first hit even where a child count has billions of them."""
+    enumeration; only a candidate that enters a level, or the root, is
+    built.  Structures are generated lazily, so the root search stops at its
+    first hit even where a child count has billions of them.  Built
+    candidates are the states of one scratch model, ``self.w``, whose truths
+    the model checker reads."""
 
     def __init__(self, f: Formula, cfg: LogicConfig):
         self.f = f
         self.cfg = cfg
         self.kind = MODEL_KINDS[cfg.logic]
         self.prop_names, self.args = _names_and_args(f)
-        self.memo = {}
-        self.next_sid = 0
+        self.w = ModelWitness(kind=self.kind, root=0, states=[], labels={})
+        self.check = _Checker(self.w).check
         self.templates = {}  # child count -> structures over child positions
         self.lifts = {}  # (child count, op, inside mask) -> truth per template
         self.types = {}  # (child count, ops, masks) -> list from ``_types``
-
-    # -- truth of a formula at a proto --------------------------------------
-
-    def holds(self, proto: _Proto, g: Formula) -> bool:
-        key = (proto.sid, g)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._eval(proto, g)
-        self.memo[key] = result
-        return result
-
-    def _eval(self, proto, g) -> bool:
-        if isinstance(g, FAnd):
-            return self.holds(proto, g.lhs) and self.holds(proto, g.rhs)
-        if isinstance(g, FNot):
-            return not self.holds(proto, g.arg)
-        if not isinstance(g, FModal):
-            return False  # bottom
-        if isinstance(g.op, Atom):
-            return g.op.name in proto.label
-        inside = {t for t in points_of(self.kind, proto.struct) if self.holds(t, g.arg)}
-        return lift(self.kind, g.op, proto.struct, inside)
 
     # -- structure generation ------------------------------------------------
 
@@ -507,30 +479,32 @@ class _TreeEnumerator:
                     break  # every tuple of truths is taken
         self.types[key] = types
 
-    def _make(self, label, template, children=()) -> _Proto:
-        proto = _Proto(self.next_sid, label, None)
-        self.next_sid += 1
-        # Positions become children; the placeholder None becomes the proto.
-        proto.struct = relabel(
-            self.kind, template, lambda t: proto if t is None else children[t]
+    def _make(self, label, template, children=()) -> int:
+        w = self.w
+        s = len(w.states)
+        w.states.append(s)
+        w.labels[s] = label
+        # Positions become children; the placeholder None becomes the state.
+        w.structures()[s] = relabel(
+            self.kind, template, lambda t: s if t is None else children[t]
         )
-        return proto
+        return s
 
     # -- the search ----------------------------------------------------------
 
     def _candidates(self, pool, goals):
         """The first candidate over children from ``pool`` for each distinct
         tuple of truths of ``goals``, in candidate order, as pairs of that
-        tuple and a function that builds the candidate's proto."""
+        tuple and a function that builds the candidate's state."""
         labels = list(self._labels())
         seen = set()
         for label in labels:
             for struct in self._terminal_structs():
-                proto = self._make(label, struct)
-                got = tuple(self.holds(proto, g) for g in goals)
+                s = self._make(label, struct)
+                got = tuple(self.check(s, g) for g in goals)
                 if got not in seen:
                     seen.add(got)
-                    yield got, lambda proto=proto: proto
+                    yield got, lambda s=s: s
         if not pool:
             return
         tops = []
@@ -550,8 +524,8 @@ class _TreeEnumerator:
             for label in labels
             if label <= read
         ]
-        # Each pool proto's truth of each atom's argument.
-        args = [tuple(self.holds(t, a.arg) for a in atoms) for t in pool]
+        # Each pool state's truth of each atom's argument.
+        args = [tuple(self.check(t, a.arg) for a in atoms) for t in pool]
         values = {}  # (label, modal truths) -> truths of goals
         keys = set()
         for size in range(1, min(BRANCH_BOUND, len(pool)) + 1):
@@ -579,18 +553,18 @@ class _TreeEnumerator:
                                 self._make, label, struct, children
                             )
 
-    def search(self, depth_bound: int) -> Optional[_Proto]:
+    def search(self, depth_bound: int) -> Optional[int]:
         props = tuple(atom(nm) for nm in self.prop_names)
         level = []
         for d in range(depth_bound):
             goals = props + tuple(g for g in self.args if g.depth <= d)
             vectors = set()
             pool = []
-            for proto in level:
-                got = tuple(self.holds(proto, g) for g in goals)
+            for s in level:
+                got = tuple(self.check(s, g) for g in goals)
                 if got not in vectors:
                     vectors.add(got)
-                    pool.append(proto)
+                    pool.append(s)
             for got, build in self._candidates(level, goals):
                 if got not in vectors:
                     vectors.add(got)
@@ -603,27 +577,28 @@ class _TreeEnumerator:
 
     # -- witness materialization ----------------------------------------------
 
-    def materialize(self, root: _Proto) -> ModelWitness:
-        cfg = self.cfg
+    def materialize(self, root: int) -> ModelWitness:
+        """The states that ``root`` reaches, renumbered from 0 in depth-first
+        order."""
         w = ModelWitness(
             kind=self.kind,
             root=0,
             states=[],
             labels={},
-            serial=cfg.logic == "KD",
+            serial=self.cfg.logic == "KD",
         )
-        structs = w.structures()
+        structs = self.w.structures()
+        out = w.structures()
         ids = {}
 
-        def visit(proto: _Proto) -> int:
-            if proto.sid in ids:
-                return ids[proto.sid]
-            s = len(w.states)
-            ids[proto.sid] = s
-            w.states.append(s)
-            w.labels[s] = proto.label
-            structs[s] = relabel(self.kind, proto.struct, visit)
-            return s
+        def visit(s: int) -> int:
+            if s in ids:
+                return ids[s]
+            t = ids[s] = len(w.states)
+            w.states.append(t)
+            w.labels[t] = self.w.labels[s]
+            out[t] = relabel(self.kind, structs[s], visit)
+            return t
 
         w.root = visit(root)
         return w
@@ -753,9 +728,7 @@ def resolve_rules(code1: RuleCode, code2: RuleCode, i: int, j: int) -> Optional[
         return None
 
     def op_key(code, k):
-        if code.scheme == "GML":
-            return code.grades[k]
-        if code.scheme == "MAJ":
+        if code.scheme in ("GML", "MAJ"):
             return code.grades[k]
         return code.rationals[k]
 

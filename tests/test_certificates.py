@@ -34,7 +34,13 @@ from modalsat.certificates import (
 )
 from modalsat.formula import GDiamond, MajW, assignments, atom, modal, neg_fold, parse
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec
-from modalsat.onestep import negated_clause_instance, premise_cnf_clauses
+from modalsat.onestep import (
+    RuleCode,
+    RuleMatching,
+    conclusion_clause,
+    negated_clause_instance,
+    premise_cnf_clauses,
+)
 from modalsat.oracle import brute_force_sat
 from modalsat.semantics import lift
 from modalsat.solver import Solver, satisfiable
@@ -390,6 +396,30 @@ def test_tableau_rejects_partial_sign_pattern():
     assert not ok and "sign pattern" in msg
 
 
+def test_tableau_rejects_rule_over_an_operator_outside_the_logic(tmp_path, capsys):
+    # An extra node answers its congruence challenge over [C 1], which a K
+    # rule cannot mention; every other check of the edge would pass.
+    cfg = LogicConfig(logic="K")
+    text = "[](a | b) & ~[]a & ~[]b"
+    f = parse(text)
+    tb = extract_tableau(satisfiable(f, cfg), cfg)
+    assert check_tableau(tb, f, cfg) == (True, "ok")
+    m = RuleMatching(RuleCode("K", "CONG", (-1, 1), (), (), (frozenset({1}),)), (atom("a"), atom("b")))
+    clause = conclusion_clause(m, cfg.n_agents)
+    gamma = next(premise_cnf_clauses(m.premise()))
+    demand = negated_clause_instance(gamma, m.subst)
+    src = len(tb.nodes)
+    tb.nodes.append(tuple((not s, a) for s, a in clause))
+    tb.nodes.append(next(assignments(demand)))
+    tb.edges.append((src, ("rule", clause, m.code, m.subst, gamma), src + 1))
+    msg = "edge %d: rule uses an operator outside the logic" % (len(tb.edges) - 1)
+    assert check_tableau(tb, f, cfg) == (False, msg)
+    cert = tmp_path / "tableau.json"
+    cert.write_text(json.dumps(tableau_to_json(tb)))
+    assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
+    assert msg in capsys.readouterr().out
+
+
 # -- model synthesis ----------------------------------------------------------
 
 
@@ -607,6 +637,10 @@ def _set_inner_sub_formula(payload):
     _inner_clause(payload)["parts"][0]["sub"]["formula"] = "p"
 
 
+def _set_inner_coalition_rule(payload):
+    _inner_clause(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
+
+
 def _drop_inner_clauses(payload):
     payload["payload"]["clauses"][0]["parts"][0]["sub"]["clauses"] = []
 
@@ -621,6 +655,7 @@ def _drop_root_clauses(payload):
         (_set_inner_ints, "clause 0 > part 0 > clause 0: rule code fails its side condition"),
         (_set_inner_gamma, "clause 0 > part 0 > clause 0 > part 0: gamma is not premise CNF clause 0"),
         (_set_inner_sub_formula, "clause 0 > part 0 > clause 0 > part 0: sub-proof proves the wrong instance"),
+        (_set_inner_coalition_rule, "clause 0 > part 0 > clause 0: rule uses an operator outside the logic"),
         (_drop_inner_clauses, "clause 0 > part 0: clause list does not match the CNF of the node formula"),
         (_drop_root_clauses, "clause list does not match the CNF of the node formula"),
     ],
@@ -760,6 +795,8 @@ def test_certificate_json_is_deterministic():
 
 
 def test_certificate_version_gate():
-    doc = {"kind": "model", "version": 99, "payload": {}}
-    with pytest.raises(ValueError):
-        certificate_from_json(doc, 2)
+    # JSON true equals 1 in Python, but it is not the version number.
+    for version in (99, True):
+        doc = {"kind": "model", "version": version, "payload": {}}
+        with pytest.raises(ValueError, match="unsupported certificate version"):
+            certificate_from_json(doc, 2)

@@ -222,6 +222,51 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
             },
         },
     ]
+    # Ill-typed values that int() or bool() would coerce into a different
+    # certificate: a float root or weight (read as 0 and 1, the model would
+    # pass), an integer flag, a label that is a string, a string edge
+    # endpoint, a float rule coefficient and an integer gamma sign.
+    graded = {
+        "model_kind": "multigraph",
+        "root": 0,
+        "states": [0, 1],
+        "labels": {"0": [], "1": ["a"]},
+        "weights": {"0": {"1": 1}, "1": {}},
+    }
+    for field, value in [("root", 0.7), ("weights", {"0": {"1": 1.9}, "1": {}}),
+                         ("serial", 1), ("labels", {"0": [], "1": "a"})]:
+        docs.append({"kind": "model", "version": 1, "payload": {**graded, field: value}})
+    docs.append(
+        {
+            "kind": "tableau",
+            "version": 1,
+            "payload": {
+                "root": 0,
+                "nodes": [["a"]],
+                "edges": [{"src": "0", "dst": 0, "label": {"kind": "pattern", "formula": "a"}}],
+            },
+        }
+    )
+    rule = {"logic": "K", "scheme": "K", "ints": [1, 0], "grades": [], "coalitions": []}
+    for code, gamma in [({**rule, "ints": [1.0, 0]}, [[True, 0]]), (rule, [[1, 0]])]:
+        docs.append(
+            {
+                "kind": "proof",
+                "version": 1,
+                "payload": {
+                    "formula": "[]a",
+                    "clauses": [
+                        {
+                            "clause": ["[] a"],
+                            "type": "rule",
+                            "rule": code,
+                            "substitution": ["a"],
+                            "parts": [{"gamma": gamma, "sub": {"formula": "a", "clauses": []}}],
+                        }
+                    ],
+                },
+            }
+        )
     for doc in docs:
         cert = tmp_path / "bad.json"
         cert.write_text(json.dumps(doc))

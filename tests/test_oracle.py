@@ -21,7 +21,6 @@ from modalsat.oracle import (
     _one_step_sound,
     _point_patterns,
     _premise_holds,
-    _Proto,
     _TreeEnumerator,
     backend_for,
     brute_force_sat,
@@ -566,11 +565,15 @@ def _reference_search(enum, depth_bound):
     vectors = set()
 
     def make(label, struct):
-        if enum.next_sid >= REFERENCE_PROTOS:
+        w = enum.w
+        if len(w.states) >= REFERENCE_PROTOS:
             raise _OverBudget()
-        proto = _Proto(enum.next_sid, label, None)
-        enum.next_sid += 1
-        proto.struct = relabel(enum.kind, struct, lambda t: proto if t is None else t)
+        proto = len(w.states)
+        w.states.append(proto)
+        w.labels[proto] = label
+        w.structures()[proto] = relabel(
+            enum.kind, struct, lambda t: proto if t is None else t
+        )
         return proto
 
     def tracked(d):
@@ -580,8 +583,8 @@ def _reference_search(enum, depth_bound):
     def vec(proto, d):
         names, gs = tracked(d)
         return (
-            tuple(nm in proto.label for nm in names),
-            tuple(enum.holds(proto, g) for g in gs),
+            tuple(nm in enum.w.labels[proto] for nm in names),
+            tuple(enum.check(proto, g) for g in gs),
         )
 
     def add(proto, d, pool):
@@ -604,7 +607,7 @@ def _reference_search(enum, depth_bound):
         for label in enum._labels():
             for struct in enum._terminal_structs():
                 proto = make(label, struct)
-                if enum.holds(proto, enum.f):
+                if enum.check(proto, enum.f):
                     return proto
         return None
 
@@ -622,7 +625,7 @@ def _reference_search(enum, depth_bound):
                 add(proto, d, new_pool)
         level = new_pool
     for proto in candidates(level):
-        if enum.holds(proto, enum.f):
+        if enum.check(proto, enum.f):
             return proto
     return None
 
@@ -726,5 +729,5 @@ def test_tree_search_builds_few_protos(logic, text, digest, max_protos):
     enum = _TreeEnumerator(f, cfg)
     root = enum.search(f.depth)
     assert root is not None
-    assert enum.next_sid <= max_protos
+    assert len(enum.w.states) <= max_protos
     assert model_sha256(enum.materialize(root)) == digest
