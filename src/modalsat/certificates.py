@@ -34,7 +34,6 @@ from .formula import (
     cnf_clauses,
     clause_entails,
     eval_with,
-    is_tautology_clause,
     modal_atoms,
     neg_fold,
     parse,
@@ -625,8 +624,7 @@ class _ModelBuilder:
 @dataclass
 class ClauseProof:
     clause: tuple
-    kind: str  # "leaf" | "rule"
-    matching: Optional[RuleMatching] = None
+    matching: RuleMatching
     parts: tuple = ()  # ((gamma, ProofDoc), ...)
 
 
@@ -652,7 +650,6 @@ def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc
         return tuple(
             ClauseProof(
                 tuple((not s, a) for s, a in valuation),
-                "rule",
                 m,
                 tuple((gamma, sub_doc(child)) for gamma, child in gamma_children),
             )
@@ -674,7 +671,7 @@ def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc
 def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
     """Independent proof checking; returns (ok, message).  A rejection below
     the root names the failing clause by its index path from the root, such
-    as ``clause 1 > part 0 > clause 2: leaf clause is not a tautology``."""
+    as ``clause 1 > part 0: sub-proof proves the wrong instance``."""
     if doc.formula is not goal:
         return False, "proof is not about the stated goal"
     return _check_doc(doc, cfg, ())
@@ -691,12 +688,6 @@ def _check_doc(doc: ProofDoc, cfg: LogicConfig, path: tuple):
         return _reject(path, "clause list does not match the CNF of the node formula")
     for c, cp in enumerate(doc.clause_proofs):
         at = path + ("clause %d" % c,)
-        if cp.kind == "leaf":
-            if not is_tautology_clause(cp.clause):
-                return _reject(at, "leaf clause is not a tautology")
-            continue
-        if cp.kind != "rule" or cp.matching is None:
-            return _reject(at, "malformed clause proof")
         m = cp.matching
         concl, msg = _rule_conclusion(m, cfg)
         if msg is not None:
@@ -730,10 +721,9 @@ def audit_proof_subformulas(doc: ProofDoc, goal: Formula) -> bool:
         if not set(modal_atoms(d.formula)) <= allowed:
             return False
         for cp in d.clause_proofs:
-            if cp.kind == "rule":
-                for _, sub in cp.parts:
-                    if not walk(sub):
-                        return False
+            for _, sub in cp.parts:
+                if not walk(sub):
+                    return False
         return True
 
     return walk(doc)
@@ -818,43 +808,52 @@ def _json_label(names) -> frozenset:
     return frozenset(names)
 
 
+def _int_key(text: str) -> int:
+    """A mapping key is the decimal text of its integer and nothing else, so
+    that no two keys of one mapping name the same state or profile."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError("key %r is not the decimal text of an integer" % (text,))
+    return n
+
+
 def model_from_json(doc: dict) -> ModelWitness:
     """Read a model as written: state ids, weights, strategy counts and
     outcomes must be JSON integers and the flags JSON booleans, so that
     ``validate_structure`` judges the file's values, not coerced ones.
-    Mapping keys are strings and are read as integers."""
+    Mapping keys are the decimal texts of states."""
     payload = doc["payload"]
     w = ModelWitness(
         kind=payload["model_kind"],
         root=json_int(payload["root"]),
         states=[json_int(s) for s in payload["states"]],
-        labels={int(s): _json_label(v) for s, v in payload["labels"].items()},
+        labels={_int_key(s): _json_label(v) for s, v in payload["labels"].items()},
         serial=json_bool(payload.get("serial", False)),
         monotone=json_bool(payload.get("monotone", False)),
     )
     if w.kind == "kripke":
-        w.succ = {int(s): tuple(json_int(t) for t in v) for s, v in payload["succ"].items()}
+        w.succ = {_int_key(s): tuple(json_int(t) for t in v) for s, v in payload["succ"].items()}
     elif w.kind == "multigraph":
         w.weights = {
-            int(s): {int(t): json_int(c) for t, c in v.items()}
+            _int_key(s): {_int_key(t): json_int(c) for t, c in v.items()}
             for s, v in payload["weights"].items()
         }
     elif w.kind == "neighbourhood":
         w.neigh = {
-            int(s): tuple(frozenset(json_int(t) for t in member) for member in v)
+            _int_key(s): tuple(frozenset(json_int(t) for t in member) for member in v)
             for s, v in payload["neigh"].items()
         }
     elif w.kind == "distribution":
         w.dist = {
-            int(s): {int(t): parse_fraction(p) for t, p in v.items()}
+            _int_key(s): {_int_key(t): parse_fraction(p) for t, p in v.items()}
             for s, v in payload["dist"].items()
         }
     elif w.kind == "game":
         w.games = {
-            int(s): (
+            _int_key(s): (
                 tuple(json_int(k) for k in v["sizes"]),
                 {
-                    tuple(int(i) for i in k.split(",") if i != ""): json_int(t)
+                    tuple(_int_key(i) for i in k.split(",")) if k else (): json_int(t)
                     for k, t in v["table"].items()
                 },
             )
@@ -947,17 +946,19 @@ def proof_to_json(doc: ProofDoc) -> dict:
 
 
 def _proof_payload(doc: ProofDoc) -> dict:
-    clauses = []
-    for cp in doc.clause_proofs:
-        entry = {"clause": [pretty_literal(lit) for lit in cp.clause], "type": cp.kind}
-        if cp.kind == "rule":
-            entry["rule"] = cp.matching.code.to_json()
-            entry["substitution"] = [pretty(g) for g in cp.matching.subst]
-            entry["parts"] = [
+    clauses = [
+        {
+            "clause": [pretty_literal(lit) for lit in cp.clause],
+            "type": "rule",
+            "rule": cp.matching.code.to_json(),
+            "substitution": [pretty(g) for g in cp.matching.subst],
+            "parts": [
                 {"gamma": _gamma_json(gamma), "sub": _proof_payload(sub)}
                 for gamma, sub in cp.parts
-            ]
-        clauses.append(entry)
+            ],
+        }
+        for cp in doc.clause_proofs
+    ]
     return {"formula": pretty(doc.formula), "clauses": clauses}
 
 
@@ -968,17 +969,14 @@ def proof_from_json(doc: dict, n_agents: int) -> ProofDoc:
         clause_proofs = []
         for entry in payload["clauses"]:
             clause = tuple(_literal(formula(t)) for t in entry["clause"])
-            if entry["type"] == "leaf":
-                clause_proofs.append(ClauseProof(clause, "leaf"))
-                continue
+            if entry["type"] != "rule":
+                raise ValueError("clause entry type %r is not \"rule\"" % (entry["type"],))
             code = RuleCode.from_json(entry["rule"])
             subst = tuple(formula(t) for t in entry["substitution"])
             parts = tuple(
                 (_gamma_parse(p["gamma"]), read(p["sub"])) for p in entry["parts"]
             )
-            clause_proofs.append(
-                ClauseProof(clause, "rule", RuleMatching(code, subst), parts)
-            )
+            clause_proofs.append(ClauseProof(clause, RuleMatching(code, subst), parts))
         return ProofDoc(formula(payload["formula"]), tuple(clause_proofs))
 
     return read(doc["payload"])

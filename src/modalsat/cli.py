@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import traceback
@@ -32,35 +31,20 @@ EXIT_ERROR = 2
 EXIT_CAVEAT = 3
 
 
-def _defaults() -> dict:
-    """Flag defaults, optionally overridden by a JSON file named by the
-    MODALSAT_CONFIG environment variable (keys: logic, format)."""
-    defaults = {"logic": "K", "format": "human"}
-    path = os.environ.get("MODALSAT_CONFIG")
-    if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
-        for key in defaults:
-            if key in loaded:
-                defaults[key] = loaded[key]
-    return defaults
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    defaults = _defaults()
     p = argparse.ArgumentParser(
         prog="modalsat",
         description="Satisfiability and provability for rank-1 modal logics.",
     )
     p.add_argument(
         "--logic",
-        default=defaults["logic"],
+        default="K",
         help="one of E, M, K, KD, COAL:n, GML, MAJ, PML (default K)",
     )
     p.add_argument(
         "--format",
         choices=("human", "json"),
-        default=defaults["format"],
+        default="human",
         help="output format",
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -91,6 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--count", type=int, default=25)
     tp.add_argument("--seed", type=int, default=0)
     return p
+
+
+_PARSER = _build_parser()
 
 
 def _dump(obj) -> str:
@@ -229,10 +216,21 @@ def _cmd_model(args, cfg: LogicConfig) -> int:
     return EXIT_YES
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook for certificate files: a repeated key is rejected,
+    where ``json.load`` would keep its last value and drop the others."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        raise ValueError("malformed certificate: key %r repeats in one object" % repeated)
+    return obj
+
+
 def _cmd_check_cert(args, cfg: LogicConfig) -> int:
     f = _parse_formula(args.formula, cfg)
     with open(args.cert) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     cert = certificates.certificate_from_json(doc, cfg.n_agents)
     ok, message = certificates.check_certificate(cert, f, cfg)
     _emit(
@@ -270,7 +268,7 @@ def _cmd_selftest(args, cfg: LogicConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = parse_logic_spec(args.logic)
         if args.command == "solve":
             return _cmd_solve(args, cfg)

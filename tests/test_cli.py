@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 
 from modalsat.cli import main
@@ -115,23 +116,19 @@ def test_json_output_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_env_config_defaults(tmp_path, capsys, monkeypatch):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"logic": "GML", "format": "json"}))
-    monkeypatch.setenv("MODALSAT_CONFIG", str(conf))
-    code = main(["solve", "<1>a"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["logic"] == "GML"
-    # An explicit flag still wins over the file.
-    code = main(["--logic", "K", "solve", "<1>a"])
-    capsys.readouterr()
-    assert code == 2
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
 
-    monkeypatch.setenv("MODALSAT_CONFIG", str(tmp_path / "missing.json"))
-    code = main(["solve", "a"])
-    capsys.readouterr()
-    assert code == 2
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        code, _, _ = run(capsys, "--logic", "K", "solve", "[]a")
+        assert code == 0
+    assert built == []
 
 
 def test_selftest_rules(capsys):
@@ -267,10 +264,26 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
                 },
             }
         )
-    for doc in docs:
+    cases = [("a", json.dumps(doc)) for doc in docs]
+    # A key that spells a state or strategy profile other than as its
+    # decimal text collides with the key that does, and so does a key that
+    # a JSON object repeats; reading the later one as state 1's label made
+    # these models pass ``[]a``.
+    kripke = '{"kind": "model", "version": 1, "payload": {"model_kind": "kripke", ' \
+        '"root": 0, "states": [0, 1], "succ": {"0": [1], "1": []}, "labels": %s}}'
+    for spelling in ("01", " 1", "+1", "1"):
+        cases.append(("[]a", kripke % ('{"0": [], "1": [], "%s": ["a"]}' % spelling)))
+    game = {"sizes": [1, 2], "table": {"0,0": 0, "0,1": 0, "00,1": 0}}
+    payload = {"model_kind": "game", "root": 0, "states": [0], "labels": {"0": []}, "games": {"0": game}}
+    cases.append(("a", json.dumps({"kind": "model", "version": 1, "payload": payload})))
+    # The only proof clause entry is a rule instance.
+    leaf = {"clause": ["[] a", "~[] a"], "type": "leaf"}
+    payload = {"formula": "[]a | ~[]a", "clauses": [leaf]}
+    cases.append(("[]a | ~[]a", json.dumps({"kind": "proof", "version": 1, "payload": payload})))
+    for formula, text in cases:
         cert = tmp_path / "bad.json"
-        cert.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
+        cert.write_text(text)
+        code, out, err = run(capsys, "--logic", "K", "check-cert", formula, "--cert", str(cert))
         assert code == 2
         assert err.startswith("error: malformed certificate")
         assert "Traceback" not in err and out == ""
