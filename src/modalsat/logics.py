@@ -203,7 +203,20 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     when ``node_refutable`` finds that some clause has one, so a node no
     linear rule refutes costs one relaxed system, not one per clause.  A
     clause is yielded only when it has a candidate.  Propositional atoms
-    never enter a clause."""
+    never enter a clause.
+
+    In K and KD only the inclusion-maximal clauses are built: each
+    clause-positive box with all the clause-negative boxes, and in KD, when
+    no box is clause-positive, the clause-negative boxes alone.  Every other
+    clause a K or KD rule matches, congruence pairs included, lies inside
+    one of them, and its challenge is answered exactly when the maximal
+    clause's is.  The K demand ``a_1 & ... & a_k & ~b`` of the maximal
+    clause ``{~[]a_1, ..., ~[]a_k, []b}`` is the strongest: when it is
+    satisfiable so is each sub-clause's demand (a congruence pair's
+    ``a & ~b``, a smaller K demand, the seriality demand
+    ``a_1 & ... & a_k``), and when a sub-clause's demand is unsatisfiable
+    so is the maximal one's.  So a node has one challenge per diamond, and a
+    refuted node is refuted by the first maximal clause in mask order."""
     # Clause literal i is the negation of valuation literal i.
     pos, neg = [], []
     for i, (s, a) in enumerate(valuation):
@@ -213,6 +226,11 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         atoms = proper_atoms(valuation)
         masks = set(_submasks(pos + neg))
         refutable = node_refutable(valuation, sat_bits, cfg)
+    elif cfg.logic in ("K", "KD"):
+        negs = sum(1 << j for j in neg)
+        masks = {1 << i | negs for i in pos}
+        if cfg.logic == "KD" and not pos:
+            masks.add(negs)
     else:
         masks = {
             1 << i | 1 << j
@@ -220,12 +238,7 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
             for j in neg
             if valuation[i][1].op == valuation[j][1].op
         }
-        if cfg.logic in ("K", "KD"):
-            negs = _submasks(neg)
-            masks.update(1 << i | m for i in pos for m in negs)
-            if cfg.logic == "KD":
-                masks.update(negs)
-        elif cfg.logic == "COAL":
+        if cfg.logic == "COAL":
             masks.update(_coalition_masks(valuation, pos, neg, cfg))
     masks.discard(0)
     for mask in sorted(masks):

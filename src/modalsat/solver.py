@@ -7,8 +7,10 @@ negations of H's literals, some clause of the premise CNF must have a
 satisfiable negation (a strictly shallower formula, solved recursively).
 Pseudovaluations come from ``assignments``, which prunes the truth table
 wherever the formula is already decided; challenges come from
-``challenges``, which builds only the clauses some schema can match.  Both
-keep binary-counter order, so traces do not depend on the pruning.
+``challenges``, which builds only the clauses some schema can match, and in
+K and KD only the inclusion-maximal ones: one per diamond, whose demand
+implies the demand of every clause inside it.  Both keep binary-counter
+order, so traces do not depend on the pruning.
 
 Each challenge is a clause with its candidate matchings, and one loop
 answers them all.  For the finite schemas the candidates are the clause's

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import proof_sha256, tableau_sha256
-from modalsat import certificates, cli
+from test_logics import _mask_loop_challenges
+from modalsat import certificates, cli, solver
 from modalsat.certificates import (
     MAX_WEIGHT,
     ModelWitness,
@@ -335,6 +336,65 @@ def test_tableau_rejects_tampered_node():
             break
     ok, _ = check_tableau(tb, f, cfg)
     assert not ok
+
+
+def _dominated_forgery(f, cfg):
+    """A tableau for ``f`` whose one node answers, with a satisfiable demand,
+    every challenge the full clause loop asks except the maximal clauses'."""
+    (valuation,) = assignments(f)
+    maximal = {clause for clause, _ in challenges(valuation, cfg, set())}
+    nodes, edges = [valuation], []
+    for clause, cands in _mask_loop_challenges(valuation, cfg, set()):
+        if clause in maximal:
+            continue
+        for m in cands:
+            for gamma in premise_cnf_clauses(m.premise()):
+                demand = negated_clause_instance(gamma, m.subst)
+                if satisfiable(demand, cfg).satisfiable:
+                    edges.append((0, ("rule", clause, m.code, m.subst, gamma), len(nodes)))
+                    nodes.append(next(assignments(demand)))
+                    break
+    return Tableau(0, nodes, edges)
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+def test_tableau_rejects_answers_to_dominated_clauses_only(logic):
+    # Each box argument alone leaves room for ~(a0 & a1), so every clause
+    # inside the maximal one has a satisfiable demand; only the maximal
+    # clause's demand a0 & a1 & ~(a0 & a1) refutes the node.
+    cfg = LogicConfig(logic=logic)
+    f = parse("[]a0 & []a1 & ~[](a0 & a1)")
+    assert not satisfiable(f, cfg).satisfiable
+    tb = _dominated_forgery(f, cfg)
+    assert len(tb.edges) >= 4
+    ok, msg = check_tableau(tb, f, cfg)
+    assert not ok
+    assert msg == "unanswered challenge at node 0: the K rule refutes it"
+
+
+OLD_STYLE_SAT = [
+    "[](a | b) & ~[]a & ~[]b",
+    "~[]b & []a0 & []a1 & []a2",
+    "~[]b & ~[]c & []a0 & [](a1 | b) & [][]a0",
+    "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)",
+]
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+@pytest.mark.parametrize("text", OLD_STYLE_SAT)
+def test_tableau_answering_every_clause_still_checks(logic, text, monkeypatch):
+    # Tableaux written when every clause was a challenge answer the maximal
+    # clauses too, so they keep checking.
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    new = extract_tableau(satisfiable(f, cfg), cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "challenges", _mask_loop_challenges)
+        old = extract_tableau(satisfiable(f, cfg), cfg)
+    assert len(old.edges) > len(new.edges)
+    assert check_tableau(old, f, cfg) == (True, "ok")
+    doc = json.loads(json.dumps(tableau_to_json(old)))
+    assert check_tableau(tableau_from_json(doc, cfg.n_agents), f, cfg) == (True, "ok")
 
 
 # Unsatisfiable linear-logic formulas for which a lone edgeless node answers
@@ -709,22 +769,22 @@ def _family_cases():
 # sha256 of each family member's tableau JSON: pins the order in which
 # valuations and challenges are enumerated, byte for byte.
 TABLEAU_SHA256 = {
-    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "011c3b676e8c50203c269da36c883a6b458b917e7660c797dd68811970708af8",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "223f8e7aacfba1f208c592c8e5c88283bc3ef24e93d97b018f6adba992bd515c",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "7ae235a117371a403111a9529df3186d6c8bd89f36e52fac381654a9616f68af",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "9160f5d4e4b58d6ee834d57fa344d4709bdd386102ef0e16904fd5c76dde693f",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "5507cd013cc24db650eb3ecda3bd34743bf21a05064df862d6edac1473e24d43",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "4ec5b675cdeef6abcab74f38678be3758813dbd81704db4e7803505fb990ce81",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "08976e8ceb436561338f6558bedeef7d1cc4811d1dc85fe3454a8870ac389d75",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "7c6c11eb9e5057a9e6c7b0db0f1994097bf1868c342453e82557f1e083a34c03",
-    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "480584fd057d1eb78226dc318c155327eda0c433759623baa79b820478a54074",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "a00492083fe82237dabd681e7ddc6fb45cda17110d97a17ab982d98c3c05571e",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "507931a2c423bcd99bffb1e466d8a18f38bce2f6a7e5da91953c45dc09fe9f64",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "d666b53fee7dfbaa14548826583937f0a6e585a209192099e08e14aff5dc2ec4",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "87f61827532b05a7daeacb7b74eada1af424e04fbb1d4ac119e91126ae11deee",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "20ddad41670c58dcf2429ddc3164a4522e8d0eda6e18c75960f60bf002d8cd38",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "db8963acf709bac17a086c609b7417236203012b5f589b7ca83723f8f6a2980e",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "dcf9dc1911a217735acc073e1359c74099ba854b53634279cc7c0a95bb1fb9df",
+    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "72dda3824d60d9b498edf3ce601c1b1b5f48c196c9db943f54f9b424ead433ed",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "5bd3c8e2027677c7bb4af8b4d440687314c6489bd50bfafa0d0ada81e01db642",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "50933c26a457f844da84ee161293b1a9b89144843da4de9ffe4de7e9e2af0d4f",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "dad0242d382d18fed47b600703ed9555b5849361613ce282691af682f550a172",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "7df626a7b9eef92f430340c2488af52c3d08d9715f20bc0121b32b3dcf28fc74",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "a0a2737c5d61de16f0f3f13c00559b3ea1aa2d3da7e8ac98fd51d8eac14fd6c4",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "7259a4db72d854702b8838e2c4f970cffbe4c9e5e3ece3ca8480f8acfcd4b8f4",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "13537f750a6c1f80ce0fa66dece9b87ddd2a8817ddea7389094bd9f33c147362",
+    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "0db3359b754190c428c13358e3f1d5892488cf95b01ca4dc71cd233e2e5c1157",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "9b43330ec4abc57e7206cfaec541dc4d11c4d2338ec831e169fca9d899b15321",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "2bb7b5116737e78ce91f384332771b218b90201c35e4657b1b407fd76cbfcb63",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "c38f9a5775fa55305d54099a98901786399fa35a45fde084779c69a389188b37",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "1d4a214809d01e0db723411a5b5546b3f36a28b254b08b628f6763b888ca4277",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "c97452575b6eedba45a597cbd0a28b6e7100419a8a20624b5eb19722365a2135",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "177d0d68f4f6be23fc5a8eb44cee9291b1fb24d348a33acfb3aa4180e55e6656",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "e6d8600a08c8a936a50391670b5fa30ef1d0b5688d1a88da03d49badfabd211d",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & [C 1,2,3](a0 | a1)"): "7c7c8bdd7ef3403311ab23f8e48c37bbf2856ea465a9d477356fcf8ba846140a",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & [C 1,2,3](a0 | a1 | a2)"): "fd0a68e3dfdaff3e4fe26d532cfe55da3971aa94250f95f49c4d6979f932e643",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & [C 1,2,3](a0 | a1 | a2 | a3)"): "4d5dc45f2b9dd06c2c9d66520d0de2538ef63a173c13e9b67a54456a0ba35d97",
@@ -733,15 +793,15 @@ TABLEAU_SHA256 = {
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "ba349ffa074f3dbe74974049862df16675d8fa077d72689756c3883a2c6af9a5",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "6b22f16729ff82c93a353883471355cad6890fe2cfaa233caa6dbe617ae7edcd",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & ~[C 1]a8 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "48f868f833c432d4c9c07058aff53249c7aef68a7185a2bbda745d785d4cdfcc",
-    ("K", "a0 & ~a1 & ~[]ab & []ac"): "f8b0f36a18f7c8a17a1035b2245b7b4052316d3d16e8242f86d8d2e07ad7d8ac",
-    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "b58d4ad9dcc15778d88c2e9763ed2513006dcfbcfb6dc4f3a98917d939ea274b",
-    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "37f1d1bf56c2d027d07e93e305dfe34f2ebf77a2fd0a5ff3f781e88ead4beadf",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "61999a9e35a0afd7358762a2c09e656453bd456c270a34b0a85055d143215fd7",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "b1abfd1f700392b235b681a1d11e464c084e90a58489f588a9bcd13a24ebcd8a",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "fcfb23f8b040d314d15a7e56b41cb1971299e9d9f8dd4d0df38d1e9b15e9f5d7",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "967af0b1540f77698914a96907771d6d090ace47937df64a2de30d6f0d6d2060",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "1c4554ad285af4590dd96cfd0cf8b6ed1286362a97429aca5ee670ffca9b546e",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "5120ed10cefeb1ba33f892341589c6cd9034075fa590f175f7d71452d878abfd",
+    ("K", "a0 & ~a1 & ~[]ab & []ac"): "c643a6caf93311402bee16978f7f44e5ccc89294687d3eeb1bad6b2c7159cc6a",
+    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "984a6f10f571f07b976fa4d640add883dfb1743c62acb895277fb1d6f9519db1",
+    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "6fe28903847e5cff25c022dc2a18bb00abf6e831fc10e3ceaf62e895aa3ad6f7",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "32ae36aa78af5b4cd1d1fbda4123e9eae598070363d60a625f1bd9408b833837",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "90ad0a16bc106404b08a1ec705be5cfec4396f9a1b62aefadfed320a4e109cd4",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "b3119c1d7c4aa5a2f62e93d326c5613607f402f5cddb53f662c2b7f360dc1973",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "30ae69e363e6395050d12e190da27bd07d82458a95efc9b5aac33f34cf20230a",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "d036cc21ec18d9b8cebceea81143df2d44156afa4d31113b939e5e1bbc5544d7",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "3adf64aad0a43a7dfdd99950889d933051de7aaa7c957b6a3f5ae1509c720950",
     ("GML", "<0>a0 & <1>a1 & ~<2>(a0 | a1)"): "6652ad5f8be88b7ed8e4cb49c77ca2acf59e93e1454585bcf9aba40b30d1b74c",
     ("GML", "<0>a0 & <1>a1 & <2>a2 & ~<3>(a0 | a1 | a2)"): "11348a789eb4a8669319c71a574da6be9f7cfa80476529552b6d04f690925baf",
     ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & ~<4>(a0 | a1 | a2 | a3)"): "b37ae2f28751f9dae642d360aa0c14d491a16c3705093ffa8ee6775ea924a1c2",

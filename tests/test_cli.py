@@ -4,6 +4,7 @@ import argparse
 import json
 
 from modalsat.cli import main
+from test_solver import box_family
 
 
 def run(capsys, *argv):
@@ -287,3 +288,21 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         assert code == 2
         assert err.startswith("error: malformed certificate")
         assert "Traceback" not in err and out == ""
+
+
+def test_box_family_at_width_20_decides_and_checks(tmp_path, capsys):
+    # Under K and KD: solve --cert, model, and check-cert on both
+    # certificates.  With a challenge per subset of the 20 boxes this would
+    # not finish.
+    text = box_family(20)
+    for logic in ("K", "KD"):
+        tableau = tmp_path / ("%s-tableau.json" % logic)
+        model = tmp_path / ("%s-model.json" % logic)
+        for argv in (
+            ("solve", text, "--cert", str(tableau)),
+            ("check-cert", text, "--cert", str(tableau)),
+            ("model", text, "--cert", str(model)),
+            ("check-cert", text, "--cert", str(model)),
+        ):
+            code, _, err = run(capsys, "--logic", logic, *argv)
+            assert code == 0, (logic, argv[0], err)

@@ -9,7 +9,7 @@ import pytest
 from conftest import ALL_LOGICS
 from modalsat import certificates, linarith, logics, oracle, solver
 from modalsat.certificates import check_proof, check_tableau, extract_proof, extract_tableau
-from modalsat.formula import Atom, FModal, neg, parse, subformulas
+from modalsat.formula import Atom, Box, FModal, conj_fold, modal, neg, parse, subformulas
 from modalsat.logics import (
     LogicConfig,
     challenges,
@@ -238,6 +238,17 @@ def _mask_loop_challenges(valuation, cfg, sat_bits):
     return out
 
 
+def _maximal_challenges(challenged):
+    """The challenges whose clause no other challenge's clause strictly
+    contains: the ones ``challenges`` asks in K and KD."""
+    clauses = [set(clause) for clause, _ in challenged]
+    return [
+        (clause, found)
+        for clause, found in challenged
+        if not any(set(clause) < other for other in clauses)
+    ]
+
+
 def _fake_refuter(clause, sat_patterns, cfg):
     """A cheap stand-in for the exact search: it finds a refuter for about two
     pattern sets in three, and the refuter records its clause and patterns."""
@@ -272,9 +283,43 @@ def test_challenges_match_mask_loop(cfg, monkeypatch):
         n_proper = sum(not isinstance(a.op, Atom) for a in atoms)
         sat_bits = {bits for bits in range(1 << n_proper) if rng.random() < 0.5}
         expected = _mask_loop_challenges(valuation, cfg, sat_bits)
+        if cfg.logic in ("K", "KD"):
+            # Every other clause is dominated; see ``challenges``.
+            expected = _maximal_challenges(expected)
         assert list(challenges(valuation, cfg, sat_bits)) == expected, valuation
         nontrivial += bool(expected)
     assert nontrivial >= 50
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+def test_maximal_clauses_keep_every_verdict(logic, monkeypatch):
+    # Asking only the maximal clauses decides every formula as asking every
+    # clause a K or KD rule matches does, and refuted formulas still get
+    # proofs that check.  Conjunctions of boxes and diamonds put several of
+    # each at one node, which random formulas seldom do.
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(7)
+    formulas = []
+    for _ in range(250):
+        f = random_formula(rng, cfg, max_depth=3, size_budget=rng.randint(7, 15))
+        literals = [
+            modal(Box(), random_formula(rng, cfg, max_depth=1, size_budget=5))
+            for _ in range(rng.randint(2, 5))
+        ]
+        formulas += [f, neg(f), conj_fold([g if rng.random() < 0.5 else neg(g) for g in literals])]
+    verdicts = [solver.satisfiable(f, cfg) for f in formulas]
+    for f, verdict in zip(formulas, verdicts):
+        if not verdict.satisfiable:
+            doc = extract_proof(verdict, neg(f), cfg)
+            assert check_proof(doc, neg(f), cfg) == (True, "ok"), f
+    monkeypatch.setattr(solver, "challenges", _mask_loop_challenges)
+    full = [solver.satisfiable(f, cfg) for f in formulas]
+    assert [v.satisfiable for v in verdicts] == [v.satisfiable for v in full]
+    assert 50 <= sum(not v.satisfiable for v in verdicts) <= 500
+    # The sub-clauses left out are real work: the full loop asks more.
+    assert sum(v.stats.matchings_checked for v in verdicts) < sum(
+        v.stats.matchings_checked for v in full
+    )
 
 
 def _linear_atom(rng, cfg, name):

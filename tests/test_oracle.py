@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from modalsat import oracle
 from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, neg_fold, parse
 from modalsat.logics import LogicConfig, parse_logic_spec, side_condition
 from modalsat.onestep import RuleCode, code_operators, premise_of
@@ -30,10 +31,11 @@ from modalsat.oracle import (
     strict_completeness_probe,
 )
 from modalsat.certificates import ModelWitness, model_check, model_to_json
-from modalsat.sampling import random_formula, sample_matchings
+from modalsat.sampling import random_formula, random_operator, sample_matchings
 from modalsat.semantics import MODEL_KINDS, lift, relabel
 
 from conftest import ALL_LOGICS, model_sha256
+from test_logics import _mask_loop_challenges
 
 
 # -- backends -----------------------------------------------------------------
@@ -476,35 +478,63 @@ def test_probe_finds_congruence_for_e():
     assert strict_completeness_probe(chi, tau, 2, cfg) is not None
 
 
-def test_probe_random_valid_clauses():
-    rng = random.Random(17)
-    from modalsat.sampling import random_operator
+def _valid_clauses(rng, cfg, max_width=2, attempts=4000):
+    """Random clauses of up to ``max_width`` signed operators over carriers
+    of at most two points, each with argument sets that make it valid."""
+    for _ in range(attempts):
+        n = rng.randrange(0, 3)
+        q = rng.randrange(1, max_width + 1)
+        chi = tuple((rng.random() < 0.5, random_operator(rng, cfg)) for _ in range(q))
+        tau = tuple(
+            frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(q)
+        )
+        if clause_valid_on(chi, tau, n, cfg):
+            yield chi, tau, n
 
+
+def _random_probes():
+    """Per logic, the valid clauses ``test_probe_random_valid_clauses``
+    probes, each with the probe's answer, until eight answers are found."""
+    rng = random.Random(17)
+    out = {}
     for logic in ALL_LOGICS:
         cfg = LogicConfig(logic=logic)
-        found = 0
-        tried = 0
-        attempts = 0
-        while found < 8 and attempts < 4000:
-            attempts += 1
-            n = rng.randrange(0, 3)
-            q = rng.randrange(1, 3)
-            chi = tuple(
-                (rng.random() < 0.5, random_operator(rng, cfg)) for _ in range(q)
-            )
-            tau = tuple(
-                frozenset(x for x in range(n) if rng.random() < 0.5)
-                for _ in range(q)
-            )
-            if not clause_valid_on(chi, tau, n, cfg):
-                continue
-            tried += 1
-            m = strict_completeness_probe(chi, tau, n, cfg)
-            if m is not None:
-                assert one_step_sound(m.code, cfg, max_carrier=2)
-                found += 1
-        assert tried > 0, logic
-        assert found > 0, logic
+        probes = out[logic] = []
+        for chi, tau, n in _valid_clauses(rng, cfg):
+            probes.append((chi, tau, n, strict_completeness_probe(chi, tau, n, cfg)))
+            if sum(m is not None for *_, m in probes) == 8:
+                break
+    return out
+
+
+def test_probe_random_valid_clauses():
+    for logic, probes in _random_probes().items():
+        cfg = LogicConfig(logic=logic)
+        found = [m for *_, m in probes if m is not None]
+        assert probes, logic
+        assert found, logic
+        for m in found:
+            assert one_step_sound(m.code, cfg, max_carrier=2)
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+def test_probe_finds_what_the_full_clause_loop_finds(logic, monkeypatch):
+    # K and KD challenge only maximal clauses.  The probe must still find an
+    # instance wherever asking every clause a rule matches finds one: on the
+    # clauses probed above, on the K clause probed by hand, and on wider
+    # random clauses, where the maximal clauses leave most sub-clauses out.
+    cfg = LogicConfig(logic=logic)
+    clauses = [(chi, tau, n) for chi, tau, n, _ in _random_probes()[logic]]
+    clauses.append((((True, Box()), (False, Box())), (frozenset({0, 1}), frozenset({0})), 2))
+    clauses += itertools.islice(_valid_clauses(random.Random(23), cfg, max_width=4), 80)
+    maximal = [strict_completeness_probe(chi, tau, n, cfg) for chi, tau, n in clauses]
+    monkeypatch.setattr(oracle, "challenges", _mask_loop_challenges)
+    full = [strict_completeness_probe(chi, tau, n, cfg) for chi, tau, n in clauses]
+    assert [m is None for m in maximal] == [m is None for m in full]
+    assert sum(m is not None for m in maximal) >= 20
+    for m in maximal:
+        if m is not None:
+            assert one_step_sound(m.code, cfg, max_carrier=2)
 
 
 # -- the tree search against its candidate-by-candidate form -------------------

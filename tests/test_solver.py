@@ -177,3 +177,21 @@ def test_constant_only_arguments(logic, text):
     assert ok, msg
     w = tableau_to_model(tb, cfg)
     assert w is not None and model_check(w, w.root, f)
+
+
+def box_family(m: int) -> str:
+    """``~[]b & []a0 & ... & []a(m-1)``: one diamond, m boxes."""
+    return " & ".join(["~[]b"] + ["[]a%d" % i for i in range(m)])
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+def test_box_family_solve_calls_grow_linearly(logic):
+    # One challenge per diamond: the m boxes join one demand, so the work
+    # grows with m, not with the 2^m subsets of the boxes.
+    cfg = LogicConfig(logic=logic)
+    calls = {}
+    for m in (10, 20):
+        verdict = satisfiable(parse(box_family(m)), cfg)
+        assert verdict.satisfiable
+        calls[m] = verdict.stats.solve_calls
+    assert calls[20] <= 2 * calls[10], calls
