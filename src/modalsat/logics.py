@@ -19,13 +19,14 @@ tag         operators                    rules besides congruence
 For the linear schemas a clause has infinitely many matchings, indexed by
 nonzero integer coefficients (one per literal, sign agreeing with the
 literal) and a premise bound.  ``refuting_matching_exists`` decides whether
-coefficients exist making every premise CNF clause's negation unsatisfiable,
-given the set of satisfiable sign patterns of the argument formulas, and
-``challenges`` offers that matching as one more candidate of the clause.
-Whether any clause of a node has such a matching is a single relaxed
-system (``node_refutable``), asked before the per-clause search.
-The constraint systems are scale-invariant, so rational feasibility (decided
-exactly by ``linarith.feasible``) coincides with integer feasibility.
+some sub-clause of a clause has coefficients making every premise CNF
+clause's negation unsatisfiable, given the set of satisfiable sign patterns
+of the argument formulas.  One relaxed system over the whole clause answers
+this, and the support of its solution is the refuted sub-clause;
+``challenges`` asks it once per node and offers the matching as one more
+candidate of that sub-clause.  The constraint systems are scale-invariant,
+so rational feasibility (decided exactly by ``linarith.feasible``)
+coincides with integer feasibility.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .onestep import (
     LINEAR_SCHEMES,
     RuleCode,
     RuleMatching,
+    conclusion_clause,
     congruence_matchings,
 )
 
@@ -195,15 +197,17 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
 
     Candidate clauses come from the schemas' shapes, so a clause no schema
     matches is never built.  A clause's candidates are its finite-schema
-    matchings (``matchings``).  In the linear logics they are followed by
-    the refuting linear matching, when one exists: ``sat_bits`` holds the
+    matchings (``matchings``).  A clause is yielded only when it has a
+    candidate.  Propositional atoms never enter a clause.
+
+    In the linear logics the clauses are the congruence pairs plus at most
+    one more, the clause a linear rule refutes.  ``sat_bits`` holds the
     satisfiable sign patterns of the arguments, as bitmasks over
-    ``proper_atoms(valuation)``, and the refuting matching leaves every one
-    of its demands unsatisfiable.  The per-clause search for it runs only
-    when ``node_refutable`` finds that some clause has one, so a node no
-    linear rule refutes costs one relaxed system, not one per clause.  A
-    clause is yielded only when it has a candidate.  Propositional atoms
-    never enter a clause.
+    ``proper_atoms(valuation)``.  ``refuting_matching_exists`` is asked once,
+    for the clause of every literal whose operator is in the logic, against
+    those patterns projected onto it; the conclusion of the matching it
+    returns is the refuted sub-clause, and the matching is that clause's
+    last candidate.  It leaves every one of its demands unsatisfiable.
 
     In K and KD only the inclusion-maximal clauses are built: each
     clause-positive box with all the clause-negative boxes, and in KD, when
@@ -222,11 +226,8 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     for i, (s, a) in enumerate(valuation):
         if isinstance(a, FModal) and not isinstance(a.op, Atom):
             (neg if s else pos).append(i)
-    if cfg.is_arithmetic():
-        atoms = proper_atoms(valuation)
-        masks = set(_submasks(pos + neg))
-        refutable = node_refutable(valuation, sat_bits, cfg)
-    elif cfg.logic in ("K", "KD"):
+    refuter = refuted = None
+    if cfg.logic in ("K", "KD"):
         negs = sum(1 << j for j in neg)
         masks = {1 << i | negs for i in pos}
         if cfg.logic == "KD" and not pos:
@@ -240,17 +241,28 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         }
         if cfg.logic == "COAL":
             masks.update(_coalition_masks(valuation, pos, neg, cfg))
+        elif cfg.is_arithmetic():
+            atoms = proper_atoms(valuation)
+            node = tuple(
+                (not s, a) for s, a in valuation if a in atoms and operator_legal(a.op, cfg)
+            )
+            if node:
+                patterns = clause_patterns(node, atoms, sat_bits)
+                refuter, _ = refuting_matching_exists(node, patterns, cfg)
+            if refuter is not None:
+                index = {a: i for i, (_, a) in enumerate(valuation)}
+                refuted = sum(
+                    1 << index[a] for _, a in conclusion_clause(refuter, cfg.n_agents)
+                )
+                masks.add(refuted)
     masks.discard(0)
     for mask in sorted(masks):
         clause = tuple(
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
         found = matchings(clause, cfg)
-        if cfg.is_arithmetic() and refutable:
-            patterns = clause_patterns(clause, atoms, sat_bits)
-            refuter, _ = refuting_matching_exists(clause, patterns, cfg)
-            if refuter is not None:
-                found.append(refuter)
+        if mask == refuted:
+            found.append(refuter)
         if found:
             yield clause, found
 
@@ -528,11 +540,22 @@ def _scale_to_integers(point) -> dict:
 
 
 def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
-    """Search for a linear-schema matching of ``clause`` whose premise CNF
-    consists only of clauses with unsatisfiable negations.
+    """Search for a linear-schema matching, with a sub-clause of ``clause``
+    as its conclusion, whose premise CNF consists only of clauses with
+    unsatisfiable negations.
 
     ``sat_patterns`` is the set of satisfiable sign patterns, as bitmasks
     over clause positions (bit i set = argument of literal i true).
+
+    One relaxed system answers for every sub-clause at once: the clause
+    system of the whole clause with every ``x_i >= 1`` weakened to
+    ``x_i >= 0``, pruned to the pattern rows no other row implies
+    (``_unimplied_patterns``).  The support S of its solution is a refuted
+    sub-clause, and it is infeasible exactly when no sub-clause is refuted
+    (docs/certificates.md, "One system per node").  S's coefficients come
+    from ``_small_search`` when S has at most four literals, and otherwise
+    from the solution restricted to S and scaled to integers; either way
+    they are checked against S's full system.
 
     Returns ``(matching_or_None, caveat)``.  The search is exact, so
     ``caveat`` is always False; the pair is the interface callers read.
@@ -540,82 +563,52 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     data = _linear_literal_data(clause, cfg)
     if data is None:
         return None, False
-    signs, rows, args = data
-    use_t = cfg.logic != "GML"
-    variables = [_x(i) for i in range(len(signs))] + (["t"] if use_t else [])
-    at_least_one = [({_x(i): 1}, -1, False) for i in range(len(signs))]
-    for branch in _branches(cfg):
-        cons = at_least_one + _build_constraints(signs, rows, sat_patterns, cfg, branch)
-        point = linarith.feasible(cons, variables)
-        if point is None:
-            continue
-        # Small coefficients make readable certificates; the scaled LP
-        # point is the exact answer when none fits.
-        point = _small_search(signs, cons, use_t, branch) or _scale_to_integers(point)
-        if not _check_point(cons, point):
-            raise RuntimeError("coefficient point fails its own constraint system")
-        coeffs = tuple(point[_x(i)] * (1 if signs[i] else -1) for i in range(len(signs)))
-        bound = point["t"] if use_t else 0
-        if cfg.logic == "GML":
-            code = RuleCode(
-                cfg.logic, "GML", ints=coeffs + (bound,), grades=tuple(k for _, k in rows)
-            )
-        elif cfg.logic == "MAJ":
-            grades = tuple(k if kind == "g" else -1 for kind, k in rows)
-            code = RuleCode(cfg.logic, "MAJ", ints=coeffs + (bound,), grades=grades)
-        else:
-            code = RuleCode(
-                cfg.logic,
-                "PML",
-                ints=coeffs + (bound,),
-                rationals=tuple(p for _, p in rows),
-            )
-        return RuleMatching(code, args), False
-    return None, False
-
-
-def node_refutable(valuation, sat_bits, cfg: LogicConfig) -> bool:
-    """Whether some clause over the proper modal atoms of ``valuation`` has a
-    refuting linear matching, that is, whether ``refuting_matching_exists``
-    finds one against ``clause_patterns`` for some clause.
-
-    One relaxed system over all the atoms answers this: the clause system
-    of the whole node with every ``x_i >= 1`` weakened to ``x_i >= 0``.
-    The support S of a solution is a clause, the pattern rows restricted to
-    S are exactly its projected patterns, and since every constant is
-    ``<= 0`` scaling the solution up restores ``x_i >= 1`` on S.  A
-    clause's solution extends to all atoms by zeros.  The GML grade row and
-    the MAJ premise row force a nonzero x; MAJ keeps its two bound branches.
-    PML's premise row is strict exactly for all-negative clauses, so at a
-    node with a positive atom the support must hold one; an all-negative
-    refuter loses nothing by that, since its strict premise row leaves room
-    for any positive atom at a small enough coefficient.  Pattern rows that
-    another pattern row implies are dropped first (``_unimplied_patterns``),
-    which the bool answer cannot show; the per-clause search keeps every
-    row, since its LP vertex can become a certificate.  Atoms outside the
-    logic's linear schema leave the answer to the per-clause search."""
-    clause = tuple(
-        (not s, a)
-        for s, a in valuation
-        if isinstance(a, FModal) and not isinstance(a.op, Atom)
-    )
-    if not clause:
-        return False
-    data = _linear_literal_data(clause, cfg)
-    if data is None:
-        return True
     signs, rows, _ = data
+    use_t = cfg.logic != "GML"
     xs = [_x(i) for i in range(len(signs))]
-    variables = xs + (["t"] if cfg.logic != "GML" else [])
-    patterns = _unimplied_patterns(signs, sat_bits)
+    variables = xs + (["t"] if use_t else [])
+    patterns = _unimplied_patterns(signs, sat_patterns)
     for branch in _branches(cfg):
         cons = _build_constraints(signs, rows, patterns, cfg, branch)
         if cfg.logic == "PML":
-            support = [x for x, s in zip(xs, signs) if s] or xs
-            cons.append((dict.fromkeys(support, 1), -1, False))
-        if linarith.feasible(cons, variables, nonneg=xs) is not None:
-            return True
-    return False
+            positive = [x for x, s in zip(xs, signs) if s] or xs
+            cons.append((dict.fromkeys(positive, 1), -1, False))
+        point = linarith.feasible(cons, variables, nonneg=xs)
+        if point is not None:
+            break
+    else:
+        return None, False
+    support = [i for i in range(len(signs)) if point[_x(i)] > 0]
+    sub = tuple(clause[i] for i in support)
+    signs, rows, args = _linear_literal_data(sub, cfg)
+    sub_patterns = clause_patterns(sub, [a for _, a in clause], sat_patterns)
+    cons = [({_x(j): 1}, -1, False) for j in range(len(sub))]
+    cons += _build_constraints(signs, rows, sub_patterns, cfg, branch)
+    restricted = {_x(j): point[_x(i)] for j, i in enumerate(support)}
+    if use_t:
+        restricted["t"] = point["t"]
+    # Small coefficients make readable certificates; the scaled LP
+    # point is the exact answer when none fits.
+    point = _small_search(signs, cons, use_t, branch) or _scale_to_integers(restricted)
+    if not _check_point(cons, point):
+        raise RuntimeError("coefficient point fails its own constraint system")
+    coeffs = tuple(point[_x(i)] * (1 if signs[i] else -1) for i in range(len(signs)))
+    bound = point["t"] if use_t else 0
+    if cfg.logic == "GML":
+        code = RuleCode(
+            cfg.logic, "GML", ints=coeffs + (bound,), grades=tuple(k for _, k in rows)
+        )
+    elif cfg.logic == "MAJ":
+        grades = tuple(k if kind == "g" else -1 for kind, k in rows)
+        code = RuleCode(cfg.logic, "MAJ", ints=coeffs + (bound,), grades=grades)
+    else:
+        code = RuleCode(
+            cfg.logic,
+            "PML",
+            ints=coeffs + (bound,),
+            rationals=tuple(p for _, p in rows),
+        )
+    return RuleMatching(code, args), False
 
 
 def _unimplied_patterns(signs, sat_bits) -> set:

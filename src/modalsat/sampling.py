@@ -93,7 +93,7 @@ def sample_matchings(rng: random.Random, cfg: LogicConfig, count: int):
     """Up to ``count`` rule matchings of the kinds the solver can select:
     schema matchings of random clauses, congruence matchings, and (for the
     linear logics) coefficient instances found against random pattern
-    tables."""
+    tables, each over the sub-clause of its random clause that it refutes."""
     out = []
     attempts = 0
     while len(out) < count and attempts < count * 40:

@@ -19,12 +19,11 @@ is decided by ``refuting_matching_exists``: H fails iff coefficients exist
 under which every premise CNF clause has an unsatisfiable negation, which
 only depends on which sign patterns of the argument formulas are
 satisfiable.  The pattern table is computed once per pseudovaluation by
-recursive solver calls and handed to ``challenges``, which appends the
-refuting matching, when there is one, to the clause's candidates.  Its
-demands are then solved like any other; each must be unsatisfiable.
-``challenges`` searches clause by clause only after ``node_refutable``,
-one relaxed system over all of the node's atoms, has found that some
-clause is refuted, so a surviving pseudovaluation costs one system.
+recursive solver calls and handed to ``challenges``, which solves one
+relaxed system over all of the node's atoms; its support is the refuted
+clause, and the refuting matching, when there is one, is that clause's
+last candidate.  Its demands are then solved like any other; each must be
+unsatisfiable.
 
 Traces record, per satisfiable node, one satisfiable demand per (clause,
 matching) pair plus (for linear logics) one child per satisfiable argument

@@ -480,6 +480,25 @@ def test_tableau_rejects_rule_over_an_operator_outside_the_logic(tmp_path, capsy
     assert msg in capsys.readouterr().out
 
 
+def test_linear_challenge_leaves_out_operators_outside_the_logic(tmp_path, capsys):
+    # An extra, unreachable node claims no pattern, so a GML rule refutes
+    # its clause {~<1>b, <0>b}.  Its box literal belongs to no GML rule; had
+    # the node's one linear system taken it in, the system would fit no
+    # schema, no refuter would be found, and the forgery would check.
+    cfg = LogicConfig(logic="GML")
+    text = "<0>a"
+    f = parse(text)
+    tb = extract_tableau(satisfiable(f, cfg), cfg)
+    assert check_tableau(tb, f, cfg) == (True, "ok") and len(tb.nodes) == 3
+    tb.nodes.append(((True, parse("<1>b")), (False, parse("<0>b")), (True, parse("[] p"))))
+    msg = "unanswered challenge at node 3: the GML rule refutes it"
+    assert check_tableau(tb, f, cfg) == (False, msg)
+    cert = tmp_path / "tableau.json"
+    cert.write_text(json.dumps(tableau_to_json(tb)))
+    assert cli.main(["--logic", "GML", "check-cert", text, "--cert", str(cert)]) == 1
+    assert "INVALID: " + msg in capsys.readouterr().out
+
+
 # -- model synthesis ----------------------------------------------------------
 
 

@@ -15,15 +15,14 @@ from modalsat.logics import (
     challenges,
     clause_patterns,
     matchings,
-    node_refutable,
     operator_legal,
     parse_logic_spec,
     refuting_matching_exists,
     side_condition,
     validate_formula,
 )
-from modalsat.onestep import RuleCode, conclusion_clause, congruence_matchings
-from modalsat.sampling import random_formula
+from modalsat.onestep import RuleCode, RuleMatching, conclusion_clause, congruence_matchings
+from modalsat.sampling import random_formula, random_operator
 from modalsat.oracle import one_step_sound
 from test_solver import LINEAR_WIDTH_8
 
@@ -189,25 +188,70 @@ def test_refuting_search_requires_proper_patterns():
     assert m is None and not caveat
 
 
-def test_refuting_search_found_by_fallback_has_no_caveat():
+def test_refuting_search_names_the_refuted_sub_clause():
+    cfg = LogicConfig("GML")
     clause = _clause(
         [(False, "<0>a0"), (False, "<0>a1"), (False, "<0>a2"), (False, "<0>a3"), (True, "<0>a4")]
     )
-    # Five literals are past the small search, so the exact search finds the
-    # matching.  A found matching is checked, so no caveat is due.
-    m, caveat = refuting_matching_exists(clause, {0, 0b11111}, LogicConfig("GML"))
-    assert m is not None and m.code.ints == (-1, -1, -1, -1, 4, 0)
-    assert not caveat
+    # Every argument true or every one false: <0>a0 -> <0>a4 alone is
+    # refuted, and the small search gives its coefficients.
+    m, caveat = refuting_matching_exists(clause, {0, 0b11111}, cfg)
+    assert m is not None and not caveat
+    assert conclusion_clause(m, cfg.n_agents) == (clause[0], clause[4])
+    assert m.code.ints == (-1, 1, 0)
+
+
+def test_refuting_search_past_small_search_scales_the_solution():
+    cfg = LogicConfig("GML")
+    clause = _clause(
+        [(False, "<0>(a0 | a1 | a2 | a3)"), (True, "<0>a0"), (True, "<0>a1"), (True, "<0>a2"), (True, "<0>a3")]
+    )
+    # The disjunction is true exactly when some a_i is: only the whole
+    # clause is refuted, and five literals are past the small search, so
+    # the relaxed solution is scaled to integers.  A found matching is
+    # checked, so no caveat is due.
+    patterns = {bits for bits in range(1 << 5) if (bits & 1) == (bits > 1)}
+    m, caveat = refuting_matching_exists(clause, patterns, cfg)
+    assert m is not None and not caveat
+    assert conclusion_clause(m, cfg.n_agents) == clause
+    assert m.code.ints == (-1, 1, 1, 1, 1, 0)
 
 
 # -- challenge generation -----------------------------------------------------
 
 
-def _mask_loop_challenges(valuation, cfg, sat_bits):
+def _clause_refuter(clause, patterns, cfg):
+    """The per-clause search ``challenges`` no longer runs: a linear
+    matching whose conclusion is ``clause`` itself, from the clause's system
+    with every magnitude x_i >= 1 and every pattern row, or None."""
+    data = logics._linear_literal_data(clause, cfg)
+    if data is None:
+        return None
+    signs, rows, args = data
+    xs = ["x%d" % i for i in range(len(signs))]
+    variables = xs + (["t"] if cfg.logic != "GML" else [])
+    at_least_one = [({x: 1}, -1, False) for x in xs]
+    for branch in logics._branches(cfg):
+        cons = at_least_one + logics._build_constraints(signs, rows, patterns, cfg, branch)
+        point = linarith.feasible(cons, variables)
+        if point is not None:
+            point = logics._scale_to_integers(point)
+            ints = tuple(point[x] if s else -point[x] for x, s in zip(xs, signs))
+            ints += (point.get("t", 0),)
+            if cfg.logic == "PML":
+                code = RuleCode("PML", "PML", ints, tuple(p for _, p in rows), (), ())
+            else:
+                grades = tuple(k if kind == "g" else -1 for kind, k in rows)
+                code = RuleCode(cfg.logic, cfg.logic, ints, (), grades, ())
+            return RuleMatching(code, args)
+    return None
+
+
+def _mask_loop_challenges(valuation, cfg, sat_bits, refuter=_clause_refuter):
     """The challenge loop ``challenges`` replaces: every one of the 2^q
     sub-clauses, kept when a finite schema matches it or, in the linear
     logics, when it is made of proper modal atoms only and has a congruence
-    matching or a refuting matching against the projected patterns."""
+    matching or a ``refuter`` of its own against the projected patterns."""
     proper = [a for _, a in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
     sat_list = sorted(sat_bits)
     # Per clause mask, every pattern projected onto the clause: the clause's
@@ -228,14 +272,35 @@ def _mask_loop_challenges(valuation, cfg, sat_bits):
                 p | (bits >> ai & 1) << ci
                 for p, bits in zip(projected[mask ^ 1 << top], sat_list)
             ]
-            refuter, _ = logics.refuting_matching_exists(clause, set(projected[mask]), cfg)
-            if refuter is not None:
-                found.append(refuter)
+            m = refuter(clause, set(projected[mask]), cfg)
+            if m is not None:
+                found.append(m)
         else:
             found = matchings(clause, cfg)
         if found:
             out.append((clause, found))
     return out
+
+
+def _one_refuter_challenges(valuation, cfg, sat_bits):
+    """What ``challenges`` asks in a linear logic: the congruence pairs of the
+    mask loop, plus the clause of the matching that ``refuting_matching_exists``
+    finds for the node's literals in the logic, against the patterns
+    projected onto them."""
+    proper = [a for _, a in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
+    node = tuple((not s, a) for s, a in valuation if a in proper and operator_legal(a.op, cfg))
+    positions = [proper.index(a) for _, a in node]
+    patterns = {sum((bits >> ai & 1) << j for j, ai in enumerate(positions)) for bits in sat_bits}
+    refuter = refuting_matching_exists(node, patterns, cfg)[0] if node else None
+    out = _mask_loop_challenges(valuation, cfg, sat_bits, refuter=lambda *args: None)
+    if refuter is None:
+        return out
+    refuted = conclusion_clause(refuter, cfg.n_agents)
+    assert set(refuted) <= set(node), (node, refuted)
+    out = dict(out)
+    out.setdefault(refuted, []).append(refuter)
+    index = {a: i for i, (_, a) in enumerate(valuation)}
+    return sorted(out.items(), key=lambda item: sum(1 << index[a] for _, a in item[0]))
 
 
 def _maximal_challenges(challenged):
@@ -249,30 +314,18 @@ def _maximal_challenges(challenged):
     ]
 
 
-def _fake_refuter(clause, sat_patterns, cfg):
-    """A cheap stand-in for the exact search: it finds a refuter for about two
-    pattern sets in three, and the refuter records its clause and patterns."""
-    if sum(sat_patterns) % 3 == 0:
-        return None, False
-    return ("refuter", clause, frozenset(sat_patterns)), False
-
-
 CHALLENGE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"] + [
     LogicConfig(logic="COAL", n_agents=k) for k in (1, 2, 3)
 ]
 
 
 @pytest.mark.parametrize("cfg", CHALLENGE_CONFIGS, ids=lambda c: "%s:%d" % (c.logic, c.n_agents))
-def test_challenges_match_mask_loop(cfg, monkeypatch):
-    # The real search is exact but slow over thousands of clauses; both sides
-    # read the same fake, so this compares enumeration and projection only.
-    # The gate would answer for the real search, so it is opened everywhere.
-    monkeypatch.setattr(logics, "refuting_matching_exists", _fake_refuter)
-    monkeypatch.setattr(logics, "node_refutable", lambda valuation, sat_bits, cfg: True)
+def test_challenges_match_mask_loop(cfg):
     rng = random.Random(4242)
     # Modal atoms at every level of random formulas, propositional ones
-    # included, with every operator the sampler draws for the logic.
-    pool = []
+    # included, with every operator the sampler draws for the logic.  The
+    # linear logics also get boxes, which no linear rule mentions.
+    pool = [parse("[]p"), parse("[]q")] if cfg.is_arithmetic() else []
     for _ in range(40):
         f = random_formula(rng, cfg, max_depth=2, size_budget=14)
         pool += [g for g in subformulas(f) if isinstance(g, FModal) and g not in pool]
@@ -282,7 +335,10 @@ def test_challenges_match_mask_loop(cfg, monkeypatch):
         valuation = tuple((rng.random() < 0.5, a) for a in atoms)
         n_proper = sum(not isinstance(a.op, Atom) for a in atoms)
         sat_bits = {bits for bits in range(1 << n_proper) if rng.random() < 0.5}
-        expected = _mask_loop_challenges(valuation, cfg, sat_bits)
+        if cfg.is_arithmetic():
+            expected = _one_refuter_challenges(valuation, cfg, sat_bits)
+        else:
+            expected = _mask_loop_challenges(valuation, cfg, sat_bits)
         if cfg.logic in ("K", "KD"):
             # Every other clause is dominated; see ``challenges``.
             expected = _maximal_challenges(expected)
@@ -330,51 +386,80 @@ def _linear_atom(rng, cfg, name):
     return parse("<%d>%s" % (rng.randint(0, 3), name))
 
 
-def _some_clause_refuted(valuation, sat_bits, cfg):
-    """The question ``node_refutable`` answers, asked clause by clause."""
-    atoms = logics.proper_atoms(valuation)
-    literals = [(not s, a) for s, a in valuation if a in atoms]
-    for mask in range(1, 1 << len(literals)):
-        clause = tuple(lit for i, lit in enumerate(literals) if mask >> i & 1)
-        patterns = clause_patterns(clause, atoms, sat_bits)
-        if refuting_matching_exists(clause, patterns, cfg)[0] is not None:
-            return True
-    return False
+def _refuted_sub_clauses(clause, sat_patterns, cfg):
+    """Every sub-clause of ``clause`` that ``_clause_refuter`` refutes against
+    its projected patterns."""
+    atoms = [a for _, a in clause]
+    refuted = []
+    for mask in range(1, 1 << len(clause)):
+        sub = tuple(lit for i, lit in enumerate(clause) if mask >> i & 1)
+        if _clause_refuter(sub, clause_patterns(sub, atoms, sat_patterns), cfg) is not None:
+            refuted.append(sub)
+    return refuted
 
 
 @pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
-def test_node_refutable_matches_mask_loop(logic):
+def test_refuter_matches_per_clause_search(logic):
+    # The relaxed system finds a refuter exactly when some sub-clause has
+    # one of its own, and the one it names is such a sub-clause.
     cfg = LogicConfig(logic=logic)
     rng = random.Random(7070)
     seen = set()
     for trial in range(150):
         k = rng.randint(1, 5)
-        valuation = [(rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k)]
-        if trial % 3 == 0:
-            # Propositional atoms sit in valuations but never in clauses.
-            valuation.insert(rng.randint(0, k), (rng.random() < 0.5, parse("q")))
+        clause = [(rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k)]
         if trial % 10 == 0:
-            # All clause literals negative: strict in PML.
-            valuation = [(True, a) for _, a in valuation]
-        valuation = tuple(valuation)
+            # All literals negative: strict in PML.
+            clause = [(False, a) for _, a in clause]
+        clause = tuple(clause)
         density = rng.random()
         sat_bits = set() if trial % 25 == 0 else {
             bits for bits in range(1 << k) if rng.random() < density
         }
-        expected = _some_clause_refuted(valuation, sat_bits, cfg)
-        assert node_refutable(valuation, sat_bits, cfg) == expected, (valuation, sat_bits)
-        signs = {s for s, a in valuation if a in logics.proper_atoms(valuation)}
-        kind = "all-negative" if signs == {True} else "some-positive"
-        seen.add((kind, not sat_bits, expected))
+        expected = _refuted_sub_clauses(clause, sat_bits, cfg)
+        m, caveat = refuting_matching_exists(clause, sat_bits, cfg)
+        assert not caveat
+        assert (m is not None) == bool(expected), (clause, sat_bits)
+        if m is not None:
+            assert conclusion_clause(m, cfg.n_agents) in expected, (clause, sat_bits)
+        kind = "all-negative" if not any(s for s, _ in clause) else "some-positive"
+        seen.add((kind, not sat_bits, bool(expected)))
     assert {(kind, expected) for kind, _, expected in seen} == {
         (kind, expected) for kind in ("all-negative", "some-positive") for expected in (True, False)
     }
     assert any(empty for _, empty, _ in seen)
 
 
-def _unpruned_gate(valuation, sat_bits, cfg):
-    """``node_refutable``'s relaxed system with every pattern row kept."""
-    clause = tuple((not s, a) for s, a in valuation if a in logics.proper_atoms(valuation))
+@pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
+def test_refuter_is_a_sound_rule_over_a_sub_clause(logic):
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(5151)
+    found = 0
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        clause = tuple((rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k))
+        density = rng.random()
+        sat_bits = {bits for bits in range(1 << k) if rng.random() < density}
+        m, _ = refuting_matching_exists(clause, sat_bits, cfg)
+        if m is None:
+            continue
+        found += 1
+        positions = [clause.index(lit) for lit in conclusion_clause(m, cfg.n_agents)]
+        assert positions == sorted(positions)
+        assert side_condition(m.code, cfg)
+        # The premise holds under every satisfiable pattern of the sub-clause.
+        premise = m.premise()
+        for bits in sat_bits:
+            projected = sum((bits >> i & 1) << j for j, i in enumerate(positions))
+            assert premise.subset_sum(projected) >= premise.bound, (clause, sat_bits)
+        if found % 4 == 0:
+            assert one_step_sound(m.code, cfg, max_carrier=2), m.code
+    assert found >= 40
+
+
+def _unpruned_relaxed(clause, sat_bits, cfg):
+    """Whether the relaxed system of ``refuting_matching_exists``, with every
+    pattern row kept, is feasible."""
     signs, rows, _ = logics._linear_literal_data(clause, cfg)
     xs = ["x%d" % i for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
@@ -402,18 +487,15 @@ def _implies(signs, strong, weak):
 
 
 @pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
-def test_gate_drops_only_implied_rows(logic):
+def test_pruning_drops_only_implied_rows(logic):
     cfg = LogicConfig(logic=logic)
     rng = random.Random(9191)
     answers = set()
     dropped = 0
     for trial in range(120):
         k = rng.randint(1, 7)
-        valuation = [(rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k)]
-        if trial % 4 == 0:
-            valuation.insert(rng.randint(0, k), (rng.random() < 0.5, parse("q")))
-        valuation = tuple(valuation)
-        signs = [not s for s, a in valuation if a in logics.proper_atoms(valuation)]
+        clause = tuple((rng.random() < 0.5, _linear_atom(rng, cfg, "p%d" % i)) for i in range(k))
+        signs = [s for s, _ in clause]
         density = rng.random()
         sat_bits = {bits for bits in range(1 << k) if rng.random() < density}
         kept = logics._unimplied_patterns(signs, sat_bits)
@@ -423,27 +505,98 @@ def test_gate_drops_only_implied_rows(logic):
         for bits in kept:
             assert not any(_implies(signs, other, bits) for other in kept - {bits})
         dropped += len(sat_bits - kept)
-        expected = _unpruned_gate(valuation, sat_bits, cfg)
-        assert node_refutable(valuation, sat_bits, cfg) == expected, (valuation, sat_bits)
+        expected = _unpruned_relaxed(clause, sat_bits, cfg)
+        m, _ = refuting_matching_exists(clause, sat_bits, cfg)
+        assert (m is not None) == expected, (clause, sat_bits)
         answers.add(expected)
     assert answers == {True, False} and dropped > 1000
 
 
 @pytest.mark.parametrize("logic,text", LINEAR_WIDTH_8)
-def test_gate_rows_at_width_8_roots(logic, text, monkeypatch):
+def test_pruned_rows_at_width_8_roots(logic, text, monkeypatch):
     # The root has nine proper modal atoms and 256 satisfiable patterns;
-    # the unpruned gate passed 257 to 259 rows.
+    # the unpruned relaxed system has 257 to 259 rows.
     original = linarith.feasible
-    gate_rows = []
+    relaxed_rows = []
 
     def spy(constraints, variables, nonneg=()):
         if nonneg and len(variables) >= 9:
-            gate_rows.append(len(constraints))
+            relaxed_rows.append(len(constraints))
         return original(constraints, variables, nonneg)
 
     monkeypatch.setattr(linarith, "feasible", spy)
     assert solver.satisfiable(parse(text), LogicConfig(logic=logic)).satisfiable
-    assert gate_rows and max(gate_rows) <= 16, gate_rows
+    assert relaxed_rows and max(relaxed_rows) <= 16, relaxed_rows
+
+
+def _width_family(logic, n):
+    """An unsatisfiable conjunction of n linear literals over a0, ..., a(n-1)
+    with the negated literal over their disjunction: every a_i is refuted
+    together with the disjunction alone."""
+    names = ["a%d" % i for i in range(n)]
+    op = {"GML": "<0>", "MAJ": "W ", "PML": "L{1/2}"}[logic]
+    return " & ".join([op + a for a in names] + ["~%s(%s)" % (op, " | ".join(names))])
+
+
+@pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
+def test_width_10_root_is_one_system(logic, monkeypatch):
+    # The first refuted clause in mask order holds a0 and the disjunction,
+    # the 1,025th of the root's 2,047 clauses; one system names it.
+    cfg = LogicConfig(logic=logic)
+    f = parse(_width_family(logic, 10))
+    original = linarith.feasible
+    calls = []
+
+    def spy(constraints, variables, nonneg=()):
+        calls.append(len(variables))
+        return original(constraints, variables, nonneg)
+
+    monkeypatch.setattr(linarith, "feasible", spy)
+    verdict = solver.satisfiable(f, cfg)
+    assert not verdict.satisfiable
+    # Every other node is propositional, so every system is the root's.
+    assert 1 <= len(calls) <= (2 if logic == "MAJ" else 1), calls
+    goal = neg(f)
+    assert check_proof(extract_proof(verdict, goal, cfg), goal, cfg) == (True, "ok")
+
+
+@pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])
+def test_one_refuter_per_node_keeps_every_verdict(logic, monkeypatch):
+    # One refuter per node decides every formula as a refuter per clause
+    # does, and refuted formulas still get proofs that check.  Conjunctions
+    # of linear literals put several at one node, which random formulas
+    # seldom do.
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(5)
+    formulas = []
+    for _ in range(100):
+        f = random_formula(rng, cfg, max_depth=3, size_budget=rng.randint(7, 15))
+        literals = [
+            modal(random_operator(rng, cfg), random_formula(rng, cfg, max_depth=1, size_budget=5))
+            for _ in range(rng.randint(2, 5))
+        ]
+        formulas += [f, neg(f), conj_fold([g if rng.random() < 0.5 else neg(g) for g in literals])]
+    original = linarith.feasible
+    calls = []
+
+    def spy(constraints, variables, nonneg=()):
+        calls.append(len(variables))
+        return original(constraints, variables, nonneg)
+
+    monkeypatch.setattr(linarith, "feasible", spy)
+    verdicts = [solver.satisfiable(f, cfg) for f in formulas]
+    one_system = len(calls)
+    for f, verdict in zip(formulas, verdicts):
+        if not verdict.satisfiable:
+            doc = extract_proof(verdict, neg(f), cfg)
+            assert check_proof(doc, neg(f), cfg) == (True, "ok"), f
+    monkeypatch.setattr(solver, "challenges", _mask_loop_challenges)
+    del calls[:]
+    full = [solver.satisfiable(f, cfg) for f in formulas]
+    assert [v.satisfiable for v in verdicts] == [v.satisfiable for v in full]
+    assert 30 <= sum(not v.satisfiable for v in verdicts) <= 200
+    # The clauses left out are real work: a system per clause asks more.
+    assert one_system < len(calls)
 
 
 def _k_prop(n, sat):
