@@ -13,8 +13,9 @@ by checkers that do not consult the solver's internals:
   (``validate_structure``) and then by direct semantic evaluation
   (``model_check``), which decides every modal operator with
   ``semantics.lift``;
-* a proof is checked clause by clause against recomputed side conditions,
-  conclusion entailment, and premise CNF coverage.
+* a proof is a table of rule instances, one per CNF clause of each proved
+  formula; the checker recomputes every clause and every formula a premise
+  demands, and checks each entry once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .formula import (
     parse,
     pretty,
     pretty_literal,
-    subformulas,
 )
 from .logics import (
     LogicConfig,
@@ -64,7 +64,9 @@ from .onestep import (
 from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
 
-CERT_VERSION = 1
+# The JSON format version of each certificate kind.  Proofs are at 2, the
+# table of rule instances; no reader of older proofs is kept.
+CERT_VERSIONS = {"model": 1, "tableau": 1, "proof": 2}
 
 # Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph.
 MAX_WEIGHT = 16
@@ -421,22 +423,36 @@ def _weight_search(literals, insides, weights, idx, cap):
     ``<k>`` and ``W`` are monotone in the weight inside their argument and
     antitone in the weight outside, so a prefix is dropped as soon as some
     literal fails at its most favourable completion: ``cap`` on each free
-    block whose membership equals the literal's sign, 0 on the others."""
-    for (s, a), inside in zip(literals, insides):
-        best = dict(weights)
-        for b in range(idx, len(weights)):
-            best[b] = cap if (b in inside) == s else 0
-        if lift("multigraph", a.op, best, inside) != s:
+    block whose membership equals the literal's sign, 0 on the others.
+
+    The depth-first walk keeps its place in ``idx`` (blocks before it are
+    set), not in one call per block: a wide node has about 2^n blocks."""
+    first = idx
+
+    def completable():
+        for (s, a), inside in zip(literals, insides):
+            best = dict(weights)
+            for b in range(idx, len(weights)):
+                best[b] = cap if (b in inside) == s else 0
+            if lift("multigraph", a.op, best, inside) != s:
+                return False
+        return True
+
+    while True:
+        if completable():
+            if idx == len(weights):
+                return dict(weights)
+            weights[idx] = 0
+            idx += 1
+            continue
+        # Next prefix: raise the last block below ``cap``, clearing the
+        # blocks after it.
+        while idx > first and weights[idx - 1] == cap:
+            idx -= 1
+            weights[idx] = 0
+        if idx == first:
             return None
-    if idx == len(weights):
-        return dict(weights)
-    for value in range(cap + 1):
-        weights[idx] = value
-        got = _weight_search(literals, insides, weights, idx + 1, cap)
-        if got is not None:
-            return got
-    weights[idx] = 0
-    return None
+        weights[idx - 1] += 1
 
 
 class _ModelBuilder:
@@ -621,112 +637,82 @@ class _ModelBuilder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClauseProof:
-    clause: tuple
-    matching: RuleMatching
-    parts: tuple = ()  # ((gamma, ProofDoc), ...)
-
-
-@dataclass
-class ProofDoc:
-    formula: Formula
-    clause_proofs: tuple
+class ProofDoc(dict):
+    """A shallow proof as one table: each formula it proves, mapped to one
+    rule instance (``RuleMatching``) per CNF clause of the formula, in
+    ``cnf_clauses`` order.  A rule instance's premise fixes the formulas
+    proved one modal level down, so the table needs nothing else; a formula
+    demanded twice has one entry.  ``extract_proof`` writes the goal's entry
+    first."""
 
 
 def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc:
     """Read a shallow proof of ``goal`` off the refutation of its negation.
 
-    Each refuted pseudovaluation of the negated goal is one CNF clause of the
-    goal, proved by the rule matching that refuted it; the premise parts are
-    the refuted children, read the same way."""
+    Each refuted pseudovaluation of a refuted formula is one CNF clause of
+    the formula's negation, proved by the rule matching that refuted it; the
+    refuted children are the formulas its premise demands, read the same
+    way.  Shared children, one per formula through the solver's memo, give
+    one entry each."""
     if verdict.satisfiable:
         raise ValueError("cannot extract a proof from a satisfiable trace")
     if verdict.trace.formula is not neg_fold(goal):
         raise ValueError("trace does not refute the negation of the goal")
-    docs = {}
-
-    def clause_proofs(node) -> tuple:
-        return tuple(
-            ClauseProof(
-                tuple((not s, a) for s, a in valuation),
-                m,
-                tuple((gamma, sub_doc(child)) for gamma, child in gamma_children),
+    doc = ProofDoc()
+    # The goal's entry is keyed by ``goal`` itself: for a double negation it
+    # differs from ``neg_fold`` of the refuted formula.
+    stack = [(goal, verdict.trace)]
+    while stack:
+        f, node = stack.pop()
+        if f in doc:
+            continue
+        doc[f] = tuple(m for _, _, m, _ in node.failures)
+        for _, _, _, gamma_children in reversed(node.failures):
+            stack.extend(
+                (neg_fold(child.formula), child) for _, child in reversed(gamma_children)
             )
-            for valuation, _, m, gamma_children in node.failures
-        )
-
-    def sub_doc(node) -> ProofDoc:
-        doc = docs.get(id(node))
-        if doc is None:
-            doc = docs[id(node)] = ProofDoc(neg_fold(node.formula), clause_proofs(node))
-        return doc
-
-    # The root keeps ``goal`` itself: for a double negation it differs from
-    # ``neg_fold`` of the refuted formula, and ``check_proof`` compares by
-    # identity.
-    return ProofDoc(goal, clause_proofs(verdict.trace))
+    return doc
 
 
 def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
-    """Independent proof checking; returns (ok, message).  A rejection below
-    the root names the failing clause by its index path from the root, such
-    as ``clause 1 > part 0: sub-proof proves the wrong instance``."""
-    if doc.formula is not goal:
-        return False, "proof is not about the stated goal"
-    return _check_doc(doc, cfg, ())
+    """Independent proof checking; returns (ok, message).
 
-
-def _reject(path, msg):
-    return False, ("%s: %s" % (" > ".join(path), msg) if path else msg)
-
-
-def _check_doc(doc: ProofDoc, cfg: LogicConfig, path: tuple):
-    expected = cnf_clauses(doc.formula)
-    got = tuple(cp.clause for cp in doc.clause_proofs)
-    if got != expected:
-        return _reject(path, "clause list does not match the CNF of the node formula")
-    for c, cp in enumerate(doc.clause_proofs):
-        at = path + ("clause %d" % c,)
-        m = cp.matching
-        concl, msg = _rule_conclusion(m, cfg)
-        if msg is not None:
-            return _reject(at, msg)
-        if not clause_entails(concl, cp.clause):
-            return _reject(at, "rule conclusion does not entail the clause")
-        # One part per premise CNF clause, in their order: a part outside
-        # that list, or a second copy of one, would go unchecked.
-        premise = tuple(premise_cnf_clauses(m.premise()))
-        if len(cp.parts) != len(premise):
-            msg = "%d parts for %d premise CNF clauses" % (len(cp.parts), len(premise))
-            return _reject(at, msg)
-        for j, ((gamma, sub), want_gamma) in enumerate(zip(cp.parts, premise)):
-            here = at + ("part %d" % j,)
-            if gamma != want_gamma:
-                return _reject(here, "gamma is not premise CNF clause %d" % j)
-            if sub.formula is not neg_fold(negated_clause_instance(gamma, m.subst)):
-                return _reject(here, "sub-proof proves the wrong instance")
-            ok, msg = _check_doc(sub, cfg, here)
-            if not ok:
-                return False, msg
+    A worklist starts from the stated goal.  Each demanded formula must have
+    an entry, which is checked once: one rule instance per recomputed CNF
+    clause, each a rule of the logic whose conclusion entails its clause,
+    and every premise CNF clause's negated instance, negated again, is
+    demanded in turn.  An entry that is never demanded is rejected too.  A
+    rejection names the formula and, for a rule, its clause index, such as
+    ``entry '~([] a & ~[] b)' clause 0: rule code fails its side condition``."""
+    demanded = {goal: None}  # formula -> (demanding formula, clause index)
+    work = [goal]
+    while work:
+        f = work.pop()
+        rules = doc.get(f)
+        if rules is None:
+            if demanded[f] is None:
+                return False, "no entry for the goal %r" % pretty(f)
+            by, c = demanded[f]
+            return False, "no entry for %r, which %r clause %d demands" % (pretty(f), pretty(by), c)
+        clauses = cnf_clauses(f)
+        if len(rules) != len(clauses):
+            msg = "entry %r: %d rules for %d CNF clauses"
+            return False, msg % (pretty(f), len(rules), len(clauses))
+        for c, (m, clause) in enumerate(zip(rules, clauses)):
+            concl, msg = _rule_conclusion(m, cfg)
+            if msg is None and not clause_entails(concl, clause):
+                msg = "rule conclusion does not entail the clause"
+            if msg is not None:
+                return False, "entry %r clause %d: %s" % (pretty(f), c, msg)
+            for gamma in premise_cnf_clauses(m.premise()):
+                g = neg_fold(negated_clause_instance(gamma, m.subst))
+                if g not in demanded:
+                    demanded[g] = (f, c)
+                    work.append(g)
+    for f in doc:
+        if f not in demanded:
+            return False, "entry %r is never demanded" % pretty(f)
     return True, "ok"
-
-
-def audit_proof_subformulas(doc: ProofDoc, goal: Formula) -> bool:
-    """Weak subformula property: every modal atom mentioned anywhere in the
-    proof is a subformula of the goal."""
-    allowed = set(subformulas(goal))
-
-    def walk(d: ProofDoc) -> bool:
-        if not set(modal_atoms(d.formula)) <= allowed:
-            return False
-        for cp in d.clause_proofs:
-            for _, sub in cp.parts:
-                if not walk(sub):
-                    return False
-        return True
-
-    return walk(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +729,7 @@ def _literal(f: Formula):
 def _formula_reader(n_agents: int):
     """A parser for the formula texts of one certificate that parses each
     distinct text once.  Certificates repeat texts (tableau edges repeat
-    node literals, proof parts repeat clause literals), and formulas are
+    node literals, proof rules repeat substitutions), and formulas are
     interned, so a repeated text yields the very object a parse would."""
     parsed = {}
 
@@ -799,7 +785,7 @@ def model_to_json(w: ModelWitness) -> dict:
             }
             for s, (sizes, table) in sorted(w.games.items())
         }
-    return {"kind": "model", "version": CERT_VERSION, "payload": payload}
+    return {"kind": "model", "version": CERT_VERSIONS["model"], "payload": payload}
 
 
 def _json_label(names) -> frozenset:
@@ -903,7 +889,7 @@ def tableau_to_json(tb: Tableau) -> dict:
         "nodes": [[pretty_literal(lit) for lit in valuation] for valuation in tb.nodes],
         "edges": edges,
     }
-    return {"kind": "tableau", "version": CERT_VERSION, "payload": payload}
+    return {"kind": "tableau", "version": CERT_VERSIONS["tableau"], "payload": payload}
 
 
 def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
@@ -942,44 +928,36 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
 
 
 def proof_to_json(doc: ProofDoc) -> dict:
-    return {"kind": "proof", "version": CERT_VERSION, "payload": _proof_payload(doc)}
-
-
-def _proof_payload(doc: ProofDoc) -> dict:
-    clauses = [
+    proofs = [
         {
-            "clause": [pretty_literal(lit) for lit in cp.clause],
-            "type": "rule",
-            "rule": cp.matching.code.to_json(),
-            "substitution": [pretty(g) for g in cp.matching.subst],
-            "parts": [
-                {"gamma": _gamma_json(gamma), "sub": _proof_payload(sub)}
-                for gamma, sub in cp.parts
+            "formula": pretty(f),
+            "clauses": [
+                {"rule": m.code.to_json(), "substitution": [pretty(g) for g in m.subst]}
+                for m in rules
             ],
         }
-        for cp in doc.clause_proofs
+        for f, rules in doc.items()
     ]
-    return {"formula": pretty(doc.formula), "clauses": clauses}
+    return {"kind": "proof", "version": CERT_VERSIONS["proof"], "payload": {"proofs": proofs}}
 
 
 def proof_from_json(doc: dict, n_agents: int) -> ProofDoc:
+    """Read a proof table; two entries that parse to one formula, however
+    they are spelled, make the certificate malformed."""
     formula = _formula_reader(n_agents)
-
-    def read(payload: dict) -> ProofDoc:
-        clause_proofs = []
-        for entry in payload["clauses"]:
-            clause = tuple(_literal(formula(t)) for t in entry["clause"])
-            if entry["type"] != "rule":
-                raise ValueError("clause entry type %r is not \"rule\"" % (entry["type"],))
-            code = RuleCode.from_json(entry["rule"])
-            subst = tuple(formula(t) for t in entry["substitution"])
-            parts = tuple(
-                (_gamma_parse(p["gamma"]), read(p["sub"])) for p in entry["parts"]
+    proof = ProofDoc()
+    for entry in doc["payload"]["proofs"]:
+        f = formula(entry["formula"])
+        if f in proof:
+            raise ValueError("two proof entries for %r" % pretty(f))
+        proof[f] = tuple(
+            RuleMatching(
+                RuleCode.from_json(c["rule"]),
+                tuple(formula(t) for t in c["substitution"]),
             )
-            clause_proofs.append(ClauseProof(clause, RuleMatching(code, subst), parts))
-        return ProofDoc(formula(payload["formula"]), tuple(clause_proofs))
-
-    return read(doc["payload"])
+            for c in entry["clauses"]
+        )
+    return proof
 
 
 def certificate_to_json(cert) -> dict:
@@ -998,11 +976,11 @@ def certificate_from_json(doc: dict, n_agents: int):
     if not isinstance(doc, dict):
         raise ValueError("malformed certificate: not a JSON object")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in CERT_VERSIONS:
+        raise ValueError("unknown certificate kind %r" % (kind,))
     version = doc.get("version")
-    if type(version) is not int or version != CERT_VERSION:
+    if type(version) is not int or version != CERT_VERSIONS[kind]:
         raise ValueError("unsupported certificate version %r" % (version,))
-    if kind not in ("model", "tableau", "proof"):
-        raise ValueError("unknown certificate kind %r" % kind)
     try:
         if kind == "model":
             return model_from_json(doc)

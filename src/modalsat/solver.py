@@ -29,11 +29,14 @@ Traces record, per satisfiable node, one satisfiable demand per (clause,
 matching) pair plus (for linear logics) one child per satisfiable argument
 pattern; these are exactly the edges of a shallow tableau.
 
-UNSAT traces are the shallow proofs.  Each refuted pseudovaluation of the
-negated goal is one CNF clause of the goal, and the challenge that refuted
-it is the rule instance proving that clause; its children refute the
-negated premise clauses.  For linear logics those children are the
-projected demands of the found matching, each solved in its own right.
+UNSAT traces are the shallow proofs.  Each refuted pseudovaluation of a
+refuted formula is one CNF clause of the formula's negation, and the
+challenge that refuted it is the rule instance proving that clause; its
+children refute the negated premise clauses.  For linear logics those
+children are the projected demands of the found matching, each solved in
+its own right.  The memo gives one node per formula, so the refutation is a
+dag, and a proof is one table entry per node: the formula's negation and
+its rule instances.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ class SatNode:
 class UnsatNode:
     """Refutation: every pseudovaluation has a failing challenge.
 
-    This is also the shallow proof of the negated formula: each failure is
-    one CNF clause (the negated valuation) answered by the failing rule
-    matching, with one refuted child per premise clause ``gamma``."""
+    This is also the entry of the negated formula in a shallow proof: each
+    failure is one CNF clause (the negated valuation) answered by the
+    failing rule matching, with one refuted child per premise clause
+    ``gamma``.  A child refuted for several parents is one shared node."""
 
     formula: Formula
     # (valuation, clause, matching, [(gamma, child_unsat_node), ...])

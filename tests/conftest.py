@@ -7,7 +7,7 @@ import json
 import random
 
 from modalsat.certificates import model_to_json, proof_to_json, tableau_to_json
-from modalsat.formula import FModal, Atom, modal_atoms
+from modalsat.formula import FModal, Atom, modal_atoms, subformulas
 from modalsat.logics import LogicConfig
 from modalsat.sampling import random_formula
 
@@ -44,6 +44,13 @@ def max_atoms_per_level(f) -> int:
     for a in here:
         best = max(best, max_atoms_per_level(a.arg))
     return best
+
+
+def proof_within_subformulas(doc, goal) -> bool:
+    """Weak subformula property: every modal atom of every formula a proof
+    table proves is a subformula of the goal."""
+    allowed = set(subformulas(goal))
+    return all(set(modal_atoms(f)) <= allowed for f in doc)
 
 
 def _json_sha256(doc) -> str:

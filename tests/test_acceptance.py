@@ -18,9 +18,9 @@ from conftest import (
     max_atoms_per_level,
     model_sha256,
     proof_sha256,
+    proof_within_subformulas,
 )
 from modalsat.certificates import (
-    audit_proof_subformulas,
     certificate_to_json,
     check_proof,
     check_tableau,
@@ -102,38 +102,38 @@ VALID_PROOF_SHA256 = dict(
     zip(
         VALID,
         [
-            "414cff09808b335746ba58ee2d4a05b49dceb9836ef1aaf1b1f66dc7e7523526",
-            "28387a70726a08684459323a19a5a05c2644dfa45c508c8a67f77ade59b1efad",
-            "9140d96f61238d45243dc2be91ce9d0e7eccdc0877a81b97e10767d864d2fb1b",
-            "bde6796b2ac5af87a5b01debb9ca711e961f9af82a14d9d82facb988cc74607c",
-            "6db442177e4671eefc2d4d362e393061c18e9eae41608a9c11b5518a49897d11",
-            "7dea78732304effb5c03cbe06676c41a313b900c73e38e657e148cae44951118",
-            "72182fa8ecfa0abd0f64b88a70b7d6b5d35c6f067370b30ca296887b797b3a2b",
-            "7574afd8676e01f4555764ca5ce90a75197dc1d294092f14051991d1dd0b431f",
-            "950bdb7b3b25cc0336f569f5d65452ff007578351be8637a20c4239b2daaf244",
-            "ee7e82a79bafcf82736078cb5bfb8951df0f5037e9b0115d00dbcf5dd549c1b5",
-            "0170f2ce5d2a00fc33169eae216bce9fa0e9e12ee3363be59902a312fe46aee7",
-            "57e5ab8633a94be106fe17d7202f9ca75be48d6a3be9d32d6293643ab4cc6c0e",
-            "b5d95e89d85dcb86020f830238121e2c31cf0b545158e67b294dc28931e0be77",
-            "75c3ddf3d2b9db0a496efdee8fab423c94bf3035c1a977e0d2a3a5384aa1e934",
-            "d0826ad14bcdc4d739b13a471f6e18ec00cfc860e1ebc2beccddac9f8bac049b",
-            "9ade33aba5f17609a4763d90af65cc3730c6866d2146603d31d4c93854482319",
-            "00028c4a16e748597b67990fed57008920caa1f1f72ca9f61ef5cf2b8b4e3ee2",
-            "92d214deb57781cdcda37eabd42a44fb8f9d3454aec34f4aa9db578b9b12a9fe",
-            "ea579d5191321891e5ae432202996f81baea6ff6507f32b691ebe882f85f0e80",
-            "08e446436461ee7a8c16ce3219a5171c6e6397f955b62fff0abd74a59710f003",
-            "91dc63fb4c42a85b88796d5bc59c1ce3ffefe813247c5eb9299eb8126ca509a7",
-            "fef2164948d2a2445e57e3055e52866d9c443d06fc3b739bb09497bfc69b72d8",
-            "45c67a20e7d7695857877bf96588f63effd92987e1e35e46e0e94097ec5d8dec",
-            "3a4254456f5e77318c28e4b5b537e377f9f3fc2d2903c82397b02129393306cd",
-            "efa1d8152896ee9956ade871224111c054a6fc687f200224d46f45c9f58ccb6d",
-            "c6e0c31077dfc47d21dc51924d311c8cafb00852d08272ea81e6a79a5c5a081b",
-            "53a0147bb76fa2b1146b5f5b12fc9886d3eb28ecb6c82a4a0fb509269122f089",
-            "fc87887a55cab0096b073b34b767b54e6f9a0f7264ceedd0fe853b8e29ba9a64",
-            "05c33c4230db4f8fbee0bcf1408c4f420cd0c146c68504905a1e3d6dc1edc753",
-            "581fa45d87aef5244306fb82a5fc05aeeb2f4ce9b889063102a88d56bbd1e5e2",
-            "eadde38bb72c76f1f6ac43e1b4d8e51020fc4292b137d0b9ce98452900de1a53",
-            "067ec2b1000e4d4ebac904a34cdd22e1470f6efc49564e4dff72b75c60a0dca9",
+            "be3199b5b9e37e779aff79893a84a0dd782d909d71faf559b14ab8db6c4bfd22",
+            "4d2d88f78049b5fab38791c09aa40b14d42132865b8ebc3a58c906bb52c03f05",
+            "7f928203d9b0604bb17ad9794e9dd7dc3b6075e4f35155306ed757976c4b4154",
+            "ba3159c9e3ad17c87bcc5a2141fd8276510d71bd6f7a77f2839cdff74ab67bfb",
+            "f3a7566e984d4522e5bb187ca7ccc01dad4af3588a7ad857b524355eac5c3238",
+            "d6effa08132b098ce808359f504563c56f3b8ef8ff2da73423d10c2df2c0603f",
+            "d472fd1334bec79ffb35ed1484a39cefa167aa71e26aa18f933b862f388c2adf",
+            "c38308d3e1e3fff2aa616e1183b4f47074e941a67bccdb2aa9fa64e5aba4f974",
+            "bce46a9f5e80b437b5b0dc59590ab6d1c62aca9ee11f5b4936b00f7bb898a504",
+            "f456c03cff728e59e506c8c5bb7dac593cc10fcb4064701786aecb5bf708a8bc",
+            "ae193f8c5deaba8c79ed7b2f1b6abcc975b1f4096a748e8fc77f29a08349e80f",
+            "6dad17582134a9e493af2ea531dd51423ab5404e9fc16400cf254c92ed50c1a9",
+            "bbfd701ffabed0f606ff9b58fce178ec9ef67f48240221cbca0d415d7637d57f",
+            "9a6beae9acafae31bea8696996de6c843b67187d684def8a1145c351347e2943",
+            "f2bb630b5798804959a62ae9029ed33599eb96ea61622a299f8654b2bece7cf8",
+            "3397d26d2cf3779c712ee452799b6bbc76b768a8ddd6b5c8cf7ea3439e9d7e7f",
+            "66483464832dc8b549044cbe32d64f0d2e2d8c60a2b4f847fa100638f10558d4",
+            "d933ac1e1cfbf84c3105fb3fbf099395d5818046a5a2adfa17cb45a27aad32ac",
+            "e963273329cd8a2ff20c5a475cd67168079c1ef58c8f412a9c287d5e03ace083",
+            "7e8d3bf2e6ce744115de7838c68c67946e43688178992e874bbeb3616a688231",
+            "4b197d415995e150df2f6ab2200c02198d5e2b166869b6d36ad1377572692643",
+            "ad4745bba16bbc133e5407f7eca16817da032810cf575f21bfabba661513802c",
+            "f5a1ebbb562cab7ac0fae5e0a5d6fb7faf985981c9858a535412897cb6e4fc3a",
+            "18b390ec019314300f34f0efd0d90aad115bf4ec7ea1150f15c72cc51abd884f",
+            "8ca5b8d5b35273c2ad5fcd323636549a232008dcb5061ccac3322dfac452e7a3",
+            "2e5941a1ffaaca9633ca998fac3d74cc926ef766c0d236df57752e9091d1378e",
+            "c7195249d0cea22d35f7bc92cc67194e8354627d36711d13a0b14aef79683b9c",
+            "bb0a4f106fb360ff60c013a36d6aa20ef84d0d3870ecab5db96c32ce66475a6d",
+            "0d9e97a562aabd122beb8b38090e847b75dce407e4680ea3aba49b371443864c",
+            "0fecd0a0d2802e5c566972c85d0b4966188158e30be2cd608352bd4bde9aec39",
+            "178a02b01dbc7d84ca0324c3cc8e72a4312df4c2d7191c7cff9fc6904767bcc0",
+            "e1030a0716a91e0906ee7f9e4f8a0310381282f206cf7c8420cc3a6438d8f4b3",
         ],
     )
 )
@@ -229,7 +229,7 @@ def test_certificate_loop(logic):
             doc = extract_proof(verdict, goal, cfg)
             ok, msg = check_proof(doc, goal, cfg)
             assert ok, (logic, msg)
-            assert audit_proof_subformulas(doc, goal)
+            assert proof_within_subformulas(doc, goal)
     assert model_sha256(*models) == LOOP_MODELS_SHA256[logic]
 
 

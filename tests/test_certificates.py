@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import proof_sha256, tableau_sha256
+from conftest import proof_sha256, proof_within_subformulas, tableau_sha256
 from test_logics import _mask_loop_challenges
 from modalsat import certificates, cli, solver
 from modalsat.certificates import (
@@ -15,7 +15,6 @@ from modalsat.certificates import (
     ModelWitness,
     _weight_search,
     Tableau,
-    audit_proof_subformulas,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -33,7 +32,7 @@ from modalsat.certificates import (
     tableau_to_model,
     validate_structure,
 )
-from modalsat.formula import GDiamond, MajW, assignments, atom, modal, neg_fold, parse
+from modalsat.formula import GDiamond, MajW, assignments, atom, cnf_clauses, modal, neg_fold, parse
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec
 from modalsat.onestep import (
     RuleCode,
@@ -75,15 +74,15 @@ VALID_CASES = [
 
 # sha256 of each VALID_CASES proof's JSON.
 PROOF_SHA256 = {
-    ("K", "[](a -> b) -> ([]a -> []b)"): "414cff09808b335746ba58ee2d4a05b49dceb9836ef1aaf1b1f66dc7e7523526",
-    ("KD", "~ [] false"): "9140d96f61238d45243dc2be91ce9d0e7eccdc0877a81b97e10767d864d2fb1b",
-    ("E", "[]a -> []a"): "649c4969d797aa07180083b72c82bd4d34f29391be5425f70ee66bcfed64b903",
-    ("M", "[](a & b) -> []a"): "6db442177e4671eefc2d4d362e393061c18e9eae41608a9c11b5518a49897d11",
-    ("GML", "<1>a -> <0>a"): "7dea78732304effb5c03cbe06676c41a313b900c73e38e657e148cae44951118",
-    ("MAJ", "W a | W ~a"): "fb2882f306d57e2f89e0c7819e070afc7259061aa3ec7cd03a3d00a66a962ed3",
-    ("PML", "L{0/1} a"): "45c67a20e7d7695857877bf96588f63effd92987e1e35e46e0e94097ec5d8dec",
-    ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"): "581fa45d87aef5244306fb82a5fc05aeeb2f4ce9b889063102a88d56bbd1e5e2",
-    ("K", "~~([]a -> []a)"): "3a2f1087b25ba838d5aea53d4531b7024482d8cc2011a9a40be36cfd8cac8458",
+    ("K", "[](a -> b) -> ([]a -> []b)"): "be3199b5b9e37e779aff79893a84a0dd782d909d71faf559b14ab8db6c4bfd22",
+    ("KD", "~ [] false"): "7f928203d9b0604bb17ad9794e9dd7dc3b6075e4f35155306ed757976c4b4154",
+    ("E", "[]a -> []a"): "5d09356ddc0ddbeb65899d42918ba71c401d7d58a137849faff7bc26efe3ba5b",
+    ("M", "[](a & b) -> []a"): "f3a7566e984d4522e5bb187ca7ccc01dad4af3588a7ad857b524355eac5c3238",
+    ("GML", "<1>a -> <0>a"): "d6effa08132b098ce808359f504563c56f3b8ef8ff2da73423d10c2df2c0603f",
+    ("MAJ", "W a | W ~a"): "e0eccebecc08c51f0f29a525940bb0d714b38ad4e8314d1d898813e8634c51de",
+    ("PML", "L{0/1} a"): "f5a1ebbb562cab7ac0fae5e0a5d6fb7faf985981c9858a535412897cb6e4fc3a",
+    ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"): "0fecd0a0d2802e5c566972c85d0b4966188158e30be2cd608352bd4bde9aec39",
+    ("K", "~~([]a -> []a)"): "dedf6c4d483edfd148a77c61c392baf4af8ae28760200485622c8ae3c3761cb0",
 }
 
 
@@ -576,6 +575,17 @@ def test_weight_search_matches_exhaustive(logic):
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
 
 
+def test_weight_search_walks_more_blocks_than_the_recursion_limit():
+    # The root of ``gml_wide(10)`` has about 2^10 blocks.  Here only the
+    # last of 2,000 blocks can make ``<0>v`` true, so the search sets every
+    # block before it, past the default recursion limit of 1,000.
+    blocks = 2000
+    literals = [(True, modal(GDiamond(0), atom("v")))]
+    insides = [{blocks - 1}]
+    got = _weight_search(literals, insides, dict.fromkeys(range(blocks), 0), 0, MAX_WEIGHT)
+    assert got == {**dict.fromkeys(range(blocks - 1), 0), blocks - 1: 1}
+
+
 # -- proofs -------------------------------------------------------------------
 
 
@@ -588,7 +598,7 @@ def test_proof_roundtrip_and_check(logic, text):
     doc = extract_proof(verdict, goal, cfg)
     ok, msg = check_proof(doc, goal, cfg)
     assert ok, msg
-    assert audit_proof_subformulas(doc, goal)
+    assert proof_within_subformulas(doc, goal)
     assert proof_sha256(doc) == PROOF_SHA256[(logic, text)]
     payload = certificate_to_json(doc)
     doc2 = certificate_from_json(json.loads(json.dumps(payload)), cfg.n_agents)
@@ -619,7 +629,7 @@ def test_proof_of_propositional_validity_has_no_clauses():
     goal = parse("a -> a")
     verdict = satisfiable(neg_fold(goal), cfg)
     doc = extract_proof(verdict, goal, cfg)
-    assert doc.clause_proofs == ()
+    assert doc == {goal: ()}
     ok, msg = check_proof(doc, goal, cfg)
     assert ok, msg
 
@@ -645,29 +655,14 @@ def test_check_proof_rejects_wrong_goal():
 def test_check_proof_rejects_tampered_rule():
     cfg = LogicConfig(logic="GML")
     goal = parse("<1>a -> <0>a")
-    verdict = satisfiable(neg_fold(goal), cfg)
-    doc = extract_proof(verdict, goal, cfg)
+    doc = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
     payload = proof_to_json(doc)
-
-    def tamper(node):
-        if node.get("type") == "rule" and node.get("rule", {}).get("grades"):
-            node["rule"]["grades"] = [g + 5 for g in node["rule"]["grades"]]
-            return True
-        for entry in node.get("clauses", ()):
-            if entry.get("type") == "rule":
-                if tamper(entry):
-                    return True
-                for part in entry.get("parts", ()):
-                    if tamper(part["sub"]):
-                        return True
-        return False
-
-    assert tamper(payload["payload"]) or any(
-        tamper(c) for c in payload["payload"]["clauses"]
-    )
-    doc2 = proof_from_json(payload, cfg.n_agents)
-    ok, _ = check_proof(doc2, goal, cfg)
+    rule = payload["payload"]["proofs"][0]["clauses"][0]["rule"]
+    assert rule["grades"]
+    rule["grades"] = [g + 5 for g in rule["grades"]]
+    ok, msg = check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg)
     assert not ok
+    assert msg.startswith("entry '~(<1> a & ~<0> a)' clause 0: "), msg
 
 
 def _k_proof_json(text):
@@ -677,73 +672,127 @@ def _k_proof_json(text):
     return cfg, goal, proof_to_json(doc)
 
 
-# A part whose sub-proof would fail any check: ``p`` has one CNF clause.
-_FORGED_SUB = {"formula": "p", "clauses": []}
+# The entries of the proof of ``[][](a -> b) -> ([][]a -> [][]b)``: the goal,
+# the formula its K instance demands, and the propositional validity below.
+_GOAL_ENTRY = "~([] [] ~(a & ~b) & ~~([] [] a & ~[] [] b))"
+_INNER_ENTRY = "~([] ~(a & ~b) & [] a & ~[] b)"
+_LEAF_ENTRY = "~(~(a & ~b) & a & ~b)"
 
 
-@pytest.mark.parametrize("forgery", ["extra gamma", "duplicated gamma"])
-def test_check_proof_rejects_parts_outside_the_premise_order(forgery, tmp_path, capsys):
-    text = "[](a -> b) -> ([]a -> []b)"
-    cfg, goal, payload = _k_proof_json(text)
-    parts = payload["payload"]["clauses"][0]["parts"]
-    assert len(parts) == 1
-    if forgery == "extra gamma":
-        parts.append({"gamma": [[True, 0], [True, 1], [True, 2], [True, 3]], "sub": _FORGED_SUB})
-    else:
-        # The first of two copies of the one premise clause.
-        parts.insert(0, {"gamma": parts[0]["gamma"], "sub": _FORGED_SUB})
-    doc = proof_from_json(payload, cfg.n_agents)
-    assert check_proof(doc, goal, cfg) == (False, "clause 0: 2 parts for 1 premise CNF clauses")
-    cert = tmp_path / "proof.json"
-    cert.write_text(json.dumps(payload))
-    assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
-    assert "ok" not in capsys.readouterr().out.split()
+def _entries(payload):
+    return payload["payload"]["proofs"]
 
 
-def _inner_clause(payload):
-    return payload["payload"]["clauses"][0]["parts"][0]["sub"]["clauses"][0]
+def _inner_rule(payload):
+    return _entries(payload)[1]["clauses"][0]
 
 
 def _set_inner_ints(payload):
-    _inner_clause(payload)["rule"]["ints"] = [1, -1, 1]
+    _inner_rule(payload)["rule"]["ints"] = [1, -1, 1]
 
 
-def _set_inner_gamma(payload):
-    _inner_clause(payload)["parts"][0]["gamma"] = [[True, 0], [False, 1], [True, 2]]
-
-
-def _set_inner_sub_formula(payload):
-    _inner_clause(payload)["parts"][0]["sub"]["formula"] = "p"
+def _set_inner_substitution(payload):
+    _inner_rule(payload)["substitution"] = ["~(a & ~b)", "a", "c"]
 
 
 def _set_inner_coalition_rule(payload):
-    _inner_clause(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
+    _inner_rule(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
 
 
-def _drop_inner_clauses(payload):
-    payload["payload"]["clauses"][0]["parts"][0]["sub"]["clauses"] = []
+def _drop_inner_rules(payload):
+    _entries(payload)[1]["clauses"] = []
 
 
-def _drop_root_clauses(payload):
-    payload["payload"]["clauses"] = []
+def _repeat_inner_rule(payload):
+    _entries(payload)[1]["clauses"].append(_inner_rule(payload))
+
+
+def _drop_root_rules(payload):
+    _entries(payload)[0]["clauses"] = []
+
+
+def _drop_leaf_entry(payload):
+    del _entries(payload)[2]
+
+
+def _drop_goal_entry(payload):
+    del _entries(payload)[0]
+
+
+def _add_unused_entry(payload):
+    # A propositional validity: its entry would check, but nothing demands it.
+    _entries(payload).append({"formula": "~(p & ~p)", "clauses": []})
 
 
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (_set_inner_ints, "clause 0 > part 0 > clause 0: rule code fails its side condition"),
-        (_set_inner_gamma, "clause 0 > part 0 > clause 0 > part 0: gamma is not premise CNF clause 0"),
-        (_set_inner_sub_formula, "clause 0 > part 0 > clause 0 > part 0: sub-proof proves the wrong instance"),
-        (_set_inner_coalition_rule, "clause 0 > part 0 > clause 0: rule uses an operator outside the logic"),
-        (_drop_inner_clauses, "clause 0 > part 0: clause list does not match the CNF of the node formula"),
-        (_drop_root_clauses, "clause list does not match the CNF of the node formula"),
+        (_set_inner_ints, "entry '%s' clause 0: rule code fails its side condition" % _INNER_ENTRY),
+        (_set_inner_substitution, "entry '%s' clause 0: rule conclusion does not entail the clause" % _INNER_ENTRY),
+        (_set_inner_coalition_rule, "entry '%s' clause 0: rule uses an operator outside the logic" % _INNER_ENTRY),
+        (_drop_inner_rules, "entry '%s': 0 rules for 1 CNF clauses" % _INNER_ENTRY),
+        (_repeat_inner_rule, "entry '%s': 2 rules for 1 CNF clauses" % _INNER_ENTRY),
+        (_drop_root_rules, "entry '%s': 0 rules for 1 CNF clauses" % _GOAL_ENTRY),
+        (_drop_leaf_entry, "no entry for '%s', which '%s' clause 0 demands" % (_LEAF_ENTRY, _INNER_ENTRY)),
+        (_drop_goal_entry, "no entry for the goal '%s'" % _GOAL_ENTRY),
+        (_add_unused_entry, "entry '~(p & ~p)' is never demanded"),
     ],
 )
-def test_check_proof_names_the_failing_clause(tamper, message):
-    cfg, goal, payload = _k_proof_json("[][](a -> b) -> ([][]a -> [][]b)")
+def test_check_proof_names_the_failing_clause(tamper, message, tmp_path, capsys):
+    text = "[][](a -> b) -> ([][]a -> [][]b)"
+    cfg, goal, payload = _k_proof_json(text)
+    assert [e["formula"] for e in _entries(payload)] == [_GOAL_ENTRY, _INNER_ENTRY, _LEAF_ENTRY]
     assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (True, "ok")
     tamper(payload)
     assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (False, message)
+    cert = tmp_path / "proof.json"
+    cert.write_text(json.dumps(payload))
+    assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "proof  INVALID: %s\n" % message
+
+
+def test_duplicate_proof_entry_is_malformed():
+    # ``a -> b`` is read as ``~(a & ~b)``: one formula, two entries.
+    cfg, goal, payload = _k_proof_json("[](a -> b) -> ([]a -> []b)")
+    entries = _entries(payload)
+    assert entries[1] == {"formula": "~(~(a & ~b) & a & ~b)", "clauses": []}
+    entries.append({"formula": "~((a -> b) & a & ~b)", "clauses": []})
+    with pytest.raises(ValueError, match="malformed certificate: .*two proof entries for '~\\(~\\(a & ~b\\) & a & ~b\\)'"):
+        certificate_from_json(payload, cfg.n_agents)
+
+
+def _m_validity(n):
+    """``m_validity(n)`` of the benchmark corpus: ``[](a0 & ...) -> []a0 & ...``."""
+    xs = ["a%d" % i for i in range(n)]
+    return "[](%s) -> %s" % (" & ".join(xs), " & ".join("[]" + x for x in xs))
+
+
+def test_check_proof_recomputes_each_cnf_once(monkeypatch):
+    # 8 distinct formulas, which a proof written as a tree repeats 128 times.
+    goal = parse(_m_validity(7))
+    cfg = LogicConfig(logic="M")
+    doc = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
+    assert len(doc) == 8
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return cnf_clauses(f)
+
+    monkeypatch.setattr(certificates, "cnf_clauses", counted)
+    assert check_proof(doc, goal, cfg) == (True, "ok")
+    assert sorted(map(id, calls)) == sorted(map(id, doc))
+
+
+def test_shared_sub_proofs_are_written_once(tmp_path, capsys):
+    # The tree format wrote this proof in 1,002,221 bytes.
+    text = _m_validity(11)
+    cert = tmp_path / "proof.json"
+    assert cli.main(["--logic", "M", "prove", text, "--cert", str(cert)]) == 0
+    assert len(cert.read_bytes()) < 400_000
+    assert len(json.loads(cert.read_text())["payload"]["proofs"]) == 12
+    assert cli.main(["--logic", "M", "check-cert", text, "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out.endswith("proof  ok: ok\n")
 
 
 # -- pinned tableau bytes -----------------------------------------------------

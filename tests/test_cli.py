@@ -139,6 +139,33 @@ def test_selftest_rules(capsys):
         assert "all sound" in out
 
 
+# A version-1 proof of ``[](a -> b) -> ([]a -> []b)`` under K: a tree of
+# nested sub-proofs, each clause and premise part written out.
+V1_PROOF = (
+    '{"kind":"proof","payload":{"clauses":[{"clause":["~[] ~(a & ~b)","~[] a","[] b"],'
+    '"parts":[{"gamma":[[false,0],[false,1],[true,2]],"sub":{"clauses":[],'
+    '"formula":"~(~(a & ~b) & a & ~b)"}}],"rule":{"coalitions":[],"grades":[],'
+    '"ints":[-1,-1,1],"logic":"K","rationals":[],"scheme":"K"},'
+    '"substitution":["~(a & ~b)","a","b"],"type":"rule"}],'
+    '"formula":"~([] ~(a & ~b) & ~~([] a & ~[] b))"},"version":1}'
+)
+
+
+def test_version_1_proof_is_unsupported(tmp_path, capsys):
+    text = "[](a -> b) -> ([]a -> []b)"
+    cert = tmp_path / "proof.json"
+    cert.write_text(V1_PROOF)
+    code, out, err = run(capsys, "--logic", "K", "check-cert", text, "--cert", str(cert))
+    assert (code, out) == (2, "")
+    assert err == "error: unsupported certificate version 1\n"
+    # The same proof as the table ``prove --cert`` writes now.
+    code, _, _ = run(capsys, "--logic", "K", "prove", text, "--cert", str(cert))
+    assert code == 0
+    assert json.loads(cert.read_text())["version"] == 2
+    code, out, _ = run(capsys, "--logic", "K", "check-cert", text, "--cert", str(cert))
+    assert (code, out) == (0, "proof  ok: ok\n")
+
+
 def test_selftest_rules_rejects_empty_count(capsys):
     # A count below 1 checks nothing, so it must not report "all sound".
     for count in ("0", "-3"):
@@ -154,7 +181,7 @@ def test_internal_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     cert = tmp_path / "bad.json"
-    cert.write_text('{"kind":"proof","version":1}')
+    cert.write_text('{"kind":"proof","version":2}')
     code, _, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
     assert code == 2
     assert err.startswith("error:")
@@ -164,7 +191,7 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     # A certificate file is outside input: a missing or ill-typed field is
     # reported as such, not as an internal error.
     docs = [
-        {"kind": "proof", "version": 1},
+        {"kind": "proof", "version": 2},
         {
             "kind": "tableau",
             "version": 1,
@@ -205,16 +232,17 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         },
         {
             "kind": "proof",
-            "version": 1,
+            "version": 2,
             "payload": {
-                "formula": "a",
-                "clauses": [
+                "proofs": [
                     {
-                        "clause": ["a"],
-                        "type": "rule",
-                        "rule": {"logic": "PML", "scheme": "PML", "ints": [1, 0], "rationals": ["2/0"]},
-                        "substitution": ["a"],
-                        "parts": [],
+                        "formula": "a",
+                        "clauses": [
+                            {
+                                "rule": {"logic": "PML", "scheme": "PML", "ints": [1, 0], "rationals": ["2/0"]},
+                                "substitution": ["a"],
+                            }
+                        ],
                     }
                 ],
             },
@@ -223,7 +251,7 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     # Ill-typed values that int() or bool() would coerce into a different
     # certificate: a float root or weight (read as 0 and 1, the model would
     # pass), an integer flag, a label that is a string, a string edge
-    # endpoint, a float rule coefficient and an integer gamma sign.
+    # endpoint, an integer gamma sign and a float rule coefficient.
     graded = {
         "model_kind": "multigraph",
         "root": 0,
@@ -246,25 +274,22 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         }
     )
     rule = {"logic": "K", "scheme": "K", "ints": [1, 0], "grades": [], "coalitions": []}
-    for code, gamma in [({**rule, "ints": [1.0, 0]}, [[True, 0]]), (rule, [[1, 0]])]:
-        docs.append(
-            {
-                "kind": "proof",
-                "version": 1,
-                "payload": {
-                    "formula": "[]a",
-                    "clauses": [
-                        {
-                            "clause": ["[] a"],
-                            "type": "rule",
-                            "rule": code,
-                            "substitution": ["a"],
-                            "parts": [{"gamma": gamma, "sub": {"formula": "a", "clauses": []}}],
-                        }
-                    ],
-                },
-            }
-        )
+    label = {"kind": "rule", "clause": ["[] a"], "code": rule, "substitution": ["a"], "gamma": [[1, 0]]}
+    docs.append(
+        {
+            "kind": "tableau",
+            "version": 1,
+            "payload": {"root": 0, "nodes": [["~[] a"], ["~a"]], "edges": [{"src": 0, "dst": 1, "label": label}]},
+        }
+    )
+    clause = {"rule": {**rule, "ints": [1.0, 0]}, "substitution": ["a"]}
+    docs.append(
+        {
+            "kind": "proof",
+            "version": 2,
+            "payload": {"proofs": [{"formula": "[]a", "clauses": [clause]}, {"formula": "a", "clauses": []}]},
+        }
+    )
     cases = [("a", json.dumps(doc)) for doc in docs]
     # A key that spells a state or strategy profile other than as its
     # decimal text collides with the key that does, and so does a key that
@@ -277,10 +302,10 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     game = {"sizes": [1, 2], "table": {"0,0": 0, "0,1": 0, "00,1": 0}}
     payload = {"model_kind": "game", "root": 0, "states": [0], "labels": {"0": []}, "games": {"0": game}}
     cases.append(("a", json.dumps({"kind": "model", "version": 1, "payload": payload})))
-    # The only proof clause entry is a rule instance.
-    leaf = {"clause": ["[] a", "~[] a"], "type": "leaf"}
-    payload = {"formula": "[]a | ~[]a", "clauses": [leaf]}
-    cases.append(("[]a | ~[]a", json.dumps({"kind": "proof", "version": 1, "payload": payload})))
+    # Two proof entries for one formula, spelled two ways: one of them would
+    # go unchecked.
+    payload = {"proofs": [{"formula": "a -> b", "clauses": []}, {"formula": "~(a & ~b)", "clauses": []}]}
+    cases.append(("a -> b", json.dumps({"kind": "proof", "version": 2, "payload": payload})))
     for formula, text in cases:
         cert = tmp_path / "bad.json"
         cert.write_text(text)
