@@ -4,8 +4,9 @@ All three certificate kinds serialize to versioned JSON and are validated
 by checkers that do not consult the solver's internals:
 
 * a tableau is checked structurally (every node is a pseudovaluation, every
-  edge's demand is recomputed from its rule label, and every challenge of
-  every node has an answering edge; in the linear logics a node's
+  edge's clause and demand are recomputed from its rule instance, or its
+  sign pattern from its target, and every challenge of every node has an
+  answering edge; in the linear logics a node's
   challenges are computed from the argument patterns its pattern edges
   claim satisfiable, and no edge may answer a linear matching, so a
   refuting linear matching is always an unanswered challenge);
@@ -59,14 +60,14 @@ from .onestep import (
     negated_clause_instance,
     parse_fraction,
     premise_cnf_clauses,
-    premise_has_clause,
 )
 from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
 
 # The JSON format version of each certificate kind.  Proofs are at 2, the
-# table of rule instances; no reader of older proofs is kept.
-CERT_VERSIONS = {"model": 1, "tableau": 1, "proof": 2}
+# table of rule instances, and tableaux at 2, whose edges carry only their
+# rule instance; no reader of older versions is kept.
+CERT_VERSIONS = {"model": 1, "tableau": 2, "proof": 2}
 
 # Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph.
 MAX_WEIGHT = 16
@@ -251,14 +252,10 @@ def _check_game(game, states, n_agents: int):
 class Tableau:
     root: int
     nodes: list  # pseudovaluations: tuples of (positive, modal_atom)
-    edges: list  # (src, label, dst); label as below
-
-
-# Edge labels:
-#   ("rule", clause, code, subst, gamma)  answer to a (clause, matching)
-#       challenge via premise CNF clause gamma
-#   ("pattern", formula)                  argument sign pattern child (linear
-#       logics); formula is the pattern conjunction
+    # (src, matching, dst): dst answers the rule instance ``matching`` at
+    # src, or, for ``None``, is an argument sign pattern child (linear
+    # logics).
+    edges: list
 
 
 def extract_tableau(verdict: Verdict, cfg: LogicConfig) -> Tableau:
@@ -285,19 +282,11 @@ def extract_tableau(verdict: Verdict, cfg: LogicConfig) -> Tableau:
             return known
         vid = node_id(tn.valuation)
         visited[id(tn)] = vid
-        for ob in tn.obligations:
-            if ob[0] == "rule":
-                _, clause, m, gamma, child = ob
-                cid = visit(child)
-                label = ("rule", clause, m.code, m.subst, gamma)
-            else:
-                _, pf, child = ob
-                cid = visit(child)
-                label = ("pattern", pf)
-            key = (vid, label, cid)
-            if key not in seen_edges:
-                seen_edges.add(key)
-                edges.append((vid, label, cid))
+        for m, child in tn.obligations:
+            edge = (vid, m, visit(child))
+            if edge not in seen_edges:
+                seen_edges.add(edge)
+                edges.append(edge)
         return vid
 
     root = visit(verdict.trace)
@@ -328,74 +317,78 @@ def _rule_conclusion(m: RuleMatching, cfg: LogicConfig):
         return None, "malformed rule code"
     if any(isinstance(a, FModal) and not operator_legal(a.op, cfg) for (_, a) in concl):
         return None, "rule uses an operator outside the logic"
+    if len(m.subst) != m.code.arity():
+        msg = "substitution has %d formulas for a rule of arity %d"
+        return None, msg % (len(m.subst), m.code.arity())
     return concl, None
 
 
+def _pattern_of(child, arith):
+    """The argument sign pattern a pattern child fixes, as a bitmask over
+    ``arith``, or None when the child leaves some argument undecided."""
+    assign = {a: s for (s, a) in child}
+    if not all(set(modal_atoms(a.arg)) <= assign.keys() for a in arith):
+        return None
+    return sum(1 << i for i, a in enumerate(arith) if eval_with(a.arg, assign))
+
+
 def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
-    """Structural validity: returns (ok, message)."""
+    """Structural validity: returns (ok, message).
+
+    Edges state no clause, premise clause or pattern: a rule edge's clause
+    is its rule's conclusion, and its target must be a pseudovaluation for
+    the negated instance of some premise CNF clause; a pattern edge's target
+    decides every argument of the source's proper modal atoms, which fixes
+    the pattern it is a pseudovaluation for."""
     n = len(tb.nodes)
     if not 0 <= tb.root < n:
         return False, "root out of range"
     if not _is_pseudovaluation_for(tb.nodes[tb.root], f):
         return False, "root is not a pseudovaluation for the formula"
-    outgoing = {i: [] for i in range(n)}
+    answered = set()  # (node, rule instance)
     # Linear logics: argument sign patterns per node that pattern edges claim
     # satisfiable, as bitmasks over the node's proper modal atoms.
     claimed = {i: set() for i in range(n)}
-    pattern_bits = {}  # node -> {pattern formula: bitmasks}
-    for k, (src, label, dst) in enumerate(tb.edges):
+    for k, (src, m, dst) in enumerate(tb.edges):
         if not (0 <= src < n and 0 <= dst < n):
             return False, "edge %d: endpoint out of range" % k
-        valuation = tb.nodes[src]
-        negations = {(not s, a) for (s, a) in valuation}
-        if label[0] == "rule":
-            _, clause, code, subst, gamma = label
-            if code.scheme in LINEAR_SCHEMES:
-                # A linear rule is only ever a refuter: answering one refuter
-                # would let a different refuter of the node go unseen.
-                msg = "edge %d: the rule edge at node %d answers a linear %s rule"
-                return False, msg % (k, src, code.scheme)
-            if not clause or not set(clause) <= negations:
-                return False, "edge %d: clause is not built from negated node literals" % k
-            m = RuleMatching(code, subst)
-            concl, msg = _rule_conclusion(m, cfg)
-            if msg is not None:
-                return False, "edge %d: %s" % (k, msg)
-            if concl != clause:
-                return False, "edge %d: rule conclusion does not match the clause" % k
-            if not premise_has_clause(m.premise(), gamma):
-                return False, "edge %d: gamma is not a premise CNF clause" % k
-            demand = negated_clause_instance(gamma, subst)
-        else:
+        valuation, child = tb.nodes[src], tb.nodes[dst]
+        if m is None:
             if not cfg.is_arithmetic():
                 return False, "edge %d: pattern edges only occur in linear logics" % k
-            demand = label[1]
-            if src not in pattern_bits:
-                pattern_bits[src] = {}
-                arith = proper_atoms(valuation)
-                for bits in range(1 << len(arith)):
-                    pattern_bits[src].setdefault(pattern_formula(arith, bits), set()).add(bits)
-            if demand not in pattern_bits[src]:
-                return False, "edge %d: pattern formula is not a sign pattern of the node's arguments" % k
-            claimed[src] |= pattern_bits[src][demand]
-        if not _is_pseudovaluation_for(tb.nodes[dst], demand):
-            return False, "edge %d: target is not a pseudovaluation for its demand" % k
-        outgoing[src].append((label, dst))
+            arith = proper_atoms(valuation)
+            bits = _pattern_of(child, arith)
+            if bits is None:
+                return False, "edge %d: target does not decide the node's arguments" % k
+            if not _is_pseudovaluation_for(child, pattern_formula(arith, bits)):
+                return False, "edge %d: target is not a pseudovaluation for its sign pattern" % k
+            claimed[src].add(bits)
+            continue
+        if m.code.scheme in LINEAR_SCHEMES:
+            # A linear rule is only ever a refuter: answering one refuter
+            # would let a different refuter of the node go unseen.
+            msg = "edge %d: the rule edge at node %d answers a linear %s rule"
+            return False, msg % (k, src, m.code.scheme)
+        concl, msg = _rule_conclusion(m, cfg)
+        if msg is not None:
+            return False, "edge %d: %s" % (k, msg)
+        negations = {(not s, a) for (s, a) in valuation}
+        if not concl or not set(concl) <= negations:
+            return False, "edge %d: rule conclusion is not built from negated node literals" % k
+        if not any(
+            _is_pseudovaluation_for(child, negated_clause_instance(gamma, m.subst))
+            for gamma in premise_cnf_clauses(m.premise())
+        ):
+            return False, "edge %d: target answers no premise clause" % k
+        answered.add((src, m))
     # Challenge coverage: every candidate of every challenge has an answering
     # edge.  In the linear logics the challenges are asked against the
     # claimed patterns, which have checked children, so they are satisfiable;
     # fewer satisfiable patterns only make refuting easier.
     for i, valuation in enumerate(tb.nodes):
-        for clause, cands in challenges(valuation, cfg, claimed[i]):
+        for _, cands in challenges(valuation, cfg, claimed[i]):
             for m in cands:
-                answered = any(
-                    label[0] == "rule"
-                    and label[1] == clause
-                    and label[2] == m.code
-                    and label[3] == m.subst
-                    for (label, _) in outgoing[i]
-                )
-                if not answered:
+                if (i, m) not in answered:
                     msg = "unanswered challenge at node %d: the %s rule refutes it"
                     return False, msg % (i, m.code.scheme)
     return True, "ok"
@@ -850,40 +843,33 @@ def model_from_json(doc: dict) -> ModelWitness:
     return w
 
 
-def _gamma_json(gamma):
-    return [[bool(s), int(v)] for (s, v) in gamma]
+def _matching_json(m: RuleMatching) -> dict:
+    """A rule instance as written in tableau edges and proof entries."""
+    return {"rule": m.code.to_json(), "substitution": [pretty(g) for g in m.subst]}
 
 
-def _gamma_parse(data):
-    return tuple((json_bool(s), json_int(v)) for s, v in data)
+def _matching_from_json(data: dict, formula) -> RuleMatching:
+    return RuleMatching(
+        RuleCode.from_json(data["rule"]),
+        tuple(formula(t) for t in _json_list(data["substitution"])),
+    )
+
+
+def _json_list(value) -> list:
+    """A JSON array as read; a string, which would iterate as its
+    characters, is not one."""
+    if type(value) is not list:
+        raise ValueError("%r is not a list" % (value,))
+    return value
 
 
 def tableau_to_json(tb: Tableau) -> dict:
     edges = []
-    for src, label, dst in tb.edges:
-        if label[0] == "rule":
-            _, clause, code, subst, gamma = label
-            edges.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "label": {
-                        "kind": "rule",
-                        "clause": [pretty_literal(lit) for lit in clause],
-                        "code": code.to_json(),
-                        "substitution": [pretty(g) for g in subst],
-                        "gamma": _gamma_json(gamma),
-                    },
-                }
-            )
-        else:
-            edges.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "label": {"kind": "pattern", "formula": pretty(label[1])},
-                }
-            )
+    for src, m, dst in tb.edges:
+        edge = {"src": src, "dst": dst}
+        if m is not None:
+            edge.update(_matching_json(m))
+        edges.append(edge)
     payload = {
         "root": tb.root,
         "nodes": [[pretty_literal(lit) for lit in valuation] for valuation in tb.nodes],
@@ -893,49 +879,28 @@ def tableau_to_json(tb: Tableau) -> dict:
 
 
 def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
+    """Read a tableau; an edge with a ``rule`` is a rule edge, any other a
+    pattern edge."""
     payload = doc["payload"]
     formula = _formula_reader(n_agents)
     nodes = [
-        tuple(_literal(formula(t)) for t in valuation)
+        tuple(_literal(formula(t)) for t in _json_list(valuation))
         for valuation in payload["nodes"]
     ]
-    edges = []
-    for e in payload["edges"]:
-        label = e["label"]
-        if label["kind"] == "rule":
-            edges.append(
-                (
-                    json_int(e["src"]),
-                    (
-                        "rule",
-                        tuple(_literal(formula(t)) for t in label["clause"]),
-                        RuleCode.from_json(label["code"]),
-                        tuple(formula(t) for t in label["substitution"]),
-                        _gamma_parse(label["gamma"]),
-                    ),
-                    json_int(e["dst"]),
-                )
-            )
-        else:
-            edges.append(
-                (
-                    json_int(e["src"]),
-                    ("pattern", formula(label["formula"])),
-                    json_int(e["dst"]),
-                )
-            )
+    edges = [
+        (
+            json_int(e["src"]),
+            _matching_from_json(e, formula) if "rule" in e else None,
+            json_int(e["dst"]),
+        )
+        for e in payload["edges"]
+    ]
     return Tableau(json_int(payload["root"]), nodes, edges)
 
 
 def proof_to_json(doc: ProofDoc) -> dict:
     proofs = [
-        {
-            "formula": pretty(f),
-            "clauses": [
-                {"rule": m.code.to_json(), "substitution": [pretty(g) for g in m.subst]}
-                for m in rules
-            ],
-        }
+        {"formula": pretty(f), "clauses": [_matching_json(m) for m in rules]}
         for f, rules in doc.items()
     ]
     return {"kind": "proof", "version": CERT_VERSIONS["proof"], "payload": {"proofs": proofs}}
@@ -950,13 +915,7 @@ def proof_from_json(doc: dict, n_agents: int) -> ProofDoc:
         f = formula(entry["formula"])
         if f in proof:
             raise ValueError("two proof entries for %r" % pretty(f))
-        proof[f] = tuple(
-            RuleMatching(
-                RuleCode.from_json(c["rule"]),
-                tuple(formula(t) for t in c["substitution"]),
-            )
-            for c in entry["clauses"]
-        )
+        proof[f] = tuple(_matching_from_json(c, formula) for c in entry["clauses"])
     return proof
 
 

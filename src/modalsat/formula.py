@@ -1,5 +1,5 @@
-"""Modal formula core: operators, interned ASTs, parser, printer, measures,
-and the propositional toolkit used by the decision procedure.
+"""Modal formula core: operators, interned ASTs, parser, printer, and the
+propositional toolkit used by the decision procedure.
 
 Formulas are built through the factory helpers (``bot``, ``conj``, ``neg``,
 ``modal``) which intern every node, so structurally equal formulas are the
@@ -65,8 +65,8 @@ class LProb:
 @dataclass(frozen=True)
 class Coal:
     """Coalition operator ``[C ...] f``: the listed agents have a joint
-    strategy forcing ``f``.  ``n_agents`` is the size of the agent universe
-    (it enters the size measure of the index)."""
+    strategy forcing ``f``.  ``n_agents`` is the size of the agent
+    universe."""
 
     agents: frozenset
     n_agents: int
@@ -199,44 +199,6 @@ def conj_fold(parts) -> Formula:
             continue
         acc = p if acc is None else conj(acc, p)
     return TOP if acc is None else acc
-
-
-# ---------------------------------------------------------------------------
-# Measures
-# ---------------------------------------------------------------------------
-
-
-def int_size(a: int) -> int:
-    """Bits needed to write ``a``: ceil(log2(|a|+1))."""
-    return abs(a).bit_length()
-
-
-def rational_size(q: Fraction) -> int:
-    return 1 + int_size(q.numerator) + int_size(q.denominator)
-
-
-def operator_size(op) -> int:
-    if isinstance(op, (Box, MajW, Atom)):
-        return 1
-    if isinstance(op, GDiamond):
-        return 1 + int_size(op.grade)
-    if isinstance(op, LProb):
-        return 1 + rational_size(op.prob)
-    if isinstance(op, Coal):
-        return 1 + op.n_agents
-    raise TypeError("unknown operator: %r" % (op,))
-
-
-def size(f: Formula) -> int:
-    if isinstance(f, FBot):
-        return 1
-    if isinstance(f, FAnd):
-        return 1 + size(f.lhs) + size(f.rhs)
-    if isinstance(f, FNot):
-        return 1 + size(f.arg)
-    if isinstance(f, FModal):
-        return operator_size(f.op) + (size(f.arg) if f.arg is not None else 0)
-    raise TypeError("unknown formula: %r" % (f,))
 
 
 # ---------------------------------------------------------------------------

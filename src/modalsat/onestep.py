@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .formula import (
     Atom,
@@ -96,31 +96,6 @@ def premise_cnf_clauses(premise) -> Iterator[tuple]:
     for bits in range(1 << q):
         if premise.subset_sum(bits) < premise.bound:
             yield tuple((not (bits >> j & 1), j) for j in range(q))
-
-
-def premise_clause_index(premise: LinearPremise, clause) -> Optional[int]:
-    """The subset index of a full-support clause, or None if malformed."""
-    q = len(premise.coeffs)
-    if len(clause) != q:
-        return None
-    bits = 0
-    seen = set()
-    for positive, var in clause:
-        if not isinstance(var, int) or not 0 <= var < q or var in seen:
-            return None
-        seen.add(var)
-        if not positive:
-            bits |= 1 << var
-    return bits
-
-
-def premise_has_clause(premise, clause) -> bool:
-    if isinstance(premise, ClausePremise):
-        return clause in premise.clauses
-    bits = premise_clause_index(premise, clause)
-    if bits is None:
-        return False
-    return premise.subset_sum(bits) < premise.bound
 
 
 # ---------------------------------------------------------------------------

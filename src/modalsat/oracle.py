@@ -450,12 +450,14 @@ class _TreeEnumerator:
         kind = self.kind
         insides = [frozenset(i for i in range(size) if m >> i & 1) for m in masks]
         columns = [[] for _ in ops]
+        structs = []
         for struct in self._child_structs(size):
             bits = tuple(lift(kind, op, struct, s) for op, s in zip(ops, insides))
             for column, bit in zip(columns, bits):
                 column.append(bit)
+            structs.append(struct)
             yield struct, bits
-        self.templates[size] = list(self._child_structs(size))
+        self.templates[size] = structs
         for op, m, column in zip(ops, masks, columns):
             self.lifts[(size, op, m)] = tuple(column)
 

@@ -25,8 +25,8 @@ clause, and the refuting matching, when there is one, is that clause's
 last candidate.  Its demands are then solved like any other; each must be
 unsatisfiable.
 
-Traces record, per satisfiable node, one satisfiable demand per (clause,
-matching) pair plus (for linear logics) one child per satisfiable argument
+Traces record, per satisfiable node, one satisfiable demand per candidate
+matching plus (for linear logics) one child per satisfiable argument
 pattern; these are exactly the edges of a shallow tableau.
 
 UNSAT traces are the shallow proofs.  Each refuted pseudovaluation of a
@@ -70,11 +70,12 @@ class SolveStats:
 @dataclass
 class SatNode:
     """Witness for a satisfiable formula: a surviving pseudovaluation plus a
-    satisfiable demand per challenge."""
+    satisfiable demand per challenge.  Each obligation is ``(matching,
+    child)``: the child answers the rule matching, or, for ``None``, is a
+    satisfiable argument sign pattern (linear logics)."""
 
     formula: Formula
     valuation: tuple
-    # ("rule", clause, matching, gamma, child) or ("pattern", formula, child)
     obligations: list = field(default_factory=list)
 
 
@@ -149,7 +150,7 @@ class Solver:
                 sat, child = self.solve(pf, level + 1)
                 if sat:
                     sat_bits.add(bits)
-                    obligations.append(("pattern", pf, child))
+                    obligations.append((None, child))
         for clause, cands in challenges(valuation, self.cfg, sat_bits):
             for m in cands:
                 self.stats.matchings_checked += 1
@@ -159,14 +160,14 @@ class Solver:
                     demand = negated_clause_instance(gamma, m.subst)
                     sat, child = self.solve(demand, level + 1)
                     if sat:
-                        chosen = ("rule", clause, m, gamma, child)
+                        chosen = child
                         break
                     gamma_children.append((gamma, child))
                 if chosen is None:
                     return (valuation, clause, m, gamma_children)
                 if m.code.scheme in LINEAR_SCHEMES:
                     raise RuntimeError("refuting matching leaves a satisfiable demand")
-                obligations.append(chosen)
+                obligations.append((m, chosen))
         return SatNode(f, valuation, obligations)
 
 

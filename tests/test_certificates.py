@@ -350,7 +350,7 @@ def _dominated_forgery(f, cfg):
             for gamma in premise_cnf_clauses(m.premise()):
                 demand = negated_clause_instance(gamma, m.subst)
                 if satisfiable(demand, cfg).satisfiable:
-                    edges.append((0, ("rule", clause, m.code, m.subst, gamma), len(nodes)))
+                    edges.append((0, m, len(nodes)))
                     nodes.append(next(assignments(demand)))
                     break
     return Tableau(0, nodes, edges)
@@ -429,12 +429,12 @@ def test_tableau_rejects_answered_linear_refuters(logic, text):
     f = parse(text, cfg.n_agents)
     for valuation in assignments(f):
         nodes, edges = [valuation], []
-        for clause, cands in challenges(valuation, cfg, set()):
+        for _, cands in challenges(valuation, cfg, set()):
             for m in cands:
                 for gamma in premise_cnf_clauses(m.premise()):
                     demand = negated_clause_instance(gamma, m.subst)
                     if satisfiable(demand, cfg).satisfiable:
-                        edges.append((0, ("rule", clause, m.code, m.subst, gamma), len(nodes)))
+                        edges.append((0, m, len(nodes)))
                         nodes.append(next(assignments(demand)))
                         break
         ok, msg = check_tableau(Tableau(0, nodes, edges), f, cfg)
@@ -443,16 +443,17 @@ def test_tableau_rejects_answered_linear_refuters(logic, text):
 
 
 def test_tableau_rejects_partial_sign_pattern():
-    # A pattern edge must claim a full sign pattern of the node's arguments;
-    # ``a`` alone does not say how the argument of <0>a fares.
+    # A pattern edge's target fixes its sign pattern by deciding every
+    # argument of the node; ``a`` alone does not say how the argument of
+    # <0>b fares.
     cfg = LogicConfig(logic="GML")
-    f = parse("<1>a & <0>a")
+    f = parse("<1>a & <0>b")
     tb = extract_tableau(satisfiable(f, cfg), cfg)
     child = len(tb.nodes)
     tb.nodes.append(((True, parse("a")),))
-    tb.edges.append((tb.root, ("pattern", parse("a")), child))
-    ok, msg = check_tableau(tb, f, cfg)
-    assert not ok and "sign pattern" in msg
+    tb.edges.append((tb.root, None, child))
+    msg = "edge %d: target does not decide the node's arguments" % (len(tb.edges) - 1)
+    assert check_tableau(tb, f, cfg) == (False, msg)
 
 
 def test_tableau_rejects_rule_over_an_operator_outside_the_logic(tmp_path, capsys):
@@ -470,13 +471,67 @@ def test_tableau_rejects_rule_over_an_operator_outside_the_logic(tmp_path, capsy
     src = len(tb.nodes)
     tb.nodes.append(tuple((not s, a) for s, a in clause))
     tb.nodes.append(next(assignments(demand)))
-    tb.edges.append((src, ("rule", clause, m.code, m.subst, gamma), src + 1))
+    tb.edges.append((src, m, src + 1))
     msg = "edge %d: rule uses an operator outside the logic" % (len(tb.edges) - 1)
     assert check_tableau(tb, f, cfg) == (False, msg)
     cert = tmp_path / "tableau.json"
     cert.write_text(json.dumps(tableau_to_json(tb)))
     assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
     assert msg in capsys.readouterr().out
+
+
+def _set_rule_substitution(payload):
+    # {~[]a, []c} is no clause of the node's negated literals.
+    payload["payload"]["edges"][0]["substitution"] = ["a", "c"]
+
+
+def _set_rule_target(payload):
+    # The congruence premise's clauses demand a & ~b or ~a & b.
+    payload["payload"]["nodes"][1] = ["a", "b"]
+
+
+def _extend_rule_substitution(payload):
+    payload["payload"]["edges"][0]["substitution"].append("[][][] zzz")
+
+
+def _extend_pattern_target(payload):
+    # c is no atom of the pattern ~a & ~b.
+    payload["payload"]["nodes"][1].append("c")
+
+
+@pytest.mark.parametrize(
+    "logic,text,tamper,message",
+    [
+        ("E", "[]a & ~[]b", _set_rule_substitution, "edge 0: rule conclusion is not built from negated node literals"),
+        ("E", "[]a & ~[]b", _set_rule_target, "edge 0: target answers no premise clause"),
+        ("E", "[]a & ~[]b", _extend_rule_substitution, "edge 0: substitution has 3 formulas for a rule of arity 2"),
+        ("GML", "<1>a & <0>b", _extend_pattern_target, "edge 0: target is not a pseudovaluation for its sign pattern"),
+    ],
+)
+def test_check_tableau_names_the_failing_edge(logic, text, tamper, message, tmp_path, capsys):
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    payload = tableau_to_json(extract_tableau(satisfiable(f, cfg), cfg))
+    assert check_tableau(tableau_from_json(payload, cfg.n_agents), f, cfg) == (True, "ok")
+    tamper(payload)
+    assert check_tableau(tableau_from_json(payload, cfg.n_agents), f, cfg) == (False, message)
+    cert = tmp_path / "tableau.json"
+    cert.write_text(json.dumps(payload))
+    assert cli.main(["--logic", logic, "check-cert", text, "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "tableau  INVALID: %s\n" % message
+
+
+def test_tableau_edges_carry_only_their_rule_instance():
+    cfg = LogicConfig(logic="K")
+    f = parse("[](a | b) & ~[]a & ~[]b")
+    payload = tableau_to_json(extract_tableau(satisfiable(f, cfg), cfg))
+    assert payload["version"] == 2
+    edges = payload["payload"]["edges"]
+    assert edges and all(set(e) == {"src", "dst", "rule", "substitution"} for e in edges)
+    cfg = LogicConfig(logic="GML")
+    f = parse("<1>a & <0>b")
+    edges = tableau_to_json(extract_tableau(satisfiable(f, cfg), cfg))["payload"]["edges"]
+    assert edges and all(set(e) == {"src", "dst"} for e in edges)
 
 
 def test_linear_challenge_leaves_out_operators_outside_the_logic(tmp_path, capsys):
@@ -695,6 +750,12 @@ def _set_inner_substitution(payload):
     _inner_rule(payload)["substitution"] = ["~(a & ~b)", "a", "c"]
 
 
+def _extend_inner_substitution(payload):
+    # The K rule has three conclusion literals; a fourth formula stands for
+    # none of them.
+    _inner_rule(payload)["substitution"].append("[][][] zzz")
+
+
 def _set_inner_coalition_rule(payload):
     _inner_rule(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
 
@@ -729,6 +790,7 @@ def _add_unused_entry(payload):
     [
         (_set_inner_ints, "entry '%s' clause 0: rule code fails its side condition" % _INNER_ENTRY),
         (_set_inner_substitution, "entry '%s' clause 0: rule conclusion does not entail the clause" % _INNER_ENTRY),
+        (_extend_inner_substitution, "entry '%s' clause 0: substitution has 4 formulas for a rule of arity 3" % _INNER_ENTRY),
         (_set_inner_coalition_rule, "entry '%s' clause 0: rule uses an operator outside the logic" % _INNER_ENTRY),
         (_drop_inner_rules, "entry '%s': 0 rules for 1 CNF clauses" % _INNER_ENTRY),
         (_repeat_inner_rule, "entry '%s': 2 rules for 1 CNF clauses" % _INNER_ENTRY),
@@ -837,49 +899,49 @@ def _family_cases():
 # sha256 of each family member's tableau JSON: pins the order in which
 # valuations and challenges are enumerated, byte for byte.
 TABLEAU_SHA256 = {
-    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "72dda3824d60d9b498edf3ce601c1b1b5f48c196c9db943f54f9b424ead433ed",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "5bd3c8e2027677c7bb4af8b4d440687314c6489bd50bfafa0d0ada81e01db642",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "50933c26a457f844da84ee161293b1a9b89144843da4de9ffe4de7e9e2af0d4f",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "dad0242d382d18fed47b600703ed9555b5849361613ce282691af682f550a172",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "7df626a7b9eef92f430340c2488af52c3d08d9715f20bc0121b32b3dcf28fc74",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "a0a2737c5d61de16f0f3f13c00559b3ea1aa2d3da7e8ac98fd51d8eac14fd6c4",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "7259a4db72d854702b8838e2c4f970cffbe4c9e5e3ece3ca8480f8acfcd4b8f4",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "13537f750a6c1f80ce0fa66dece9b87ddd2a8817ddea7389094bd9f33c147362",
-    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "0db3359b754190c428c13358e3f1d5892488cf95b01ca4dc71cd233e2e5c1157",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "9b43330ec4abc57e7206cfaec541dc4d11c4d2338ec831e169fca9d899b15321",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "2bb7b5116737e78ce91f384332771b218b90201c35e4657b1b407fd76cbfcb63",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "c38f9a5775fa55305d54099a98901786399fa35a45fde084779c69a389188b37",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "1d4a214809d01e0db723411a5b5546b3f36a28b254b08b628f6763b888ca4277",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "c97452575b6eedba45a597cbd0a28b6e7100419a8a20624b5eb19722365a2135",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "177d0d68f4f6be23fc5a8eb44cee9291b1fb24d348a33acfb3aa4180e55e6656",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "e6d8600a08c8a936a50391670b5fa30ef1d0b5688d1a88da03d49badfabd211d",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & [C 1,2,3](a0 | a1)"): "7c7c8bdd7ef3403311ab23f8e48c37bbf2856ea465a9d477356fcf8ba846140a",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & [C 1,2,3](a0 | a1 | a2)"): "fd0a68e3dfdaff3e4fe26d532cfe55da3971aa94250f95f49c4d6979f932e643",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & [C 1,2,3](a0 | a1 | a2 | a3)"): "4d5dc45f2b9dd06c2c9d66520d0de2538ef63a173c13e9b67a54456a0ba35d97",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & [C 1,2,3](a0 | a1 | a2 | a3 | a4)"): "f46ba5d678e5a8f5f8451b2205fa38cbae7f4e196a1f0ed44b3f70304a858427",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5)"): "3b3a28cf81d8ee3ebbb4ee3df01658d79c77edfb8c2189d327b3b7e8ebb67683",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "ba349ffa074f3dbe74974049862df16675d8fa077d72689756c3883a2c6af9a5",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "6b22f16729ff82c93a353883471355cad6890fe2cfaa233caa6dbe617ae7edcd",
-    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & ~[C 1]a8 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "48f868f833c432d4c9c07058aff53249c7aef68a7185a2bbda745d785d4cdfcc",
-    ("K", "a0 & ~a1 & ~[]ab & []ac"): "c643a6caf93311402bee16978f7f44e5ccc89294687d3eeb1bad6b2c7159cc6a",
-    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "984a6f10f571f07b976fa4d640add883dfb1743c62acb895277fb1d6f9519db1",
-    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "6fe28903847e5cff25c022dc2a18bb00abf6e831fc10e3ceaf62e895aa3ad6f7",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "32ae36aa78af5b4cd1d1fbda4123e9eae598070363d60a625f1bd9408b833837",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "90ad0a16bc106404b08a1ec705be5cfec4396f9a1b62aefadfed320a4e109cd4",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "b3119c1d7c4aa5a2f62e93d326c5613607f402f5cddb53f662c2b7f360dc1973",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "30ae69e363e6395050d12e190da27bd07d82458a95efc9b5aac33f34cf20230a",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "d036cc21ec18d9b8cebceea81143df2d44156afa4d31113b939e5e1bbc5544d7",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "3adf64aad0a43a7dfdd99950889d933051de7aaa7c957b6a3f5ae1509c720950",
-    ("GML", "<0>a0 & <1>a1 & ~<2>(a0 | a1)"): "6652ad5f8be88b7ed8e4cb49c77ca2acf59e93e1454585bcf9aba40b30d1b74c",
-    ("GML", "<0>a0 & <1>a1 & <2>a2 & ~<3>(a0 | a1 | a2)"): "11348a789eb4a8669319c71a574da6be9f7cfa80476529552b6d04f690925baf",
-    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & ~<4>(a0 | a1 | a2 | a3)"): "b37ae2f28751f9dae642d360aa0c14d491a16c3705093ffa8ee6775ea924a1c2",
-    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & <4>a4 & ~<5>(a0 | a1 | a2 | a3 | a4)"): "b6a60c33e34fc8a9e87a110816631a003cc4658c680bd3423178c1026767d6f1",
-    ("MAJ", "W a0 & W a1 & ~<0>(a0 & a1)"): "13b1191426ddba4450ef1db1f4043b18e7da4ac620e1af852afcdef32fe30b5c",
-    ("MAJ", "W a0 & W a1 & W a2 & ~<0>(a0 & a1 & a2)"): "7013a4f4dff6476987e5b8056bfb066ecdb2bd0cdba392cd87ecc0a551fe69ea",
-    ("MAJ", "W a0 & W a1 & W a2 & W a3 & ~<0>(a0 & a1 & a2 & a3)"): "ceaa38217bdac429ea66267d8eb2353c80b9db3e7e9183650d3cbe090a297f02",
-    ("PML", "L{1/2}a0 & L{1/2}a1 & ~L{1/1}(a0 | a1)"): "144283d072aa1ad1312446bd99f81401d44108a9a903dee429a34e882042b1ae",
-    ("PML", "L{1/3}a0 & L{1/3}a1 & L{1/3}a2 & ~L{1/1}(a0 | a1 | a2)"): "f416a6a0c3779ff8035ec3ee1c3dbd7d491cabf315e00c3fe830f3cf9edff4aa",
-    ("PML", "L{1/4}a0 & L{1/4}a1 & L{1/4}a2 & L{1/4}a3 & ~L{1/1}(a0 | a1 | a2 | a3)"): "9478f7bab2b9146c09f279096beca93f6a157acd34f4b940fce310d45a5b3461",
+    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "80c458919a45cd87326602698a8d8cbea4a00ffed1c2f042a03d1822d35dda25",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "339824414737578930ca7e80a82c72df525d269bfdb97713141631371e2113bb",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "49197158b220d3615e18c7ce4976cd02e3e54ccf0775ad5a4bf4f9998fcfd6a4",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "4a2eb2a956305605b5615c62473f0c279177fa9ea23bb4b146e6c1a072cb9885",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "c07a4145e2fc91bbd2b882ec76ab2b7d012d42fb9b59d14a5a00581a84087f25",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "e035b1130886dd4d088fbb9c1cbd70f0543bc469d92dc61630fe8860a68d2b3c",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "d58a70834d5c31bc59216319d2f30bd2eb35551ee13503f06a19b8ada98a54d7",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "a66d41232aacfedd61a1082eaca29684ace48fca586545b4221a785cd183cfaf",
+    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "9305c71f3ccbf603b72647ee198884de24da3053782899065a5c51ba84e0466a",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "6750b021a560cc60b7e0baf660c73c5cb454d7dc667173ab41711318f2e09ac1",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "b2368d6f5432392c484a503a27f2a89f44e4c23fb99993abaf63da27dc0373aa",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "0a0589bf684b787435fd2af1e505edeb419faf2ad8206d5e7e9a2ddbdc7dcdc2",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "d2ae482844c438687daf96cb1c3f82708bfaae9059e53fa979af0783d31155b3",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "1b78411c3484c29f919e87bc19104c42ab6e5cc671a4af325224fbc9d4f4c44b",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "57a82b5ae75bbc91901c586dcd75cca2cda652dd052a816c545efa51ead327f7",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "ee776db22cbeb8b22979f4f766ccae9a0d56c3c90772f5b1d7011e9dec9e0599",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & [C 1,2,3](a0 | a1)"): "ac7ee443207fc487e4e2af18052445f59dbafdf0271aafa0c1cc379b410255e9",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & [C 1,2,3](a0 | a1 | a2)"): "fbeaaa2ccbae2a857aec853fa326cf3f992c7cca306b5b6d77da188115aeb2eb",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & [C 1,2,3](a0 | a1 | a2 | a3)"): "868b03be9c4daf95e01b321ae23745a15dc112e368c41a1c52505d9c0e7e53fc",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & [C 1,2,3](a0 | a1 | a2 | a3 | a4)"): "015c37d579586538d78a94a00fc66e58ca1760ae5dd33cd5a24d7c684b55e05d",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5)"): "3a1de4f09f9293c271dab263a5c01a1384f801a09e5de67da6d8dc9ab9a0efe9",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "0046cbcefab33216f0f8880d30558e145f90020c5bf418ebee201dbcb25c74df",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "2c1344b6a87653a5eaba0bc5b19a8fff6132d3b0b18cf5928bfbd1d2b84302cf",
+    ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & ~[C 1]a8 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "cf9c0a3b676f40fc10582289943ed7518fc852f5a6a57cd5fa5bcd54d096dda1",
+    ("K", "a0 & ~a1 & ~[]ab & []ac"): "289194cb56fca42425611ed95f9de44749aed3417758cd0429488a18dbc7cfc5",
+    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "5d2aa9ad1b870a721a86169822d4671076db3eb1d48731cbfd68dbba1ee07398",
+    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "cc9ad75f6cb022ef4b0ecb1aed5a874378361b41b47f9ecba30acd162d9d8f12",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "3d77516f8bf617d46c58a6fce0f935d397b906dab3a2e6fa3b878da397f89ec6",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "1340e30d0702ce7f6c9e17cf82811f64b4044d364e079e5cda9c0bd21b6daacc",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "7da0e12a4c5633df6ea368a9a41cc980448bd85e2ed151dd62a9172809cb4c6b",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "9fb7de380bdb70cbfc4a5627883cdda4df89993b1b33505db9e4b7dd02c247cc",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "90fa4dc1df72b04caa443e0cf9700bcf274bdfa9951ccef2d91f1114685eca78",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "c9c8431f74382a0fa0378e165122aff20644831d55608228400da7853fa1f819",
+    ("GML", "<0>a0 & <1>a1 & ~<2>(a0 | a1)"): "6df3e947d8fca6506142cdee0284a8ed570540664d37543ea798b8d90890f383",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & ~<3>(a0 | a1 | a2)"): "fb4aba33a8b030dbcbb26ddb00306d4224f25a075e73c8f2767861260d8de738",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & ~<4>(a0 | a1 | a2 | a3)"): "97bf3df4eb7e01b816cc15e625b8fb66a108cbf004a2e745a96775377612c028",
+    ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & <4>a4 & ~<5>(a0 | a1 | a2 | a3 | a4)"): "d124de7ee821737db406540192df146ab17a2e37278a178adc02d2ecece947a7",
+    ("MAJ", "W a0 & W a1 & ~<0>(a0 & a1)"): "87d16f7aa34c3ecda5ad55dfd22c1451b708ba5d101768383b9c8c08a262cb7d",
+    ("MAJ", "W a0 & W a1 & W a2 & ~<0>(a0 & a1 & a2)"): "ae2331a37227fd0e5602ef27614a33c03926654fe7c80c2d6f55a76c48bc1c42",
+    ("MAJ", "W a0 & W a1 & W a2 & W a3 & ~<0>(a0 & a1 & a2 & a3)"): "a7455ee2a7f602b245cd5ff5c315e67ddd6e6886a66ff518cfcec5d981eb4687",
+    ("PML", "L{1/2}a0 & L{1/2}a1 & ~L{1/1}(a0 | a1)"): "298ba1f1429f4526db499e27540456f08883306746afc0d39076832aa283fb33",
+    ("PML", "L{1/3}a0 & L{1/3}a1 & L{1/3}a2 & ~L{1/1}(a0 | a1 | a2)"): "58490f260a2b6dc83dada44651266c09a48e909038455276f87246a39384afd5",
+    ("PML", "L{1/4}a0 & L{1/4}a1 & L{1/4}a2 & L{1/4}a3 & ~L{1/1}(a0 | a1 | a2 | a3)"): "2c0610be7aec237e6b132783cb994977a2316d32405426963a1821fed5cd341e",
 }
 
 

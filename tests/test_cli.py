@@ -194,8 +194,8 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         {"kind": "proof", "version": 2},
         {
             "kind": "tableau",
-            "version": 1,
-            "payload": {"root": 0, "nodes": [["a"]], "edges": [{"src": 0, "dst": 0}]},
+            "version": 2,
+            "payload": {"root": 0, "nodes": [["a"]], "edges": [{"src": 0}]},
         },
         {
             "kind": "model",
@@ -248,10 +248,11 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
             },
         },
     ]
-    # Ill-typed values that int() or bool() would coerce into a different
-    # certificate: a float root or weight (read as 0 and 1, the model would
-    # pass), an integer flag, a label that is a string, a string edge
-    # endpoint, an integer gamma sign and a float rule coefficient.
+    # Ill-typed values that int(), bool() or iteration would coerce into a
+    # different certificate: a float root or weight (read as 0 and 1, the
+    # model would pass), an integer flag, a label that is a string, a string
+    # edge endpoint, a node or a substitution that is a string and a float
+    # rule coefficient.
     graded = {
         "model_kind": "multigraph",
         "root": 0,
@@ -265,21 +266,18 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     docs.append(
         {
             "kind": "tableau",
-            "version": 1,
-            "payload": {
-                "root": 0,
-                "nodes": [["a"]],
-                "edges": [{"src": "0", "dst": 0, "label": {"kind": "pattern", "formula": "a"}}],
-            },
+            "version": 2,
+            "payload": {"root": 0, "nodes": [["a"]], "edges": [{"src": "0", "dst": 0}]},
         }
     )
+    docs.append({"kind": "tableau", "version": 2, "payload": {"root": 0, "nodes": ["a"], "edges": []}})
     rule = {"logic": "K", "scheme": "K", "ints": [1, 0], "grades": [], "coalitions": []}
-    label = {"kind": "rule", "clause": ["[] a"], "code": rule, "substitution": ["a"], "gamma": [[1, 0]]}
+    edge = {"src": 0, "dst": 1, "rule": rule, "substitution": "a"}
     docs.append(
         {
             "kind": "tableau",
-            "version": 1,
-            "payload": {"root": 0, "nodes": [["~[] a"], ["~a"]], "edges": [{"src": 0, "dst": 1, "label": label}]},
+            "version": 2,
+            "payload": {"root": 0, "nodes": [["~[] a"], ["~a"]], "edges": [edge]},
         }
     )
     clause = {"rule": {**rule, "ints": [1.0, 0]}, "substitution": ["a"]}
@@ -313,6 +311,18 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         assert code == 2
         assert err.startswith("error: malformed certificate")
         assert "Traceback" not in err and out == ""
+
+
+def test_version_1_tableau_is_unsupported(tmp_path, capsys):
+    # Version 1 wrote each rule edge's clause and premise clause, and each
+    # pattern edge's formula; it has no reader.
+    rule = {"logic": "K", "scheme": "K", "ints": [1, 0], "grades": [], "coalitions": []}
+    label = {"kind": "rule", "clause": ["[] a"], "code": rule, "substitution": ["a"], "gamma": [[True, 0]]}
+    payload = {"root": 0, "nodes": [["~[] a"], ["~a"]], "edges": [{"src": 0, "dst": 1, "label": label}]}
+    cert = tmp_path / "v1.json"
+    cert.write_text(json.dumps({"kind": "tableau", "version": 1, "payload": payload}))
+    code, out, err = run(capsys, "--logic", "K", "check-cert", "~[]a", "--cert", str(cert))
+    assert (code, out, err) == (2, "", "error: unsupported certificate version 1\n")
 
 
 def test_box_family_at_width_20_decides_and_checks(tmp_path, capsys):

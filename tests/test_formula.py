@@ -34,7 +34,6 @@ from modalsat.formula import (
     parse,
     pretty,
     prop_tautology,
-    size,
     subformulas,
 )
 from modalsat.logics import LogicConfig
@@ -65,27 +64,6 @@ def test_depth():
     assert parse("[]a").depth == 1
     assert parse("[]([]a & b)").depth == 2
     assert parse("<3>a", 2).depth == 1
-
-
-# -- size measure ------------------------------------------------------------
-
-
-def test_size_of_box_bottom():
-    assert size(parse("[]false")) == 2
-
-
-def test_size_of_graded_diamond_bottom():
-    assert size(parse("<3>false")) == 4
-
-
-def test_size_of_probability_bottom():
-    assert size(parse("L{1/2}false")) == 6
-
-
-def test_size_monotone_under_nesting():
-    inner = parse("[]a")
-    outer = modal(Box(), inner)
-    assert size(outer) > size(inner)
 
 
 # -- parser ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from modalsat.onestep import (
     congruence_matchings,
     negated_clause_instance,
     premise_cnf_clauses,
-    premise_has_clause,
     premise_of,
 )
 
@@ -59,8 +58,6 @@ def test_premise_cnf_clause_signs():
 def test_clause_premise_cnf_passthrough():
     prem = ClausePremise(clauses=(((True, 0), (False, 1)),))
     assert list(premise_cnf_clauses(prem)) == [((True, 0), (False, 1))]
-    assert premise_has_clause(prem, ((True, 0), (False, 1)))
-    assert not premise_has_clause(prem, ((True, 0),))
 
 
 def test_rule_code_json_roundtrip():

@@ -478,6 +478,27 @@ def test_probe_finds_congruence_for_e():
     assert strict_completeness_probe(chi, tau, 2, cfg) is not None
 
 
+def _three_pairs_clause():
+    """The root clause of ``THREE_PAIRS`` in test_solver.py over the carrier
+    {ab, ac, bc}: its negated literals, with the points where each argument
+    holds."""
+    ab_ac, ab_bc, ac_bc = frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})
+    chi = ((False, GDiamond(0)), (True, GDiamond(1))) * 3 + ((True, GDiamond(0)),) * 4
+    tau = (ab_ac, ab_ac, ab_bc, ab_bc, ac_bc, ac_bc) + (frozenset(),) * 4
+    return chi, tau
+
+
+def test_three_pairs_clause_is_valid_over_the_pairs():
+    chi, tau = _three_pairs_clause()
+    assert clause_valid_on(chi, tau, 3, LogicConfig(logic="GML"))
+
+
+@pytest.mark.xfail(strict=True, reason="known GML incompleteness: no rule instance found")
+def test_probe_finds_a_gml_rule_for_the_three_pairs_clause():
+    chi, tau = _three_pairs_clause()
+    assert strict_completeness_probe(chi, tau, 3, LogicConfig(logic="GML")) is not None
+
+
 def _valid_clauses(rng, cfg, max_width=2, attempts=4000):
     """Random clauses of up to ``max_width`` signed operators over carriers
     of at most two points, each with argument sets that make it valid."""

@@ -62,6 +62,23 @@ def test_frozen_verdicts(logic, text, expected):
     assert verdict.satisfiable == expected
 
 
+# Every successor satisfies exactly two of a, b and c, and each of them holds
+# at exactly one successor, so twice the number of successors would be 3.
+# No single GML rule instance refutes the root: the weighting of 1/2 on each
+# of the successors ab, ac and bc survives (docs/certificates.md, "Known
+# limitation").  MAJ, over the same multigraphs, gives the same verdict.
+THREE_PAIRS = (
+    "<0>a & ~<1>a & <0>b & ~<1>b & <0>c & ~<1>c"
+    " & ~<0>(a & b & c) & ~<0>(~a & ~b) & ~<0>(~a & ~c) & ~<0>(~b & ~c)"
+)
+
+
+@pytest.mark.xfail(strict=True, reason="known wrong graded verdict: satisfiable")
+@pytest.mark.parametrize("logic", ["GML", "MAJ"])
+def test_graded_three_pairs_is_unsatisfiable(logic):
+    assert not _sat(THREE_PAIRS, logic).satisfiable
+
+
 def test_propositional_formulas():
     assert _sat("a & ~a", "K").satisfiable is False
     assert _sat("a | b", "K").satisfiable is True
