@@ -309,6 +309,8 @@ def _is_pseudovaluation_for(valuation, f: Formula) -> bool:
 def _rule_conclusion(m: RuleMatching, cfg: LogicConfig):
     """The conclusion of the rule instance ``m`` once it is checked to be a
     rule of the logic: (conclusion, None), or (None, why it is not)."""
+    if m.code.logic != cfg.logic:
+        return None, "rule code is for logic %r, not %s" % (m.code.logic, cfg.logic)
     if not side_condition(m.code, cfg):
         return None, "rule code fails its side condition"
     try:

@@ -13,8 +13,10 @@ so the "modal atoms" of a formula include its propositional variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional
 
 
@@ -385,227 +387,121 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Lexer:
-    def __init__(self, text: str, n_agents: int):
-        self.text = text
-        self.pos = 0
-        self.n_agents = n_agents
-        self.tokens = []
-        self._run()
-        self.index = 0
+# Tried in order at each position, so "<->" comes before "->", and "[C",
+# "L{" and the operator letters W and M come before words.  A word must start
+# lower-case; any other character that no token starts with is caught last.
+_TOKEN = re.compile(
+    r"""\s+
+    | (?P<binary><->|->|&|\|)
+    | (?P<prefix>~|\[\]|W|M)
+    | <(?P<grade>\d+)>
+    | \[C(?P<coal>[^\]]*)\]
+    | L\{(?P<prob>[^}]*)\}
+    | (?P<word>\w+)
+    | (?P<open>\()
+    | (?P<close>\))
+    | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
-    def _error(self, msg, pos=None):
-        raise ParseError(msg, self.pos if pos is None else pos)
+# symbol: (precedence, constructor); all associate to the left but "->".
+_BINARY = {
+    "<->": (1, iff),
+    "->": (2, implies),
+    "|": (3, disj),
+    "&": (4, conj),
+}
+_PREFIX_PREC = 5  # above every binary connective; "(" is pending at 0
 
-    def _run(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            start = i
-            if c == "(":
-                self.tokens.append(("lparen", None, start))
-                i += 1
-            elif c == ")":
-                self.tokens.append(("rparen", None, start))
-                i += 1
-            elif c == "~":
-                self.tokens.append(("not", None, start))
-                i += 1
-            elif c == "&":
-                self.tokens.append(("and", None, start))
-                i += 1
-            elif c == "|":
-                self.tokens.append(("or", None, start))
-                i += 1
-            elif text.startswith("<->", i):
-                self.tokens.append(("iff", None, start))
-                i += 3
-            elif text.startswith("->", i):
-                self.tokens.append(("imp", None, start))
-                i += 2
-            elif c == "<":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i + 1 or j >= n or text[j] != ">":
-                    self.pos = start
-                    self._error("expected grade '<k>'")
-                self.tokens.append(("graded", int(text[i + 1 : j]), start))
-                i = j + 1
-            elif c == "[":
-                if text.startswith("[]", i):
-                    self.tokens.append(("box", None, start))
-                    i += 2
-                elif i + 1 < n and text[i + 1] == "C":
-                    j = i + 2
-                    agents = []
-                    while j < n and text[j] != "]":
-                        if text[j].isspace() or text[j] == ",":
-                            j += 1
-                            continue
-                        k = j
-                        while k < n and text[k].isdigit():
-                            k += 1
-                        if k == j:
-                            self.pos = j
-                            self._error("bad coalition agent list")
-                        agents.append(int(text[j:k]))
-                        j = k
-                    if j >= n:
-                        self.pos = start
-                        self._error("unterminated coalition operator")
-                    self.tokens.append(("coal", frozenset(agents), start))
-                    i = j + 1
-                else:
-                    self.pos = start
-                    self._error("expected '[]' or '[C ...]'")
-            elif c == "W":
-                self.tokens.append(("majw", None, start))
-                i += 1
-            elif c == "M":
-                self.tokens.append(("majm", None, start))
-                i += 1
-            elif c == "L":
-                if i + 1 >= n or text[i + 1] != "{":
-                    self.pos = start
-                    self._error("expected probability 'L{a/b}'")
-                j = text.find("}", i)
-                if j < 0:
-                    self.pos = start
-                    self._error("unterminated probability index")
-                body = text[i + 2 : j].strip()
-                try:
-                    if "/" in body:
-                        num, den = body.split("/")
-                        q = Fraction(int(num), int(den))
-                    else:
-                        q = Fraction(int(body))
-                except (ValueError, ZeroDivisionError):
-                    self.pos = start
-                    self._error("bad probability index %r" % body)
-                if q < 0 or q > 1:
-                    self.pos = start
-                    self._error("probability index out of [0,1]: %s" % body)
-                self.tokens.append(("prob", q, start))
-                i = j + 1
-            elif c.islower():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word == "false":
-                    self.tokens.append(("false", None, start))
-                elif word == "true":
-                    self.tokens.append(("true", None, start))
-                else:
-                    self.tokens.append(("ident", word, start))
-                i = j
-            else:
-                self.pos = start
-                self._error("unexpected character %r" % c)
-        self.tokens.append(("eof", None, n))
+_PREFIX = {
+    "~": neg,
+    "[]": partial(modal, Box()),
+    "W": partial(modal, MajW()),
+    "M": lambda f: neg(modal(MajW(), neg(f))),
+}
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
+_CONSTANTS = {"true": TOP, "false": BOT}
 
 
-class _Parser:
-    def __init__(self, text: str, n_agents: int):
-        self.lex = _Lexer(text, n_agents)
-        self.n_agents = n_agents
-
-    def parse(self) -> Formula:
-        f = self._iff()
-        kind, _, pos = self.lex.peek()
-        if kind != "eof":
-            raise ParseError("unexpected trailing input", pos)
-        return f
-
-    def _iff(self) -> Formula:
-        f = self._imp()
-        while self.lex.peek()[0] == "iff":
-            self.lex.next()
-            f = iff(f, self._imp())
-        return f
-
-    def _imp(self) -> Formula:
-        f = self._or()
-        if self.lex.peek()[0] == "imp":
-            self.lex.next()
-            return implies(f, self._imp())
-        return f
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.lex.peek()[0] == "or":
-            self.lex.next()
-            f = disj(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._unary()
-        while self.lex.peek()[0] == "and":
-            self.lex.next()
-            f = conj(f, self._unary())
-        return f
-
-    def _unary(self) -> Formula:
-        kind, value, pos = self.lex.peek()
-        if kind == "not":
-            self.lex.next()
-            return neg(self._unary())
-        if kind == "box":
-            self.lex.next()
-            return modal(Box(), self._unary())
-        if kind == "graded":
-            self.lex.next()
-            return modal(GDiamond(value), self._unary())
-        if kind == "majw":
-            self.lex.next()
-            return modal(MajW(), self._unary())
-        if kind == "majm":
-            self.lex.next()
-            return neg(modal(MajW(), neg(self._unary())))
-        if kind == "prob":
-            self.lex.next()
-            return modal(LProb(value), self._unary())
-        if kind == "coal":
-            self.lex.next()
-            bad = [i for i in value if not (1 <= i <= self.n_agents)]
-            if bad:
-                raise ParseError("agent %d outside universe 1..%d" % (bad[0], self.n_agents), pos)
-            return modal(Coal(value, self.n_agents), self._unary())
-        return self._primary()
-
-    def _primary(self) -> Formula:
-        kind, value, pos = self.lex.next()
-        if kind == "false":
-            return BOT
-        if kind == "true":
-            return TOP
-        if kind == "ident":
-            return atom(value)
-        if kind == "lparen":
-            f = self._iff()
-            k2, _, p2 = self.lex.next()
-            if k2 != "rparen":
-                raise ParseError("expected ')'", p2)
-            return f
-        raise ParseError("expected a formula", pos)
+def _indexed_operator(kind: str, body: str, pos: int, n_agents: int):
+    """The modal operator of a ``<k>``, ``L{p}`` or ``[C ...]`` token."""
+    if kind == "grade":
+        return GDiamond(int(body))
+    if kind == "prob":
+        num, slash, den = body.partition("/")
+        try:
+            q = Fraction(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("bad probability index %r" % body.strip(), pos) from None
+        if not 0 <= q <= 1:
+            raise ParseError("probability index out of [0,1]: %s" % body.strip(), pos)
+        return LProb(q)
+    names = body.replace(",", " ").split()
+    if not all(name.isdecimal() for name in names):
+        raise ParseError("bad coalition agent list", pos)
+    agents = frozenset(map(int, names))
+    bad = sorted(i for i in agents if not 1 <= i <= n_agents)
+    if bad:
+        raise ParseError("agent %d outside universe 1..%d" % (bad[0], n_agents), pos)
+    return Coal(agents, n_agents)
 
 
 def parse(text: str, n_agents: int = 2) -> Formula:
     """Parse a formula; coalition agent lists are checked against the
-    1..n_agents universe."""
-    return _Parser(text, n_agents).parse()
+    1..n_agents universe.
+
+    Operator precedence on two explicit stacks, so nesting depth is not
+    bounded by Python's recursion limit: ``operands`` holds the formulas
+    built so far and ``pending`` the operators still waiting for their
+    right operand, each as ``(precedence, constructor, position)``."""
+    operands = []
+    pending = []
+    want_operand = True
+
+    def reduce(floor: int) -> None:
+        while pending and pending[-1][0] > floor:
+            prec, build, _ = pending.pop()
+            if prec == _PREFIX_PREC:
+                operands[-1] = build(operands[-1])
+            else:
+                rhs = operands.pop()
+                operands[-1] = build(operands[-1], rhs)
+
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value, pos = m[kind], m.start()
+        if kind == "bad" or kind == "word" and not value[0].islower():
+            raise ParseError("unexpected character %r" % text[pos], pos)
+        if want_operand:
+            if kind == "word":
+                operands.append(_CONSTANTS[value] if value in _CONSTANTS else atom(value))
+                want_operand = False
+            elif kind == "open":
+                pending.append((0, None, pos))
+            elif kind == "prefix":
+                pending.append((_PREFIX_PREC, _PREFIX[value], pos))
+            elif kind in ("grade", "prob", "coal"):
+                op = _indexed_operator(kind, value, pos, n_agents)
+                pending.append((_PREFIX_PREC, partial(modal, op), pos))
+            else:
+                raise ParseError("expected a formula", pos)
+        elif kind == "binary":
+            prec, build = _BINARY[value]
+            reduce(prec if value == "->" else prec - 1)
+            pending.append((prec, build, pos))
+            want_operand = True
+        elif kind == "close":
+            reduce(0)
+            if not pending:
+                raise ParseError("unmatched ')'", pos)
+            pending.pop()
+        else:
+            raise ParseError("expected a connective or ')'", pos)
+    if want_operand:
+        raise ParseError("expected a formula", len(text))
+    reduce(0)
+    if pending:
+        raise ParseError("unclosed '('", pending[-1][2])
+    return operands[0]

@@ -48,6 +48,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_str(value) -> str:
+    """A JSON string as read; raises ValueError for any other value."""
+    if type(value) is not str:
+        raise ValueError("%r is not a string" % (value,))
+    return value
+
+
 def json_bool(value) -> bool:
     """A JSON boolean as read; raises ValueError for any other value."""
     if type(value) is not bool:
@@ -163,8 +170,8 @@ class RuleCode:
     @staticmethod
     def from_json(data: dict) -> "RuleCode":
         return RuleCode(
-            logic=str(data["logic"]),
-            scheme=str(data["scheme"]),
+            logic=json_str(data["logic"]),
+            scheme=json_str(data["scheme"]),
             ints=tuple(json_int(i) for i in data.get("ints", ())),
             rationals=tuple(parse_fraction(item) for item in data.get("rationals", ())),
             grades=tuple(json_int(g) for g in data.get("grades", ())),

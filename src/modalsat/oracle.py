@@ -22,7 +22,10 @@ below.
   structure is lifted once per distinct input and a candidate is built only
   when it is kept, as a state of one scratch model that the checker reads.
   The witness is the first in the candidate order (size, child combination,
-  label, structure);
+  label, structure).  For the neighbourhood logics it guesses a truth bit
+  for every box at every point of a small carrier, reads the neighbourhoods
+  off the positive bits, and keeps a guess only when ``lift`` gives every
+  box its bit;
 * ``resolve_rules`` cut-combines two linear rule instances on a pivot literal;
 * ``strict_completeness_probe`` hunts for a rule instance matching a clause
   that is valid over a given concrete one-step argument assignment.
@@ -42,9 +45,8 @@ from typing import Optional
 
 from .formula import (
     Atom,
-    FAnd,
+    Box,
     FModal,
-    FNot,
     Formula,
     atom,
     eval_with,
@@ -60,7 +62,7 @@ from .onestep import (
     RuleMatching,
     code_operators,
 )
-from .certificates import ModelWitness, _Checker, model_check
+from .certificates import ModelWitness, _Checker, _up_closed, model_check
 from .semantics import MODEL_KINDS, lift, relabel
 
 # Search bounds: carrier size for rule soundness and the neighbourhood
@@ -100,16 +102,9 @@ class NeighbourhoodBackend:
             alpha = frozenset(
                 subsets[i] for i in range(len(subsets)) if pick >> i & 1
             )
-            if self.monotone:
-                # Up-closed collections only.
-                if not all(
-                    other in alpha
-                    for member in alpha
-                    for other in subsets
-                    if member <= other
-                ):
-                    continue
-            yield alpha
+            # subsets[-1] is the whole carrier.
+            if not self.monotone or _up_closed(alpha, subsets[-1]):
+                yield alpha
 
 
 class MultisetBackend:
@@ -608,84 +603,49 @@ class _TreeEnumerator:
 
 def _neighbourhood_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
     """Carrier-based search for the neighbourhood logics: choose labels and a
-    truth bit for every (state, box-argument) pair, enforce that equal (or,
-    for the monotone logic, included) argument truth sets get consistent
-    bits, then read the neighbourhoods off the positive bits."""
+    truth bit for every (state, box) pair, read the neighbourhoods off the
+    positive bits, and keep a choice only when ``lift`` gives every box its
+    chosen bit there."""
     monotone = cfg.logic == "M"
     prop_names, args = _names_and_args(f)
     args.sort(key=lambda g: g.depth)  # stable: ties keep first-occurrence order
-    np, na = len(prop_names), len(args)
+    props = [atom(p) for p in prop_names]
+    boxes = [modal(Box(), g) for g in args]
+    keys = props + boxes  # bit i of a state's slice of the choice
 
     for n in range(1, MAX_CARRIER + 1):
-        width = n * (np + na)
-        if width > 22:
+        if n * len(keys) > 22:
             break
-        for choice in range(1 << width):
-            label = []
-            boxbit = []
-            pos = 0
-            for s in range(n):
-                label.append(
-                    frozenset(
-                        prop_names[i] for i in range(np) if choice >> (pos + i) & 1
-                    )
-                )
-                pos += np
-                boxbit.append(
-                    tuple(bool(choice >> (pos + i) & 1) for i in range(na))
-                )
-                pos += na
-
-            def ev(s, g):
-                if isinstance(g, FAnd):
-                    return ev(s, g.lhs) and ev(s, g.rhs)
-                if isinstance(g, FNot):
-                    return not ev(s, g.arg)
-                if not isinstance(g, FModal):
-                    return False
-                if isinstance(g.op, Atom):
-                    return g.op.name in label[s]
-                return boxbit[s][args.index(g.arg)]
-
-            truth_sets = [
-                frozenset(s for s in range(n) if ev(s, g)) for g in args
+        for choice in range(1 << n * len(keys)):
+            assign = [
+                {a: bool(choice >> (s * len(keys) + i) & 1) for i, a in enumerate(keys)}
+                for s in range(n)
             ]
-            consistent = True
-            for i in range(na):
-                for j in range(na):
-                    if i == j:
-                        continue
-                    if monotone:
-                        if truth_sets[i] <= truth_sets[j]:
-                            if any(
-                                boxbit[s][i] and not boxbit[s][j] for s in range(n)
-                            ):
-                                consistent = False
-                                break
-                    elif truth_sets[i] == truth_sets[j]:
-                        if any(boxbit[s][i] != boxbit[s][j] for s in range(n)):
-                            consistent = False
-                            break
-                if not consistent:
-                    break
-            if not consistent:
+            truth = [frozenset(s for s in range(n) if eval_with(g, assign[s])) for g in args]
+            hoods = [
+                tuple(dict.fromkeys(t for t, b in zip(truth, boxes) if assign[s][b]))
+                for s in range(n)
+            ]
+            if any(
+                lift("neighbourhood", b.op, hoods[s], t, monotone) != assign[s][b]
+                for s in range(n)
+                for t, b in zip(truth, boxes)
+            ):
                 continue
-            root = next((s for s in range(n) if ev(s, f)), None)
+            root = next((s for s in range(n) if eval_with(f, assign[s])), None)
             if root is None:
                 continue
             w = ModelWitness(
                 kind="neighbourhood",
                 root=root,
                 states=list(range(n)),
-                labels={s: label[s] for s in range(n)},
+                labels={
+                    s: frozenset(p for p, a in zip(prop_names, props) if assign[s][a])
+                    for s in range(n)
+                },
                 monotone=monotone,
+                neigh=dict(enumerate(hoods)),
             )
-            for s in range(n):
-                hoods = []
-                for i in range(na):
-                    if boxbit[s][i] and truth_sets[i] not in hoods:
-                        hoods.append(truth_sets[i])
-                w.neigh[s] = tuple(hoods)
             if model_check(w, root, f):
                 return w
     return None

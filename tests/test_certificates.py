@@ -494,6 +494,12 @@ def _extend_rule_substitution(payload):
     payload["payload"]["edges"][0]["substitution"].append("[][][] zzz")
 
 
+def _set_rule_logic(payload):
+    # Congruence has no side condition that names a logic, so only the
+    # code's own logic field says it is an M rule.
+    payload["payload"]["edges"][0]["rule"]["logic"] = "M"
+
+
 def _extend_pattern_target(payload):
     # c is no atom of the pattern ~a & ~b.
     payload["payload"]["nodes"][1].append("c")
@@ -505,6 +511,7 @@ def _extend_pattern_target(payload):
         ("E", "[]a & ~[]b", _set_rule_substitution, "edge 0: rule conclusion is not built from negated node literals"),
         ("E", "[]a & ~[]b", _set_rule_target, "edge 0: target answers no premise clause"),
         ("E", "[]a & ~[]b", _extend_rule_substitution, "edge 0: substitution has 3 formulas for a rule of arity 2"),
+        ("E", "[]a & ~[]b", _set_rule_logic, "edge 0: rule code is for logic 'M', not E"),
         ("GML", "<1>a & <0>b", _extend_pattern_target, "edge 0: target is not a pseudovaluation for its sign pattern"),
     ],
 )
@@ -760,6 +767,10 @@ def _set_inner_coalition_rule(payload):
     _inner_rule(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
 
 
+def _set_inner_logic(payload):
+    _inner_rule(payload)["rule"]["logic"] = "PML"
+
+
 def _drop_inner_rules(payload):
     _entries(payload)[1]["clauses"] = []
 
@@ -792,6 +803,7 @@ def _add_unused_entry(payload):
         (_set_inner_substitution, "entry '%s' clause 0: rule conclusion does not entail the clause" % _INNER_ENTRY),
         (_extend_inner_substitution, "entry '%s' clause 0: substitution has 4 formulas for a rule of arity 3" % _INNER_ENTRY),
         (_set_inner_coalition_rule, "entry '%s' clause 0: rule uses an operator outside the logic" % _INNER_ENTRY),
+        (_set_inner_logic, "entry '%s' clause 0: rule code is for logic 'PML', not K" % _INNER_ENTRY),
         (_drop_inner_rules, "entry '%s': 0 rules for 1 CNF clauses" % _INNER_ENTRY),
         (_repeat_inner_rule, "entry '%s': 2 rules for 1 CNF clauses" % _INNER_ENTRY),
         (_drop_root_rules, "entry '%s': 0 rules for 1 CNF clauses" % _GOAL_ENTRY),

@@ -304,6 +304,13 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     # go unchecked.
     payload = {"proofs": [{"formula": "a -> b", "clauses": []}, {"formula": "~(a & ~b)", "clauses": []}]}
     cases.append(("a -> b", json.dumps({"kind": "proof", "version": 2, "payload": payload})))
+    # A rule code's logic and scheme are JSON strings, not whatever str()
+    # would turn into one.
+    for key, value in (("logic", ["K"]), ("scheme", 5)):
+        rule = {"logic": "K", "scheme": "K", "ints": [1]}
+        rule[key] = value
+        payload = {"proofs": [{"formula": "[]a", "clauses": [{"rule": rule, "substitution": ["a"]}]}]}
+        cases.append(("[]a", json.dumps({"kind": "proof", "version": 2, "payload": payload})))
     for formula, text in cases:
         cert = tmp_path / "bad.json"
         cert.write_text(text)

@@ -92,10 +92,47 @@ def test_parse_modalities():
     assert parse("[C 1,2]a", 2) is modal(Coal(frozenset({1, 2}), 2), atom("a"))
 
 
+# (text, position of the ParseError), one row or more per rejection path.
+_REJECTED = [
+    ("a & $b", 4),  # unexpected character
+    ("Ab", 0),  # a word starts lower-case
+    ("\u24d0 & a", 0),  # lower-case, but not a word character
+    ("", 0),  # missing operand at the end
+    ("a &", 3),
+    ("a & & b", 4),  # missing operand inside
+    ("()", 1),
+    ("(", 1),
+    ("(a & b", 0),  # unclosed "("
+    ("a & ((b)", 4),
+    ("a b", 2),  # trailing input
+    ("a)", 1),
+    ("<>a", 0),
+    ("[C 1 x]a", 0),  # bad coalition list
+    ("[C 1", 0),
+    ("a | [C 3]a", 4),  # agent outside 1..2
+    ("[C 5]a", 0),
+    ("L{1/0}a", 0),  # bad probability
+    ("L{a}a", 0),
+    ("~L{3/2}a", 1),  # probability out of range
+]
+
+
 def test_parse_rejects_bad_inputs():
-    for text in ["", "(", "a &", "L{3/2}a", "[C 5]a", "<>a", "a b"]:
-        with pytest.raises(ParseError):
+    for text, pos in _REJECTED:
+        with pytest.raises(ParseError) as info:
             parse(text, 2)
+        assert info.value.pos == pos, text
+
+
+def test_parse_deep_nesting():
+    # Nesting is bounded by memory, not by Python's recursion limit.
+    a = atom("a")
+    boxes, negs = a, a
+    for _ in range(3000):
+        boxes, negs = modal(Box(), boxes), neg(negs)
+    assert parse("[]" * 3000 + "a") is boxes and boxes.depth == 3000
+    assert parse("(" * 3000 + "a" + ")" * 3000) is a
+    assert parse("~" * 3000 + "a") is negs
 
 
 @settings(max_examples=300, deadline=None)
