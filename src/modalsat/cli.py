@@ -248,6 +248,14 @@ def _cmd_selftest(args, cfg: LogicConfig) -> int:
         return EXIT_ERROR
     rng = random.Random(args.seed)
     ms = sampling.sample_matchings(rng, cfg, args.count)
+    if not ms:
+        # The sampler gives up after 40 attempts per instance asked for.
+        print(
+            "error: no rule instance was sampled with seed %d; try another"
+            " --seed or a larger --count" % args.seed,
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     bad = []
     for m in ms:
         if not oracle.one_step_sound(m.code, cfg):

@@ -14,7 +14,10 @@ below.
   premise holds point by point, so the argument assignments it validates
   are the products of per-point sign patterns, a set closed under renaming.
   A counterexample therefore exists only if one exists at a single
-  representative of each structure's orbit, with every assignment tried;
+  representative of each structure's orbit, with every assignment tried.
+  The representatives, and each operator's truth under every representative
+  and argument set, are tables built once per invocation and shared by every
+  rule checked, so a rule is decided by AND-ing bit masks;
 * ``brute_force_sat`` searches for a finite tree-shaped (or carrier-based, for
   the neighbourhood logics) model by exhaustive bounded enumeration.  The
   tree search groups candidate states by type: their modal truths depend
@@ -243,13 +246,75 @@ def _canonical(kind: str, struct) -> bool:
 _SOUNDNESS_CACHE = {}
 
 
+def _canonical_structures(cfg: LogicConfig, n: int) -> list:
+    """The orbit representatives (``_canonical``) among the backend's
+    structures over carrier ``n``, in the order the backend yields them;
+    built once per (logic, agents, carrier) in ``_SOUNDNESS_CACHE``.
+
+    PML's representatives are the distributions whose probabilities do not
+    increase along the points, so only those compositions become dicts."""
+    key = ("structures", cfg.logic, cfg.n_agents, n)
+    reps = _SOUNDNESS_CACHE.get(key)
+    if reps is None:
+        if cfg.logic == "PML":
+            # In lowest terms only, as in ``DistributionBackend``.
+            reps = [
+                {i: Fraction(p, den) for i, p in enumerate(parts)}
+                for den in range(1, MAX_DENOMINATOR + 1)
+                for parts in _non_increasing(den, n, den)
+                if math.gcd(den, *parts) == 1
+            ]
+        else:
+            kind = MODEL_KINDS[cfg.logic]
+            reps = [t for t in backend_for(cfg).structures(n) if _canonical(kind, t)]
+        _SOUNDNESS_CACHE[key] = reps
+    return reps
+
+
+def _non_increasing(total: int, parts: int, cap: int):
+    """The splits of ``total`` into ``parts`` non-negative summands of at
+    most ``cap`` that do not increase, in the order of ``_compositions``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(-(-total // parts), min(total, cap) + 1):
+        for rest in _non_increasing(total - head, parts - 1, head):
+            yield (head,) + rest
+
+
+def _lift_table(cfg: LogicConfig, op, n: int) -> list:
+    """For each argument set over carrier ``n``, indexed by its bit mask, a
+    bit mask over ``_canonical_structures(cfg, n)`` of the representatives
+    where ``op`` holds; built once per (logic, agents, operator, carrier)
+    in ``_SOUNDNESS_CACHE``."""
+    key = ("lift", cfg.logic, cfg.n_agents, op, n)
+    table = _SOUNDNESS_CACHE.get(key)
+    if table is None:
+        kind = MODEL_KINDS[cfg.logic]
+        monotone = cfg.logic == "M"
+        reps = _canonical_structures(cfg, n)
+        table = []
+        for mask in range(1 << n):
+            inside = frozenset(x for x in range(n) if mask >> x & 1)
+            table.append(
+                sum(
+                    1 << r
+                    for r, struct in enumerate(reps)
+                    if lift(kind, op, struct, inside, monotone)
+                )
+            )
+        _SOUNDNESS_CACHE[key] = table
+    return table
+
+
 def one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int = None) -> bool:
     """Checks the one-step rule instance: over every carrier up to the bound
     (``MAX_CARRIER`` unless given), every argument assignment validating the
     premise, and every structure, some conclusion literal must hold."""
     if max_carrier is None:
         max_carrier = MAX_CARRIER
-    cache_key = (code, cfg.logic, cfg.n_agents, max_carrier)
+    cache_key = ("sound", code, cfg.logic, cfg.n_agents, max_carrier)
     cached = _SOUNDNESS_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -259,8 +324,8 @@ def one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int = None) ->
 
 
 def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
-    """``one_step_sound`` without the cache, checking one structure per
-    orbit under permutations of the carrier.
+    """``one_step_sound`` without the verdict cache, checking one structure
+    per orbit under permutations of the carrier.
 
     If the structure ``s`` and the assignment ``t`` make every conclusion
     literal fail, so do ``p s`` and ``p t`` for any permutation ``p``:
@@ -269,42 +334,32 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
     since the premise is checked point by point.  So it is enough to try
     every assignment against the representative (``_canonical``) of each
     orbit.  For the same reason the valid assignments over ``n`` points are
-    the ``n``-fold products of the sign patterns valid at one point."""
+    the ``n``-fold products of the sign patterns valid at one point.
+
+    The rule makes no ``lift`` call of its own: each literal reads its
+    operator's ``_lift_table``, complemented when the literal is positive,
+    as the representatives where it fails, and an assignment is a
+    counterexample when those sets, one per literal, still meet."""
     from .onestep import premise_of
 
     q = code.arity()
     ops = code_operators(code, cfg.n_agents)
     signs = code.signs()
-    backend = backend_for(cfg)
-    kind = MODEL_KINDS[cfg.logic]
-    monotone = cfg.logic == "M"
     patterns = _point_patterns(premise_of(code), q)
     for n in range(max_carrier + 1):
-        count = len(patterns) ** n
-        if not count:
+        every = (1 << len(_canonical_structures(cfg, n))) - 1
+        rows = _assignments(patterns, q, n) if every else ()
+        if not rows:
             continue
-        subsets = [
-            frozenset(i for i in range(n) if mask >> i & 1)
-            for mask in range(1 << n)
-        ]
-        # Per literal, the assignments that give its argument each subset
-        # (keyed by its bit mask), as a bit mask over the assignments.
-        giving = [{} for _ in range(q)]
-        for k, masks in enumerate(_assignments(patterns, q, n)):
-            for i, inside in enumerate(masks):
-                giving[i][inside] = giving[i].get(inside, 0) | 1 << k
-        for struct in backend.structures(n):
-            if not _canonical(kind, struct):
-                continue
-            # The assignments under which every literal so far fails.
-            failing = (1 << count) - 1
-            for i in range(q):
-                failing &= sum(
-                    mask
-                    for inside, mask in giving[i].items()
-                    if lift(kind, ops[i], struct, subsets[inside], monotone) != signs[i]
-                )
-                if not failing:
+        fails = []
+        for i in range(q):
+            table = _lift_table(cfg, ops[i], n)
+            fails.append([every ^ holds for holds in table] if signs[i] else table)
+        for row in rows:
+            left = every
+            for column, inside in zip(fails, row):
+                left &= column[inside]
+                if not left:
                     break
             else:
                 return False

@@ -175,6 +175,22 @@ def test_selftest_rules_rejects_empty_count(capsys):
         assert err.startswith("error:")
 
 
+def test_selftest_rules_rejects_empty_sample(capsys):
+    # Under E and M, seed 32 samples no instance in its 40 attempts; a batch
+    # of nothing must not report "all sound" either.
+    for logic in ("E", "M"):
+        code, out, err = run(
+            capsys, "--logic", logic, "selftest-rules", "--count", "1", "--seed", "32"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no rule instance was sampled")
+    code, out, _ = run(
+        capsys, "--logic", "E", "selftest-rules", "--count", "2", "--seed", "32"
+    )
+    assert code == 0
+    assert "all sound" in out
+
+
 def test_internal_errors_exit_two(tmp_path, capsys):
     # Exit 1 means "unsatisfiable / invalid / rejected"; a crash must not.
     code, _, err = run(capsys, "--logic", "K", "solve", "[]" * 1200 + "a")

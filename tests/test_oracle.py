@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from modalsat import oracle
+from modalsat import cli, oracle
 from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, neg_fold, parse
 from modalsat.logics import LogicConfig, parse_logic_spec, side_condition
 from modalsat.onestep import RuleCode, code_operators, premise_of
@@ -16,8 +16,10 @@ from modalsat.oracle import (
     MAX_DENOMINATOR,
     MAX_MULTIPLICITY,
     MAX_STRATEGIES,
+    _SOUNDNESS_CACHE,
     _assignments,
     _canonical,
+    _canonical_structures,
     _compositions,
     _one_step_sound,
     _point_patterns,
@@ -245,6 +247,63 @@ def test_one_step_sound_matches_reference_at_carrier_3(logic):
     # The reference is slow at carrier 3 for these two, so the sample is
     # smaller than above.
     _assert_matches_reference(LogicConfig(logic=logic), 3, 3)
+
+
+def test_one_step_sound_shares_one_cache_across_logics():
+    # Each pair shares operators or structures: K and KD share Box over
+    # different structures, E and M share Box but differ in monotonicity, and
+    # COAL:2 and COAL:3 differ in their agents (their operators carry the
+    # agent count, their games do not).  The pair's codes are interleaved
+    # without emptying the cache, so a table keyed without the logic or the
+    # agents would be read by the other logic of its pair.
+    _SOUNDNESS_CACHE.clear()
+    for pair, count in ((("K", "KD"), 8), (("E", "M"), 8), (("COAL:2", "COAL:3"), 4)):
+        cfgs = [parse_logic_spec(spec) for spec in pair]
+        batches = [
+            [
+                code
+                for m in sample_matchings(random.Random(41), cfg, count)
+                for code in (m.code, _flip_first(m.code))
+            ]
+            for cfg in cfgs
+        ]
+        for codes in zip(*batches):
+            for cfg, code in zip(cfgs, codes):
+                got = _one_step_sound(code, cfg, 2)
+                assert got == _reference_one_step_sound(code, cfg, 2), (cfg, code)
+
+
+def test_selftest_lifts_each_operator_once_per_structure_and_argument_set(
+    monkeypatch, capsys
+):
+    # K has one operator, and 1, 2, 3 and 4 representatives over 0 to 3
+    # points: 1 + 2*2 + 4*3 + 8*4 = 49 lifts for the whole batch, where
+    # lifting anew for every rule made 768.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(oracle, "lift", spy)
+    _SOUNDNESS_CACHE.clear()
+    argv = ["--logic", "K", "selftest-rules", "--count", "25", "--seed", "1"]
+    assert cli.main(argv) == 0
+    assert "checked 25 sampled rule instances: all sound" in capsys.readouterr().out
+    assert 0 < len(calls) <= sum(2**n * (n + 1) for n in range(4)) == 49
+
+
+def test_pml_representatives_match_the_orbit_filter():
+    cfg = LogicConfig(logic="PML")
+    _SOUNDNESS_CACHE.clear()
+    for n in range(4):
+        want = [
+            t
+            for t in backend_for(cfg).structures(n)
+            if _canonical("distribution", t)
+        ]
+        assert _canonical_structures(cfg, n) == want
+    assert len(want) == 68
 
 
 def _orbit_errors(kind, n, structures, keep):
