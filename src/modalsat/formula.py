@@ -317,11 +317,6 @@ def assignments(f: Formula, want: bool = True) -> Iterator[tuple]:
     yield from expand(f, len(atoms), ())
 
 
-def prop_tautology(f: Formula) -> bool:
-    """Is ``f`` true under every assignment to its modal atoms?"""
-    return next(assignments(f, want=False), None) is None
-
-
 def subst_fold(f: Formula, target: Formula, value: bool) -> Formula:
     """Replace modal atom ``target`` by a truth constant, folding constants."""
     if isinstance(f, FBot):

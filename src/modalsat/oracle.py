@@ -29,6 +29,11 @@ below.
   for every box at every point of a small carrier, reads the neighbourhoods
   off the positive bits, and keeps a guess only when ``lift`` gives every
   box its bit;
+* ``structures`` writes out each logic's one-step structures over a small
+  carrier, the only place they are enumerated: rule soundness, the
+  completeness probe and the tree search all read it, so a leaner structure
+  space (COAL effectivity functions, E/M orbits, PML integer numerators)
+  goes in there;
 * ``resolve_rules`` cut-combines two linear rule instances on a pivot literal;
 * ``strict_completeness_probe`` hunts for a rule instance matching a clause
   that is valid over a given concrete one-step argument assignment.
@@ -79,94 +84,61 @@ BRANCH_BOUND = 4
 
 
 # ---------------------------------------------------------------------------
-# One-step semantic backends
+# One-step structures
 # ---------------------------------------------------------------------------
 
 
-class PowersetBackend:
-    def __init__(self, serial: bool):
-        self.serial = serial
+def structures(cfg: LogicConfig, n: int, full: bool = False):
+    """Every one-step structure of the logic over the points ``0 .. n - 1``,
+    in the format of ``semantics.lift``, within the bounds above.
 
-    def structures(self, n: int):
-        for mask in range(1 if self.serial else 0, 1 << n):
+    With ``full``, only the structures that use every point: the whole
+    carrier as successors, every weight or probability positive.  Every
+    neighbourhood collection and every game table counts as full.  These are
+    the tree search's structures over its children."""
+    kind = MODEL_KINDS[cfg.logic]
+    low = int(full)
+    if kind == "kripke":
+        # Mask 0, the dead end, is no KD structure.
+        first = (1 << n) - 1 if full else 0
+        for mask in range(max(first, cfg.logic == "KD"), 1 << n):
             yield frozenset(i for i in range(n) if mask >> i & 1)
-
-
-class NeighbourhoodBackend:
-    def __init__(self, monotone: bool):
-        self.monotone = monotone
-
-    def structures(self, n: int):
-        subsets = [
-            frozenset(i for i in range(n) if mask >> i & 1)
-            for mask in range(1 << n)
-        ]
+    elif kind == "neighbourhood":
+        subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
         for pick in range(1 << len(subsets)):
-            alpha = frozenset(
-                subsets[i] for i in range(len(subsets)) if pick >> i & 1
-            )
+            alpha = frozenset(t for i, t in enumerate(subsets) if pick >> i & 1)
             # subsets[-1] is the whole carrier.
-            if not self.monotone or _up_closed(alpha, subsets[-1]):
+            if cfg.logic != "M" or _up_closed(alpha, subsets[-1]):
                 yield alpha
-
-
-class MultisetBackend:
-    def structures(self, n: int):
-        for ws in itertools.product(range(MAX_MULTIPLICITY + 1), repeat=n):
+    elif kind == "multigraph":
+        for ws in itertools.product(range(low, MAX_MULTIPLICITY + 1), repeat=n):
             yield dict(enumerate(ws))
-
-
-class DistributionBackend:
-    def structures(self, n: int):
-        if n == 0:
-            return
+    elif kind == "distribution":
         for den in range(1, MAX_DENOMINATOR + 1):
-            for parts in _compositions(den, n):
+            # With ``full``, one unit per point first, then split the rest.
+            for parts in _compositions(den - low * n, n):
+                parts = tuple(p + low for p in parts)
                 # In lowest terms only: each distribution comes once, at its
                 # least denominator.
                 if math.gcd(den, *parts) == 1:
                     yield {i: Fraction(p, den) for i, p in enumerate(parts)}
-
-
-def _compositions(total: int, parts: int):
-    """All splits of ``total`` into ``parts`` non-negative summands."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-class GameBackend:
-    def __init__(self, n_agents: int):
-        self.n_agents = n_agents
-
-    def structures(self, n: int):
-        if n == 0:
-            return
-        for sizes in itertools.product(range(1, MAX_STRATEGIES + 1), repeat=self.n_agents):
+    else:
+        for sizes in itertools.product(range(1, MAX_STRATEGIES + 1), repeat=cfg.n_agents):
             profiles = list(itertools.product(*(range(s) for s in sizes)))
             for outcomes in itertools.product(range(n), repeat=len(profiles)):
                 yield (sizes, dict(zip(profiles, outcomes)))
 
 
-def backend_for(cfg: LogicConfig):
-    if cfg.logic == "K":
-        return PowersetBackend(serial=False)
-    if cfg.logic == "KD":
-        return PowersetBackend(serial=True)
-    if cfg.logic == "E":
-        return NeighbourhoodBackend(monotone=False)
-    if cfg.logic == "M":
-        return NeighbourhoodBackend(monotone=True)
-    if cfg.logic in ("GML", "MAJ"):
-        return MultisetBackend()
-    if cfg.logic == "PML":
-        return DistributionBackend()
-    if cfg.logic == "COAL":
-        return GameBackend(cfg.n_agents)
-    raise ValueError("unknown logic %r" % cfg.logic)
+def _compositions(total: int, parts: int):
+    """All splits of ``total`` into ``parts`` non-negative summands (none
+    when ``total`` is negative)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +194,8 @@ def _assignments(patterns: list, q: int, n: int) -> list:
 
 def _canonical(kind: str, struct) -> bool:
     """Is ``struct`` the representative of its orbit under permutations of
-    the carrier ``0 .. n - 1``?  Each orbit of the backend's structures has
-    exactly one; neighbourhood structures are all kept."""
+    the carrier ``0 .. n - 1``?  Each orbit of ``structures`` has exactly
+    one; neighbourhood structures are all kept."""
     if kind == "kripke":
         # The successors are 0 .. k - 1.
         return struct == frozenset(range(len(struct)))
@@ -247,9 +219,9 @@ _SOUNDNESS_CACHE = {}
 
 
 def _canonical_structures(cfg: LogicConfig, n: int) -> list:
-    """The orbit representatives (``_canonical``) among the backend's
-    structures over carrier ``n``, in the order the backend yields them;
-    built once per (logic, agents, carrier) in ``_SOUNDNESS_CACHE``.
+    """The orbit representatives (``_canonical``) among ``structures(cfg,
+    n)``, in the order it yields them; built once per (logic, agents,
+    carrier) in ``_SOUNDNESS_CACHE``.
 
     PML's representatives are the distributions whose probabilities do not
     increase along the points, so only those compositions become dicts."""
@@ -257,7 +229,7 @@ def _canonical_structures(cfg: LogicConfig, n: int) -> list:
     reps = _SOUNDNESS_CACHE.get(key)
     if reps is None:
         if cfg.logic == "PML":
-            # In lowest terms only, as in ``DistributionBackend``.
+            # In lowest terms only, as in ``structures``.
             reps = [
                 {i: Fraction(p, den) for i, p in enumerate(parts)}
                 for den in range(1, MAX_DENOMINATOR + 1)
@@ -266,7 +238,7 @@ def _canonical_structures(cfg: LogicConfig, n: int) -> list:
             ]
         else:
             kind = MODEL_KINDS[cfg.logic]
-            reps = [t for t in backend_for(cfg).structures(n) if _canonical(kind, t)]
+            reps = [t for t in structures(cfg, n) if _canonical(kind, t)]
         _SOUNDNESS_CACHE[key] = reps
     return reps
 
@@ -329,8 +301,8 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
 
     If the structure ``s`` and the assignment ``t`` make every conclusion
     literal fail, so do ``p s`` and ``p t`` for any permutation ``p``:
-    ``lift`` is natural in the points, the backend's structures are closed
-    under renaming, and so is the set of premise-validating assignments,
+    ``lift`` is natural in the points, ``structures`` is closed under
+    renaming, and so is the set of premise-validating assignments,
     since the premise is checked point by point.  So it is enough to try
     every assignment against the representative (``_canonical``) of each
     orbit.  For the same reason the valid assignments over ``n`` points are
@@ -416,6 +388,14 @@ class _TreeEnumerator:
         self.prop_names, self.args = _names_and_args(f)
         self.w = ModelWitness(kind=self.kind, root=0, states=[], labels={})
         self.check = _Checker(self.w).check
+        # The structure of a state with no real children: the first full one
+        # over no point, or else over one point, which becomes ``None``, the
+        # state being created (a self-loop).
+        self.terminal = relabel(
+            self.kind,
+            next(itertools.chain(structures(cfg, 0, True), structures(cfg, 1, True))),
+            lambda t: None,
+        )
         self.templates = {}  # child count -> structures over child positions
         self.lifts = {}  # (child count, op, inside mask) -> truth per template
         self.types = {}  # (child count, ops, masks) -> list from ``_types``
@@ -427,47 +407,6 @@ class _TreeEnumerator:
             yield frozenset(
                 nm for i, nm in enumerate(self.prop_names) if mask >> i & 1
             )
-
-    def _terminal_structs(self):
-        """Structures with no real children; ``None`` stands for the state
-        being created, so that self-loops can refer to it."""
-        kind = self.kind
-        if kind == "kripke":
-            if self.cfg.logic == "KD":
-                yield (None,)
-            else:
-                yield ()
-        elif kind == "multigraph":
-            yield {}
-        elif kind == "distribution":
-            yield {None: Fraction(1)}
-        elif kind == "game":
-            sizes = tuple(1 for _ in range(self.cfg.n_agents))
-            profile = tuple(0 for _ in range(self.cfg.n_agents))
-            yield (sizes, {profile: None})
-
-    def _child_structs(self, size: int):
-        """Structures over ``size`` children, whose points are the child
-        positions ``0 .. size - 1``."""
-        kind = self.kind
-        if kind == "kripke":
-            yield tuple(range(size))
-        elif kind == "multigraph":
-            for ws in itertools.product(range(1, MAX_MULTIPLICITY + 1), repeat=size):
-                yield dict(enumerate(ws))
-        elif kind == "distribution":
-            for den in range(size, MAX_DENOMINATOR + 1):
-                for parts in _compositions(den - size, size):
-                    # In lowest terms only, as in ``DistributionBackend``.
-                    if math.gcd(den, *(p + 1 for p in parts)) == 1:
-                        yield {i: Fraction(p + 1, den) for i, p in enumerate(parts)}
-        elif kind == "game":
-            for sizes in itertools.product(
-                range(1, MAX_STRATEGIES + 1), repeat=self.cfg.n_agents
-            ):
-                profiles = list(itertools.product(*(range(s) for s in sizes)))
-                for outs in itertools.product(range(size), repeat=len(profiles)):
-                    yield (sizes, dict(zip(profiles, outs)))
 
     def _column(self, size: int, op, mask: int) -> tuple:
         """The truth of ``op`` under each kept structure over ``size``
@@ -501,7 +440,7 @@ class _TreeEnumerator:
         insides = [frozenset(i for i in range(size) if m >> i & 1) for m in masks]
         columns = [[] for _ in ops]
         structs = []
-        for struct in self._child_structs(size):
+        for struct in structures(self.cfg, size, full=True):
             bits = tuple(lift(kind, op, struct, s) for op, s in zip(ops, insides))
             for column, bit in zip(columns, bits):
                 column.append(bit)
@@ -551,12 +490,11 @@ class _TreeEnumerator:
         labels = list(self._labels())
         seen = set()
         for label in labels:
-            for struct in self._terminal_structs():
-                s = self._make(label, struct)
-                got = tuple(self.check(s, g) for g in goals)
-                if got not in seen:
-                    seen.add(got)
-                    yield got, lambda s=s: s
+            s = self._make(label, self.terminal)
+            got = tuple(self.check(s, g) for g in goals)
+            if got not in seen:
+                seen.add(got)
+                yield got, lambda s=s: s
         if not pool:
             return
         tops = []
@@ -774,7 +712,7 @@ def clause_valid_on(chi, tau, n: int, cfg: LogicConfig) -> bool:
     """Is the abstract clause ``chi`` (pairs of sign and operator) true under
     every structure, given the argument subsets ``tau``?"""
     kind = MODEL_KINDS[cfg.logic]
-    for struct in backend_for(cfg).structures(n):
+    for struct in structures(cfg, n):
         if not any(
             lift(kind, op, struct, tau[i], cfg.logic == "M") == s
             for i, (s, op) in enumerate(chi)

@@ -25,14 +25,19 @@ from modalsat.oracle import (
     _point_patterns,
     _premise_holds,
     _TreeEnumerator,
-    backend_for,
     brute_force_sat,
     clause_valid_on,
     one_step_sound,
     resolve_rules,
     strict_completeness_probe,
+    structures,
 )
-from modalsat.certificates import ModelWitness, model_check, model_to_json
+from modalsat.certificates import (
+    ModelWitness,
+    model_check,
+    model_to_json,
+    validate_structure,
+)
 from modalsat.sampling import random_formula, random_operator, sample_matchings
 from modalsat.semantics import MODEL_KINDS, lift, relabel
 
@@ -40,31 +45,31 @@ from conftest import ALL_LOGICS, model_sha256
 from test_logics import _mask_loop_challenges
 
 
-# -- backends -----------------------------------------------------------------
+# -- one-step structures ------------------------------------------------------
 
 
 def test_powerset_backend_serial():
-    assert list(backend_for(LogicConfig(logic="K")).structures(0)) == [frozenset()]
-    assert list(backend_for(LogicConfig(logic="KD")).structures(0)) == []
-    assert len(list(backend_for(LogicConfig(logic="K")).structures(2))) == 4
-    assert len(list(backend_for(LogicConfig(logic="KD")).structures(2))) == 3
+    assert list(structures(LogicConfig(logic="K"), 0)) == [frozenset()]
+    assert list(structures(LogicConfig(logic="KD"), 0)) == []
+    assert len(list(structures(LogicConfig(logic="K"), 2))) == 4
+    assert len(list(structures(LogicConfig(logic="KD"), 2))) == 3
     # Relational K has a dead end, where [] false holds; serial KD has none.
     nothing = frozenset()
     assert lift("kripke", Box(), frozenset(), nothing)
-    for struct in backend_for(LogicConfig(logic="KD")).structures(2):
+    for struct in structures(LogicConfig(logic="KD"), 2):
         assert not lift("kripke", Box(), struct, nothing)
     assert lift("kripke", Box(), frozenset({0, 1}), frozenset({0, 1}))
     assert not lift("kripke", Box(), frozenset({0, 1}), frozenset({0}))
 
 
 def test_neighbourhood_backend_monotone_upclosed():
-    mono = backend_for(LogicConfig(logic="M"))
-    for alpha in mono.structures(2):
+    mono = LogicConfig(logic="M")
+    for alpha in structures(mono, 2):
         if alpha:
             # Every up-closed non-empty collection contains the full carrier.
             assert frozenset({0, 1}) in alpha
     # The empty collection and the full powerset are both up-closed.
-    collections = list(mono.structures(1))
+    collections = list(structures(mono, 1))
     assert frozenset() in collections
     assert frozenset({frozenset(), frozenset({0})}) in collections
     # A collection holding only the empty set is not up-closed over 1 state.
@@ -77,7 +82,7 @@ def test_neighbourhood_backend_monotone_upclosed():
     assert not lift("neighbourhood", Box(), hoods, frozenset({1}), monotone=True)
     # On an up-closed collection both readings agree.
     subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    for alpha in mono.structures(2):
+    for alpha in structures(mono, 2):
         for inside in subsets:
             assert lift("neighbourhood", Box(), alpha, inside) == lift(
                 "neighbourhood", Box(), alpha, inside, monotone=True
@@ -94,7 +99,58 @@ def test_distribution_backend_yields_each_distribution_once():
                 if dist not in seen:
                     seen.add(dist)
                     want.append(dict(enumerate(dist)))
-        assert list(backend_for(LogicConfig(logic="PML")).structures(n)) == want
+        assert list(structures(LogicConfig(logic="PML"), n)) == want
+
+
+def test_compositions_of_zero_parts():
+    assert list(_compositions(0, 0)) == [()]
+    assert list(_compositions(2, 0)) == []
+    assert list(_compositions(-1, 2)) == []
+
+
+# Structures over carriers 0 to 3, and full ones over 1 to 4 children.
+STRUCTURE_COUNTS = {
+    "K": (1, 2, 4, 8),
+    "KD": (0, 1, 3, 7),
+    "E": (2, 4, 16, 256),
+    "M": (2, 3, 6, 20),
+    "GML": (1, 5, 25, 125),
+    "MAJ": (1, 5, 25, 125),
+    "PML": (0, 1, 47, 334),
+    "COAL:2": (0, 4, 26, 102),
+}
+FULL_COUNTS = {"GML": (4, 16, 64, 256), "PML": (1, 45, 196, 479)}
+
+
+@pytest.mark.parametrize("spec", sorted(STRUCTURE_COUNTS))
+def test_structure_counts_pinned(spec):
+    cfg = parse_logic_spec(spec)
+    counts = tuple(sum(1 for _ in structures(cfg, n)) for n in range(4))
+    assert counts == STRUCTURE_COUNTS[spec]
+    if spec in FULL_COUNTS:
+        full = tuple(sum(1 for _ in structures(cfg, n, True)) for n in range(1, 5))
+        assert full == FULL_COUNTS[spec]
+
+
+@pytest.mark.parametrize(
+    "spec", ["E", "M", "K", "KD", "GML", "MAJ", "PML", "COAL:1", "COAL:2", "COAL:3"]
+)
+def test_structures_pass_the_validator(spec):
+    # The validator's frame conditions (KD seriality, M up-closure, PML sums,
+    # COAL totality) come from the logic, not from the witness's flags.
+    cfg = parse_logic_spec(spec)
+    for n in range(1, 4):
+        for full in (False, True):
+            for struct in structures(cfg, n, full):
+                w = ModelWitness(
+                    kind=MODEL_KINDS[cfg.logic],
+                    root=0,
+                    states=list(range(n)),
+                    labels={s: frozenset() for s in range(n)},
+                    monotone=False,
+                )
+                w.structures().update(dict.fromkeys(range(n), struct))
+                assert validate_structure(w, cfg) == (True, "ok"), (n, struct)
 
 
 def test_multiset_lift():
@@ -202,7 +258,7 @@ def _reference_one_step_sound(code, cfg, max_carrier):
         ]
         if not taus:
             continue
-        for struct in backend_for(cfg).structures(n):
+        for struct in structures(cfg, n):
             for tau in taus:
                 if not any(
                     lift(kind, ops[i], struct, tau[i], cfg.logic == "M") == signs[i]
@@ -299,7 +355,7 @@ def test_pml_representatives_match_the_orbit_filter():
     for n in range(4):
         want = [
             t
-            for t in backend_for(cfg).structures(n)
+            for t in structures(cfg, n)
             if _canonical("distribution", t)
         ]
         assert _canonical_structures(cfg, n) == want
@@ -337,17 +393,19 @@ def _orbit_errors(kind, n, structures, keep):
     return errors
 
 
-@pytest.mark.parametrize("spec", ["K", "KD", "GML", "MAJ", "PML", "COAL:2", "COAL:3"])
+@pytest.mark.parametrize(
+    "spec", ["K", "KD", "GML", "MAJ", "PML", "COAL:1", "COAL:2", "COAL:3"]
+)
 def test_canonical_structures_cover_each_orbit_once(spec):
     cfg = parse_logic_spec(spec)
     kind = MODEL_KINDS[cfg.logic]
     for n in range(4):
-        structures = list(backend_for(cfg).structures(n))
-        assert _orbit_errors(kind, n, structures, lambda t: _canonical(kind, t)) == []
+        every = list(structures(cfg, n))
+        assert _orbit_errors(kind, n, every, lambda t: _canonical(kind, t)) == []
 
 
 def test_orbit_check_rejects_wrong_representatives():
-    structures = list(backend_for(LogicConfig(logic="GML")).structures(3))
+    every = list(structures(LogicConfig(logic="GML"), 3))
 
     def decreasing(struct):
         ws = list(struct.values())
@@ -356,10 +414,10 @@ def test_orbit_check_rejects_wrong_representatives():
     # Strictly decreasing weights miss every orbit with a repeated weight;
     # keeping everything keeps each orbit more than once.
     assert ("missed", ((0, 1), (1, 1), (2, 0))) in _orbit_errors(
-        "multigraph", 3, structures, decreasing
+        "multigraph", 3, every, decreasing
     )
     assert ("duplicate", ((0, 0), (1, 1), (2, 0))) in _orbit_errors(
-        "multigraph", 3, structures, lambda t: True
+        "multigraph", 3, every, lambda t: True
     )
 
 
@@ -646,7 +704,7 @@ def _reference_child_structs(enum, children):
                 yield (sizes, dict(zip(profiles, outs)))
 
 
-@pytest.mark.parametrize("spec", ("K", "KD", "COAL:2", "GML", "PML"))
+@pytest.mark.parametrize("spec", ("K", "KD", "COAL:1", "COAL:2", "GML", "PML"))
 def test_child_structs_match_reference(spec):
     cfg = parse_logic_spec(spec)
     enum = _TreeEnumerator(parse("a", cfg.n_agents), cfg)
@@ -654,9 +712,36 @@ def test_child_structs_match_reference(spec):
         children = tuple("c%d" % i for i in range(size))
         got = [
             relabel(enum.kind, t, children.__getitem__)
-            for t in enum._child_structs(size)
+            for t in structures(cfg, size, full=True)
         ]
         assert got == list(_reference_child_structs(enum, children)), size
+
+
+# The structure of a state with no real children; ``None`` is the state
+# itself.
+TERMINAL = {
+    "K": (),
+    "KD": (None,),
+    "GML": {},
+    "MAJ": {},
+    "PML": {None: Fraction(1)},
+    "COAL:1": ((1,), {(0,): None}),
+    "COAL:2": ((1, 1), {(0, 0): None}),
+    "COAL:3": ((1, 1, 1), {(0, 0, 0): None}),
+    "COAL:5": ((1, 1, 1, 1, 1), {(0, 0, 0, 0, 0): None}),
+}
+
+
+def _spec(cfg):
+    return "COAL:%d" % cfg.n_agents if cfg.logic == "COAL" else cfg.logic
+
+
+@pytest.mark.parametrize("spec", sorted(TERMINAL))
+def test_terminal_structure_pinned(spec):
+    cfg = parse_logic_spec(spec)
+    terminal = _TreeEnumerator(parse("a", cfg.n_agents), cfg).terminal
+    assert terminal == TERMINAL[spec]
+    assert type(terminal) is type(TERMINAL[spec])
 
 
 class _OverBudget(Exception):
@@ -703,10 +788,11 @@ def _reference_search(enum, depth_bound):
             vectors.add(v)
             pool.append(proto)
 
+    terminal = TERMINAL[_spec(enum.cfg)]
+
     def candidates(pool):
         for label in enum._labels():
-            for struct in enum._terminal_structs():
-                yield make(label, struct)
+            yield make(label, terminal)
         for size in range(1, BRANCH_BOUND + 1):
             for children in itertools.combinations(pool, size):
                 for label in enum._labels():
@@ -715,10 +801,9 @@ def _reference_search(enum, depth_bound):
 
     if depth_bound == 0:
         for label in enum._labels():
-            for struct in enum._terminal_structs():
-                proto = make(label, struct)
-                if enum.check(proto, enum.f):
-                    return proto
+            proto = make(label, terminal)
+            if enum.check(proto, enum.f):
+                return proto
         return None
 
     for d in range(depth_bound):
@@ -728,8 +813,7 @@ def _reference_search(enum, depth_bound):
             add(proto, d, new_pool)
         if d == 0:
             for label in enum._labels():
-                for struct in enum._terminal_structs():
-                    add(make(label, struct), d, new_pool)
+                add(make(label, terminal), d, new_pool)
         else:
             for proto in candidates(level):
                 add(proto, d, new_pool)
