@@ -14,8 +14,9 @@ by checkers that do not consult the solver's internals:
   (``validate_structure``) and then by direct semantic evaluation
   (``model_check``), which decides every modal operator with
   ``semantics.lift``;
-* a proof is a table of rule instances, one per CNF clause of each proved
-  formula; the checker recomputes every clause and every formula a premise
+* a proof is a table of rule instances per proved formula; the checker
+  confirms, with an evaluator of its own, that the instances' conclusions
+  propositionally entail the formula, recomputes every formula a premise
   demands, and checks each entry once.
 """
 
@@ -33,8 +34,6 @@ from .formula import (
     FModal,
     FNot,
     Formula,
-    cnf_clauses,
-    clause_entails,
     eval_with,
     modal_atoms,
     neg_fold,
@@ -64,10 +63,10 @@ from .onestep import (
 from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
 
-# The JSON format version of each certificate kind.  Proofs are at 2, the
-# table of rule instances, and tableaux at 2, whose edges carry only their
-# rule instance; no reader of older versions is kept.
-CERT_VERSIONS = {"model": 1, "tableau": 2, "proof": 2}
+# The JSON format version of each certificate kind.  Proofs are at 3, a
+# table of each formula's distinct rule instances, and tableaux at 2, whose
+# edges carry only their rule instance; no reader of older versions is kept.
+CERT_VERSIONS = {"model": 1, "tableau": 2, "proof": 3}
 
 # Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph.
 MAX_WEIGHT = 16
@@ -633,22 +632,24 @@ class _ModelBuilder:
 
 
 class ProofDoc(dict):
-    """A shallow proof as one table: each formula it proves, mapped to one
-    rule instance (``RuleMatching``) per CNF clause of the formula, in
-    ``cnf_clauses`` order.  A rule instance's premise fixes the formulas
-    proved one modal level down, so the table needs nothing else; a formula
-    demanded twice has one entry.  ``extract_proof`` writes the goal's entry
-    first."""
+    """A shallow proof as one table: each formula it proves, mapped to its
+    distinct rule instances (``RuleMatching``), in refutation order.  Their
+    conclusions together propositionally entail the formula, and each
+    instance's premise fixes the formulas proved one modal level down, so
+    the table needs nothing else; a formula demanded twice has one entry.
+    ``extract_proof`` writes the goal's entry first."""
 
 
 def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc:
     """Read a shallow proof of ``goal`` off the refutation of its negation.
 
-    Each refuted pseudovaluation of a refuted formula is one CNF clause of
-    the formula's negation, proved by the rule matching that refuted it; the
-    refuted children are the formulas its premise demands, read the same
-    way.  Shared children, one per formula through the solver's memo, give
-    one entry each."""
+    A refuted formula's entry lists the rule instances that refuted its
+    pseudovaluations, in order.  The solver skips every pseudovaluation that
+    falsifies an earlier instance's conclusion, and an instance only
+    refutes pseudovaluations that falsify its conclusion, so no instance
+    repeats.  The refuted children are the formulas each premise demands,
+    read the same way.  Shared children, one per formula through the
+    solver's memo, give one entry each."""
     if verdict.satisfiable:
         raise ValueError("cannot extract a proof from a satisfiable trace")
     if verdict.trace.formula is not neg_fold(goal):
@@ -669,17 +670,113 @@ def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc
     return doc
 
 
+def _postorder(f: Formula) -> list:
+    """The distinct subformulas of ``f`` that are not modal atoms, children
+    before parents."""
+    order = []
+    done = set(modal_atoms(f))
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in done:
+            stack.pop()
+            continue
+        if isinstance(g, FAnd):
+            kids = [c for c in (g.lhs, g.rhs) if c not in done]
+        elif isinstance(g, FNot):
+            kids = [g.arg] if g.arg not in done else []
+        else:
+            kids = []
+        if kids:
+            stack += kids
+            continue
+        stack.pop()
+        done.add(g)
+        order.append(g)
+    return order
+
+
+def _partial_value(f: Formula, order: list, assign: dict):
+    """Kleene's three-valued truth of ``f`` when only the modal atoms in
+    ``assign`` have values: True, False, or None when it depends on the
+    others.  ``order`` is ``_postorder(f)``."""
+    value = dict(assign)
+    for g in order:
+        if isinstance(g, FAnd):
+            lhs, rhs = value.get(g.lhs), value.get(g.rhs)
+            value[g] = False if lhs is False or rhs is False else lhs and rhs
+        elif isinstance(g, FNot):
+            v = value.get(g.arg)
+            value[g] = None if v is None else not v
+        else:
+            value[g] = False  # bottom
+    return value.get(f)
+
+
+def _propagate(clauses, assign: dict):
+    """Unit propagation: while some clause has no true literal and one open
+    one, make that literal true.  Returns the open literals of each clause
+    not yet true, or None when some clause is false."""
+    while True:
+        pending = []
+        forced = False
+        for clause in clauses:
+            if any(assign.get(a) == s for s, a in clause):
+                continue
+            left = [(s, a) for s, a in clause if a not in assign]
+            if not left:
+                return None
+            if len(left) == 1:
+                s, a = left[0]
+                assign[a] = s
+                forced = True
+            else:
+                pending.append(left)
+        if not forced:
+            return pending
+
+
+def _entailed(clauses, f: Formula) -> bool:
+    """Do the clauses, over modal atoms of ``f``, propositionally entail
+    ``f``?  A search for a counterexample, an assignment that makes every
+    clause true and ``f`` false, with unit propagation over the clauses.  A
+    branch ends when a clause is false or ``f`` is true whatever the open
+    atoms are.  While ``f`` is undecided the search branches on its atoms in
+    order, and once ``f`` is false, on an open atom of a clause not yet
+    true."""
+    atoms = modal_atoms(f)
+    order = _postorder(f)
+    stack = [{}]
+    while stack:
+        assign = stack.pop()
+        pending = _propagate(clauses, assign)
+        if pending is None:
+            continue
+        value = _partial_value(f, order, assign)
+        if value is True:
+            continue
+        if value is False and not pending:
+            return False
+        if value is None:
+            pick = next(a for a in atoms if a not in assign)
+        else:
+            pick = pending[0][0][1]
+        stack += ({**assign, pick: True}, {**assign, pick: False})
+    return True
+
+
 def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
     """Independent proof checking; returns (ok, message).
 
     A worklist starts from the stated goal.  Each demanded formula must have
-    an entry, which is checked once: one rule instance per recomputed CNF
-    clause, each a rule of the logic whose conclusion entails its clause,
-    and every premise CNF clause's negated instance, negated again, is
-    demanded in turn.  An entry that is never demanded is rejected too.  A
-    rejection names the formula and, for a rule, its clause index, such as
-    ``entry '~([] a & ~[] b)' clause 0: rule code fails its side condition``."""
-    demanded = {goal: None}  # formula -> (demanding formula, clause index)
+    an entry, which is checked once: its rule instances are distinct, each
+    is a rule of the logic whose conclusion literals lie on modal atoms of
+    the formula, the conclusions together entail the formula, and every
+    premise CNF clause's negated instance, negated again, is demanded in
+    turn.  An entry that is never demanded is rejected too.  A rejection
+    names the formula and, for a rule, its index, such as
+    ``entry '~([] a & ~[] b)' rule 0: rule code fails its side condition``."""
+    demanded = {goal: None}  # formula -> (demanding formula, rule index)
     work = [goal]
     while work:
         f = work.pop()
@@ -687,23 +784,30 @@ def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
         if rules is None:
             if demanded[f] is None:
                 return False, "no entry for the goal %r" % pretty(f)
-            by, c = demanded[f]
-            return False, "no entry for %r, which %r clause %d demands" % (pretty(f), pretty(by), c)
-        clauses = cnf_clauses(f)
-        if len(rules) != len(clauses):
-            msg = "entry %r: %d rules for %d CNF clauses"
-            return False, msg % (pretty(f), len(rules), len(clauses))
-        for c, (m, clause) in enumerate(zip(rules, clauses)):
+            by, r = demanded[f]
+            return False, "no entry for %r, which %r rule %d demands" % (pretty(f), pretty(by), r)
+        atoms = set(modal_atoms(f))
+        first = {}
+        conclusions = []
+        for r, m in enumerate(rules):
             concl, msg = _rule_conclusion(m, cfg)
-            if msg is None and not clause_entails(concl, clause):
-                msg = "rule conclusion does not entail the clause"
+            if msg is None and first.setdefault(m, r) != r:
+                msg = "repeats rule %d" % first[m]
+            if msg is None:
+                off = next((lit for lit in concl if lit[1] not in atoms), None)
+                if off is not None:
+                    msg = "conclusion literal %r is not on a modal atom of the formula"
+                    msg %= pretty_literal(off)
             if msg is not None:
-                return False, "entry %r clause %d: %s" % (pretty(f), c, msg)
+                return False, "entry %r rule %d: %s" % (pretty(f), r, msg)
+            conclusions.append(concl)
             for gamma in premise_cnf_clauses(m.premise()):
                 g = neg_fold(negated_clause_instance(gamma, m.subst))
                 if g not in demanded:
-                    demanded[g] = (f, c)
+                    demanded[g] = (f, r)
                     work.append(g)
+        if not _entailed(conclusions, f):
+            return False, "entry %r: the rule conclusions do not entail the formula" % pretty(f)
     for f in doc:
         if f not in demanded:
             return False, "entry %r is never demanded" % pretty(f)
@@ -902,7 +1006,7 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
 
 def proof_to_json(doc: ProofDoc) -> dict:
     proofs = [
-        {"formula": pretty(f), "clauses": [_matching_json(m) for m in rules]}
+        {"formula": pretty(f), "rules": [_matching_json(m) for m in rules]}
         for f, rules in doc.items()
     ]
     return {"kind": "proof", "version": CERT_VERSIONS["proof"], "payload": {"proofs": proofs}}
@@ -917,7 +1021,7 @@ def proof_from_json(doc: dict, n_agents: int) -> ProofDoc:
         f = formula(entry["formula"])
         if f in proof:
             raise ValueError("two proof entries for %r" % pretty(f))
-        proof[f] = tuple(_matching_from_json(c, formula) for c in entry["clauses"])
+        proof[f] = tuple(_matching_from_json(m, formula) for m in _json_list(entry["rules"]))
     return proof
 
 

@@ -213,21 +213,19 @@ def modal_atoms(f: Formula) -> tuple:
     first-occurrence order."""
     out = []
     seen = set()
-
-    def walk(g):
-        if isinstance(g, FBot):
-            return
-        if isinstance(g, FAnd):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, FNot):
-            walk(g.arg)
-        else:
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-
-    walk(f)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        kind = type(g)
+        if kind is FAnd:
+            stack += (g.rhs, g.lhs)
+        elif kind is FNot:
+            stack.append(g.arg)
+        elif kind is FModal:
+            out.append(g)
     return tuple(out)
 
 
@@ -235,21 +233,19 @@ def subformulas(f: Formula) -> tuple:
     """All subformulas in first-occurrence (pre-order) order."""
     out = []
     seen = set()
-
-    def walk(g):
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if g in seen:
-            return
+            continue
         seen.add(g)
         out.append(g)
         if isinstance(g, FAnd):
-            walk(g.lhs)
-            walk(g.rhs)
+            stack += (g.rhs, g.lhs)
         elif isinstance(g, FNot):
-            walk(g.arg)
+            stack.append(g.arg)
         elif isinstance(g, FModal) and g.arg is not None:
-            walk(g.arg)
-
-    walk(f)
+            stack.append(g.arg)
     return tuple(out)
 
 
@@ -273,69 +269,173 @@ def eval_with(f: Formula, assign: dict) -> bool:
 # read disjunctively; a pseudovaluation is a tuple of literals read
 # conjunctively, totally assigning the modal atoms of some formula.
 
+# Atoms per truth-table block: a block is one int of 2**16 bits (8 KB).
+# Atoms above these are split on one at a time (Shannon expansion).
+BLOCK_ATOMS = 16
 
-def is_tautology_clause(clause) -> bool:
-    pos = {a for (s, a) in clause if s}
-    return any(not s and a in pos for (s, a) in clause)
-
-
-def clause_entails(c1, c2) -> bool:
-    """Propositional entailment between clauses: subset or target tautology."""
-    if is_tautology_clause(c2):
-        return True
-    return set(c1) <= set(c2)
+_COLUMNS = {}  # k -> (column of each of atoms 0..k-1, all-rows mask)
 
 
-def assignments(f: Formula, want: bool = True) -> Iterator[tuple]:
+def _columns(k: int):
+    """The truth-table columns of ``k`` atoms over ``2**k`` rows: bit b of
+    column i is bit i of b."""
+    got = _COLUMNS.get(k)
+    if got is None:
+        full = (1 << (1 << k)) - 1
+        cols = []
+        for i in range(k):
+            half = 1 << i
+            # 2**i clear bits then 2**i set bits, repeated across the rows.
+            cols.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+        got = _COLUMNS[k] = (cols, full)
+    return got
+
+
+_ATOM, _AND, _NOT, _BOT = range(4)
+
+
+def _program(f: Formula):
+    """``f`` as straight-line code, children before parents: step j is
+    ``(op, x, y)`` and computes value j from atom x (``_ATOM``) or from
+    earlier values x and y; the last step computes ``f``.  Returns (the
+    modal atoms in first-occurrence order, steps)."""
+    atoms = []
+    slot = {}
+    steps = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in slot:
+            continue
+        kind = type(g)
+        if kind is FAnd:
+            lhs, rhs = g.lhs, g.rhs
+            if lhs in slot and rhs in slot:
+                step = (_AND, slot[lhs], slot[rhs])
+            else:
+                stack += (g, rhs, lhs)
+                continue
+        elif kind is FNot:
+            if g.arg in slot:
+                step = (_NOT, slot[g.arg], 0)
+            else:
+                stack += (g, g.arg)
+                continue
+        elif kind is FModal:
+            step = (_ATOM, len(atoms), 0)
+            atoms.append(g)
+        else:
+            step = (_BOT, 0, 0)
+        slot[g] = len(steps)
+        steps.append(step)
+    return tuple(atoms), steps
+
+
+def _run(steps, inputs: list, full: int) -> int:
+    """Two-valued bit-parallel evaluation, given each atom's table."""
+    values = []
+    for op, x, y in steps:
+        if op == _AND:
+            values.append(values[x] & values[y])
+        elif op == _NOT:
+            values.append(full ^ values[x])
+        elif op == _ATOM:
+            values.append(inputs[x])
+        else:
+            values.append(0)
+    return values[-1]
+
+
+def _may_hold(steps, must_in: list, may_in: list) -> int:
+    """Kleene's three-valued evaluation in two bits per value: ``must`` is 1
+    where the value is true whatever the unknown atoms are, and ``may``
+    where it is true for some of them.  Returns ``may`` of the formula."""
+    must, may = [], []
+    for op, x, y in steps:
+        if op == _AND:
+            must.append(must[x] & must[y])
+            may.append(may[x] & may[y])
+        elif op == _NOT:
+            must.append(1 ^ may[x])
+            may.append(1 ^ must[x])
+        elif op == _ATOM:
+            must.append(must_in[x])
+            may.append(may_in[x])
+        else:
+            must.append(0)
+            may.append(0)
+    return may[-1]
+
+
+def assignments(f: Formula, covered=None) -> Iterator[tuple]:
     """Total sign assignments to the modal atoms of ``f`` under which ``f``
-    evaluates to ``want``, as pseudovaluations in binary-counter order (bit i
-    set = atom i positive): exactly the rows of the truth table with that
-    value.
+    is true, as pseudovaluations in binary-counter order (bit i set = atom
+    i positive): the true rows of the truth table.
 
-    Shannon expansion through ``subst_fold``, most significant atom first,
-    false before true: a subtree in which ``f`` is already decided is skipped
-    when it has the other value and filled in whole when it has ``want``."""
-    atoms = modal_atoms(f)
-    if not atoms:
-        # Constants that were built without folding, such as conj(TOP, TOP).
-        if eval_with(f, {}) == want:
-            yield ()
-        return
-    decided = TOP if want else BOT
+    The table over the low ``BLOCK_ATOMS`` atoms is one int, bit b the value
+    of ``f`` in row b, computed in one pass over the formula's dag.  The
+    atoms above are fixed one at a time, most significant first, false
+    before true, and each choice makes one block; a three-valued pass with
+    the open atoms unknown skips a subtree in which ``f`` is false whatever
+    they are.
 
-    def expand(g, k, suffix):
-        # atoms[k:] are assigned in ``suffix``; ``g`` is ``f`` under them.
-        if g is TOP or g is BOT:
-            if g is decided:
-                for bits in range(1 << k):
-                    yield tuple((bool(bits >> i & 1), atoms[i]) for i in range(k)) + suffix
-            return
-        a = atoms[k - 1]
-        for value in (False, True):
-            yield from expand(subst_fold(g, a, value), k - 1, ((value, a),) + suffix)
+    ``covered`` is a list of clauses over the atoms of ``f`` that the caller
+    may extend while it iterates.  No row that falsifies one of them is
+    yielded: before each row, new clauses clear their falsifying rows from
+    the current block, and each later block starts without the rows that
+    any of them falsifies."""
+    atoms, steps = _program(f)
+    n = len(atoms)
+    k = min(n, BLOCK_ATOMS)
+    cols, full = _columns(k)
+    lits = [((False, a), (True, a)) for a in atoms]
+    index = {a: i for i, a in enumerate(atoms)}
+    covered = [] if covered is None else covered
+    # Per covered clause: (the value of each high atom that falsifies its
+    # literal, the rows of a block where one of its low literals holds).
+    learned = []
 
-    yield from expand(f, len(atoms), ())
+    def uncovered(signs: dict, start: int) -> int:
+        # The rows of the block fixed by ``signs`` (high atom index ->
+        # value) that falsify none of covered[start:]; a clause cuts rows
+        # only when ``signs`` falsifies all its high literals.
+        for clause in covered[len(learned):]:
+            high, low = [], 0
+            for s, a in clause:
+                i = index[a]
+                if i < k:
+                    low |= cols[i] if s else full ^ cols[i]
+                else:
+                    high.append((i, not s))
+            learned.append((high, low))
+        mask = full
+        for high, low in learned[start:]:
+            if all(signs[i] is v for i, v in high):
+                mask &= low
+        return mask
 
-
-def subst_fold(f: Formula, target: Formula, value: bool) -> Formula:
-    """Replace modal atom ``target`` by a truth constant, folding constants."""
-    if isinstance(f, FBot):
-        return f
-    if isinstance(f, FAnd):
-        return conj_fold([subst_fold(f.lhs, target, value), subst_fold(f.rhs, target, value)])
-    if isinstance(f, FNot):
-        return neg_fold(subst_fold(f.arg, target, value))
-    if f is target:
-        return TOP if value else BOT
-    return f
-
-
-def cnf_clauses(f: Formula) -> tuple:
-    """Canonical CNF over the modal atoms of ``f``: one maxterm per falsifying
-    assignment, in binary-counter order.  Empty for propositional validities."""
-    return tuple(
-        tuple((not s, a) for s, a in valuation) for valuation in assignments(f, want=False)
-    )
+    stack = [{}]
+    while stack:
+        signs = stack.pop()
+        if len(signs) < n - k:
+            must = [0] * k + [1 if signs.get(i) else 0 for i in range(k, n)]
+            may = [1] * k + [0 if signs.get(i) is False else 1 for i in range(k, n)]
+            if _may_hold(steps, must, may):
+                j = n - len(signs) - 1
+                stack += ({**signs, j: True}, {**signs, j: False})
+            continue
+        constants = [full if signs[i] else 0 for i in range(k, n)]
+        table = _run(steps, cols + constants, full) & uncovered(signs, 0)
+        suffix = tuple(lits[i][signs[i]] for i in range(k, n))
+        seen = len(covered)
+        while table:
+            row = table & -table
+            table ^= row
+            b = row.bit_length() - 1
+            yield tuple(lits[i][b >> i & 1] for i in range(k)) + suffix
+            if len(covered) > seen:
+                table &= uncovered(signs, seen)
+                seen = len(covered)
 
 
 # ---------------------------------------------------------------------------

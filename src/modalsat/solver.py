@@ -5,12 +5,19 @@ consistent total sign assignment to its modal atoms) survives every
 universal challenge: for every rule matching of a clause built from
 negations of H's literals, some clause of the premise CNF must have a
 satisfiable negation (a strictly shallower formula, solved recursively).
-Pseudovaluations come from ``assignments``, which prunes the truth table
-wherever the formula is already decided; challenges come from
+Pseudovaluations are the true rows of the formula's truth table, which
+``assignments`` computes bit-parallel; challenges come from
 ``challenges``, which builds only the clauses some schema can match, and in
 K and KD only the inclusion-maximal ones: one per diamond, whose demand
 implies the demand of every clause inside it.  Both keep binary-counter
-order, so traces do not depend on the pruning.
+order.
+
+When a pseudovaluation fails, the conclusion of the rule instance that
+refuted it is valid, and every pseudovaluation falsifying it is
+unsatisfiable, so ``assignments`` clears them all from the table before
+it yields the next row.  A satisfiable pseudovaluation falsifies no valid
+clause, so the first one to survive is the same as without the pruning,
+and so are verdicts and SAT traces; only refutations shrink.
 
 Each challenge is a clause with its candidate matchings, and one loop
 answers them all.  For the finite schemas the candidates are the clause's
@@ -29,14 +36,14 @@ Traces record, per satisfiable node, one satisfiable demand per candidate
 matching plus (for linear logics) one child per satisfiable argument
 pattern; these are exactly the edges of a shallow tableau.
 
-UNSAT traces are the shallow proofs.  Each refuted pseudovaluation of a
-refuted formula is one CNF clause of the formula's negation, and the
-challenge that refuted it is the rule instance proving that clause; its
-children refute the negated premise clauses.  For linear logics those
-children are the projected demands of the found matching, each solved in
-its own right.  The memo gives one node per formula, so the refutation is a
-dag, and a proof is one table entry per node: the formula's negation and
-its rule instances.
+UNSAT traces are the shallow proofs.  Every pseudovaluation of a refuted
+formula falsifies the conclusion of one of the rule instances that refuted
+the tried ones, so those conclusions together entail the formula's
+negation; each instance's children refute its negated premise clauses.
+For linear logics those children are the projected demands of the found
+matching, each solved in its own right.  The memo gives one node per
+formula, so the refutation is a dag, and a proof is one table entry per
+node: the formula's negation and its distinct rule instances.
 """
 
 from __future__ import annotations
@@ -83,10 +90,12 @@ class SatNode:
 class UnsatNode:
     """Refutation: every pseudovaluation has a failing challenge.
 
-    This is also the entry of the negated formula in a shallow proof: each
-    failure is one CNF clause (the negated valuation) answered by the
-    failing rule matching, with one refuted child per premise clause
-    ``gamma``.  A child refuted for several parents is one shared node."""
+    Only the pseudovaluations that no earlier failure's clause covers are
+    tried, so each failure has its own rule matching, whose conclusion is
+    the failure's clause.  This is also the entry of the negated formula in
+    a shallow proof: the conclusions together entail it, and each matching
+    has one refuted child per premise clause ``gamma``.  A child refuted for
+    several parents is one shared node."""
 
     formula: Formula
     # (valuation, clause, matching, [(gamma, child_unsat_node), ...])
@@ -125,13 +134,15 @@ class Solver:
         if f.depth + level > self.root_depth:
             raise RuntimeError("recursion exceeded modal depth")
         failures = []
+        covered = []  # the conclusions of the refuting rule instances
         result = None
-        for valuation in assignments(f):
+        for valuation in assignments(f, covered):
             verdict = self._check_valuation(f, valuation, level)
             if isinstance(verdict, SatNode):
                 result = (True, verdict)
                 break
             failures.append(verdict)
+            covered.append(verdict[1])
         if result is None:
             result = (False, UnsatNode(f, failures))
         self.memo[f] = result

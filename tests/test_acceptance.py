@@ -102,38 +102,38 @@ VALID_PROOF_SHA256 = dict(
     zip(
         VALID,
         [
-            "be3199b5b9e37e779aff79893a84a0dd782d909d71faf559b14ab8db6c4bfd22",
-            "4d2d88f78049b5fab38791c09aa40b14d42132865b8ebc3a58c906bb52c03f05",
-            "7f928203d9b0604bb17ad9794e9dd7dc3b6075e4f35155306ed757976c4b4154",
-            "ba3159c9e3ad17c87bcc5a2141fd8276510d71bd6f7a77f2839cdff74ab67bfb",
-            "f3a7566e984d4522e5bb187ca7ccc01dad4af3588a7ad857b524355eac5c3238",
-            "d6effa08132b098ce808359f504563c56f3b8ef8ff2da73423d10c2df2c0603f",
-            "d472fd1334bec79ffb35ed1484a39cefa167aa71e26aa18f933b862f388c2adf",
-            "c38308d3e1e3fff2aa616e1183b4f47074e941a67bccdb2aa9fa64e5aba4f974",
-            "bce46a9f5e80b437b5b0dc59590ab6d1c62aca9ee11f5b4936b00f7bb898a504",
-            "f456c03cff728e59e506c8c5bb7dac593cc10fcb4064701786aecb5bf708a8bc",
-            "ae193f8c5deaba8c79ed7b2f1b6abcc975b1f4096a748e8fc77f29a08349e80f",
-            "6dad17582134a9e493af2ea531dd51423ab5404e9fc16400cf254c92ed50c1a9",
-            "bbfd701ffabed0f606ff9b58fce178ec9ef67f48240221cbca0d415d7637d57f",
-            "9a6beae9acafae31bea8696996de6c843b67187d684def8a1145c351347e2943",
-            "f2bb630b5798804959a62ae9029ed33599eb96ea61622a299f8654b2bece7cf8",
-            "3397d26d2cf3779c712ee452799b6bbc76b768a8ddd6b5c8cf7ea3439e9d7e7f",
-            "66483464832dc8b549044cbe32d64f0d2e2d8c60a2b4f847fa100638f10558d4",
-            "d933ac1e1cfbf84c3105fb3fbf099395d5818046a5a2adfa17cb45a27aad32ac",
-            "e963273329cd8a2ff20c5a475cd67168079c1ef58c8f412a9c287d5e03ace083",
-            "7e8d3bf2e6ce744115de7838c68c67946e43688178992e874bbeb3616a688231",
-            "4b197d415995e150df2f6ab2200c02198d5e2b166869b6d36ad1377572692643",
-            "ad4745bba16bbc133e5407f7eca16817da032810cf575f21bfabba661513802c",
-            "f5a1ebbb562cab7ac0fae5e0a5d6fb7faf985981c9858a535412897cb6e4fc3a",
-            "18b390ec019314300f34f0efd0d90aad115bf4ec7ea1150f15c72cc51abd884f",
-            "8ca5b8d5b35273c2ad5fcd323636549a232008dcb5061ccac3322dfac452e7a3",
-            "2e5941a1ffaaca9633ca998fac3d74cc926ef766c0d236df57752e9091d1378e",
-            "c7195249d0cea22d35f7bc92cc67194e8354627d36711d13a0b14aef79683b9c",
-            "bb0a4f106fb360ff60c013a36d6aa20ef84d0d3870ecab5db96c32ce66475a6d",
-            "0d9e97a562aabd122beb8b38090e847b75dce407e4680ea3aba49b371443864c",
-            "0fecd0a0d2802e5c566972c85d0b4966188158e30be2cd608352bd4bde9aec39",
-            "178a02b01dbc7d84ca0324c3cc8e72a4312df4c2d7191c7cff9fc6904767bcc0",
-            "e1030a0716a91e0906ee7f9e4f8a0310381282f206cf7c8420cc3a6438d8f4b3",
+            "547344e4b21551f57453e64efffa54e611b1413d6649276711cce28e86677cf8",
+            "d1671ea97a136b676dac3f6608becc5cdffd1bf8f93ed76d6b6ffa99efac7bd9",
+            "0bd6b5ebf4fcfe23509bc8efd383cb572a1839a205defc9b00c1896985f49b42",
+            "4060b6ac415f109aeedbf743d012325aeddf81d8d33f65dc178417735952e0cb",
+            "a1cf96783c1fc503d4684bc20eec29a82864a62c50946cc5981afdf03abe102e",
+            "a8771692cdfe6b34a8917ba5281064b31bcde954e9d511cbf5ea230c8a2d2530",
+            "e8b15a2402e6adb0ab8c35e0ec3fdef298c7c534a69d3578751405c3634c9c64",
+            "5fe87c39d55c6ea9f057757cc0de095cd16fff9ff870a1739f28514e7c7f9604",
+            "bbbb15a5509cbf74176f94c638320da1075297b9c32d05bc31e248809b23d384",
+            "c85480141744da3f258af581ef4c52098695584e5bab662809a90ff0bfbc3f0f",
+            "53454c516468bab6cbac20e317f9faa15322f52e00fbdc3f8c877081ee79cfea",
+            "e66a036c110a7d98d7791ad6719114b0bd96db5a9e8d6527d49d767128d34c8d",
+            "5217892ee4938bd53bbd5506a2b08d8aecb04a1410d5c39dfeb1db707a6cf1d5",
+            "137157198680e47e4ef4865ef4f15c25d9b22c92cb8c8c9b90ee7de5f340d293",
+            "ad6e6287925276a716fb10d07fa50e63ab2f78f3541bd8384a839b5ab4439117",
+            "27341c48f90ac68a7d07eeeab2dea4f1e891270c45a4e910f3eacabfd98aacbb",
+            "ba261b6d87d4a244a1be5bd1044234915e66afddd0b1044c83f25ca7722dde22",
+            "9e7936d359b0c5a921934afeb63250fb03cb82bb70a4116e2ff926f2e7364f28",
+            "b20723bc326fe9a3a3c98682688f319df40ee961be3dd832ac971b4b8a367502",
+            "cce195e6d2a4212e4296cf91ffa7fb0e5bd258a02caa03aff74e092fd2c38337",
+            "6047e1fcd44884dd5732f5ca408180f28b6494a6568fb76ab1249f7062630c7a",
+            "98ae723d41546e80e2ba161310e3c693032fd13a6d189051a99020cf6bd5aca2",
+            "12ea2418589a4463f4a7c4964d39536dd2fdbd0302ccfef293016c85d564b6c2",
+            "f14e43ea61c559619d5bc5c142421f926f2e0dd366cc2950164418c34e77922c",
+            "36470c21d643c2bb3ca69a7a77bd052e5acc9e24b7abcefe2d5ac56b3c1152a8",
+            "b8afa32a223c0ab027d16e40f38abd2c91b8c75230f4fcb960c43c0d82b93b57",
+            "24d6c9ae21d9b647fc600881fc17c914fc7ad5a913c480c380b3e6500d72b7f0",
+            "e475799e8cca69ef86b4e305f3969a6086bca9ac25b2089d7cb575f7a785b110",
+            "2737f6741f2e1f37e228a2f92cede7bf81323abb6efed066ece0adc62144f137",
+            "6f0950e5b4e7b64664265cba2a67619660a5a2c8f385d9fb0a496943cf735a50",
+            "e1ae37a81672807c76b5677abdc32266d1aa28a4925c464c26e43248caf1c0fe",
+            "8c908f61887f9b90738f9a116244a1ca8d63b97fadb6fabe81a4dce92e92e039",
         ],
     )
 )

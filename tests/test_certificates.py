@@ -32,7 +32,7 @@ from modalsat.certificates import (
     tableau_to_model,
     validate_structure,
 )
-from modalsat.formula import GDiamond, MajW, assignments, atom, cnf_clauses, modal, neg_fold, parse
+from modalsat.formula import GDiamond, MajW, assignments, atom, modal, neg_fold, parse, pretty
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec
 from modalsat.onestep import (
     RuleCode,
@@ -74,15 +74,15 @@ VALID_CASES = [
 
 # sha256 of each VALID_CASES proof's JSON.
 PROOF_SHA256 = {
-    ("K", "[](a -> b) -> ([]a -> []b)"): "be3199b5b9e37e779aff79893a84a0dd782d909d71faf559b14ab8db6c4bfd22",
-    ("KD", "~ [] false"): "7f928203d9b0604bb17ad9794e9dd7dc3b6075e4f35155306ed757976c4b4154",
-    ("E", "[]a -> []a"): "5d09356ddc0ddbeb65899d42918ba71c401d7d58a137849faff7bc26efe3ba5b",
-    ("M", "[](a & b) -> []a"): "f3a7566e984d4522e5bb187ca7ccc01dad4af3588a7ad857b524355eac5c3238",
-    ("GML", "<1>a -> <0>a"): "d6effa08132b098ce808359f504563c56f3b8ef8ff2da73423d10c2df2c0603f",
-    ("MAJ", "W a | W ~a"): "e0eccebecc08c51f0f29a525940bb0d714b38ad4e8314d1d898813e8634c51de",
-    ("PML", "L{0/1} a"): "f5a1ebbb562cab7ac0fae5e0a5d6fb7faf985981c9858a535412897cb6e4fc3a",
-    ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"): "0fecd0a0d2802e5c566972c85d0b4966188158e30be2cd608352bd4bde9aec39",
-    ("K", "~~([]a -> []a)"): "dedf6c4d483edfd148a77c61c392baf4af8ae28760200485622c8ae3c3761cb0",
+    ("K", "[](a -> b) -> ([]a -> []b)"): "547344e4b21551f57453e64efffa54e611b1413d6649276711cce28e86677cf8",
+    ("KD", "~ [] false"): "0bd6b5ebf4fcfe23509bc8efd383cb572a1839a205defc9b00c1896985f49b42",
+    ("E", "[]a -> []a"): "d13ad38da43531464c6330812230ff89ecf5e50f997740a99d0a3da4afe9526a",
+    ("M", "[](a & b) -> []a"): "a1cf96783c1fc503d4684bc20eec29a82864a62c50946cc5981afdf03abe102e",
+    ("GML", "<1>a -> <0>a"): "a8771692cdfe6b34a8917ba5281064b31bcde954e9d511cbf5ea230c8a2d2530",
+    ("MAJ", "W a | W ~a"): "888b86f4f5ec8a7b2cb7c64c15e896ee45bd8c5b5746e745f1b4ac95c7044686",
+    ("PML", "L{0/1} a"): "12ea2418589a4463f4a7c4964d39536dd2fdbd0302ccfef293016c85d564b6c2",
+    ("COAL", "([C 1]a & [C 2]b) -> [C 1,2](a & b)"): "6f0950e5b4e7b64664265cba2a67619660a5a2c8f385d9fb0a496943cf735a50",
+    ("K", "~~([]a -> []a)"): "8455ac6d4638c16d9dda79b7c12f647754fd6259ba31a75fa6b0e66c017c3afa",
 }
 
 
@@ -719,12 +719,12 @@ def test_check_proof_rejects_tampered_rule():
     goal = parse("<1>a -> <0>a")
     doc = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
     payload = proof_to_json(doc)
-    rule = payload["payload"]["proofs"][0]["clauses"][0]["rule"]
+    rule = payload["payload"]["proofs"][0]["rules"][0]["rule"]
     assert rule["grades"]
     rule["grades"] = [g + 5 for g in rule["grades"]]
     ok, msg = check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg)
     assert not ok
-    assert msg.startswith("entry '~(<1> a & ~<0> a)' clause 0: "), msg
+    assert msg.startswith("entry '~(<1> a & ~<0> a)' rule 0: "), msg
 
 
 def _k_proof_json(text):
@@ -746,7 +746,7 @@ def _entries(payload):
 
 
 def _inner_rule(payload):
-    return _entries(payload)[1]["clauses"][0]
+    return _entries(payload)[1]["rules"][0]
 
 
 def _set_inner_ints(payload):
@@ -772,15 +772,15 @@ def _set_inner_logic(payload):
 
 
 def _drop_inner_rules(payload):
-    _entries(payload)[1]["clauses"] = []
+    _entries(payload)[1]["rules"] = []
 
 
 def _repeat_inner_rule(payload):
-    _entries(payload)[1]["clauses"].append(_inner_rule(payload))
+    _entries(payload)[1]["rules"].append(_inner_rule(payload))
 
 
 def _drop_root_rules(payload):
-    _entries(payload)[0]["clauses"] = []
+    _entries(payload)[0]["rules"] = []
 
 
 def _drop_leaf_entry(payload):
@@ -793,21 +793,21 @@ def _drop_goal_entry(payload):
 
 def _add_unused_entry(payload):
     # A propositional validity: its entry would check, but nothing demands it.
-    _entries(payload).append({"formula": "~(p & ~p)", "clauses": []})
+    _entries(payload).append({"formula": "~(p & ~p)", "rules": []})
 
 
 @pytest.mark.parametrize(
     "tamper,message",
     [
-        (_set_inner_ints, "entry '%s' clause 0: rule code fails its side condition" % _INNER_ENTRY),
-        (_set_inner_substitution, "entry '%s' clause 0: rule conclusion does not entail the clause" % _INNER_ENTRY),
-        (_extend_inner_substitution, "entry '%s' clause 0: substitution has 4 formulas for a rule of arity 3" % _INNER_ENTRY),
-        (_set_inner_coalition_rule, "entry '%s' clause 0: rule uses an operator outside the logic" % _INNER_ENTRY),
-        (_set_inner_logic, "entry '%s' clause 0: rule code is for logic 'PML', not K" % _INNER_ENTRY),
-        (_drop_inner_rules, "entry '%s': 0 rules for 1 CNF clauses" % _INNER_ENTRY),
-        (_repeat_inner_rule, "entry '%s': 2 rules for 1 CNF clauses" % _INNER_ENTRY),
-        (_drop_root_rules, "entry '%s': 0 rules for 1 CNF clauses" % _GOAL_ENTRY),
-        (_drop_leaf_entry, "no entry for '%s', which '%s' clause 0 demands" % (_LEAF_ENTRY, _INNER_ENTRY)),
+        (_set_inner_ints, "entry '%s' rule 0: rule code fails its side condition" % _INNER_ENTRY),
+        (_set_inner_substitution, "entry '%s' rule 0: conclusion literal '[] c' is not on a modal atom of the formula" % _INNER_ENTRY),
+        (_extend_inner_substitution, "entry '%s' rule 0: substitution has 4 formulas for a rule of arity 3" % _INNER_ENTRY),
+        (_set_inner_coalition_rule, "entry '%s' rule 0: rule uses an operator outside the logic" % _INNER_ENTRY),
+        (_set_inner_logic, "entry '%s' rule 0: rule code is for logic 'PML', not K" % _INNER_ENTRY),
+        (_drop_inner_rules, "entry '%s': the rule conclusions do not entail the formula" % _INNER_ENTRY),
+        (_repeat_inner_rule, "entry '%s' rule 1: repeats rule 0" % _INNER_ENTRY),
+        (_drop_root_rules, "entry '%s': the rule conclusions do not entail the formula" % _GOAL_ENTRY),
+        (_drop_leaf_entry, "no entry for '%s', which '%s' rule 0 demands" % (_LEAF_ENTRY, _INNER_ENTRY)),
         (_drop_goal_entry, "no entry for the goal '%s'" % _GOAL_ENTRY),
         (_add_unused_entry, "entry '~(p & ~p)' is never demanded"),
     ],
@@ -829,8 +829,8 @@ def test_duplicate_proof_entry_is_malformed():
     # ``a -> b`` is read as ``~(a & ~b)``: one formula, two entries.
     cfg, goal, payload = _k_proof_json("[](a -> b) -> ([]a -> []b)")
     entries = _entries(payload)
-    assert entries[1] == {"formula": "~(~(a & ~b) & a & ~b)", "clauses": []}
-    entries.append({"formula": "~((a -> b) & a & ~b)", "clauses": []})
+    assert entries[1] == {"formula": "~(~(a & ~b) & a & ~b)", "rules": []}
+    entries.append({"formula": "~((a -> b) & a & ~b)", "rules": []})
     with pytest.raises(ValueError, match="malformed certificate: .*two proof entries for '~\\(~\\(a & ~b\\) & a & ~b\\)'"):
         certificate_from_json(payload, cfg.n_agents)
 
@@ -842,20 +842,114 @@ def _m_validity(n):
 
 
 def test_check_proof_recomputes_each_cnf_once(monkeypatch):
-    # 8 distinct formulas, which a proof written as a tree repeats 128 times.
+    # 8 distinct formulas, which a proof written as a tree repeats 128
+    # times: the entailment of each is checked once.
     goal = parse(_m_validity(7))
     cfg = LogicConfig(logic="M")
     doc = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
     assert len(doc) == 8
     calls = []
+    entailed = certificates._entailed
 
-    def counted(f):
+    def counted(clauses, f):
         calls.append(f)
-        return cnf_clauses(f)
+        return entailed(clauses, f)
 
-    monkeypatch.setattr(certificates, "cnf_clauses", counted)
+    monkeypatch.setattr(certificates, "_entailed", counted)
     assert check_proof(doc, goal, cfg) == (True, "ok")
     assert sorted(map(id, calls)) == sorted(map(id, doc))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 15])
+def test_m_validity_root_fails_once_per_width(n):
+    # Each refuted pseudovaluation's conclusion ``~[]A | []a_i`` covers every
+    # later one that falsifies it, so the root is refuted n times, not
+    # 2^n - 1, and its proof entry lists the n monotonicity instances.
+    cfg = LogicConfig(logic="M")
+    goal = parse(_m_validity(n))
+    verdict = satisfiable(neg_fold(goal), cfg)
+    assert len(verdict.trace.failures) == n
+    doc = extract_proof(verdict, goal, cfg)
+    assert len(doc[goal]) == n
+    assert {m.code.scheme for m in doc[goal]} == {"M"}
+
+
+def test_m_validity_15_proof_is_small(tmp_path, capsys):
+    # Format 2 wrote one rule per CNF maxterm: 6.4 MB at this width.
+    text = _m_validity(15)
+    cert = tmp_path / "proof.json"
+    assert cli.main(["--logic", "M", "prove", text, "--cert", str(cert)]) == 0
+    assert len(cert.read_bytes()) < 20_000
+    entries = json.loads(cert.read_text())["payload"]["proofs"]
+    assert len(entries) == 16
+    assert len(entries[0]["rules"]) == 15
+    assert cli.main(["--logic", "M", "check-cert", text, "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out.endswith("proof  ok: ok\n")
+
+
+def _m_root_rules(payload):
+    return _entries(payload)[0]["rules"]
+
+
+def _drop_m_rule(payload):
+    del _m_root_rules(payload)[3]
+
+
+def _repeat_m_rule(payload):
+    _m_root_rules(payload).insert(4, _m_root_rules(payload)[3])
+
+
+def _break_m_side_condition(payload):
+    _m_root_rules(payload)[3]["rule"]["ints"] = [1, 1]
+
+
+def _name_another_logic(payload):
+    _m_root_rules(payload)[3]["rule"]["logic"] = "K"
+
+
+def _conclude_off_the_formula(payload):
+    _m_root_rules(payload)[3]["substitution"][1] = "zz"
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_drop_m_rule, "entry %r: the rule conclusions do not entail the formula"),
+        (_repeat_m_rule, "entry %r rule 4: repeats rule 3"),
+        (_break_m_side_condition, "entry %r rule 3: rule code fails its side condition"),
+        (_name_another_logic, "entry %r rule 3: rule code is for logic 'K', not M"),
+        (_conclude_off_the_formula, "entry %r rule 3: conclusion literal '[] zz' is not on a modal atom of the formula"),
+    ],
+)
+def test_format_3_forgeries_are_rejected(tamper, message, tmp_path, capsys):
+    text = _m_validity(7)
+    cfg = LogicConfig(logic="M")
+    goal = parse(text)
+    payload = proof_to_json(extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg))
+    assert len(_m_root_rules(payload)) == 7
+    tamper(payload)
+    message %= pretty(goal)
+    assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (False, message)
+    cert = tmp_path / "proof.json"
+    cert.write_text(json.dumps(payload))
+    assert cli.main(["--logic", "M", "check-cert", text, "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "proof  INVALID: %s\n" % message
+
+
+def test_version_2_proof_is_unsupported(tmp_path, capsys):
+    # Format 2 wrote one rule per CNF maxterm under "clauses"; it has no
+    # reader.
+    text = "[](a & b) -> []a"
+    rule = {"coalitions": [], "grades": [], "ints": [-1, 1], "logic": "M", "rationals": [], "scheme": "M"}
+    entries = [
+        {"formula": "~([] (a & b) & ~[] a)", "clauses": [{"rule": rule, "substitution": ["a & b", "a"]}]},
+        {"formula": "~(a & b & ~a)", "clauses": []},
+    ]
+    cert = tmp_path / "proof.json"
+    cert.write_text(json.dumps({"kind": "proof", "version": 2, "payload": {"proofs": entries}}))
+    assert cli.main(["--logic", "M", "check-cert", text, "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unsupported certificate version 2\n")
 
 
 def test_shared_sub_proofs_are_written_once(tmp_path, capsys):

@@ -161,7 +161,7 @@ def test_version_1_proof_is_unsupported(tmp_path, capsys):
     # The same proof as the table ``prove --cert`` writes now.
     code, _, _ = run(capsys, "--logic", "K", "prove", text, "--cert", str(cert))
     assert code == 0
-    assert json.loads(cert.read_text())["version"] == 2
+    assert json.loads(cert.read_text())["version"] == 3
     code, out, _ = run(capsys, "--logic", "K", "check-cert", text, "--cert", str(cert))
     assert (code, out) == (0, "proof  ok: ok\n")
 
@@ -197,7 +197,7 @@ def test_internal_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     cert = tmp_path / "bad.json"
-    cert.write_text('{"kind":"proof","version":2}')
+    cert.write_text('{"kind":"proof","version":3}')
     code, _, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
     assert code == 2
     assert err.startswith("error:")
@@ -207,7 +207,7 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     # A certificate file is outside input: a missing or ill-typed field is
     # reported as such, not as an internal error.
     docs = [
-        {"kind": "proof", "version": 2},
+        {"kind": "proof", "version": 3},
         {
             "kind": "tableau",
             "version": 2,
@@ -248,12 +248,12 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
         },
         {
             "kind": "proof",
-            "version": 2,
+            "version": 3,
             "payload": {
                 "proofs": [
                     {
                         "formula": "a",
-                        "clauses": [
+                        "rules": [
                             {
                                 "rule": {"logic": "PML", "scheme": "PML", "ints": [1, 0], "rationals": ["2/0"]},
                                 "substitution": ["a"],
@@ -300,8 +300,8 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     docs.append(
         {
             "kind": "proof",
-            "version": 2,
-            "payload": {"proofs": [{"formula": "[]a", "clauses": [clause]}, {"formula": "a", "clauses": []}]},
+            "version": 3,
+            "payload": {"proofs": [{"formula": "[]a", "rules": [clause]}, {"formula": "a", "rules": []}]},
         }
     )
     cases = [("a", json.dumps(doc)) for doc in docs]
@@ -318,15 +318,15 @@ def test_malformed_certificates_exit_two(tmp_path, capsys):
     cases.append(("a", json.dumps({"kind": "model", "version": 1, "payload": payload})))
     # Two proof entries for one formula, spelled two ways: one of them would
     # go unchecked.
-    payload = {"proofs": [{"formula": "a -> b", "clauses": []}, {"formula": "~(a & ~b)", "clauses": []}]}
-    cases.append(("a -> b", json.dumps({"kind": "proof", "version": 2, "payload": payload})))
+    payload = {"proofs": [{"formula": "a -> b", "rules": []}, {"formula": "~(a & ~b)", "rules": []}]}
+    cases.append(("a -> b", json.dumps({"kind": "proof", "version": 3, "payload": payload})))
     # A rule code's logic and scheme are JSON strings, not whatever str()
     # would turn into one.
     for key, value in (("logic", ["K"]), ("scheme", 5)):
         rule = {"logic": "K", "scheme": "K", "ints": [1]}
         rule[key] = value
-        payload = {"proofs": [{"formula": "[]a", "clauses": [{"rule": rule, "substitution": ["a"]}]}]}
-        cases.append(("[]a", json.dumps({"kind": "proof", "version": 2, "payload": payload})))
+        payload = {"proofs": [{"formula": "[]a", "rules": [{"rule": rule, "substitution": ["a"]}]}]}
+        cases.append(("[]a", json.dumps({"kind": "proof", "version": 3, "payload": payload})))
     for formula, text in cases:
         cert = tmp_path / "bad.json"
         cert.write_text(text)

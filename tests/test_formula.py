@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modalsat import formula
+from modalsat.certificates import _entailed
 from modalsat.formula import (
     Atom,
     Box,
@@ -18,15 +20,12 @@ from modalsat.formula import (
     assignments,
     atom,
     bot,
-    cnf_clauses,
-    clause_entails,
     conj,
     conj_fold,
     disj,
     eval_with,
     implies,
     iff,
-    is_tautology_clause,
     modal,
     modal_atoms,
     neg,
@@ -151,6 +150,21 @@ def test_modal_atoms_first_occurrence_order():
     assert names == ["[] b", "a", "[] c"]
 
 
+def test_modal_atoms_of_a_long_conjunction():
+    # Left-nested 3,000 levels deep, past Python's recursion limit.
+    xs = [atom("a%d" % i) for i in range(3000)]
+    f = conj_fold(xs)
+    assert modal_atoms(f) == tuple(xs)
+    assert modal_atoms(conj_fold([f, neg(xs[5]), atom("z")])) == tuple(xs) + (atom("z"),)
+    # Pre-order: the 2,999 conjunctions from the top down, then the atoms.
+    assert subformulas(f)[2999:] == tuple(xs)
+
+
+def test_assignments_of_a_deep_negation():
+    # 3,001 negations: true exactly when ``a`` is false.
+    assert list(assignments(parse("~" * 3001 + "a"))) == [((False, atom("a")),)]
+
+
 def test_pseudovaluations_binary_counter_order():
     f = parse("a | b")
     vals = list(assignments(f))
@@ -169,11 +183,16 @@ def test_pseudovaluations_entail_formula():
 # -- propositional tooling ---------------------------------------------------
 
 
+def _tautology(f):
+    """No row of the truth table falsifies ``f``."""
+    return next(assignments(neg(f)), None) is None
+
+
 def test_prop_tautology():
-    assert cnf_clauses(parse("a | ~a")) == ()
-    assert cnf_clauses(parse("(a -> b) -> (~b -> ~a)")) == ()
-    assert cnf_clauses(parse("a | b")) != ()
-    assert cnf_clauses(parse("[]a -> []a")) == ()
+    assert _tautology(parse("a | ~a"))
+    assert _tautology(parse("(a -> b) -> (~b -> ~a)"))
+    assert not _tautology(parse("a | b"))
+    assert _tautology(parse("[]a -> []a"))
 
 
 def _truth_table(f, want):
@@ -187,6 +206,12 @@ def _truth_table(f, want):
     return rows
 
 
+def _rows(f, want):
+    """``assignments`` of ``f`` or, for the false rows, of its negation,
+    which has the same atoms in the same order."""
+    return list(assignments(f if want else neg(f)))
+
+
 @pytest.mark.parametrize("want", [True, False])
 @pytest.mark.parametrize("logic", ["K", "GML", "PML", "COAL"])
 def test_assignments_match_truth_table(logic, want):
@@ -194,11 +219,42 @@ def test_assignments_match_truth_table(logic, want):
     rng = random.Random(31)
     for _ in range(300):
         f = random_formula(rng, cfg, max_depth=2, size_budget=16)
-        assert list(assignments(f, want)) == _truth_table(f, want), pretty(f)
+        assert _rows(f, want) == _truth_table(f, want), pretty(f)
 
 
-# Formulas made only of constants that ``subst_fold`` never sees, because
-# they have no atom to substitute: they must be evaluated as they stand.
+@pytest.mark.parametrize("block", [0, 1, 3])
+def test_assignments_across_shannon_blocks(block, monkeypatch):
+    # With blocks this small the atoms above them are split on: the rows,
+    # and the rows left once clauses are covered as they are yielded, are
+    # those of the plain truth table in the same order.
+    monkeypatch.setattr(formula, "BLOCK_ATOMS", block)
+    cfg = LogicConfig(logic="K")
+    rng = random.Random(block)
+    for _ in range(200):
+        f = random_formula(rng, cfg, max_depth=2, size_budget=16)
+        assert list(assignments(f)) == _truth_table(f, True), pretty(f)
+        atoms = modal_atoms(f)
+        if not atoms:
+            continue
+        clauses = [
+            tuple((rng.random() < 0.5, a) for a in rng.sample(atoms, rng.randint(1, len(atoms))))
+            for _ in range(3)
+        ]
+        covered, got = [], []
+        for row in assignments(f, covered):
+            got.append(row)
+            covered += clauses[len(covered) : len(covered) + 1]
+        want, kept = [], []
+        for row in _truth_table(f, True):
+            value = dict((a, s) for s, a in row)
+            if all(any(value[a] == s for s, a in c) for c in kept):
+                want.append(row)
+                kept += clauses[len(kept) : len(kept) + 1]
+        assert got == want, pretty(f)
+
+
+# Formulas made only of constants, with no atom to tabulate: they must be
+# evaluated as they stand.
 CONSTANT_ONLY = [
     conj(neg(bot()), neg(bot())),  # true & true, built without folding
     neg(neg(bot())),  # ~~false
@@ -212,53 +268,56 @@ CONSTANT_ONLY = [
 @pytest.mark.parametrize("want", [True, False])
 @pytest.mark.parametrize("f", CONSTANT_ONLY, ids=pretty)
 def test_assignments_of_constant_only_formulas(f, want):
-    assert list(assignments(f, want)) == _truth_table(f, want)
-    g = conj(f, atom("p"))  # constants beside an atom are folded away
-    assert list(assignments(g, want)) == _truth_table(g, want)
+    assert _rows(f, want) == _truth_table(f, want)
+    g = conj(f, atom("p"))  # constants beside an atom
+    assert _rows(g, want) == _truth_table(g, want)
 
 
 def test_prop_tautology_many_atoms():
-    # Past the size of any truth table: pruning decides it.
+    # Past the size of any truth table: the split on the atoms above the
+    # table's decides it.
     xs = ["p%d" % i for i in range(40)]
-    assert cnf_clauses(parse("(%s) -> p0" % " & ".join(xs))) == ()
-    assert cnf_clauses(parse(" | ".join(xs))) != ()
+    assert _tautology(parse("(%s) -> p0" % " & ".join(xs)))
+    assert not _tautology(parse(" | ".join(xs)))
+
+
+def _clause_formula(clause):
+    return neg(conj_fold([neg_fold(a) if s else a for s, a in clause]))
 
 
 def test_clause_entails():
+    # The proof checker's entailment test, on single clauses.
     a, b = atom("a"), atom("b")
     c1 = ((True, a),)
     c2 = ((True, a), (False, b))
-    assert clause_entails(c1, c2)
-    assert not clause_entails(c2, c1)
+    assert _entailed([c1], _clause_formula(c2))
+    assert not _entailed([c2], _clause_formula(c1))
     taut = ((True, a), (False, a))
-    assert is_tautology_clause(taut)
-    assert clause_entails(c2, taut)
+    assert _entailed([], _clause_formula(taut))
+    assert _entailed([c2], _clause_formula(taut))
 
 
-def _truth_table_equiv(f, clauses):
-    atoms = modal_atoms(f)
-    for bits in range(1 << len(atoms)):
-        assign = {atoms[i]: bool(bits >> i & 1) for i in range(len(atoms))}
-        lhs = eval_with(f, assign)
-        rhs = all(
-            any(assign[a] == s for (s, a) in clause) for clause in clauses
-        )
-        if lhs != rhs:
-            return False
-    return True
+def _maxterms(f):
+    """One clause per falsifying row of ``f``'s plain truth table."""
+    return [tuple((not s, a) for s, a in row) for row in _truth_table(f, False)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_cnf_clauses_equivalent(seed):
+    # The maxterms of a formula entail it, and without any one of them they
+    # do not, by the proof checker's entailment test.
     cfg = LogicConfig(logic="K")
     f = random_formula(random.Random(seed), cfg, max_depth=1)
-    clauses = cnf_clauses(f)
-    assert _truth_table_equiv(f, clauses)
+    clauses = _maxterms(f)
+    assert _entailed(clauses, f)
+    for i in range(len(clauses)):
+        assert not _entailed(clauses[:i] + clauses[i + 1 :], f)
 
 
 def test_cnf_of_tautology_is_empty():
-    assert cnf_clauses(parse("a | ~a")) == ()
+    assert _tautology(parse("a | ~a"))
+    assert _entailed([], parse("a | ~a"))
 
 
 def test_conj_fold():
