@@ -77,23 +77,13 @@ MAX_WEIGHT = 16
 # ---------------------------------------------------------------------------
 
 
-# The ModelWitness field holding each kind's structures, and the structure
-# of a state that the field does not list.
-_STRUCTURE_FIELDS = {
-    "kripke": ("succ", ()),
-    "multigraph": ("weights", {}),
-    "neighbourhood": ("neigh", ()),
-    "distribution": ("dist", {}),
-    "game": ("games", None),
-}
-
-
 @dataclass
 class ModelWitness:
-    """A concrete finite model; ``kind`` selects which structure field is
-    populated, each mapping a state to its one-step structure in the format
-    of ``semantics.lift``.  States are integers; ``labels`` maps states to
-    true atoms."""
+    """A concrete finite model.  States are integers; ``labels`` maps states
+    to true atoms, and ``structs`` maps states to their one-step structures
+    in the format that ``semantics.lift`` reads for ``kind``.  A state that
+    ``structs`` does not list has the empty structure of its kind, or no
+    game at all in a game model."""
 
     kind: str  # kripke | multigraph | neighbourhood | distribution | game
     root: int
@@ -101,15 +91,7 @@ class ModelWitness:
     labels: dict
     serial: bool = False
     monotone: bool = False
-    succ: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    neigh: dict = field(default_factory=dict)
-    dist: dict = field(default_factory=dict)
-    games: dict = field(default_factory=dict)
-
-    def structures(self) -> dict:
-        """The populated structure field: state -> one-step structure."""
-        return getattr(self, _STRUCTURE_FIELDS[self.kind][0])
+    structs: dict = field(default_factory=dict)
 
 
 class _Checker:
@@ -123,8 +105,8 @@ class _Checker:
         self.w = witness
         self.kind = witness.kind
         self.monotone = witness.monotone
-        self.structs = witness.structures()
-        self.empty = _STRUCTURE_FIELDS[witness.kind][1]
+        self.structs = witness.structs
+        self.empty = _MODEL_JSON[witness.kind][1]
         self.memo = {}
         self.truth_sets = {}
 
@@ -182,36 +164,35 @@ def validate_structure(w: ModelWitness, cfg: LogicConfig):
         return False, "a state is listed twice"
     if w.root not in states:
         return False, "root %r is not a state" % (w.root,)
-    for s in list(w.labels) + list(w.structures()):
+    for s in list(w.labels) + list(w.structs):
         if s not in states:
             return False, "state %r is not in the model's states" % (s,)
+    empty = _MODEL_JSON[w.kind][1]
     for s in w.states:
+        struct = w.structs.get(s, empty)
         if w.kind == "kripke":
-            succ = w.succ.get(s, ())
-            if not set(succ) <= states:
+            if not set(struct) <= states:
                 return False, "a successor of state %r is not a state" % (s,)
-            if cfg.logic == "KD" and not succ:
+            if cfg.logic == "KD" and not struct:
                 return False, "state %r has no successor in a serial model" % (s,)
         elif w.kind == "multigraph":
-            for t, c in w.weights.get(s, {}).items():
+            for t, c in struct.items():
                 if t not in states:
                     return False, "a successor of state %r is not a state" % (s,)
                 if type(c) is not int or c < 0:
                     return False, "weight %r at state %r is not a natural number" % (c, s)
         elif w.kind == "neighbourhood":
-            hoods = w.neigh.get(s, ())
-            if not all(member <= states for member in hoods):
+            if not all(member <= states for member in struct):
                 return False, "a neighbourhood of state %r holds a non-state" % (s,)
-            if cfg.logic == "M" and not w.monotone and not _up_closed(hoods, states):
+            if cfg.logic == "M" and not w.monotone and not _up_closed(struct, states):
                 return False, "the neighbourhoods of state %r are not up-closed" % (s,)
         elif w.kind == "distribution":
-            dist = w.dist.get(s, {})
-            if not set(dist) <= states:
+            if not set(struct) <= states:
                 return False, "a successor of state %r is not a state" % (s,)
-            if any(p < 0 for p in dist.values()) or sum(dist.values()) != 1:
+            if any(p < 0 for p in struct.values()) or sum(struct.values()) != 1:
                 return False, "the distribution of state %r is not a probability" % (s,)
         else:
-            ok, msg = _check_game(w.games.get(s), states, cfg.n_agents)
+            ok, msg = _check_game(struct, states, cfg.n_agents)
             if not ok:
                 return False, "state %r: %s" % (s, msg)
     return True, "ok"
@@ -469,10 +450,8 @@ class _ModelBuilder:
             sink = len(self.w.states)
             self.w.states.append(sink)
             self.w.labels[sink] = frozenset()
-            if self.w.kind == "kripke":
-                self.w.succ[sink] = (sink,)
-            elif self.w.kind == "distribution":
-                self.w.dist[sink] = {sink: Fraction(1)}
+            # Only KD models and distributions need a sink.
+            self.w.structs[sink] = (sink,) if self.w.kind == "kripke" else {sink: Fraction(1)}
             self.sink = sink
         return self.sink
 
@@ -515,7 +494,7 @@ class _ModelBuilder:
                 if pos:
                     return False
                 succ = [self._make_sink()]
-            self.w.succ[i] = tuple(succ)
+            self.w.structs[i] = tuple(succ)
             return True
         if kind == "multigraph":
             return self._build_multigraph(i, kids)
@@ -559,7 +538,7 @@ class _ModelBuilder:
         )
         if found is None:
             return False
-        self.w.weights[i] = {
+        self.w.structs[i] = {
             reps[b]: wgt for b, wgt in found.items() if wgt > 0
         }
         return True
@@ -590,7 +569,7 @@ class _ModelBuilder:
         if point is None:
             return False
         mass = sum(point.values())
-        self.w.dist[i] = {
+        self.w.structs[i] = {
             t: point[var[t]] / mass for t in support if point[var[t]] > 0
         }
         return True
@@ -606,18 +585,17 @@ class _ModelBuilder:
         # fail, never lie.
         nodes = range(len(self.tb.nodes))
         gens = {i: {a.arg for s, a in self._literals(i) if s} for i in nodes}
-        for i in nodes:
-            self.w.neigh[i] = []
+        hoods = {i: [] for i in nodes}
+        self.w.structs.update(hoods)
         ordered_gens = sorted(
             set().union(*gens.values()), key=lambda g: (g.depth, pretty(g))
         )
         for g in ordered_gens:
             vector = self.checker.truth_set(g)
             for i in nodes:
-                if g in gens[i] and vector not in self.w.neigh[i]:
-                    self.w.neigh[i].append(vector)
-        for i in nodes:
-            self.w.neigh[i] = tuple(self.w.neigh[i])
+                if g in gens[i] and vector not in hoods[i]:
+                    hoods[i].append(vector)
+        self.w.structs.update((i, tuple(h)) for i, h in hoods.items())
         checker = _Checker(self.w)
         for i in nodes:
             for s, a in self.tb.nodes[i]:
@@ -845,48 +823,6 @@ def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def model_to_json(w: ModelWitness) -> dict:
-    payload = {
-        "model_kind": w.kind,
-        "root": w.root,
-        "states": list(w.states),
-        "labels": {str(s): sorted(w.labels.get(s, ())) for s in w.states},
-        "serial": w.serial,
-        "monotone": w.monotone,
-    }
-    if w.kind == "kripke":
-        payload["succ"] = {str(s): list(w.succ.get(s, ())) for s in w.states}
-    elif w.kind == "multigraph":
-        payload["weights"] = {
-            str(s): {str(t): c for t, c in sorted(w.weights.get(s, {}).items())}
-            for s in w.states
-        }
-    elif w.kind == "neighbourhood":
-        payload["neigh"] = {
-            str(s): [sorted(member) for member in w.neigh.get(s, ())]
-            for s in w.states
-        }
-    elif w.kind == "distribution":
-        payload["dist"] = {
-            str(s): {
-                str(t): _frac_str(p) for t, p in sorted(w.dist.get(s, {}).items())
-            }
-            for s in w.states
-        }
-    elif w.kind == "game":
-        payload["games"] = {
-            str(s): {
-                "sizes": list(sizes),
-                "table": {
-                    ",".join(str(i) for i in profile): t
-                    for profile, t in sorted(table.items())
-                },
-            }
-            for s, (sizes, table) in sorted(w.games.items())
-        }
-    return {"kind": "model", "version": CERT_VERSIONS["model"], "payload": payload}
-
-
 def _json_label(names) -> frozenset:
     if type(names) is not list or any(type(nm) is not str for nm in names):
         raise ValueError("label %r is not a list of atom names" % (names,))
@@ -900,6 +836,67 @@ def _int_key(text: str) -> int:
     if str(n) != text:
         raise ValueError("key %r is not the decimal text of an integer" % (text,))
     return n
+
+
+def _game_json(game) -> dict:
+    sizes, table = game
+    return {
+        "sizes": list(sizes),
+        "table": {",".join(str(i) for i in profile): t for profile, t in sorted(table.items())},
+    }
+
+
+def _game_from_json(v) -> tuple:
+    return (
+        tuple(json_int(k) for k in v["sizes"]),
+        {
+            tuple(_int_key(i) for i in k.split(",")) if k else (): json_int(t)
+            for k, t in v["table"].items()
+        },
+    )
+
+
+# Per model kind: the payload key of its structures, the structure of a
+# state that ``ModelWitness.structs`` does not list, and the writer and
+# reader of one structure.  A game model has no empty structure, so only
+# the states with a game are written.
+_MODEL_JSON = {
+    "kripke": ("succ", (), list, lambda v: tuple(json_int(t) for t in v)),
+    "multigraph": (
+        "weights",
+        {},
+        lambda st: {str(t): c for t, c in sorted(st.items())},
+        lambda v: {_int_key(t): json_int(c) for t, c in v.items()},
+    ),
+    "neighbourhood": (
+        "neigh",
+        (),
+        lambda st: [sorted(member) for member in st],
+        lambda v: tuple(frozenset(json_int(t) for t in member) for member in v),
+    ),
+    "distribution": (
+        "dist",
+        {},
+        lambda st: {str(t): _frac_str(p) for t, p in sorted(st.items())},
+        lambda v: {_int_key(t): parse_fraction(p) for t, p in v.items()},
+    ),
+    "game": ("games", None, _game_json, _game_from_json),
+}
+
+
+def model_to_json(w: ModelWitness) -> dict:
+    key, empty, write, _ = _MODEL_JSON[w.kind]
+    written = w.states if empty is not None else sorted(w.structs)
+    payload = {
+        "model_kind": w.kind,
+        "root": w.root,
+        "states": list(w.states),
+        "labels": {str(s): sorted(w.labels.get(s, ())) for s in w.states},
+        "serial": w.serial,
+        "monotone": w.monotone,
+        key: {str(s): write(w.structs.get(s, empty)) for s in written},
+    }
+    return {"kind": "model", "version": CERT_VERSIONS["model"], "payload": payload}
 
 
 def model_from_json(doc: dict) -> ModelWitness:
@@ -916,36 +913,10 @@ def model_from_json(doc: dict) -> ModelWitness:
         serial=json_bool(payload.get("serial", False)),
         monotone=json_bool(payload.get("monotone", False)),
     )
-    if w.kind == "kripke":
-        w.succ = {_int_key(s): tuple(json_int(t) for t in v) for s, v in payload["succ"].items()}
-    elif w.kind == "multigraph":
-        w.weights = {
-            _int_key(s): {_int_key(t): json_int(c) for t, c in v.items()}
-            for s, v in payload["weights"].items()
-        }
-    elif w.kind == "neighbourhood":
-        w.neigh = {
-            _int_key(s): tuple(frozenset(json_int(t) for t in member) for member in v)
-            for s, v in payload["neigh"].items()
-        }
-    elif w.kind == "distribution":
-        w.dist = {
-            _int_key(s): {_int_key(t): parse_fraction(p) for t, p in v.items()}
-            for s, v in payload["dist"].items()
-        }
-    elif w.kind == "game":
-        w.games = {
-            _int_key(s): (
-                tuple(json_int(k) for k in v["sizes"]),
-                {
-                    tuple(_int_key(i) for i in k.split(",")) if k else (): json_int(t)
-                    for k, t in v["table"].items()
-                },
-            )
-            for s, v in payload["games"].items()
-        }
-    else:
-        raise ValueError("unknown model kind %r" % w.kind)
+    if type(w.kind) is not str or w.kind not in _MODEL_JSON:
+        raise ValueError("unknown model kind %r" % (w.kind,))
+    key, _, _, read = _MODEL_JSON[w.kind]
+    w.structs = {_int_key(s): read(v) for s, v in payload[key].items()}
     return w
 
 

@@ -51,7 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="decide satisfiability")
     sp.add_argument("formula", nargs="?", help="formula text")
-    sp.add_argument("--batch", help="file with one formula per line (# comments)")
+    sp.add_argument(
+        "--batch",
+        help="file with one formula per line (# comments); no formula or --cert with it",
+    )
     sp.add_argument(
         "--oracle-check",
         action="store_true",
@@ -137,6 +140,10 @@ def _solve_one(text: str, args, cfg: LogicConfig) -> int:
 
 def _cmd_solve(args, cfg: LogicConfig) -> int:
     if args.batch:
+        # One --cert path would hold only the last line's tableau.
+        if args.formula is not None or args.cert:
+            print("error: --batch takes neither a formula nor --cert", file=sys.stderr)
+            return EXIT_ERROR
         worst = EXIT_YES
         with open(args.batch) as fh:
             for line in fh:

@@ -59,7 +59,6 @@ from .onestep import (
 )
 
 LOGICS = ("E", "M", "K", "KD", "COAL", "GML", "MAJ", "PML")
-ARITHMETIC_LOGICS = ("GML", "MAJ", "PML")
 
 
 @dataclass
@@ -80,7 +79,7 @@ class LogicConfig:
         return frozenset(range(1, self.n_agents + 1))
 
     def is_arithmetic(self) -> bool:
-        return self.logic in ARITHMETIC_LOGICS
+        return self.logic in LINEAR_SCHEMES
 
 
 def parse_logic_spec(spec: str) -> LogicConfig:

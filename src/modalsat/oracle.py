@@ -476,7 +476,7 @@ class _TreeEnumerator:
         w.states.append(s)
         w.labels[s] = label
         # Positions become children; the placeholder None becomes the state.
-        w.structures()[s] = relabel(
+        w.structs[s] = relabel(
             self.kind, template, lambda t: s if t is None else children[t]
         )
         return s
@@ -577,8 +577,6 @@ class _TreeEnumerator:
             labels={},
             serial=self.cfg.logic == "KD",
         )
-        structs = self.w.structures()
-        out = w.structures()
         ids = {}
 
         def visit(s: int) -> int:
@@ -587,7 +585,7 @@ class _TreeEnumerator:
             t = ids[s] = len(w.states)
             w.states.append(t)
             w.labels[t] = self.w.labels[s]
-            out[t] = relabel(self.kind, structs[s], visit)
+            w.structs[t] = relabel(self.kind, self.w.structs[s], visit)
             return t
 
         w.root = visit(root)
@@ -637,23 +635,20 @@ def _neighbourhood_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
                     for s in range(n)
                 },
                 monotone=monotone,
-                neigh=dict(enumerate(hoods)),
+                structs=dict(enumerate(hoods)),
             )
             if model_check(w, root, f):
                 return w
     return None
 
 
-def brute_force_sat(
-    f: Formula, cfg: LogicConfig, depth_bound: int = None
-) -> Optional[ModelWitness]:
-    """Exhaustive bounded model search; returns a checked witness or None."""
+def brute_force_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
+    """Exhaustive bounded model search, to the modal depth of ``f``; returns
+    a checked witness or None."""
     if cfg.logic in ("E", "M"):
         return _neighbourhood_sat(f, cfg)
-    if depth_bound is None:
-        depth_bound = f.depth
     enum = _TreeEnumerator(f, cfg)
-    root = enum.search(depth_bound)
+    root = enum.search(f.depth)
     if root is None:
         return None
     w = enum.materialize(root)

@@ -2,8 +2,8 @@
 
 Each logic's models have one kind of one-step structure per state, and each
 modal operator is decided at a state from that structure and the truth set
-of its argument.  The structure of a state, per model kind, is the value a
-``ModelWitness`` stores for it:
+of its argument.  The structure of a state, per model kind, is the value
+``ModelWitness.structs`` maps it to:
 
 * ``kripke``: the successors, a collection of points;
 * ``multigraph``: ``{point: weight}`` with natural-number weights;

@@ -95,14 +95,14 @@ def test_model_check_kripke():
         root=0,
         states=[0, 1, 2],
         labels={0: frozenset(), 1: frozenset({"a"}), 2: frozenset({"b"})},
-        succ={0: (1, 2), 1: (), 2: ()},
+        structs={0: (1, 2), 1: (), 2: ()},
     )
     assert model_check(w, 0, parse("[](a | b)"))
     assert not model_check(w, 0, parse("[]a"))
     assert model_check(w, 0, parse("~[]a & ~[]b"))
     # A dead end satisfies [] false; a serial state does not.
     assert model_check(w, 1, parse("[]false"))
-    w.succ[1] = (1,)
+    w.structs[1] = (1,)
     assert not model_check(w, 1, parse("[]false"))
     # A kripke model has no game to evaluate a coalition on.
     with pytest.raises(ValueError):
@@ -115,14 +115,14 @@ def test_model_check_multigraph():
         root=0,
         states=[0, 1, 2],
         labels={0: frozenset(), 1: frozenset({"a"}), 2: frozenset()},
-        weights={0: {1: 2, 2: 1}, 1: {}, 2: {}},
+        structs={0: {1: 2, 2: 1}, 1: {}, 2: {}},
     )
     assert model_check(w, 0, parse("<1>a"))
     assert not model_check(w, 0, parse("<2>a"))
     assert model_check(w, 0, parse("W a"))  # 2 of 3 successors
     assert not model_check(w, 0, parse("W ~a"))
     assert model_check(w, 1, parse("W a & W ~a & ~<0>(a | ~a)"))  # no successors
-    w.weights[0] = {1: 1, 2: 1}
+    w.structs[0] = {1: 1, 2: 1}
     assert model_check(w, 0, parse("W a & W ~a"))  # a tie
 
 
@@ -132,7 +132,7 @@ def test_model_check_distribution():
         root=0,
         states=[0, 1, 2],
         labels={0: frozenset(), 1: frozenset({"a"}), 2: frozenset()},
-        dist={
+        structs={
             0: {1: Fraction(2, 3), 2: Fraction(1, 3)},
             1: {1: Fraction(1)},
             2: {2: Fraction(1)},
@@ -149,7 +149,7 @@ def test_model_check_neighbourhood():
         root=0,
         states=[0, 1],
         labels={0: frozenset(), 1: frozenset({"a"})},
-        neigh={0: (frozenset({1}),), 1: ()},
+        structs={0: (frozenset({1}),), 1: ()},
     )
     assert model_check(w, 0, parse("[]a"))
     assert not model_check(w, 0, parse("[](a | ~a)"))  # {0,1} not a member
@@ -167,7 +167,7 @@ def test_model_check_game():
         root=0,
         states=[0, 1, 2],
         labels={0: frozenset(), 1: frozenset({"a"}), 2: frozenset({"b"})},
-        games={
+        structs={
             0: ((2, 1), {(0, 0): 1, (1, 0): 2}),
             1: ((1, 1), {(0, 0): 1}),
             2: ((1, 1), {(0, 0): 2}),
@@ -190,7 +190,7 @@ FORGED_MODELS = [
     (
         "KD",
         "[]false",
-        ModelWitness(kind="kripke", root=0, states=[0], labels={}, serial=True, succ={0: ()}),
+        ModelWitness(kind="kripke", root=0, states=[0], labels={}, serial=True, structs={0: ()}),
     ),
     # A "distribution" of mass 2.
     (
@@ -201,7 +201,7 @@ FORGED_MODELS = [
             root=0,
             states=[0, 1, 2],
             labels={1: frozenset({"a"})},
-            dist={0: {1: Fraction(1), 2: Fraction(1)}, 1: {1: Fraction(1)}, 2: {2: Fraction(1)}},
+            structs={0: {1: Fraction(1), 2: Fraction(1)}, 1: {1: Fraction(1)}, 2: {2: Fraction(1)}},
         ),
     ),
     # Neighbourhoods that are not up-closed, read literally in M.
@@ -213,14 +213,14 @@ FORGED_MODELS = [
             root=0,
             states=[0, 1],
             labels={0: frozenset({"a", "b"}), 1: frozenset({"a"})},
-            neigh={0: (frozenset({0}),), 1: ()},
+            structs={0: (frozenset({0}),), 1: ()},
         ),
     ),
     # A root that is not a state.
     (
         "K",
         "[]a & ~a",
-        ModelWitness(kind="kripke", root=5, states=[0], labels={}, succ={0: ()}),
+        ModelWitness(kind="kripke", root=5, states=[0], labels={}, structs={0: ()}),
     ),
     # A negative weight cancels a successor.
     (
@@ -231,14 +231,14 @@ FORGED_MODELS = [
             root=0,
             states=[0, 1, 2],
             labels={1: frozenset({"a"}), 2: frozenset({"b"})},
-            weights={0: {1: 1, 2: -1}},
+            structs={0: {1: 1, 2: -1}},
         ),
     ),
     # A successor outside the states.
     (
         "K",
         "~[]a",
-        ModelWitness(kind="kripke", root=0, states=[0], labels={}, succ={0: (3,)}),
+        ModelWitness(kind="kripke", root=0, states=[0], labels={}, structs={0: (3,)}),
     ),
     # A game whose outcome table misses a strategy profile.
     (
@@ -249,7 +249,7 @@ FORGED_MODELS = [
             root=0,
             states=[0, 1],
             labels={1: frozenset({"a"})},
-            games={0: ((2, 1), {(0, 0): 1}), 1: ((1, 1), {(0, 0): 1})},
+            structs={0: ((2, 1), {(0, 0): 1}), 1: ((1, 1), {(0, 0): 1})},
         ),
     ),
     # A Kripke model offered for a graded logic.
@@ -279,12 +279,12 @@ def test_structure_frame_conditions_come_from_the_logic():
         root=0,
         states=[0, 1],
         labels={0: frozenset({"a", "b"}), 1: frozenset({"a"})},
-        neigh={0: (frozenset({0}), frozenset({0, 1})), 1: ()},
+        structs={0: (frozenset({0}), frozenset({0, 1})), 1: ()},
     )
     assert validate_structure(w, LogicConfig(logic="M")) == (True, "ok")
     assert check_certificate(w, parse("[](a & b) & []a"), LogicConfig(logic="M"))[0]
     # Without the seriality flag a serial model is still a KD model.
-    w = ModelWitness(kind="kripke", root=0, states=[0], labels={}, succ={0: (0,)})
+    w = ModelWitness(kind="kripke", root=0, states=[0], labels={}, structs={0: (0,)})
     assert validate_structure(w, LogicConfig(logic="KD")) == (True, "ok")
 
 
@@ -577,6 +577,7 @@ def test_tableau_to_model(logic, text):
     assert check_certificate(w, f, cfg) == (True, "ok")
     doc = model_to_json(w)
     w2 = model_from_json(json.loads(json.dumps(doc)))
+    assert model_to_json(w2) == doc
     assert model_check(w2, w2.root, f)
     assert check_certificate(w2, f, cfg) == (True, "ok")
 
@@ -588,7 +589,7 @@ def test_kd_model_is_serial():
     w = tableau_to_model(tb, cfg)
     assert w is not None
     for s in w.states:
-        assert w.succ.get(s), "dead end in a serial model"
+        assert w.structs.get(s), "dead end in a serial model"
 
 
 def test_pml_model_mass_sums_to_one():
@@ -598,7 +599,7 @@ def test_pml_model_mass_sums_to_one():
     w = tableau_to_model(tb, cfg)
     assert w is not None
     for s in w.states:
-        assert sum(w.dist[s].values()) == 1
+        assert sum(w.structs[s].values()) == 1
 
 
 def _exhaustive_weights(literals, insides, blocks, cap):

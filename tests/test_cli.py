@@ -100,6 +100,19 @@ def test_batch(tmp_path, capsys):
     assert out.count("\n") == 2
 
 
+def test_batch_rejects_a_formula_and_a_cert(tmp_path, capsys):
+    # One --cert path would hold only the last satisfiable line's tableau,
+    # and a formula beside --batch would go unread.
+    batch = tmp_path / "batch.txt"
+    batch.write_text("[]a\n~[]b & []c\n")
+    cert = tmp_path / "tab.json"
+    for extra in (["--cert", str(cert)], ["p & ~p"]):
+        code, out, err = run(capsys, "--logic", "K", "solve", "--batch", str(batch), *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --batch takes neither a formula nor --cert\n"
+    assert not cert.exists()
+
+
 def test_oracle_check_flag(capsys):
     code, out, _ = run(
         capsys, "--logic", "K", "--format", "json", "solve", "[]a", "--oracle-check"

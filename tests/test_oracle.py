@@ -149,7 +149,7 @@ def test_structures_pass_the_validator(spec):
                     labels={s: frozenset() for s in range(n)},
                     monotone=False,
                 )
-                w.structures().update(dict.fromkeys(range(n), struct))
+                w.structs.update(dict.fromkeys(range(n), struct))
                 assert validate_structure(w, cfg) == (True, "ok"), (n, struct)
 
 
@@ -766,7 +766,7 @@ def _reference_search(enum, depth_bound):
         proto = len(w.states)
         w.states.append(proto)
         w.labels[proto] = label
-        w.structures()[proto] = relabel(
+        w.structs[proto] = relabel(
             enum.kind, struct, lambda t: proto if t is None else t
         )
         return proto
@@ -885,7 +885,7 @@ def test_tree_search_finds_three_successors_under_four_agents():
             2: frozenset({"a"}),
             3: frozenset({"b"}),
         },
-        games={
+        structs={
             0: (
                 (1, 1, 2, 2),
                 {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 2, (0, 0, 1, 1): 3},
