@@ -109,8 +109,9 @@ def _write_cert(path: str, doc: dict):
 def _solve_one(text: str, args, cfg: LogicConfig) -> int:
     f = _parse_formula(text, cfg)
     verdict = satisfiable(f, cfg)
+    shown = pretty(f)
     record = {
-        "formula": pretty(f),
+        "formula": shown,
         "logic": args.logic,
         "satisfiable": verdict.satisfiable,
         "caveat": False,
@@ -121,7 +122,7 @@ def _solve_one(text: str, args, cfg: LogicConfig) -> int:
         witness = oracle.brute_force_sat(f, cfg)
         if witness is not None and not verdict.satisfiable:
             record["oracle_disagrees"] = True
-            _emit(args, record, "%s  %s  ORACLE DISAGREES" % (pretty(f), status))
+            _emit(args, record, "%s  %s  ORACLE DISAGREES" % (shown, status))
             return EXIT_ERROR
         record["oracle_model_found"] = witness is not None
         notes.append("oracle model found" if witness is not None else "no oracle model within bounds")
@@ -134,7 +135,7 @@ def _solve_one(text: str, args, cfg: LogicConfig) -> int:
         else:
             notes.append("no tableau: formula is unsatisfiable")
     suffix = ("  [" + "; ".join(notes) + "]") if notes else ""
-    _emit(args, record, "%s  %s%s" % (pretty(f), status, suffix))
+    _emit(args, record, "%s  %s%s" % (shown, status, suffix))
     return EXIT_YES if verdict.satisfiable else EXIT_NO
 
 
@@ -165,8 +166,9 @@ def _cmd_prove(args, cfg: LogicConfig) -> int:
     goal = _parse_formula(args.formula, cfg)
     verdict = satisfiable(neg_fold(goal), cfg)
     valid = not verdict.satisfiable
+    shown = pretty(goal)
     record = {
-        "formula": pretty(goal),
+        "formula": shown,
         "logic": args.logic,
         "valid": valid,
         "caveat": False,
@@ -179,18 +181,19 @@ def _cmd_prove(args, cfg: LogicConfig) -> int:
         notes.append("proof written to %s" % args.cert)
     status = "valid" if valid else "not valid"
     suffix = ("  [" + "; ".join(notes) + "]") if notes else ""
-    _emit(args, record, "%s  %s%s" % (pretty(goal), status, suffix))
+    _emit(args, record, "%s  %s%s" % (shown, status, suffix))
     return EXIT_YES if valid else EXIT_NO
 
 
 def _cmd_model(args, cfg: LogicConfig) -> int:
     f = _parse_formula(args.formula, cfg)
     verdict = satisfiable(f, cfg)
+    shown = pretty(f)
     if not verdict.satisfiable:
         _emit(
             args,
-            {"formula": pretty(f), "logic": args.logic, "satisfiable": False},
-            "%s  unsatisfiable: no model" % pretty(f),
+            {"formula": shown, "logic": args.logic, "satisfiable": False},
+            "%s  unsatisfiable: no model" % shown,
         )
         return EXIT_NO
     tb = certificates.extract_tableau(verdict, cfg)
@@ -200,8 +203,8 @@ def _cmd_model(args, cfg: LogicConfig) -> int:
     if witness is None:
         _emit(
             args,
-            {"formula": pretty(f), "logic": args.logic, "satisfiable": True, "model": None},
-            "%s  satisfiable, but model synthesis failed within bounds" % pretty(f),
+            {"formula": shown, "logic": args.logic, "satisfiable": True, "model": None},
+            "%s  satisfiable, but model synthesis failed within bounds" % shown,
         )
         return EXIT_CAVEAT
     ok, _ = certificates.check_certificate(witness, f, cfg)
@@ -210,16 +213,16 @@ def _cmd_model(args, cfg: LogicConfig) -> int:
         return EXIT_ERROR
     doc = certificates.model_to_json(witness)
     record = {
-        "formula": pretty(f),
+        "formula": shown,
         "logic": args.logic,
         "satisfiable": True,
         "model": doc,
     }
     if args.cert:
         _write_cert(args.cert, doc)
-        _emit(args, record, "%s  satisfiable; model written to %s" % (pretty(f), args.cert))
+        _emit(args, record, "%s  satisfiable; model written to %s" % (shown, args.cert))
     else:
-        _emit(args, record, "%s  satisfiable; model: %s" % (pretty(f), _dump(doc)))
+        _emit(args, record, "%s  satisfiable; model: %s" % (shown, _dump(doc)))
     return EXIT_YES
 
 

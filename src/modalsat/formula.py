@@ -444,26 +444,45 @@ def assignments(f: Formula, covered=None) -> Iterator[tuple]:
 
 
 def pretty(f: Formula) -> str:
-    """Canonical text form; ``parse`` inverts it on normalized formulas."""
-    if isinstance(f, FBot):
-        return "false"
-    if isinstance(f, FAnd):
-        left = pretty(f.lhs)
-        right = "(%s)" % pretty(f.rhs) if isinstance(f.rhs, FAnd) else pretty(f.rhs)
-        return "%s & %s" % (left, right)
-    if isinstance(f, FNot):
-        inner = pretty(f.arg)
-        if isinstance(f.arg, FAnd):
-            inner = "(%s)" % inner
-        return "~" + inner
-    if isinstance(f, FModal):
-        if isinstance(f.op, Atom):
-            return f.op.name
-        inner = pretty(f.arg)
-        if isinstance(f.arg, FAnd):
-            inner = "(%s)" % inner
-        return "%s %s" % (f.op.render(), inner)
-    raise TypeError("unknown formula: %r" % (f,))
+    """Canonical text form; ``parse`` inverts it on normalized formulas.
+
+    The text is written left to right.  A prefix goes out at once; what
+    follows it waits on a stack of formulas and closing strings, so deep
+    nesting needs no recursion."""
+    out = []
+    write = out.append
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, FModal):
+            if isinstance(g.op, Atom):
+                write(g.op.name)
+                continue
+            write(g.op.render() + " ")
+        elif isinstance(g, str):
+            write(g)
+            continue
+        elif isinstance(g, FNot):
+            write("~")
+        elif isinstance(g, FAnd):
+            # A conjunction on the right is bracketed: & groups to the left.
+            if isinstance(g.rhs, FAnd):
+                todo += (")", g.rhs, " & (", g.lhs)
+            else:
+                todo += (g.rhs, " & ", g.lhs)
+            continue
+        elif isinstance(g, FBot):
+            write("false")
+            continue
+        else:
+            raise TypeError("unknown formula: %r" % (g,))
+        # After a prefix: its argument, bracketed if a conjunction.
+        if isinstance(g.arg, FAnd):
+            write("(")
+            todo += (")", g.arg)
+        else:
+            todo.append(g.arg)
+    return "".join(out)
 
 
 def pretty_literal(lit) -> str:

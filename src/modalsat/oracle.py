@@ -2,7 +2,7 @@
 
 Everything here evaluates the modal operators directly against small concrete
 structures, without touching the solver; the truth conditions are those of
-``semantics.lift``, and the structures are in its format.  Formula truth at
+``semantics.lifting``, and the structures are in its format.  Formula truth at
 the states of a finite model has one evaluator, ``certificates._Checker``:
 the same checker serves ``check-cert``, model synthesis and the tree search
 below.
@@ -17,18 +17,22 @@ below.
   representative of each structure's orbit, with every assignment tried.
   The representatives, and each operator's truth under every representative
   and argument set, are tables built once per invocation and shared by every
-  rule checked, so a rule is decided by AND-ing bit masks;
+  rule checked; each representative's lifting is prepared once and read for
+  every argument set.  A rule is decided by a depth-first search that gives
+  the points their sign patterns one at a time and cuts a branch as soon as
+  the bit masks of the structures where each literal can still fail no
+  longer meet;
 * ``brute_force_sat`` searches for a finite tree-shaped (or carrier-based, for
   the neighbourhood logics) model by exhaustive bounded enumeration.  The
   tree search groups candidate states by type: their modal truths depend
   only on the one-step structure and the children's truths, so each
-  structure is lifted once per distinct input and a candidate is built only
-  when it is kept, as a state of one scratch model that the checker reads.
-  The witness is the first in the candidate order (size, child combination,
-  label, structure).  For the neighbourhood logics it guesses a truth bit
-  for every box at every point of a small carrier, reads the neighbourhoods
-  off the positive bits, and keeps a guess only when ``lift`` gives every
-  box its bit;
+  structure's lifting of an operator is prepared once and read once per
+  distinct input, and a candidate is built only when it is kept, as a state
+  of one scratch model that the checker reads.  The witness is the first in
+  the candidate order (size, child combination, label, structure).  For the
+  neighbourhood logics it guesses a truth bit for every box at every point
+  of a small carrier, reads the neighbourhoods off the positive bits, and
+  keeps a guess only when ``lift`` gives every box its bit;
 * ``structures`` writes out each logic's one-step structures over a small
   carrier, the only place they are enumerated: rule soundness, the
   completeness probe and the tree search all read it, so a leaner structure
@@ -70,8 +74,8 @@ from .onestep import (
     RuleMatching,
     code_operators,
 )
-from .certificates import ModelWitness, _Checker, _up_closed, model_check
-from .semantics import MODEL_KINDS, lift, relabel
+from .certificates import ModelWitness, _Checker, model_check
+from .semantics import MODEL_KINDS, lift, lifting, relabel
 
 # Search bounds: carrier size for rule soundness and the neighbourhood
 # search, weights, probability denominators and strategies per agent of the
@@ -105,11 +109,17 @@ def structures(cfg: LogicConfig, n: int, full: bool = False):
             yield frozenset(i for i in range(n) if mask >> i & 1)
     elif kind == "neighbourhood":
         subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        # Per point x, the bits of ``pick`` (one per subset) of the subsets
+        # without x.
+        without = [sum(1 << m for m in range(1 << n) if not m >> x & 1) for x in range(n)]
         for pick in range(1 << len(subsets)):
-            alpha = frozenset(t for i, t in enumerate(subsets) if pick >> i & 1)
-            # subsets[-1] is the whole carrier.
-            if cfg.logic != "M" or _up_closed(alpha, subsets[-1]):
-                yield alpha
+            # M keeps the up-closed collections: adding a point x to a
+            # member, which moves its bit up by 2^x, gives a member.
+            if cfg.logic == "M" and any(
+                (pick & w) << (1 << x) & ~pick for x, w in enumerate(without)
+            ):
+                continue
+            yield frozenset(t for i, t in enumerate(subsets) if pick >> i & 1)
     elif kind == "multigraph":
         for ws in itertools.product(range(low, MAX_MULTIPLICITY + 1), repeat=n):
             yield dict(enumerate(ws))
@@ -175,21 +185,6 @@ def _point_patterns(premise, q: int) -> list:
             premise, tuple(point if bits >> i & 1 else frozenset() for i in range(q)), 1
         )
     ]
-
-
-def _assignments(patterns: list, q: int, n: int) -> list:
-    """Every assignment over carrier ``n`` that validates the premise with
-    the per-point ``patterns``, as one subset bit mask per argument: the
-    premise holds pointwise, so these are exactly the ways of giving each
-    point one of the patterns."""
-    rows = [(0,) * q]
-    for x in range(n):
-        rows = [
-            tuple(m | (bits >> i & 1) << x for i, m in enumerate(row))
-            for row in rows
-            for bits in patterns
-        ]
-    return rows
 
 
 def _canonical(kind: str, struct) -> bool:
@@ -259,25 +254,51 @@ def _lift_table(cfg: LogicConfig, op, n: int) -> list:
     """For each argument set over carrier ``n``, indexed by its bit mask, a
     bit mask over ``_canonical_structures(cfg, n)`` of the representatives
     where ``op`` holds; built once per (logic, agents, operator, carrier)
-    in ``_SOUNDNESS_CACHE``."""
+    in ``_SOUNDNESS_CACHE``.  Each representative's lifting is prepared
+    once and read for every argument set."""
     key = ("lift", cfg.logic, cfg.n_agents, op, n)
     table = _SOUNDNESS_CACHE.get(key)
     if table is None:
         kind = MODEL_KINDS[cfg.logic]
         monotone = cfg.logic == "M"
         reps = _canonical_structures(cfg, n)
+        holds = [lifting(kind, op, struct, monotone) for struct in reps]
         table = []
         for mask in range(1 << n):
             inside = frozenset(x for x in range(n) if mask >> x & 1)
-            table.append(
-                sum(
-                    1 << r
-                    for r, struct in enumerate(reps)
-                    if lift(kind, op, struct, inside, monotone)
-                )
-            )
+            table.append(sum(1 << r for r, h in enumerate(holds) if h(inside)))
         _SOUNDNESS_CACHE[key] = table
     return table
+
+
+def _failure_levels(cfg: LogicConfig, op, positive: bool, n: int) -> list:
+    """Where a literal over ``op``, with sign ``positive``, fails, as bit
+    masks over ``_canonical_structures(cfg, n)``: level ``k``, for ``k = 0
+    .. n``, maps the bit mask of the argument set's points below ``k`` to
+    the representatives where the literal fails for *some* argument set
+    with those points below ``k``.  Level ``n`` is exact, and each level is
+    the OR of two entries of the level below.  Built once per (logic,
+    agents, operator, sign, carrier) in ``_SOUNDNESS_CACHE``."""
+    key = ("fails", cfg.logic, cfg.n_agents, op, positive, n)
+    levels = _SOUNDNESS_CACHE.get(key)
+    if levels is None:
+        table = _lift_table(cfg, op, n)
+        if positive:
+            every = (1 << len(_canonical_structures(cfg, n))) - 1
+            table = [every ^ holds for holds in table]
+        levels = _SOUNDNESS_CACHE[key] = _prefix_levels(table, n)
+    return levels
+
+
+def _prefix_levels(table: list, n: int) -> list:
+    """``table``, indexed by the argument sets over carrier ``n``, and its
+    coarsenings: level ``k`` ORs the entries of all the argument sets with
+    the same points below ``k``."""
+    levels = [table]
+    for k in range(n - 1, -1, -1):
+        below = levels[0]
+        levels.insert(0, [below[m] | below[m | 1 << k] for m in range(1 << k)])
+    return levels
 
 
 def one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int = None) -> bool:
@@ -306,36 +327,58 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
     since the premise is checked point by point.  So it is enough to try
     every assignment against the representative (``_canonical``) of each
     orbit.  For the same reason the valid assignments over ``n`` points are
-    the ``n``-fold products of the sign patterns valid at one point.
-
-    The rule makes no ``lift`` call of its own: each literal reads its
-    operator's ``_lift_table``, complemented when the literal is positive,
-    as the representatives where it fails, and an assignment is a
-    counterexample when those sets, one per literal, still meet."""
+    the ways of giving each point a sign pattern valid at one point, which
+    ``_counterexample`` tries point by point.  The rule prepares no lifting
+    of its own: each literal reads its operator's ``_failure_levels``."""
     from .onestep import premise_of
 
-    q = code.arity()
     ops = code_operators(code, cfg.n_agents)
-    signs = code.signs()
-    patterns = _point_patterns(premise_of(code), q)
+    patterns = _point_patterns(premise_of(code), code.arity())
     for n in range(max_carrier + 1):
         every = (1 << len(_canonical_structures(cfg, n))) - 1
-        rows = _assignments(patterns, q, n) if every else ()
-        if not rows:
+        if not every:
             continue
-        fails = []
-        for i in range(q):
-            table = _lift_table(cfg, ops[i], n)
-            fails.append([every ^ holds for holds in table] if signs[i] else table)
-        for row in rows:
-            left = every
-            for column, inside in zip(fails, row):
-                left &= column[inside]
-                if not left:
+        levels = [
+            _failure_levels(cfg, op, positive, n)
+            for op, positive in zip(ops, code.signs())
+        ]
+        if _counterexample(levels, patterns, n, every):
+            return False
+    return True
+
+
+def _counterexample(levels: list, patterns: list, n: int, every: int) -> bool:
+    """Is there an assignment over carrier ``n`` giving each point one of
+    ``patterns`` (bit ``i``: the point is in argument ``i``) and a
+    representative in ``every`` where each literal fails, with the
+    literals' ``_failure_levels`` in ``levels``?
+
+    The search gives the points 0 .. n - 1 their patterns depth first.  A
+    branch is cut as soon as no representative is left where every literal
+    fails for some completion of its argument set; a leaf with one left is
+    a counterexample.  Carrier 0 has one assignment, the empty one, which
+    validates every premise even when no pattern does."""
+
+    def descend(k: int, masks: list, left: int) -> bool:
+        if k == n:
+            return True
+        below = [literal[k + 1] for literal in levels]
+        for bits in patterns:
+            grown = [m | (bits >> i & 1) << k for i, m in enumerate(masks)]
+            meet = left
+            for table, m in zip(below, grown):
+                meet &= table[m]
+                if not meet:
                     break
             else:
-                return False
-    return True
+                if descend(k + 1, grown, meet):
+                    return True
+        return False
+
+    left = every
+    for literal in levels:
+        left &= literal[0][0]
+    return bool(left) and descend(0, [0] * len(levels), left)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +440,7 @@ class _TreeEnumerator:
             lambda t: None,
         )
         self.templates = {}  # child count -> structures over child positions
+        self.liftings = {}  # (child count, op) -> lifting per template
         self.lifts = {}  # (child count, op, inside mask) -> truth per template
         self.types = {}  # (child count, ops, masks) -> list from ``_types``
 
@@ -415,10 +459,13 @@ class _TreeEnumerator:
         key = (size, op, mask)
         got = self.lifts.get(key)
         if got is None:
+            holds = self.liftings.get((size, op))
+            if holds is None:
+                holds = self.liftings[(size, op)] = [
+                    lifting(self.kind, op, t) for t in self.templates[size]
+                ]
             inside = frozenset(i for i in range(size) if mask >> i & 1)
-            got = self.lifts[key] = tuple(
-                lift(self.kind, op, t, inside) for t in self.templates[size]
-            )
+            got = self.lifts[key] = tuple(h(inside) for h in holds)
         return got
 
     def _walk(self, size: int, ops: tuple, masks: tuple):

@@ -12,11 +12,16 @@ of its argument.  The structure of a state, per model kind, is the value
 * ``game``: ``(sizes, table)``, the strategy count of every agent and the
   outcome point of every strategy profile.
 
-``lift`` is the only place the truth conditions are written: the model
-checker, model synthesis and the oracle all call it.
+``lifting`` is the only place the truth conditions are written: it prepares
+an operator at one structure, once, as a predicate on argument sets.  The
+model checker, model synthesis and the oracle all call it, directly or
+through ``lift``, which reads one argument set.
 """
 
 from __future__ import annotations
+
+import math
+from operator import itemgetter
 
 from .formula import Box, Coal, GDiamond, LProb, MajW
 
@@ -34,7 +39,16 @@ MODEL_KINDS = {
 
 def lift(kind: str, op, struct, inside, monotone: bool = False) -> bool:
     """Does ``op`` hold at a state of one-step structure ``struct``, given
-    the set ``inside`` of points where its argument holds?
+    the set ``inside`` of points where its argument holds?  See
+    ``lifting``."""
+    return lifting(kind, op, struct, monotone)(inside)
+
+
+def lifting(kind: str, op, struct, monotone: bool = False):
+    """The predicate on ``inside`` that decides ``op`` at a state of one-step
+    structure ``struct``: it tells whether ``op`` holds given the set
+    ``inside`` of points where its argument holds.  What does not depend on
+    ``inside`` is worked out here, once per structure.
 
     For neighbourhoods ``inside`` is the whole truth set; for the other kinds
     it is the part of the truth set within ``points_of(kind, struct)``.  With
@@ -42,32 +56,42 @@ def lift(kind: str, op, struct, inside, monotone: bool = False) -> bool:
     ValueError for an operator the kind cannot evaluate."""
     if kind == "kripke" and isinstance(op, Box):
         # [] f: every successor satisfies f.
-        return inside.issuperset(struct)
+        return frozenset(struct).issubset
     if kind == "neighbourhood" and isinstance(op, Box):
         # [] f: the truth set of f is a neighbourhood.
         if monotone:
-            return any(member <= inside for member in struct)
-        return inside in struct
-    if kind == "multigraph" and isinstance(op, (GDiamond, MajW)):
-        mass = sum(struct[t] for t in inside)
-        if isinstance(op, GDiamond):
-            # <k> f: more than k successors, with multiplicity, satisfy f.
-            return mass > op.grade
+            return lambda inside: any(member <= inside for member in struct)
+        return struct.__contains__
+    if kind == "multigraph" and isinstance(op, GDiamond):
+        # <k> f: more than k successors, with multiplicity, satisfy f.
+        return lambda inside: sum(map(struct.__getitem__, inside)) > op.grade
+    if kind == "multigraph" and isinstance(op, MajW):
         # W f: the weight inside is at least the weight outside.
-        return mass >= sum(struct.values()) - mass
+        total = sum(struct.values())
+        return lambda inside: 2 * sum(map(struct.__getitem__, inside)) >= total
     if kind == "distribution" and isinstance(op, LProb):
-        # L{p} f: f has probability at least p.
-        return sum(struct[t] for t in inside) >= op.prob
+        # L{p} f: f has probability at least p.  Probabilities and p become
+        # integer numerators over one common denominator.
+        den = math.lcm(op.prob.denominator, *(p.denominator for p in struct.values()))
+        mass = {t: p.numerator * (den // p.denominator) for t, p in struct.items()}
+        bound = op.prob.numerator * (den // op.prob.denominator)
+        return lambda inside: sum(map(mass.__getitem__, inside)) >= bound
     if kind == "game" and isinstance(op, Coal):
         # [C] f: the coalition has a joint choice whose outcome satisfies f
-        # whatever the other agents choose.
+        # whatever the other agents choose, that is, one whose outcome set
+        # lies inside.
         sizes, table = struct
         own = [i for i in range(len(sizes)) if i + 1 in op.agents]
-        forces = {}
+        choice = itemgetter(*own) if own else lambda profile: ()
+        outcomes = {}
         for profile, t in table.items():
-            choice = tuple(profile[i] for i in own)
-            forces[choice] = forces.get(choice, True) and t in inside
-        return any(forces.values())
+            c = choice(profile)
+            if c in outcomes:
+                outcomes[c].add(t)
+            else:
+                outcomes[c] = {t}
+        sets = list(outcomes.values())
+        return lambda inside: any(s <= inside for s in sets)
     raise ValueError("operator %s not checkable in %s model" % (op.render(), kind))
 
 

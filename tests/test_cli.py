@@ -4,6 +4,7 @@ import argparse
 import json
 
 from modalsat.cli import main
+from modalsat.formula import parse
 from test_solver import box_family
 
 
@@ -206,7 +207,8 @@ def test_selftest_rules_rejects_empty_sample(capsys):
 
 def test_internal_errors_exit_two(tmp_path, capsys):
     # Exit 1 means "unsatisfiable / invalid / rejected"; a crash must not.
-    code, _, err = run(capsys, "--logic", "K", "solve", "[]" * 1200 + "a")
+    # This input still overflows Python's recursion limit in the solver.
+    code, _, err = run(capsys, "--logic", "K", "solve", "~[]~" * 1000 + "a")
     assert code == 2
     assert err.startswith("error:")
     cert = tmp_path / "bad.json"
@@ -214,6 +216,17 @@ def test_internal_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "--logic", "K", "check-cert", "a", "--cert", str(cert))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_deep_formula_decides_and_prints(capsys):
+    # 1,200 nested boxes: the printer needs no recursion, and its text
+    # parses back to the formula.
+    text = "[]" * 1200 + "a"
+    code, out, err = run(capsys, "--logic", "K", "--format", "json", "solve", text)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["satisfiable"] is True
+    assert parse(record["formula"]) == parse(text)
 
 
 def test_malformed_certificates_exit_two(tmp_path, capsys):

@@ -17,12 +17,13 @@ from modalsat.oracle import (
     MAX_MULTIPLICITY,
     MAX_STRATEGIES,
     _SOUNDNESS_CACHE,
-    _assignments,
     _canonical,
     _canonical_structures,
     _compositions,
+    _counterexample,
     _one_step_sound,
     _point_patterns,
+    _prefix_levels,
     _premise_holds,
     _TreeEnumerator,
     brute_force_sat,
@@ -39,7 +40,7 @@ from modalsat.certificates import (
     validate_structure,
 )
 from modalsat.sampling import random_formula, random_operator, sample_matchings
-from modalsat.semantics import MODEL_KINDS, lift, relabel
+from modalsat.semantics import MODEL_KINDS, lift, lifting, relabel
 
 from conftest import ALL_LOGICS, model_sha256
 from test_logics import _mask_loop_challenges
@@ -298,6 +299,11 @@ def test_one_step_sound_matches_per_assignment_reference(logic):
     _assert_matches_reference(LogicConfig(logic=logic), 12, max_carrier)
 
 
+def test_one_step_sound_matches_reference_for_three_agents():
+    # Three-agent games meet the pruned search at carrier 2.
+    _assert_matches_reference(parse_logic_spec("COAL:3"), 6, 2)
+
+
 @pytest.mark.parametrize("logic", ["PML", "COAL"])
 def test_one_step_sound_matches_reference_at_carrier_3(logic):
     # The reference is slow at carrier 3 for these two, so the sample is
@@ -329,24 +335,22 @@ def test_one_step_sound_shares_one_cache_across_logics():
                 assert got == _reference_one_step_sound(code, cfg, 2), (cfg, code)
 
 
-def test_selftest_lifts_each_operator_once_per_structure_and_argument_set(
-    monkeypatch, capsys
-):
+def test_selftest_prepares_each_operator_once_per_structure(monkeypatch, capsys):
     # K has one operator, and 1, 2, 3 and 4 representatives over 0 to 3
-    # points: 1 + 2*2 + 4*3 + 8*4 = 49 lifts for the whole batch, where
-    # lifting anew for every rule made 768.
+    # points: 1 + 2 + 3 + 4 = 10 liftings for the whole batch, each read for
+    # every argument set, where lifting anew for every rule made 768 lifts.
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return lift(*args)
+        return lifting(*args)
 
-    monkeypatch.setattr(oracle, "lift", spy)
+    monkeypatch.setattr(oracle, "lifting", spy)
     _SOUNDNESS_CACHE.clear()
     argv = ["--logic", "K", "selftest-rules", "--count", "25", "--seed", "1"]
     assert cli.main(argv) == 0
     assert "checked 25 sampled rule instances: all sound" in capsys.readouterr().out
-    assert 0 < len(calls) <= sum(2**n * (n + 1) for n in range(4)) == 49
+    assert 0 < len(calls) <= 1 + 2 + 3 + 4
 
 
 def test_pml_representatives_match_the_orbit_filter():
@@ -422,10 +426,12 @@ def test_orbit_check_rejects_wrong_representatives():
 
 
 @pytest.mark.parametrize("logic", ALL_LOGICS)
-def test_assignments_are_products_of_point_patterns(logic):
+def test_pruned_search_reaches_exactly_the_premise_assignments(logic):
     # Clause premises (E, M, K, KD, COAL) and linear ones (GML, MAJ, PML):
-    # the assignments built from one point's patterns are exactly those
-    # that pass the premise check over the whole carrier.
+    # give one representative and, per literal, a failure table that holds
+    # at one argument set only.  The search over one point's patterns finds
+    # a counterexample exactly when those argument sets pass the premise
+    # check over the whole carrier.
     cfg = LogicConfig(logic=logic)
     rejected = 0
     for m in sample_matchings(random.Random(31), cfg, 6):
@@ -437,15 +443,14 @@ def test_assignments_are_products_of_point_patterns(logic):
                 frozenset(x for x in range(n) if mask >> x & 1)
                 for mask in range(1 << n)
             ]
-            want = {
-                tuple(sum(1 << x for x in t) for t in tau)
-                for tau in itertools.product(subsets, repeat=q)
-                if _premise_holds(premise, tau, n)
-            }
-            got = _assignments(patterns, q, n)
-            assert len(got) == len(set(got))
-            assert set(got) == want, (m.code, n)
-            rejected += len(subsets) ** q - len(want)
+            for tau in itertools.product(range(1 << n), repeat=q):
+                levels = [
+                    _prefix_levels([int(mask == t) for mask in range(1 << n)], n)
+                    for t in tau
+                ]
+                want = _premise_holds(premise, [subsets[t] for t in tau], n)
+                assert _counterexample(levels, patterns, n, 1) == want, (m.code, tau)
+                rejected += not want
     assert rejected, logic
 
 
