@@ -196,8 +196,13 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
 
     Candidate clauses come from the schemas' shapes, so a clause no schema
     matches is never built.  A clause's candidates are its finite-schema
-    matchings (``matchings``).  A clause is yielded only when it has a
-    candidate.  Propositional atoms never enter a clause.
+    matchings (``matchings``), except that a congruence matching is dropped
+    when a K, KD, M or COAL4 instance matches the same clause.  Such an
+    instance on a pair ``{~La, Lb}`` has the one premise clause ``~a | b``,
+    so its one demand ``a & ~b`` is congruence's first demand: when it is
+    satisfiable congruence is answered too, and when it is not the shape
+    instance refutes the node on its own.  A clause is yielded only when it
+    has a candidate.  Propositional atoms never enter a clause.
 
     In the linear logics the clauses are the congruence pairs plus at most
     one more, the clause a linear rule refutes.  ``sat_bits`` holds the
@@ -218,8 +223,10 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     satisfiable so is each sub-clause's demand (a congruence pair's
     ``a & ~b``, a smaller K demand, the seriality demand
     ``a_1 & ... & a_k``), and when a sub-clause's demand is unsatisfiable
-    so is the maximal one's.  So a node has one challenge per diamond, and a
-    refuted node is refuted by the first maximal clause in mask order."""
+    so is the maximal one's.  So a node has one challenge per diamond, with
+    the one candidate K (at k = 1 as well, where the maximal clause is a
+    congruence pair), and a refuted node is refuted by the first maximal
+    clause in mask order."""
     # Clause literal i is the negation of valuation literal i.
     pos, neg = [], []
     for i, (s, a) in enumerate(valuation):
@@ -260,6 +267,9 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
         found = matchings(clause, cfg)
+        if any(m.code.scheme in ("K", "KD", "M", "COAL4") for m in found):
+            # Congruence's first demand is this instance's one demand.
+            found = [m for m in found if m.code.scheme != "CONG"]
         if mask == refuted:
             found.append(refuter)
         if found:

@@ -10,7 +10,10 @@ Pseudovaluations are the true rows of the formula's truth table, which
 ``challenges``, which builds only the clauses some schema can match, and in
 K and KD only the inclusion-maximal ones: one per diamond, whose demand
 implies the demand of every clause inside it.  Both keep binary-counter
-order.
+order.  In K, KD, M and COAL a clause that a shape rule matches is not
+also asked through congruence, whose first demand is the shape rule's, so
+a K or KD node has one challenge per diamond with one candidate, and each
+demand is solved once.
 
 When a pseudovaluation fails, the conclusion of the rule instance that
 refuted it is valid, and every pseudovaluation falsifying it is

@@ -194,9 +194,9 @@ CORPUS_SIZE = 500
 # (coalition logic synthesizes none): pins model synthesis byte for byte.
 LOOP_MODELS_SHA256 = {
     "E": "7baf7fc125afb47429b9cb0747eec3e2cfdfe888844c3da07883efdb37ce9d61",
-    "M": "af75a04c7a4345d2021978954c70d0df4a8962fd985daeee99c3a8d79c8dc062",
-    "K": "3084441638144fb37c1f0b774864b0b5a7ac4a7b8c3475b8ba0304dd67c426d2",
-    "KD": "a45b3086a2d3abd13ff4e791b9918aa9ab7187b0bcb2f2824cd28702fb076f2c",
+    "M": "caa719ffe2910a9160c00f1d10a08ee2a837acdd3e78f7a96939e3109c41d723",
+    "K": "e493b2dd7645fa7e853bf92482cced95ff8aa52215d16a40b65ce1d774f0c5df",
+    "KD": "8d75e53a25f1d8f1340a783b581c6ef3356e89354d70eb0d7e088de4b194f0dd",
     "COAL": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "GML": "270e66abdebe5ef874fe1e2f15f8ccf762576d58c4a698a2c860a87f8599654b",
     "MAJ": "572eb3fe72a77c2e1f0b1ff4f59470b7ebcd54c9a3be889ca7a6aaf18aee215c",

@@ -38,6 +38,7 @@ from modalsat.onestep import (
     RuleCode,
     RuleMatching,
     conclusion_clause,
+    congruence_matchings,
     negated_clause_instance,
     premise_cnf_clauses,
 )
@@ -393,6 +394,61 @@ def test_tableau_answering_every_clause_still_checks(logic, text, monkeypatch):
     assert len(old.edges) > len(new.edges)
     assert check_tableau(old, f, cfg) == (True, "ok")
     doc = json.loads(json.dumps(tableau_to_json(old)))
+    assert check_tableau(tableau_from_json(doc, cfg.n_agents), f, cfg) == (True, "ok")
+
+
+# A node whose one clause is a congruence pair that a shape schema matches
+# too, and that schema's rule.
+PAIR_NODES = [
+    ("K", "[]a & ~[]b", "K"),
+    ("KD", "[]a & ~[]b", "K"),
+    ("M", "[]a & ~[]b", "M"),
+    ("COAL:2", "[C 1]a & ~[C 1]b", "COAL4"),
+]
+
+
+def _pair_tableau(spec, text, answer_pair):
+    """A tableau of the pair node with a congruence edge for its pair clause,
+    to a pseudovaluation for ``~a & b``, not the shape instance's ``a & ~b``.
+    Every other challenge of the node has an edge, and so does the shape
+    instance on the pair when ``answer_pair`` is set."""
+    cfg = parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
+    valuation = next(assignments(f))
+    pair = tuple((not s, a) for s, a in valuation)
+    answers = [
+        m
+        for clause, cands in challenges(valuation, cfg, set())
+        if answer_pair or clause != pair
+        for m in cands
+    ]
+    answers += congruence_matchings(pair, cfg.logic)
+    nodes, edges = [valuation], []
+    for m in answers:
+        demand = negated_clause_instance(list(premise_cnf_clauses(m.premise()))[-1], m.subst)
+        edges.append((0, m, len(nodes)))
+        nodes.append(next(assignments(demand)))
+    return Tableau(0, nodes, edges), f, cfg
+
+
+@pytest.mark.parametrize("spec,text,scheme", PAIR_NODES)
+def test_tableau_rejects_congruence_edge_alone(spec, text, scheme):
+    # Congruence is no challenge where the shape instance dominates it, so
+    # a congruence edge answers nothing the checker asks.
+    tb, f, cfg = _pair_tableau(spec, text, answer_pair=False)
+    ok, msg = check_tableau(tb, f, cfg)
+    assert not ok
+    assert msg == "unanswered challenge at node 0: the %s rule refutes it" % scheme
+
+
+@pytest.mark.parametrize("spec,text,scheme", PAIR_NODES)
+def test_tableau_with_congruence_and_shape_edges_still_checks(spec, text, scheme):
+    # Tableaux written when congruence was asked beside the shape instance
+    # carry an edge for each; a congruence edge is still a valid edge.
+    tb, f, cfg = _pair_tableau(spec, text, answer_pair=True)
+    assert {m.code.scheme for _, m, _ in tb.edges} >= {"CONG", scheme}
+    assert check_tableau(tb, f, cfg) == (True, "ok")
+    doc = json.loads(json.dumps(tableau_to_json(tb)))
     assert check_tableau(tableau_from_json(doc, cfg.n_agents), f, cfg) == (True, "ok")
 
 
@@ -1006,22 +1062,22 @@ def _family_cases():
 # sha256 of each family member's tableau JSON: pins the order in which
 # valuations and challenges are enumerated, byte for byte.
 TABLEAU_SHA256 = {
-    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "80c458919a45cd87326602698a8d8cbea4a00ffed1c2f042a03d1822d35dda25",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "339824414737578930ca7e80a82c72df525d269bfdb97713141631371e2113bb",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "49197158b220d3615e18c7ce4976cd02e3e54ccf0775ad5a4bf4f9998fcfd6a4",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "4a2eb2a956305605b5615c62473f0c279177fa9ea23bb4b146e6c1a072cb9885",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "c07a4145e2fc91bbd2b882ec76ab2b7d012d42fb9b59d14a5a00581a84087f25",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "e035b1130886dd4d088fbb9c1cbd70f0543bc469d92dc61630fe8860a68d2b3c",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "d58a70834d5c31bc59216319d2f30bd2eb35551ee13503f06a19b8ada98a54d7",
-    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "a66d41232aacfedd61a1082eaca29684ace48fca586545b4221a785cd183cfaf",
-    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "9305c71f3ccbf603b72647ee198884de24da3053782899065a5c51ba84e0466a",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "6750b021a560cc60b7e0baf660c73c5cb454d7dc667173ab41711318f2e09ac1",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "b2368d6f5432392c484a503a27f2a89f44e4c23fb99993abaf63da27dc0373aa",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "0a0589bf684b787435fd2af1e505edeb419faf2ad8206d5e7e9a2ddbdc7dcdc2",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "d2ae482844c438687daf96cb1c3f82708bfaae9059e53fa979af0783d31155b3",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "1b78411c3484c29f919e87bc19104c42ab6e5cc671a4af325224fbc9d4f4c44b",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "57a82b5ae75bbc91901c586dcd75cca2cda652dd052a816c545efa51ead327f7",
-    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "ee776db22cbeb8b22979f4f766ccae9a0d56c3c90772f5b1d7011e9dec9e0599",
+    ("K", "~[]a0 & ~[]a1 & [](a0 | a1)"): "e9a2b902c9ff00c6a287ec1858aade88b462a6dd007a728c13f231a7d99305d3",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "7e8acf1c86aec22be8a8a811fe2aad4de82d154d47321d39f1a27d1929b496ff",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "f16279371eeebc5b578bce51d7d68ee4a8aaa8ca9221abd462b6151b7abc6169",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "62e3cf1488acc2becfeccd6b9150f06e44e55df14c471e15ff1e8098e6a33f61",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "bc953829261d90f612b63c77fb08a5095fe4465877724a1d7b3acffabc9521e7",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "1e7ee79b629db8c5998ad0e1dd7a25437c5365c4a9f1dd3a532e29bda8e8dc21",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "25efc43b5882d39c5a62a15c44bca61abd4e639ad6b779e96589a9f3b8314bab",
+    ("K", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "de4fe1f7bdda95c41a5517addb261df57c93a71923edee0933e07f6d7719d801",
+    ("KD", "~[]a0 & ~[]a1 & [](a0 | a1)"): "0f0a928f3fac1ed59906213c65666f737f0e1d6d77768f79104b26edbb664670",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & [](a0 | a1 | a2)"): "bef92776c5f621f76a6086f3650b6b9c2426c745facb752688b88784d165d7b7",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & [](a0 | a1 | a2 | a3)"): "79c995acd5a33ec809e51e2eb6c9ce2ff51d320569e10ff6db665dd33e87879e",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & [](a0 | a1 | a2 | a3 | a4)"): "75805383d972184ec14294258c0ecf6f1ccf68be8dcbde524ca5a70d033f3507",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & [](a0 | a1 | a2 | a3 | a4 | a5)"): "3f441a2284f179a310a285cb031b2199e1a63061a22d1372bf06378b0b3f50c6",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "6582a06fd0f72d07328b58afeb9affdb7375b22c6409f592e470164d79f3287c",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "82593d87991eb8b6877a019056bb6186dcb0940f37a5c65fe32bfdc55f30d774",
+    ("KD", "~[]a0 & ~[]a1 & ~[]a2 & ~[]a3 & ~[]a4 & ~[]a5 & ~[]a6 & ~[]a7 & ~[]a8 & [](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "463483195675df6e1858cbdbc5db6e394548ee5f55456690f71d8a34d2d483f1",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & [C 1,2,3](a0 | a1)"): "ac7ee443207fc487e4e2af18052445f59dbafdf0271aafa0c1cc379b410255e9",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & [C 1,2,3](a0 | a1 | a2)"): "fbeaaa2ccbae2a857aec853fa326cf3f992c7cca306b5b6d77da188115aeb2eb",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & [C 1,2,3](a0 | a1 | a2 | a3)"): "868b03be9c4daf95e01b321ae23745a15dc112e368c41a1c52505d9c0e7e53fc",
@@ -1030,15 +1086,15 @@ TABLEAU_SHA256 = {
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6)"): "0046cbcefab33216f0f8880d30558e145f90020c5bf418ebee201dbcb25c74df",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7)"): "2c1344b6a87653a5eaba0bc5b19a8fff6132d3b0b18cf5928bfbd1d2b84302cf",
     ("COAL:3", "~[C 1]a0 & ~[C 1]a1 & ~[C 1]a2 & ~[C 1]a3 & ~[C 1]a4 & ~[C 1]a5 & ~[C 1]a6 & ~[C 1]a7 & ~[C 1]a8 & [C 1,2,3](a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8)"): "cf9c0a3b676f40fc10582289943ed7518fc852f5a6a57cd5fa5bcd54d096dda1",
-    ("K", "a0 & ~a1 & ~[]ab & []ac"): "289194cb56fca42425611ed95f9de44749aed3417758cd0429488a18dbc7cfc5",
-    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "5d2aa9ad1b870a721a86169822d4671076db3eb1d48731cbfd68dbba1ee07398",
-    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "cc9ad75f6cb022ef4b0ecb1aed5a874378361b41b47f9ecba30acd162d9d8f12",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "3d77516f8bf617d46c58a6fce0f935d397b906dab3a2e6fa3b878da397f89ec6",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "1340e30d0702ce7f6c9e17cf82811f64b4044d364e079e5cda9c0bd21b6daacc",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "7da0e12a4c5633df6ea368a9a41cc980448bd85e2ed151dd62a9172809cb4c6b",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "9fb7de380bdb70cbfc4a5627883cdda4df89993b1b33505db9e4b7dd02c247cc",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "90fa4dc1df72b04caa443e0cf9700bcf274bdfa9951ccef2d91f1114685eca78",
-    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "c9c8431f74382a0fa0378e165122aff20644831d55608228400da7853fa1f819",
+    ("K", "a0 & ~a1 & ~[]ab & []ac"): "d8372fbe223e2574fe1665e3698ea6ff3a0fb61fa5907a0650fb7835cba5bdee",
+    ("K", "a0 & ~a1 & a2 & ~[]ab & []ac"): "13b940856199cd6618d555bd4fa463b2c76320302b459aa390b70c62414665ff",
+    ("K", "a0 & ~a1 & a2 & ~a3 & ~[]ab & []ac"): "3c5550e92fcf64acf82312a09e77f0bc1cfa5bd3923bbcb75bcd117989004c7c",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~[]ab & []ac"): "19cbf2fb3b102ba6c31385403970957d1f08b0b168e51843f5ad602b9cf03e11",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & ~[]ab & []ac"): "e6382a6f244b55c5172e49d9ead652c6b300f8d9bf1ffdd55a0602f96958d6bc",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~[]ab & []ac"): "2979fb4604f1950c4c843f61fd172fbc7ab3c24b3c870f5cacbfa7c9ee886333",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & ~[]ab & []ac"): "2e9f2d950b7577920a490764b90e019b8a428e719f9326c39e46dce83f305b64",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~[]ab & []ac"): "e384127923663168ec283a94db3e1dd56a30e5d5f114a318bd2debc04be6503f",
+    ("K", "a0 & ~a1 & a2 & ~a3 & a4 & ~a5 & a6 & ~a7 & a8 & ~a9 & ~[]ab & []ac"): "47d1b166115ec68324455c888693956630e66e296d1319bfd7683afc613c6ed6",
     ("GML", "<0>a0 & <1>a1 & ~<2>(a0 | a1)"): "6df3e947d8fca6506142cdee0284a8ed570540664d37543ea798b8d90890f383",
     ("GML", "<0>a0 & <1>a1 & <2>a2 & ~<3>(a0 | a1 | a2)"): "fb4aba33a8b030dbcbb26ddb00306d4224f25a075e73c8f2767861260d8de738",
     ("GML", "<0>a0 & <1>a1 & <2>a2 & <3>a3 & ~<4>(a0 | a1 | a2 | a3)"): "97bf3df4eb7e01b816cc15e625b8fb66a108cbf004a2e745a96775377612c028",

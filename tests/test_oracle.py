@@ -592,6 +592,17 @@ def test_probe_finds_k_matching():
     assert strict_completeness_probe(chi, tau, 2, cfg) is not None
 
 
+def test_probe_prefers_the_k_instance_to_congruence():
+    # Both arguments hold on the same points, so congruence's premise holds
+    # too; its first demand is the K instance's, and only the K instance is
+    # offered.
+    cfg = LogicConfig(logic="K")
+    chi = ((False, Box()), (True, Box()))
+    tau = (frozenset({0}), frozenset({0}))
+    assert clause_valid_on(chi, tau, 2, cfg)
+    assert strict_completeness_probe(chi, tau, 2, cfg).code.scheme == "K"
+
+
 def test_probe_finds_congruence_for_e():
     cfg = LogicConfig(logic="E")
     chi = ((False, Box()), (True, Box()))

@@ -212,3 +212,36 @@ def test_box_family_solve_calls_grow_linearly(logic):
         assert verdict.satisfiable
         calls[m] = verdict.stats.solve_calls
     assert calls[20] <= 2 * calls[10], calls
+
+
+def diamond_family(n: int) -> str:
+    """``~[]a0 & ... & ~[]a(n-1) & [](a0 | ... | a(n-1))``: n diamonds and
+    one box, so each diamond's maximal clause is a congruence pair."""
+    xs = ["a%d" % i for i in range(n)]
+    return " & ".join(["~[]" + x for x in xs] + ["[](%s)" % " | ".join(xs)])
+
+
+@pytest.mark.parametrize("logic", ["K", "KD"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_diamond_family_one_demand_per_diamond(logic, n):
+    # Congruence's first demand on a pair clause is its K demand with the
+    # conjuncts swapped, so congruence is not asked: the root and one
+    # demand per diamond are solved, with one edge each.
+    cfg = LogicConfig(logic=logic)
+    verdict = satisfiable(parse(diamond_family(n)), cfg)
+    assert verdict.satisfiable
+    assert verdict.stats.solve_calls == n + 1
+    tb = extract_tableau(verdict, cfg)
+    assert len(tb.edges) == n
+    assert {m.code.scheme for _, m, _ in tb.edges} == {"K"}
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_m_validity_one_demand_per_box(n):
+    # ``[](a0 & ... ) -> []a0 & ...``: each refuting pair clause is asked
+    # through its M instance alone, not through congruence as well.
+    xs = ["a%d" % i for i in range(n)]
+    text = "[](%s) -> %s" % (" & ".join(xs), " & ".join("[]" + x for x in xs))
+    verdict = satisfiable(neg_fold(parse(text)), LogicConfig(logic="M"))
+    assert not verdict.satisfiable
+    assert verdict.stats.solve_calls == n + 1
