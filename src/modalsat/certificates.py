@@ -53,6 +53,7 @@ from .onestep import (
     LINEAR_SCHEMES,
     RuleCode,
     RuleMatching,
+    code_operators,
     conclusion_clause,
     json_bool,
     json_int,
@@ -293,16 +294,12 @@ def _rule_conclusion(m: RuleMatching, cfg: LogicConfig):
         return None, "rule code is for logic %r, not %s" % (m.code.logic, cfg.logic)
     if not side_condition(m.code, cfg):
         return None, "rule code fails its side condition"
-    try:
-        concl = conclusion_clause(m, cfg.n_agents)
-    except (ValueError, IndexError):
-        return None, "malformed rule code"
-    if any(isinstance(a, FModal) and not operator_legal(a.op, cfg) for (_, a) in concl):
+    if not all(operator_legal(op, cfg) for op in code_operators(m.code, cfg.n_agents)):
         return None, "rule uses an operator outside the logic"
     if len(m.subst) != m.code.arity():
         msg = "substitution has %d formulas for a rule of arity %d"
         return None, msg % (len(m.subst), m.code.arity())
-    return concl, None
+    return conclusion_clause(m, cfg.n_agents), None
 
 
 def _pattern_of(child, arith):

@@ -23,8 +23,8 @@ some sub-clause of a clause has coefficients making every premise CNF
 clause's negation unsatisfiable, given the set of satisfiable sign patterns
 of the argument formulas.  One relaxed system over the whole clause answers
 this, and the support of its solution is the refuted sub-clause;
-``challenges`` asks it once per node and offers the matching as one more
-candidate of that sub-clause.  The constraint systems are scale-invariant,
+``challenges`` asks it once per node and offers the matching as that
+sub-clause's only candidate.  The constraint systems are scale-invariant,
 so rational feasibility (decided exactly by ``linarith.feasible``)
 coincides with integer feasibility.
 """
@@ -193,46 +193,48 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     """The universal challenges of a pseudovaluation: ``(clause, candidates)``
     for each clause over negated literals of ``valuation`` that some rule
     matches, in increasing mask order (bit i = literal i of the valuation).
+    Propositional atoms never enter a clause.
 
-    Candidate clauses come from the schemas' shapes, so a clause no schema
-    matches is never built.  A clause's candidates are its finite-schema
-    matchings (``matchings``), except that a congruence matching is dropped
-    when a K, KD, M or COAL4 instance matches the same clause.  Such an
-    instance on a pair ``{~La, Lb}`` has the one premise clause ``~a | b``,
-    so its one demand ``a & ~b`` is congruence's first demand: when it is
-    satisfiable congruence is answered too, and when it is not the shape
-    instance refutes the node on its own.  A clause is yielded only when it
-    has a candidate.  Propositional atoms never enter a clause.
+    A linear node has at most one challenge: the clause its relaxed system
+    refutes, with the refuting matching as the only candidate, which leaves
+    every one of its demands unsatisfiable.  ``refuting_matching_exists`` is
+    asked once, for the clause of every literal whose operator is in the
+    logic, against ``sat_bits``, the satisfiable sign patterns of the
+    arguments as bitmasks over ``proper_atoms(valuation)``.  No congruence
+    pair is asked beside it: congruence on ``{~La, Lb}`` refutes only when
+    ``a & ~b`` and ``~a & b`` are both unsatisfiable, and then the system
+    refutes the node too (docs/certificates.md, "Coverage").
 
-    In the linear logics the clauses are the congruence pairs plus at most
-    one more, the clause a linear rule refutes.  ``sat_bits`` holds the
-    satisfiable sign patterns of the arguments, as bitmasks over
-    ``proper_atoms(valuation)``.  ``refuting_matching_exists`` is asked once,
-    for the clause of every literal whose operator is in the logic, against
-    those patterns projected onto it; the conclusion of the matching it
-    returns is the refuted sub-clause, and the matching is that clause's
-    last candidate.  It leaves every one of its demands unsatisfiable.
-
-    In K and KD only the inclusion-maximal clauses are built: each
-    clause-positive box with all the clause-negative boxes, and in KD, when
-    no box is clause-positive, the clause-negative boxes alone.  Every other
-    clause a K or KD rule matches, congruence pairs included, lies inside
-    one of them, and its challenge is answered exactly when the maximal
-    clause's is.  The K demand ``a_1 & ... & a_k & ~b`` of the maximal
-    clause ``{~[]a_1, ..., ~[]a_k, []b}`` is the strongest: when it is
-    satisfiable so is each sub-clause's demand (a congruence pair's
-    ``a & ~b``, a smaller K demand, the seriality demand
-    ``a_1 & ... & a_k``), and when a sub-clause's demand is unsatisfiable
-    so is the maximal one's.  So a node has one challenge per diamond, with
-    the one candidate K (at k = 1 as well, where the maximal clause is a
-    congruence pair), and a refuted node is refuted by the first maximal
-    clause in mask order."""
+    In the other logics a clause is built only where a schema's shape fits,
+    and its candidates are its ``matchings``, less congruence where a K, KD,
+    M or COAL4 instance matches the same pair ``{~La, Lb}``: that instance's
+    one demand ``a & ~b`` is congruence's first.  In K and KD only the
+    inclusion-maximal clauses are built: each clause-positive box with all
+    the clause-negative boxes, and in KD, when no box is clause-positive,
+    the clause-negative boxes alone.  The K demand ``a_1 & ... & a_k & ~b``
+    of ``{~[]a_1, ..., ~[]a_k, []b}`` implies the demand of every clause
+    inside it (a congruence pair's ``a & ~b``, a smaller K demand, the
+    seriality demand ``a_1 & ... & a_k``), so a sub-clause's challenge is
+    answered exactly when the maximal clause's is.  A K or KD node thus has
+    one challenge per diamond, with the one candidate K, and a refuted node
+    is refuted by the first maximal clause in mask order."""
+    if cfg.is_arithmetic():
+        atoms = proper_atoms(valuation)
+        node = tuple(
+            (not s, a) for s, a in valuation if a in atoms and operator_legal(a.op, cfg)
+        )
+        if node:
+            refuter, _ = refuting_matching_exists(
+                node, clause_patterns(node, atoms, sat_bits), cfg
+            )
+            if refuter is not None:
+                yield conclusion_clause(refuter, cfg.n_agents), [refuter]
+        return
     # Clause literal i is the negation of valuation literal i.
     pos, neg = [], []
     for i, (s, a) in enumerate(valuation):
         if isinstance(a, FModal) and not isinstance(a.op, Atom):
             (neg if s else pos).append(i)
-    refuter = refuted = None
     if cfg.logic in ("K", "KD"):
         negs = sum(1 << j for j in neg)
         masks = {1 << i | negs for i in pos}
@@ -247,20 +249,6 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         }
         if cfg.logic == "COAL":
             masks.update(_coalition_masks(valuation, pos, neg, cfg))
-        elif cfg.is_arithmetic():
-            atoms = proper_atoms(valuation)
-            node = tuple(
-                (not s, a) for s, a in valuation if a in atoms and operator_legal(a.op, cfg)
-            )
-            if node:
-                patterns = clause_patterns(node, atoms, sat_bits)
-                refuter, _ = refuting_matching_exists(node, patterns, cfg)
-            if refuter is not None:
-                index = {a: i for i, (_, a) in enumerate(valuation)}
-                refuted = sum(
-                    1 << index[a] for _, a in conclusion_clause(refuter, cfg.n_agents)
-                )
-                masks.add(refuted)
     masks.discard(0)
     for mask in sorted(masks):
         clause = tuple(
@@ -270,8 +258,6 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         if any(m.code.scheme in ("K", "KD", "M", "COAL4") for m in found):
             # Congruence's first demand is this instance's one demand.
             found = [m for m in found if m.code.scheme != "CONG"]
-        if mask == refuted:
-            found.append(refuter)
         if found:
             yield clause, found
 

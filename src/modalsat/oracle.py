@@ -477,7 +477,16 @@ class _TreeEnumerator:
         (the root, at its first hit) pays only for the prefix it saw.  A
         walk that reaches the end keeps the structures and its truths, and
         from then on each (operator, mask) is lifted once over all of
-        them."""
+        them.
+
+        Both paths stay.  The lazy walk lets a root search under four agents
+        stop before billions of structures (see
+        ``test_tree_search_finds_three_successors_under_four_agents``).  The
+        cached columns carry a search that finds nothing, such as the COAL:3
+        three-choice formula of the CI step, over all 66,356 four-child
+        structures.  A chunked single path with columns was slower on some
+        COAL:3 search each time it was tried (``[C 1]a & [C 2]~a & [C 3]b``:
+        1.7 s to 3.1 s, in-process on a 2-vCPU host)."""
         templates = self.templates.get(size)
         if templates is not None:
             columns = [self._column(size, op, m) for op, m in zip(ops, masks)]
@@ -643,7 +652,13 @@ def _neighbourhood_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
     """Carrier-based search for the neighbourhood logics: choose labels and a
     truth bit for every (state, box) pair, read the neighbourhoods off the
     positive bits, and keep a choice only when ``lift`` gives every box its
-    chosen bit there."""
+    chosen bit there.
+
+    E and M keep this search: E's box reads a whole truth set of the model,
+    not its part among a state's children, so structures over children give
+    no E model; and the guessed bits build only neighbourhoods that are
+    truth sets of box arguments, where ``structures`` would try all 256
+    collections per state at carrier 3."""
     monotone = cfg.logic == "M"
     prop_names, args = _names_and_args(f)
     args.sort(key=lambda g: g.depth)  # stable: ties keep first-occurrence order

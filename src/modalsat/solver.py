@@ -10,10 +10,11 @@ Pseudovaluations are the true rows of the formula's truth table, which
 ``challenges``, which builds only the clauses some schema can match, and in
 K and KD only the inclusion-maximal ones: one per diamond, whose demand
 implies the demand of every clause inside it.  Both keep binary-counter
-order.  In K, KD, M and COAL a clause that a shape rule matches is not
-also asked through congruence, whose first demand is the shape rule's, so
-a K or KD node has one challenge per diamond with one candidate, and each
-demand is solved once.
+order.  Congruence is asked only in E.  In K, KD, M and COAL every
+congruence pair is also matched by a shape rule, whose one demand is
+congruence's first, so a K or KD node has one challenge per diamond with
+one candidate, and each demand is solved once.  A linear node asks only
+its one system, which refutes the node whenever a congruence pair would.
 
 When a pseudovaluation fails, the conclusion of the rule instance that
 refuted it is valid, and every pseudovaluation falsifying it is
@@ -31,8 +32,8 @@ only depends on which sign patterns of the argument formulas are
 satisfiable.  The pattern table is computed once per pseudovaluation by
 recursive solver calls and handed to ``challenges``, which solves one
 relaxed system over all of the node's atoms; its support is the refuted
-clause, and the refuting matching, when there is one, is that clause's
-last candidate.  Its demands are then solved like any other; each must be
+clause, and the refuting matching, when there is one, is the node's one
+challenge.  Its demands are then solved like any other; each must be
 unsatisfiable.
 
 Traces record, per satisfiable node, one satisfiable demand per candidate

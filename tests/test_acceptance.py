@@ -198,8 +198,8 @@ LOOP_MODELS_SHA256 = {
     "K": "e493b2dd7645fa7e853bf92482cced95ff8aa52215d16a40b65ce1d774f0c5df",
     "KD": "8d75e53a25f1d8f1340a783b581c6ef3356e89354d70eb0d7e088de4b194f0dd",
     "COAL": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    "GML": "270e66abdebe5ef874fe1e2f15f8ccf762576d58c4a698a2c860a87f8599654b",
-    "MAJ": "572eb3fe72a77c2e1f0b1ff4f59470b7ebcd54c9a3be889ca7a6aaf18aee215c",
+    "GML": "2be92837189b02bf9c5d91f5b95453029ff5990879fe5629c4a48fa651bd529b",
+    "MAJ": "e132db622e11995400386bf07643eb4e4301a064d4f5eaffbc69f91ec55188c0",
     "PML": "ee72c7cd622c4328b86641dd514eaa7756beb17a46cb929ac634c6d4da2f759d",
 }
 

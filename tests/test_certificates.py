@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import proof_sha256, proof_within_subformulas, tableau_sha256
-from test_logics import _mask_loop_challenges
+from test_logics import _congruence_and_refuter_challenges, _mask_loop_challenges
 from modalsat import certificates, cli, solver
 from modalsat.certificates import (
     MAX_WEIGHT,
@@ -452,6 +452,56 @@ def test_tableau_with_congruence_and_shape_edges_still_checks(spec, text, scheme
     assert check_tableau(tableau_from_json(doc, cfg.n_agents), f, cfg) == (True, "ok")
 
 
+# Linear formulas whose node holds a congruence pair.  Congruence was once
+# asked there beside the node's one linear system.
+LINEAR_PAIR_SAT = [
+    ("GML", "<1>a & ~<1>b"),
+    ("MAJ", "<1>a & ~<1>b"),
+    ("MAJ", "W a & ~W b & W c"),
+    ("PML", "L{1/2}a & ~L{1/2}b"),
+]
+
+
+@pytest.mark.parametrize("logic,text", LINEAR_PAIR_SAT)
+def test_linear_tableau_with_congruence_edges_still_checks(logic, text, monkeypatch):
+    # A tableau written then answers each pair with a congruence edge.  The
+    # checker no longer asks congruence at a linear node, but the edge is
+    # still a valid one.
+    cfg = LogicConfig(logic=logic)
+    f = parse(text)
+    new = extract_tableau(satisfiable(f, cfg), cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "challenges", _congruence_and_refuter_challenges)
+        old = extract_tableau(satisfiable(f, cfg), cfg)
+    assert "CONG" in {m.code.scheme for _, m, _ in old.edges if m is not None}
+    assert all(m is None for _, m, _ in new.edges) and len(new.edges) < len(old.edges)
+    assert check_tableau(old, f, cfg) == (True, "ok")
+    doc = json.loads(json.dumps(tableau_to_json(old)))
+    assert check_tableau(tableau_from_json(doc, cfg.n_agents), f, cfg) == (True, "ok")
+
+
+@pytest.mark.parametrize(
+    "logic,text",
+    [("GML", "<1>a -> <1>(a & a)"), ("MAJ", "<1>a -> <1>(a & a)"), ("PML", "L{1/2}a -> L{1/2}(a & a)")],
+)
+def test_linear_congruence_proof_still_checks(logic, text, monkeypatch):
+    # Congruence refuted this node before its linear system was asked; the
+    # proof now holds the linear instance, with one demand instead of two.
+    cfg = LogicConfig(logic=logic)
+    goal = parse(text)
+    new = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "challenges", _congruence_and_refuter_challenges)
+        old = extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg)
+    assert [m.code.scheme for m in old[goal]] == ["CONG"]
+    assert [m.code.scheme for m in new[goal]] == [logic]
+    assert len(json.dumps(proof_to_json(new))) < len(json.dumps(proof_to_json(old)))
+    for doc in (old, new):
+        assert check_proof(doc, goal, cfg) == (True, "ok")
+        payload = json.loads(json.dumps(proof_to_json(doc)))
+        assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (True, "ok")
+
+
 # Unsatisfiable linear-logic formulas for which a lone edgeless node answers
 # every congruence challenge, so only the linear rules can expose the forgery.
 FORGED_LINEAR = [
@@ -550,6 +600,11 @@ def _extend_rule_substitution(payload):
     payload["payload"]["edges"][0]["substitution"].append("[][][] zzz")
 
 
+def _shorten_rule_substitution(payload):
+    # The conclusion's second literal would have no formula.
+    del payload["payload"]["edges"][0]["substitution"][1]
+
+
 def _set_rule_logic(payload):
     # Congruence has no side condition that names a logic, so only the
     # code's own logic field says it is an M rule.
@@ -567,6 +622,7 @@ def _extend_pattern_target(payload):
         ("E", "[]a & ~[]b", _set_rule_substitution, "edge 0: rule conclusion is not built from negated node literals"),
         ("E", "[]a & ~[]b", _set_rule_target, "edge 0: target answers no premise clause"),
         ("E", "[]a & ~[]b", _extend_rule_substitution, "edge 0: substitution has 3 formulas for a rule of arity 2"),
+        ("E", "[]a & ~[]b", _shorten_rule_substitution, "edge 0: substitution has 1 formulas for a rule of arity 2"),
         ("E", "[]a & ~[]b", _set_rule_logic, "edge 0: rule code is for logic 'M', not E"),
         ("GML", "<1>a & <0>b", _extend_pattern_target, "edge 0: target is not a pseudovaluation for its sign pattern"),
     ],
@@ -820,6 +876,11 @@ def _extend_inner_substitution(payload):
     _inner_rule(payload)["substitution"].append("[][][] zzz")
 
 
+def _shorten_inner_substitution(payload):
+    # The K rule's third conclusion literal would have no formula.
+    del _inner_rule(payload)["substitution"][2]
+
+
 def _set_inner_coalition_rule(payload):
     _inner_rule(payload)["rule"] = {"logic": "K", "scheme": "CONG", "ints": [-1, 1], "coalitions": [[1]]}
 
@@ -859,6 +920,7 @@ def _add_unused_entry(payload):
         (_set_inner_ints, "entry '%s' rule 0: rule code fails its side condition" % _INNER_ENTRY),
         (_set_inner_substitution, "entry '%s' rule 0: conclusion literal '[] c' is not on a modal atom of the formula" % _INNER_ENTRY),
         (_extend_inner_substitution, "entry '%s' rule 0: substitution has 4 formulas for a rule of arity 3" % _INNER_ENTRY),
+        (_shorten_inner_substitution, "entry '%s' rule 0: substitution has 2 formulas for a rule of arity 3" % _INNER_ENTRY),
         (_set_inner_coalition_rule, "entry '%s' rule 0: rule uses an operator outside the logic" % _INNER_ENTRY),
         (_set_inner_logic, "entry '%s' rule 0: rule code is for logic 'PML', not K" % _INNER_ENTRY),
         (_drop_inner_rules, "entry '%s': the rule conclusions do not entail the formula" % _INNER_ENTRY),
@@ -968,6 +1030,10 @@ def _conclude_off_the_formula(payload):
     _m_root_rules(payload)[3]["substitution"][1] = "zz"
 
 
+def _shorten_m_substitution(payload):
+    del _m_root_rules(payload)[3]["substitution"][1]
+
+
 @pytest.mark.parametrize(
     "tamper,message",
     [
@@ -976,6 +1042,7 @@ def _conclude_off_the_formula(payload):
         (_break_m_side_condition, "entry %r rule 3: rule code fails its side condition"),
         (_name_another_logic, "entry %r rule 3: rule code is for logic 'K', not M"),
         (_conclude_off_the_formula, "entry %r rule 3: conclusion literal '[] zz' is not on a modal atom of the formula"),
+        (_shorten_m_substitution, "entry %r rule 3: substitution has 1 formulas for a rule of arity 2"),
     ],
 )
 def test_format_3_forgeries_are_rejected(tamper, message, tmp_path, capsys):

@@ -3,8 +3,14 @@
 import argparse
 import json
 
+import pytest
+
+from modalsat import oracle
+from modalsat.certificates import check_certificate, model_from_json
 from modalsat.cli import main
 from modalsat.formula import parse
+from modalsat.logics import LogicConfig
+from test_certificates import LINEAR_PAIR_SAT
 from test_solver import box_family
 
 
@@ -390,3 +396,124 @@ def test_box_family_at_width_20_decides_and_checks(tmp_path, capsys):
         ):
             code, _, err = run(capsys, "--logic", logic, *argv)
             assert code == 0, (logic, argv[0], err)
+
+
+@pytest.mark.parametrize("logic,text", LINEAR_PAIR_SAT)
+def test_solve_cert_writes_no_rule_edge_in_linear_logics(logic, text, tmp_path, capsys):
+    # The node's one linear system answers for every congruence pair, so
+    # the tableau has pattern edges only.
+    cert = tmp_path / "tableau.json"
+    code, _, _ = run(capsys, "--logic", logic, "solve", text, "--cert", str(cert))
+    assert code == 0
+    edges = json.loads(cert.read_text())["payload"]["edges"]
+    assert edges and all(set(e) == {"src", "dst"} for e in edges)
+    code, out, _ = run(capsys, "--logic", logic, "check-cert", text, "--cert", str(cert))
+    assert (code, out) == (0, "tableau  ok: ok\n")
+
+
+# -- paths of the CLI that no other test reaches ------------------------------
+
+
+def test_model_of_unsatisfiable_formula(capsys):
+    code, out, _ = run(capsys, "--logic", "K", "model", "[]a & ~[]a")
+    assert (code, out) == (1, "[] a & ~[] a  unsatisfiable: no model\n")
+
+
+def test_model_without_cert_is_printed_inline(capsys):
+    text = "[](a | b) & ~[]a & ~[]b"
+    code, out, _ = run(capsys, "--logic", "K", "model", text)
+    assert code == 0
+    shown, inline = out.rstrip("\n").split("  satisfiable; model: ")
+    assert parse(shown) == parse(text)
+    witness = model_from_json(json.loads(inline))
+    assert check_certificate(witness, parse(text), LogicConfig("K")) == (True, "ok")
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        # No game synthesis: coalition logic models come from the oracle.
+        ("COAL:2", "[C 1]a & [C 2]b"),
+        # Neighbourhood synthesis fails on this one.
+        ("E", "[] [] p"),
+    ],
+)
+def test_model_falls_back_to_the_oracle(spec, text, tmp_path, capsys, monkeypatch):
+    found = []
+    original = oracle.brute_force_sat
+
+    def spy(f, cfg):
+        found.append(original(f, cfg))
+        return found[-1]
+
+    monkeypatch.setattr(oracle, "brute_force_sat", spy)
+    cert = tmp_path / "model.json"
+    code, _, _ = run(capsys, "--logic", spec, "model", text, "--cert", str(cert))
+    assert code == 0
+    assert len(found) == 1 and found[0] is not None
+    code, out, _ = run(capsys, "--logic", spec, "check-cert", text, "--cert", str(cert))
+    assert (code, out) == (0, "model  ok: ok\n")
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        # Block weights above MAX_WEIGHT = 16.
+        ("GML", "<20>a"),
+        # Agent 1 needs three choices; the oracle's game tables allow two.
+        ("COAL:2", "[C 1]a & [C 1]b & [C 1]c & ~[C 1](a & b) & ~[C 1](a & c) & ~[C 1](b & c)"),
+    ],
+)
+def test_model_exits_three_when_synthesis_fails(spec, text, capsys):
+    # Satisfiable, but no model is found within the bounds.  Model synthesis
+    # without weight caps or the oracle (ROADMAP items 2 and 4) will turn
+    # both into models on purpose.
+    code, out, _ = run(capsys, "--logic", spec, "--format", "json", "model", text)
+    assert code == 3
+    record = json.loads(out)
+    assert record["satisfiable"] is True and record["model"] is None
+    code, out, _ = run(capsys, "--logic", spec, "model", text)
+    assert code == 3
+    assert out.endswith("  satisfiable, but model synthesis failed within bounds\n")
+
+
+def test_solve_cert_of_unsatisfiable_formula_writes_nothing(tmp_path, capsys):
+    cert = tmp_path / "tableau.json"
+    code, out, _ = run(capsys, "--logic", "K", "solve", "[]a & ~[]a", "--cert", str(cert))
+    assert code == 1
+    assert out == "[] a & ~[] a  unsatisfiable  [no tableau: formula is unsatisfiable]\n"
+    assert not cert.exists()
+
+
+def test_oracle_disagreement_exits_two(tmp_path, capsys, monkeypatch):
+    # An oracle witness for an unsatisfiable formula is reported, and a
+    # batch stops at that line.
+    monkeypatch.setattr(oracle, "brute_force_sat", lambda f, cfg: object())
+    code, out, _ = run(
+        capsys, "--logic", "K", "--format", "json", "solve", "[]a & ~[]a", "--oracle-check"
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert record["oracle_disagrees"] is True and record["satisfiable"] is False
+    batch = tmp_path / "batch.txt"
+    batch.write_text("[]a\n[]a & ~[]a\n~[]b\n")
+    code, out, _ = run(
+        capsys, "--logic", "K", "--format", "json", "solve", "--batch", str(batch), "--oracle-check"
+    )
+    assert code == 2
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["formula"] for r in records] == ["[] a", "[] a & ~[] a"]
+    assert records[-1]["oracle_disagrees"] is True
+
+
+def test_selftest_rules_reports_unsound_rules(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "one_step_sound", lambda code, cfg: False)
+    code, out, _ = run(capsys, "--logic", "K", "selftest-rules", "--count", "5")
+    assert code == 1
+    assert out.startswith("checked ") and out.endswith(" UNSOUND\n")
+
+
+def test_solve_needs_a_formula_or_a_batch(capsys):
+    code, out, err = run(capsys, "--logic", "K", "solve")
+    assert (code, out) == (2, "")
+    assert err == "error: a formula or --batch is required\n"

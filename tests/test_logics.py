@@ -21,7 +21,13 @@ from modalsat.logics import (
     side_condition,
     validate_formula,
 )
-from modalsat.onestep import RuleCode, RuleMatching, conclusion_clause, congruence_matchings
+from modalsat.onestep import (
+    RuleCode,
+    RuleMatching,
+    code_operators,
+    conclusion_clause,
+    congruence_matchings,
+)
 from modalsat.sampling import random_formula, random_operator
 from modalsat.oracle import one_step_sound
 from test_solver import LINEAR_WIDTH_8
@@ -145,6 +151,35 @@ def test_maj_side_condition_gates_soundness():
     # W-literal pair, one positive one negative (grade marker -1).
     code = RuleCode("MAJ", "MAJ", (1, -1, 0), (), (-1, -1), ())
     assert side_condition(code, cfg) == one_step_sound(code, cfg, max_carrier=2)
+
+
+def _unit_pair_codes():
+    """The linear instance on a congruence pair ``{~La, Lb}`` of each operator:
+    coefficients -1 and +1, bound 0, in both literal orders."""
+    ops = [("GML", (k, k), ()) for k in range(4)]
+    ops += [("MAJ", (k, k), ()) for k in range(4)] + [("MAJ", (-1, -1), ())]
+    probs = sorted({Fraction(n, d) for d in range(1, 7) for n in range(d + 1)})
+    ops += [("PML", (), (p, p)) for p in probs]
+    return [
+        RuleCode(logic, logic, ints, rationals, grades, ())
+        for logic, grades, rationals in ops
+        for ints in ((-1, 1, 0), (1, -1, 0))
+    ]
+
+
+def _unit_pair_id(code):
+    order = "negative-first" if code.ints[0] < 0 else "positive-first"
+    return "%s %s %s" % (code.logic, code_operators(code, 2)[0].render(), order)
+
+
+@pytest.mark.parametrize("code", _unit_pair_codes(), ids=_unit_pair_id)
+def test_unit_pair_instance_is_a_sound_linear_rule(code):
+    # A linear node asks no congruence pair: where congruence on {~La, Lb}
+    # would refute it, this instance of the node's own schema does, and
+    # ``challenges`` rests on its being a rule.
+    cfg = LogicConfig(logic=code.logic)
+    assert side_condition(code, cfg)
+    assert one_step_sound(code, cfg)
 
 
 # -- refuting coefficient search ----------------------------------------------
@@ -283,22 +318,29 @@ def _mask_loop_challenges(valuation, cfg, sat_bits, refuter=_clause_refuter):
 
 
 def _one_refuter_challenges(valuation, cfg, sat_bits):
-    """What ``challenges`` asks in a linear logic: the congruence pairs of the
-    mask loop, plus the clause of the matching that ``refuting_matching_exists``
-    finds for the node's literals in the logic, against the patterns
-    projected onto them."""
+    """What ``challenges`` asks in a linear logic: the clause of the matching
+    that ``refuting_matching_exists`` finds for the node's literals in the
+    logic, against the patterns projected onto them, with that matching as
+    its one candidate; or nothing."""
     proper = [a for _, a in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
     node = tuple((not s, a) for s, a in valuation if a in proper and operator_legal(a.op, cfg))
     positions = [proper.index(a) for _, a in node]
     patterns = {sum((bits >> ai & 1) << j for j, ai in enumerate(positions)) for bits in sat_bits}
     refuter = refuting_matching_exists(node, patterns, cfg)[0] if node else None
-    out = _mask_loop_challenges(valuation, cfg, sat_bits, refuter=lambda *args: None)
     if refuter is None:
-        return out
+        return []
     refuted = conclusion_clause(refuter, cfg.n_agents)
     assert set(refuted) <= set(node), (node, refuted)
-    out = dict(out)
-    out.setdefault(refuted, []).append(refuter)
+    return [(refuted, [refuter])]
+
+
+def _congruence_and_refuter_challenges(valuation, cfg, sat_bits):
+    """The linear challenges asked before a node's one system stood alone:
+    the congruence pairs of the mask loop, with the refuter's clause among
+    them and the refuter as that clause's last candidate."""
+    out = dict(_mask_loop_challenges(valuation, cfg, sat_bits, refuter=lambda *args: None))
+    for refuted, found in _one_refuter_challenges(valuation, cfg, sat_bits):
+        out.setdefault(refuted, []).extend(found)
     index = {a: i for i, (_, a) in enumerate(valuation)}
     return sorted(out.items(), key=lambda item: sum(1 << index[a] for _, a in item[0]))
 
@@ -338,7 +380,9 @@ def test_challenges_match_mask_loop(cfg):
         f = random_formula(rng, cfg, max_depth=2, size_budget=14)
         pool += [g for g in subformulas(f) if isinstance(g, FModal) and g not in pool]
     nontrivial = 0
-    for _ in range(250):
+    # A linear node has a challenge only when its system refutes it, so
+    # those logics draw more nodes.
+    for _ in range(500 if cfg.is_arithmetic() else 250):
         atoms = rng.sample(pool, rng.randint(1, min(8, len(pool))))
         valuation = tuple((rng.random() < 0.5, a) for a in atoms)
         n_proper = sum(not isinstance(a.op, Atom) for a in atoms)
@@ -358,15 +402,20 @@ def test_challenges_match_mask_loop(cfg):
     assert nontrivial >= 50
 
 
-@pytest.mark.parametrize("spec", ["K", "KD", "M", "COAL:2"])
+@pytest.mark.parametrize("spec", ["K", "KD", "M", "COAL:2", "GML", "MAJ", "PML"])
 def test_maximal_clauses_keep_every_verdict(spec, monkeypatch):
     # Asking only the maximal clauses, and no congruence matching that a
     # shape instance of the same clause dominates, decides every formula as
     # asking every clause a rule matches does, with every matching, and
-    # refuted formulas still get proofs that check.  Conjunctions of modal
-    # literals put several of each sign at one node, which random formulas
-    # seldom do.
+    # refuted formulas still get proofs that check.  In the linear logics
+    # the reference asks every congruence pair beside the node's one
+    # system.  Conjunctions of modal literals put several of each sign at
+    # one node, which random formulas seldom do; in the linear logics they
+    # reuse two operators, so that a node holds congruence pairs.
     cfg = parse_logic_spec(spec)
+    reference = (
+        _congruence_and_refuter_challenges if cfg.is_arithmetic() else _mask_loop_challenges
+    )
     rng = random.Random(7)
     formulas = []
     for _ in range(250):
@@ -375,13 +424,15 @@ def test_maximal_clauses_keep_every_verdict(spec, monkeypatch):
             modal(random_operator(rng, cfg), random_formula(rng, cfg, max_depth=1, size_budget=5))
             for _ in range(rng.randint(2, 5))
         ]
+        if cfg.is_arithmetic():
+            literals = [modal(literals[i % 2].op, g.arg) for i, g in enumerate(literals)]
         formulas += [f, neg(f), conj_fold([g if rng.random() < 0.5 else neg(g) for g in literals])]
     verdicts = [solver.satisfiable(f, cfg) for f in formulas]
     for f, verdict in zip(formulas, verdicts):
         if not verdict.satisfiable:
             doc = extract_proof(verdict, neg(f), cfg)
             assert check_proof(doc, neg(f), cfg) == (True, "ok"), f
-    monkeypatch.setattr(solver, "challenges", _mask_loop_challenges)
+    monkeypatch.setattr(solver, "challenges", reference)
     full = [solver.satisfiable(f, cfg) for f in formulas]
     assert [v.satisfiable for v in verdicts] == [v.satisfiable for v in full]
     assert 50 <= sum(not v.satisfiable for v in verdicts) <= 500
