@@ -47,6 +47,7 @@ from .logics import (
     operator_legal,
     pattern_formula,
     proper_atoms,
+    proper_literals,
     side_condition,
 )
 from .onestep import (
@@ -363,9 +364,14 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
     # Challenge coverage: every candidate of every challenge has an answering
     # edge.  In the linear logics the challenges are asked against the
     # claimed patterns, which have checked children, so they are satisfiable;
-    # fewer satisfiable patterns only make refuting easier.
+    # fewer satisfiable patterns only make refuting easier.  Nodes with the
+    # same proper modal literals and claimed patterns have the same ones.
+    asked = {}
     for i, valuation in enumerate(tb.nodes):
-        for _, cands in challenges(valuation, cfg, claimed[i]):
+        key = (proper_literals(valuation), frozenset(claimed[i]))
+        if key not in asked:
+            asked[key] = list(challenges(key[0], cfg, claimed[i]))
+        for _, cands in asked[key]:
             for m in cands:
                 if (i, m) not in answered:
                     msg = "unanswered challenge at node %d: the %s rule refutes it"
@@ -477,15 +483,10 @@ class _ModelBuilder:
                 return None
         return self.w
 
-    def _literals(self, i):
-        for s, a in self.tb.nodes[i]:
-            if isinstance(a, FModal) and not isinstance(a.op, Atom):
-                yield s, a
-
     def _build_node(self, i, kids) -> bool:
         kind = self.w.kind
         if kind == "kripke":
-            pos = [a.arg for (s, a) in self._literals(i) if s]
+            pos = [a.arg for (s, a) in proper_literals(self.tb.nodes[i]) if s]
             succ = [t for t in kids if all(self.checker.check(t, g) for g in pos)]
             if self.cfg.logic == "KD" and not succ:
                 if pos:
@@ -508,7 +509,7 @@ class _ModelBuilder:
     # -- multigraph weights ------------------------------------------------
 
     def _build_multigraph(self, i, kids) -> bool:
-        literals = list(self._literals(i))
+        literals = proper_literals(self.tb.nodes[i])
         member = {
             t: tuple(self.checker.check(t, a.arg) for (_, a) in literals)
             for t in kids
@@ -545,7 +546,7 @@ class _ModelBuilder:
     def _build_distribution(self, i, kids) -> bool:
         sink = self._make_sink()
         support = sorted(kids) + [sink]
-        literals = list(self._literals(i))
+        literals = proper_literals(self.tb.nodes[i])
         # Weights w_t >= 0 (non-negative columns) of total mass at least 1,
         # normalized afterwards; the homogeneous form is what
         # ``linarith.feasible`` accepts.
@@ -581,7 +582,7 @@ class _ModelBuilder:
         # fresh checker, so a staging discrepancy can only make synthesis
         # fail, never lie.
         nodes = range(len(self.tb.nodes))
-        gens = {i: {a.arg for s, a in self._literals(i) if s} for i in nodes}
+        gens = {i: {a.arg for s, a in proper_literals(self.tb.nodes[i]) if s} for i in nodes}
         hoods = {i: [] for i in nodes}
         self.w.structs.update(hoods)
         ordered_gens = sorted(

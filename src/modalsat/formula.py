@@ -251,14 +251,23 @@ def subformulas(f: Formula) -> tuple:
 
 def eval_with(f: Formula, assign: dict) -> bool:
     """Evaluate treating modal atoms as propositional variables; every modal
-    atom of ``f`` must be assigned."""
-    if isinstance(f, FBot):
-        return False
-    if isinstance(f, FAnd):
-        return eval_with(f.lhs, assign) and eval_with(f.rhs, assign)
-    if isinstance(f, FNot):
-        return not eval_with(f.arg, assign)
-    return assign[f]
+    atom of ``f`` must be assigned.  Only right operands recurse, so a long
+    conjunction or disjunction takes no deep stack."""
+    pending = []  # (right operand, whether its conjunction is negated)
+    flip = False
+    while True:
+        cls = f.__class__
+        if cls is FAnd:
+            pending.append((f.rhs, flip))
+            flip, f = False, f.lhs
+        elif cls is FNot:
+            flip, f = not flip, f.arg
+        else:
+            break
+    value = (cls is not FBot and assign[f]) != flip
+    for rhs, flip in reversed(pending):
+        value = (value and eval_with(rhs, assign)) != flip
+    return value
 
 
 # ---------------------------------------------------------------------------

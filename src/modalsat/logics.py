@@ -193,7 +193,8 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     """The universal challenges of a pseudovaluation: ``(clause, candidates)``
     for each clause over negated literals of ``valuation`` that some rule
     matches, in increasing mask order (bit i = literal i of the valuation).
-    Propositional atoms never enter a clause.
+    Propositional atoms never enter a clause: the challenges depend only on
+    ``proper_literals(valuation)`` and ``sat_bits``.
 
     A linear node has at most one challenge: the clause its relaxed system
     refutes, with the refuting matching as the only candidate, which leaves
@@ -384,9 +385,16 @@ def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def proper_literals(valuation) -> tuple:
+    """The literals of a pseudovaluation's proper modal atoms, in its order."""
+    return tuple(
+        (s, a) for s, a in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)
+    )
+
+
 def proper_atoms(valuation) -> list:
     """The proper modal atoms of a pseudovaluation, in its order."""
-    return [a for (_, a) in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
+    return [a for (_, a) in proper_literals(valuation)]
 
 
 def pattern_formula(arith_atoms, bits: int) -> Formula:
@@ -433,13 +441,9 @@ def _linear_literal_data(clause, cfg: LogicConfig):
     return signs, rows, args
 
 
-def _build_constraints(signs, rows, sat_patterns, cfg, branch):
-    """Constraint list over magnitude variables x_i and bound t, without
-    the magnitudes' lower bounds.
-
-    ``branch`` is None (GML: bound fixed 0; PML: bound variable) or for MAJ
-    one of "nonneg"/"neg" fixing the sign of the premise bound.
-    """
+def _build_constraints(signs, rows, sat_patterns, cfg):
+    """Constraint list over magnitude variables x_i and bound t (fixed 0 in
+    GML), without the magnitudes' lower bounds."""
     q = len(signs)
     use_t = cfg.logic != "GML"
     cons = []
@@ -461,19 +465,15 @@ def _build_constraints(signs, rows, sat_patterns, cfg, branch):
                 coeffs[_x(i)] = k + 1 if not signs[i] else -k
             elif signs[i]:
                 coeffs[_x(i)] = 1
-        if branch == "nonneg":
-            coeffs["t"] = -1
+        # A - 1 - max(t, 0) >= 0 is convex: A - 1 >= 0 and A - t - 1 >= 0.
         cons.append((coeffs, -1, False))
+        cons.append((dict(coeffs, t=-1), -1, False))
         # 2m - (signed sum of W coefficients) >= 0
         coeffs2 = {"t": 2}
         for i, (kind, k) in enumerate(rows):
             if kind == "w":
                 coeffs2[_x(i)] = -1 if signs[i] else 1
         cons.append((coeffs2, 0, False))
-        if branch == "nonneg":
-            cons.append(({"t": 1}, 0, False))
-        else:
-            cons.append(({"t": -1}, 0, True))
     elif cfg.logic == "PML":
         # The one row with rational coefficients: the probabilities.
         coeffs = {"t": 1}
@@ -489,10 +489,6 @@ def _x(i: int) -> str:
     return "x%d" % i
 
 
-def _branches(cfg: LogicConfig) -> tuple:
-    return ("nonneg", "neg") if cfg.logic == "MAJ" else (None,)
-
-
 def _check_point(cons, point) -> bool:
     for coeffs, const, strict in cons:
         total = const + sum(c * point[v] for v, c in coeffs.items())
@@ -501,20 +497,16 @@ def _check_point(cons, point) -> bool:
     return True
 
 
-def _small_search(signs, cons, use_t, branch) -> Optional[dict]:
-    """Brute-force search over small magnitudes for readable certificates."""
+def _small_search(signs, cons, cfg) -> Optional[dict]:
+    """Brute-force search over small magnitudes for readable certificates.
+    MAJ tries its non-negative bounds first; GML's bound is 0."""
     q = len(signs)
     if q > 4:
         return None
-    if use_t:
-        if branch == "nonneg":
-            t_values = [0, 1, 2, 3, 4]
-        elif branch == "neg":
-            t_values = [-1, -2, -3, -4]
-        else:
-            t_values = [0, 1, -1, 2, -2, 3, -3, 4, -4]
+    if cfg.logic == "MAJ":
+        t_values = [0, 1, 2, 3, 4, -1, -2, -3, -4]
     else:
-        t_values = [0]
+        t_values = [0, 1, -1, 2, -2, 3, -3, 4, -4] if cfg.logic == "PML" else [0]
     magnitudes = [1, 2, 3]
     stack = [[]]
     for _ in range(q):
@@ -522,8 +514,7 @@ def _small_search(signs, cons, use_t, branch) -> Optional[dict]:
     for t in t_values:
         for combo in stack:
             point = {_x(i): combo[i] for i in range(q)}
-            if use_t:
-                point["t"] = t
+            point["t"] = t
             if _check_point(cons, point):
                 return point
     return None
@@ -542,12 +533,12 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     ``sat_patterns`` is the set of satisfiable sign patterns, as bitmasks
     over clause positions (bit i set = argument of literal i true).
 
-    One relaxed system answers for every sub-clause at once: the clause
-    system of the whole clause with every ``x_i >= 1`` weakened to
-    ``x_i >= 0``, pruned to the pattern rows no other row implies
-    (``_unimplied_patterns``).  The support S of its solution is a refuted
-    sub-clause, and it is infeasible exactly when no sub-clause is refuted
-    (docs/certificates.md, "One system per node").  S's coefficients come
+    One relaxed system answers for every sub-clause at once, MAJ's convex
+    side condition included: the clause system of the whole clause with
+    every ``x_i >= 1`` weakened to ``x_i >= 0``, pruned to the pattern rows
+    no other row implies (``_unimplied_patterns``).  The support S of its
+    solution is a refuted sub-clause, and it is infeasible exactly when no
+    sub-clause is refuted (docs/certificates.md, "One system per node").  S's coefficients come
     from ``_small_search`` when S has at most four literals, and otherwise
     from the solution restricted to S and scaled to integers; either way
     they are checked against S's full system.
@@ -562,29 +553,25 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     use_t = cfg.logic != "GML"
     xs = [_x(i) for i in range(len(signs))]
     variables = xs + (["t"] if use_t else [])
-    patterns = _unimplied_patterns(signs, sat_patterns)
-    for branch in _branches(cfg):
-        cons = _build_constraints(signs, rows, patterns, cfg, branch)
-        if cfg.logic == "PML":
-            positive = [x for x, s in zip(xs, signs) if s] or xs
-            cons.append((dict.fromkeys(positive, 1), -1, False))
-        point = linarith.feasible(cons, variables, nonneg=xs)
-        if point is not None:
-            break
-    else:
+    cons = _build_constraints(signs, rows, _unimplied_patterns(signs, sat_patterns), cfg)
+    if cfg.logic == "PML":
+        positive = [x for x, s in zip(xs, signs) if s] or xs
+        cons.append((dict.fromkeys(positive, 1), -1, False))
+    point = linarith.feasible(cons, variables, nonneg=xs)
+    if point is None:
         return None, False
     support = [i for i in range(len(signs)) if point[_x(i)] > 0]
     sub = tuple(clause[i] for i in support)
     signs, rows, args = _linear_literal_data(sub, cfg)
     sub_patterns = clause_patterns(sub, [a for _, a in clause], sat_patterns)
     cons = [({_x(j): 1}, -1, False) for j in range(len(sub))]
-    cons += _build_constraints(signs, rows, sub_patterns, cfg, branch)
+    cons += _build_constraints(signs, rows, sub_patterns, cfg)
     restricted = {_x(j): point[_x(i)] for j, i in enumerate(support)}
     if use_t:
         restricted["t"] = point["t"]
     # Small coefficients make readable certificates; the scaled LP
     # point is the exact answer when none fits.
-    point = _small_search(signs, cons, use_t, branch) or _scale_to_integers(restricted)
+    point = _small_search(signs, cons, cfg) or _scale_to_integers(restricted)
     if not _check_point(cons, point):
         raise RuntimeError("coefficient point fails its own constraint system")
     coeffs = tuple(point[_x(i)] * (1 if signs[i] else -1) for i in range(len(signs)))

@@ -34,7 +34,9 @@ recursive solver calls and handed to ``challenges``, which solves one
 relaxed system over all of the node's atoms; its support is the refuted
 clause, and the refuting matching, when there is one, is the node's one
 challenge.  Its demands are then solved like any other; each must be
-unsatisfiable.
+unsatisfiable.  Patterns and challenges read only a pseudovaluation's
+proper modal literals, so a Solver answers each modal part once, and a
+later pseudovaluation with the same one takes its obligations or failure.
 
 Traces record, per satisfiable node, one satisfiable demand per candidate
 matching plus (for linear logics) one child per satisfiable argument
@@ -59,7 +61,7 @@ from .logics import (
     LogicConfig,
     challenges,
     pattern_formula,
-    proper_atoms,
+    proper_literals,
     validate_formula,
 )
 from .onestep import (
@@ -117,6 +119,7 @@ class Solver:
     def __init__(self, cfg: LogicConfig):
         self.cfg = cfg
         self.memo = {}
+        self.nodes = {}  # proper modal literals -> obligations or failure
         self.stats = SolveStats()
         self.root_depth = 0
 
@@ -155,9 +158,17 @@ class Solver:
     # -- universal challenges against one pseudovaluation ------------------
 
     def _check_valuation(self, f: Formula, valuation: tuple, level: int):
+        modal = proper_literals(valuation)
+        answer = self.nodes.get(modal)
+        if answer is None:
+            answer = self.nodes[modal] = self._answer(modal, level)
+        return SatNode(f, valuation, answer) if isinstance(answer, list) else (valuation,) + answer
+
+    def _answer(self, modal: tuple, level: int):
+        """A modal part's obligations, or the (clause, matching, children) refuting it."""
         obligations = []
         sat_bits = set()
-        arith_atoms = proper_atoms(valuation) if self.cfg.is_arithmetic() else ()
+        arith_atoms = [a for _, a in modal] if self.cfg.is_arithmetic() else ()
         if arith_atoms:
             for bits in range(1 << len(arith_atoms)):
                 pf = pattern_formula(arith_atoms, bits)
@@ -166,7 +177,7 @@ class Solver:
                 if sat:
                     sat_bits.add(bits)
                     obligations.append((None, child))
-        for clause, cands in challenges(valuation, self.cfg, sat_bits):
+        for clause, cands in challenges(modal, self.cfg, sat_bits):
             for m in cands:
                 self.stats.matchings_checked += 1
                 gamma_children = []
@@ -179,11 +190,11 @@ class Solver:
                         break
                     gamma_children.append((gamma, child))
                 if chosen is None:
-                    return (valuation, clause, m, gamma_children)
+                    return (clause, m, gamma_children)
                 if m.code.scheme in LINEAR_SCHEMES:
                     raise RuntimeError("refuting matching leaves a satisfiable demand")
                 obligations.append((m, chosen))
-        return SatNode(f, valuation, obligations)
+        return obligations
 
 
 def satisfiable(f: Formula, cfg: LogicConfig) -> Verdict:

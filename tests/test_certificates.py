@@ -32,7 +32,18 @@ from modalsat.certificates import (
     tableau_to_model,
     validate_structure,
 )
-from modalsat.formula import GDiamond, MajW, assignments, atom, modal, neg_fold, parse, pretty
+from modalsat.formula import (
+    Atom,
+    GDiamond,
+    MajW,
+    assignments,
+    atom,
+    conj_fold,
+    modal,
+    neg_fold,
+    parse,
+    pretty,
+)
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec
 from modalsat.onestep import (
     RuleCode,
@@ -43,6 +54,7 @@ from modalsat.onestep import (
     premise_cnf_clauses,
 )
 from modalsat.oracle import brute_force_sat
+from modalsat.sampling import random_formula
 from modalsat.semantics import lift
 from modalsat.solver import Solver, satisfiable
 
@@ -638,6 +650,44 @@ def test_check_tableau_names_the_failing_edge(logic, text, tamper, message, tmp_
     cert.write_text(json.dumps(payload))
     assert cli.main(["--logic", logic, "check-cert", text, "--cert", str(cert)]) == 1
     assert capsys.readouterr().out == "tableau  INVALID: %s\n" % message
+
+
+def _shared_modal_part(tb):
+    """Two nodes i < j with rule edges whose proper modal literals agree and
+    whose propositional literals differ, or None."""
+    first = {}
+    for j in sorted({src for src, m, _ in tb.edges if m is not None}):
+        modal = tuple((s, a) for s, a in tb.nodes[j] if not isinstance(a.op, Atom))
+        i = first.setdefault(modal, j)
+        if i != j and set(tb.nodes[i]) - set(modal) != set(tb.nodes[j]) - set(modal):
+            return i, j
+    return None
+
+
+def test_nodes_sharing_modal_literals_each_need_their_edge(tmp_path, capsys):
+    # The checker asks the challenges of a modal part once, but each node
+    # must still answer them with edges of its own.
+    cfg = LogicConfig(logic="K")
+    rng = random.Random(1)
+    cert = tmp_path / "tableau.json"
+    while True:
+        f = conj_fold(
+            [random_formula(rng, cfg, max_depth=3, size_budget=rng.randint(8, 16)) for _ in range(3)]
+        )
+        text = pretty(f)
+        if cli.main(["--logic", "K", "solve", text, "--cert", str(cert)]) != 0:
+            continue
+        payload = json.loads(cert.read_text())
+        pair = _shared_modal_part(tableau_from_json(payload, cfg.n_agents))
+        if pair is not None:
+            break
+    j = pair[1]
+    edges = payload["payload"]["edges"]
+    edges.remove(next(e for e in edges if e["src"] == j and "rule" in e))
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["--logic", "K", "check-cert", text, "--cert", str(cert)]) == 1
+    assert "INVALID: unanswered challenge at node %d:" % j in capsys.readouterr().out
 
 
 def test_tableau_edges_carry_only_their_rule_instance():

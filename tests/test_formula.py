@@ -15,6 +15,9 @@ from modalsat.formula import (
     LProb,
     MajW,
     BOT,
+    FAnd,
+    FBot,
+    FNot,
     ParseError,
     TOP,
     assignments,
@@ -178,6 +181,39 @@ def test_pseudovaluations_entail_formula():
     for v in assignments(f):
         assign = {a: s for (s, a) in v}
         assert eval_with(f, assign)
+
+
+def _eval_reference(f, assign):
+    """``eval_with`` as one recursive call per node."""
+    if isinstance(f, FBot):
+        return False
+    if isinstance(f, FAnd):
+        return _eval_reference(f.lhs, assign) and _eval_reference(f.rhs, assign)
+    if isinstance(f, FNot):
+        return not _eval_reference(f.arg, assign)
+    return assign[f]
+
+
+def test_eval_with_matches_recursive_evaluation():
+    rng = random.Random(11)
+    for logic in ("K", "COAL", "GML", "MAJ", "PML"):
+        cfg = LogicConfig(logic=logic)
+        for _ in range(300):
+            f = random_formula(rng, cfg, max_depth=3, size_budget=rng.randint(3, 20))
+            assign = {a: rng.random() < 0.5 for a in modal_atoms(f)}
+            assert eval_with(f, assign) is _eval_reference(f, assign), pretty(f)
+
+
+@pytest.mark.parametrize("text", ["&", "|"])
+def test_eval_with_takes_wide_flat_formulas(text):
+    # 1,500 operands nest 1,500 left operands deep, past the default
+    # recursion limit; check-cert evaluates such a root.
+    f = parse((" %s " % text).join("a%d" % i for i in range(1500)))
+    atoms = modal_atoms(f)
+    assign = dict.fromkeys(atoms, text == "&")
+    assert eval_with(f, assign) is (text == "&")
+    assign[atoms[700]] = text != "&"
+    assert eval_with(f, assign) is (text != "&")
 
 
 # -- propositional tooling ---------------------------------------------------

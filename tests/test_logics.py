@@ -265,21 +265,20 @@ def _clause_refuter(clause, patterns, cfg):
     signs, rows, args = data
     xs = ["x%d" % i for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
-    at_least_one = [({x: 1}, -1, False) for x in xs]
-    for branch in logics._branches(cfg):
-        cons = at_least_one + logics._build_constraints(signs, rows, patterns, cfg, branch)
-        point = linarith.feasible(cons, variables)
-        if point is not None:
-            point = logics._scale_to_integers(point)
-            ints = tuple(point[x] if s else -point[x] for x, s in zip(xs, signs))
-            ints += (point.get("t", 0),)
-            if cfg.logic == "PML":
-                code = RuleCode("PML", "PML", ints, tuple(p for _, p in rows), (), ())
-            else:
-                grades = tuple(k if kind == "g" else -1 for kind, k in rows)
-                code = RuleCode(cfg.logic, cfg.logic, ints, (), grades, ())
-            return RuleMatching(code, args)
-    return None
+    cons = [({x: 1}, -1, False) for x in xs]
+    cons += logics._build_constraints(signs, rows, patterns, cfg)
+    point = linarith.feasible(cons, variables)
+    if point is None:
+        return None
+    point = logics._scale_to_integers(point)
+    ints = tuple(point[x] if s else -point[x] for x, s in zip(xs, signs))
+    ints += (point.get("t", 0),)
+    if cfg.logic == "PML":
+        code = RuleCode("PML", "PML", ints, tuple(p for _, p in rows), (), ())
+    else:
+        grades = tuple(k if kind == "g" else -1 for kind, k in rows)
+        code = RuleCode(cfg.logic, cfg.logic, ints, (), grades, ())
+    return RuleMatching(code, args)
 
 
 def _mask_loop_challenges(valuation, cfg, sat_bits, refuter=_clause_refuter):
@@ -527,14 +526,11 @@ def _unpruned_relaxed(clause, sat_bits, cfg):
     signs, rows, _ = logics._linear_literal_data(clause, cfg)
     xs = ["x%d" % i for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
-    for branch in logics._branches(cfg):
-        cons = logics._build_constraints(signs, rows, sat_bits, cfg, branch)
-        if cfg.logic == "PML":
-            support = [x for x, s in zip(xs, signs) if s] or xs
-            cons.append((dict.fromkeys(support, 1), -1, False))
-        if linarith.feasible(cons, variables, nonneg=xs) is not None:
-            return True
-    return False
+    cons = logics._build_constraints(signs, rows, sat_bits, cfg)
+    if cfg.logic == "PML":
+        support = [x for x, s in zip(xs, signs) if s] or xs
+        cons.append((dict.fromkeys(support, 1), -1, False))
+    return linarith.feasible(cons, variables, nonneg=xs) is not None
 
 
 def _implies(signs, strong, weak):
@@ -619,9 +615,49 @@ def test_width_10_root_is_one_system(logic, monkeypatch):
     verdict = solver.satisfiable(f, cfg)
     assert not verdict.satisfiable
     # Every other node is propositional, so every system is the root's.
-    assert 1 <= len(calls) <= (2 if logic == "MAJ" else 1), calls
+    assert len(calls) == 1, calls
     goal = neg(f)
     assert check_proof(extract_proof(verdict, goal, cfg), goal, cfg) == (True, "ok")
+
+
+def test_maj_side_condition_is_one_system():
+    # MAJ's side condition A - 1 - max(t, 0) >= 0 is the two rows A - 1 >= 0
+    # and A - t - 1 >= 0, so a rule code meets it exactly when its
+    # magnitudes and bound satisfy the premise rows of the node's system.
+    cfg = LogicConfig(logic="MAJ")
+    rng = random.Random(2626)
+    held = set()
+    for _ in range(3000):
+        arity = rng.randint(1, 4)
+        coeffs = tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(arity))
+        grades = tuple(rng.randint(-1, 3) for _ in range(arity))
+        bound = rng.randint(-4, 4)
+        code = RuleCode("MAJ", "MAJ", ints=coeffs + (bound,), grades=grades)
+        signs = [c > 0 for c in coeffs]
+        rows = [("g", k) if k >= 0 else ("w", None) for k in grades]
+        cons = logics._build_constraints(signs, rows, set(), cfg)
+        point = {"x%d" % i: abs(c) for i, c in enumerate(coeffs)}
+        point["t"] = bound
+        holds = side_condition(code, cfg)
+        assert logics._check_point(cons, point) == holds, code
+        held.add((holds, bound < 0))
+    assert held == {(h, n) for h in (True, False) for n in (True, False)}
+
+
+@pytest.mark.parametrize("text", ["W a & W ~a", "W a & ~W b", "<1>a & ~<2>a"])
+def test_maj_node_solves_one_system(text, monkeypatch):
+    # One system per MAJ node, as in GML and PML: the sign of the premise
+    # bound is no longer split into two systems.
+    original = linarith.feasible
+    calls = []
+
+    def spy(constraints, variables, nonneg=()):
+        calls.append(len(variables))
+        return original(constraints, variables, nonneg)
+
+    monkeypatch.setattr(linarith, "feasible", spy)
+    assert solver.satisfiable(parse(text), LogicConfig(logic="MAJ")).satisfiable
+    assert len(calls) == 1, calls
 
 
 @pytest.mark.parametrize("logic", ["GML", "MAJ", "PML"])

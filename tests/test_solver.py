@@ -4,14 +4,23 @@ import random
 
 import pytest
 
-from modalsat.certificates import check_tableau, extract_tableau, model_check, tableau_to_model
-from modalsat.formula import neg_fold, parse, pretty
+from modalsat import logics
+from modalsat.certificates import (
+    check_tableau,
+    extract_proof,
+    extract_tableau,
+    model_check,
+    proof_to_json,
+    tableau_to_json,
+    tableau_to_model,
+)
+from modalsat.formula import conj_fold, neg, neg_fold, parse, pretty
 from modalsat.logics import LogicConfig
 from modalsat.oracle import brute_force_sat
 from modalsat.sampling import random_formula
 from modalsat.solver import Solver, satisfiable
 
-from conftest import ALL_LOGICS
+from conftest import ALL_LOGICS, tableau_sha256
 
 
 def _sat(text, logic, n_agents=2):
@@ -127,6 +136,88 @@ def test_solver_never_contradicts_oracle(logic):
         witness = brute_force_sat(f, cfg)
         if witness is not None:
             assert verdict.satisfiable, pretty(f)
+
+
+class _NeverStores(dict):
+    """A node table that forgets every answer, so each pseudovaluation is
+    answered afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _count_refuter_calls(monkeypatch):
+    calls = []
+    original = logics.refuting_matching_exists
+
+    def counted(clause, sat_patterns, cfg):
+        calls.append(clause)
+        return original(clause, sat_patterns, cfg)
+
+    monkeypatch.setattr(logics, "refuting_matching_exists", counted)
+    return calls
+
+
+def _without_node_reuse(monkeypatch):
+    init = Solver.__init__
+
+    def forgetful(self, cfg):
+        init(self, cfg)
+        self.nodes = _NeverStores()
+
+    monkeypatch.setattr(Solver, "__init__", forgetful)
+
+
+def _certified(f, cfg):
+    """The verdict and the JSON of its certificate: the tableau, or the
+    proof of the negation.  A model is built from the tableau alone, so equal
+    tableaux give equal models; synthesis is left out because one MAJ model
+    of the corpus below takes minutes (ROADMAP item 2)."""
+    verdict = satisfiable(f, cfg)
+    if not verdict.satisfiable:
+        return False, proof_to_json(extract_proof(verdict, neg(f), cfg))
+    return True, tableau_to_json(extract_tableau(verdict, cfg))
+
+
+@pytest.mark.parametrize("logic", ALL_LOGICS)
+def test_node_reuse_keeps_every_certificate(logic, monkeypatch):
+    # A node's answer depends only on its proper modal literals, so reusing
+    # it across pseudovaluations that share them changes no verdict and no
+    # byte of any certificate; in the linear logics it saves refuter calls.
+    cfg = LogicConfig(logic=logic)
+    rng = random.Random(2525)
+    formulas = []
+    for _ in range(60):
+        f = random_formula(rng, cfg, max_depth=3, size_budget=rng.randint(7, 15))
+        g = conj_fold(
+            [random_formula(rng, cfg, max_depth=2, size_budget=rng.randint(5, 9)) for _ in range(3)]
+        )
+        formulas += [f, neg(f), g, neg(g)]
+    calls = _count_refuter_calls(monkeypatch)
+    reused = [_certified(f, cfg) for f in formulas]
+    reuse_calls = len(calls)
+    _without_node_reuse(monkeypatch)
+    del calls[:]
+    assert [_certified(f, cfg) for f in formulas] == reused
+    assert 10 <= sum(not r[0] for r in reused) <= 200
+    if cfg.is_arithmetic():
+        assert reuse_calls < len(calls)
+
+
+def test_node_reuse_answers_a_shared_modal_part_once(monkeypatch):
+    # Both pattern formulas ~(r & ~<2>p) and r & ~<2>p reach a node whose
+    # one proper literal is ~<2>p; it is answered once.
+    cfg = LogicConfig(logic="GML")
+    f = parse("<2> ~(r & ~<2> p)")
+    calls = _count_refuter_calls(monkeypatch)
+    tb = extract_tableau(satisfiable(f, cfg), cfg)
+    assert len(calls) == 2
+    digest = "51fabc64835e76745c8b6081b146d10dac305da06d739585de80ada86f42bca6"
+    assert tableau_sha256(tb) == digest
+    _without_node_reuse(monkeypatch)
+    del calls[:]
+    assert tableau_sha256(extract_tableau(satisfiable(f, cfg), cfg)) == digest
+    assert len(calls) == 3
 
 
 # The widest linear family members of the benchmark corpus; each is
