@@ -34,6 +34,7 @@ from .formula import (
     FModal,
     FNot,
     Formula,
+    GDiamond,
     eval_with,
     modal_atoms,
     neg_fold,
@@ -70,7 +71,8 @@ from .solver import SatNode, Verdict
 # edges carry only their rule instance; no reader of older versions is kept.
 CERT_VERSIONS = {"model": 1, "tableau": 2, "proof": 3}
 
-# Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph.
+# Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph, or
+# the node's largest grade + 1 if that is more.
 MAX_WEIGHT = 16
 
 
@@ -113,13 +115,35 @@ class _Checker:
         self.truth_sets = {}
 
     def check(self, state: int, f: Formula) -> bool:
-        key = (state, f)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._eval(state, f)
-        self.memo[key] = result
-        return result
+        """Is ``f`` true at ``state``?  Only right operands recurse, so a
+        long conjunction or disjunction takes no deep stack."""
+        memo = self.memo
+        value = memo.get((state, f))
+        if value is not None:
+            return value
+        cls = f.__class__
+        if cls is not FAnd and cls is not FNot:
+            # A modal formula or bottom, the most frequent call, is a leaf.
+            value = memo[state, f] = self._eval(state, f)
+            return value
+        spine = []  # the conjunctions and negations above f, innermost last
+        while cls is FAnd or cls is FNot:
+            spine.append(f)
+            f = f.lhs if cls is FAnd else f.arg
+            value = memo.get((state, f))
+            if value is not None:
+                break
+            cls = f.__class__
+        else:
+            value = memo[state, f] = self._eval(state, f)
+        while spine:
+            g = spine.pop()
+            if g.__class__ is FAnd:
+                value = value and self.check(state, g.rhs)
+            else:
+                value = not value
+            memo[state, g] = value
+        return value
 
     def truth_set(self, f: Formula) -> frozenset:
         """The states where ``f`` holds (neighbourhood models, whose box
@@ -132,10 +156,6 @@ class _Checker:
 
     def _eval(self, state, f) -> bool:
         if not isinstance(f, FModal):
-            if isinstance(f, FAnd):
-                return self.check(state, f.lhs) and self.check(state, f.rhs)
-            if isinstance(f, FNot):
-                return not self.check(state, f.arg)
             return False  # bottom
         if isinstance(f.op, Atom):
             return f.op.name in self.w.labels.get(state, ())
@@ -531,9 +551,11 @@ class _ModelBuilder:
         insides = [
             {b for b in range(nb) if blocks[b][li]} for li in range(len(literals))
         ]
-        found = _weight_search(
-            literals, insides, dict.fromkeys(range(nb), 0), 0, MAX_WEIGHT
-        )
+        # A weight past the largest grade + 1 changes no graded literal
+        # (docs/certificates.md, "Multigraph weights").
+        grades = [a.op.grade for _, a in literals if isinstance(a.op, GDiamond)]
+        cap = max(MAX_WEIGHT, max(grades, default=0) + 1)
+        found = _weight_search(literals, insides, dict.fromkeys(range(nb), 0), 0, cap)
         if found is None:
             return False
         self.w.structs[i] = {

@@ -16,6 +16,10 @@ tag         operators                    rules besides congruence
 ``PML``     ``L{p}``                     probabilistic linear schema
 ==========  ===========================  ==========================
 
+Each shape schema's side condition is written once, in ``_shape_fits``:
+``matchings`` proposes a logic's shape instances through it, and
+``side_condition`` checks a rule code through it.
+
 For the linear schemas a clause has infinitely many matchings, indexed by
 nonzero integer coefficients (one per literal, sign agreeing with the
 literal) and a premise bound.  ``refuting_matching_exists`` decides whether
@@ -140,52 +144,60 @@ def _clause_ops(clause):
     return tuple(signs), tuple(ops), tuple(args)
 
 
+# Each logic's shape schemes, in the order ``matchings`` proposes them.
+_SHAPE_SCHEMES = {"K": ("K",), "KD": ("K", "KD"), "M": ("M",), "COAL": ("COAL1", "COAL4")}
+
+
+def _shape_fits(scheme, signs, coalitions, d, cfg: LogicConfig) -> bool:
+    """Is a conclusion with these literal signs (and, in COAL, coalitions)
+    an instance of the shape scheme ``scheme``, with literal ``d``
+    distinguished in COAL4?  The one statement of each shape schema's side
+    condition; which logic has which scheme is ``_SHAPE_SCHEMES``."""
+    n_pos = sum(signs)
+    if scheme == "K":
+        return n_pos == 1
+    if scheme == "KD":
+        return n_pos == 0 and len(signs) >= 1
+    if scheme == "M":
+        return n_pos == 1 and len(signs) == 2
+    if len(coalitions) != len(signs):
+        return False
+    if scheme == "COAL1":
+        return n_pos == 0 and len(signs) >= 1 and _pairwise_disjoint(coalitions)
+    if not (0 <= d < len(signs) and signs[d]):
+        return False
+    negatives = [c for c, s in zip(coalitions, signs) if not s]
+    if not all(c <= coalitions[d] for c in negatives):
+        return False
+    if n_pos > 1:
+        grand = cfg.grand_coalition
+        if any(s and c != grand for i, (c, s) in enumerate(zip(coalitions, signs)) if i != d):
+            return False
+    return _pairwise_disjoint(negatives)
+
+
 def matchings(clause, cfg: LogicConfig) -> list:
     """All matchings of the finite schemas against a clause, congruence
-    included.  A linear schema has infinitely many matchings; ``challenges``
-    adds the one that matters, the refuting one."""
+    first, then each of the logic's shape schemes in ``_SHAPE_SCHEMES``
+    order where ``_shape_fits`` accepts the clause; a COAL4 instance takes
+    the first positive literal that fits as its distinguished one.  A
+    linear schema has infinitely many matchings; ``challenges`` adds the
+    one that matters, the refuting one."""
     out = list(congruence_matchings(clause, cfg.logic))
-    shape = _clause_ops(clause)
-    if shape is None:
+    schemes = _SHAPE_SCHEMES.get(cfg.logic)
+    shape = schemes and _clause_ops(clause)
+    if not shape or not all(operator_legal(op, cfg) for op in shape[1]):
         return out
     signs, ops, args = shape
     sign_ints = tuple(1 if s else -1 for s in signs)
-    n_pos = sum(signs)
-
-    if cfg.logic in ("K", "KD") and all(isinstance(op, Box) for op in ops):
-        if n_pos == 1:
-            code = RuleCode(cfg.logic, "K", ints=sign_ints)
-            out.append(RuleMatching(code, args))
-        if cfg.logic == "KD" and n_pos == 0 and len(clause) >= 1:
-            code = RuleCode(cfg.logic, "KD", ints=sign_ints)
-            out.append(RuleMatching(code, args))
-
-    if cfg.logic == "M" and all(isinstance(op, Box) for op in ops):
-        if len(clause) == 2 and n_pos == 1:
-            code = RuleCode(cfg.logic, "M", ints=sign_ints)
-            out.append(RuleMatching(code, args))
-
-    if cfg.logic == "COAL" and all(isinstance(op, Coal) for op in ops):
-        coalitions = tuple(op.agents for op in ops)
-        negatives = [i for i, s in enumerate(signs) if not s]
-        positives = [i for i, s in enumerate(signs) if s]
-        disjoint = _pairwise_disjoint([coalitions[i] for i in negatives])
-        if n_pos == 0 and len(clause) >= 1 and disjoint:
-            code = RuleCode(cfg.logic, "COAL1", ints=sign_ints, coalitions=coalitions)
-            out.append(RuleMatching(code, args))
-        if n_pos >= 1 and disjoint:
-            grand = cfg.grand_coalition
-            non_grand = [i for i in positives if coalitions[i] != grand]
-            if len(non_grand) <= 1:
-                d = non_grand[0] if non_grand else positives[0]
-                if all(coalitions[i] <= coalitions[d] for i in negatives):
-                    code = RuleCode(
-                        cfg.logic,
-                        "COAL4",
-                        ints=sign_ints + (d,),
-                        coalitions=coalitions,
-                    )
-                    out.append(RuleMatching(code, args))
+    coalitions = tuple(op.agents for op in ops) if cfg.logic == "COAL" else ()
+    for scheme in schemes:
+        for d in (range(len(signs)) if scheme == "COAL4" else (None,)):
+            if _shape_fits(scheme, signs, coalitions, d, cfg):
+                ints = sign_ints if d is None else sign_ints + (d,)
+                code = RuleCode(cfg.logic, scheme, ints=ints, coalitions=coalitions)
+                out.append(RuleMatching(code, args))
+                break
     return out
 
 
@@ -207,18 +219,20 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     refutes the node too (docs/certificates.md, "Coverage").
 
     In the other logics a clause is built only where a schema's shape fits,
-    and its candidates are its ``matchings``, less congruence where a K, KD,
-    M or COAL4 instance matches the same pair ``{~La, Lb}``: that instance's
-    one demand ``a & ~b`` is congruence's first.  In K and KD only the
-    inclusion-maximal clauses are built: each clause-positive box with all
-    the clause-negative boxes, and in KD, when no box is clause-positive,
-    the clause-negative boxes alone.  The K demand ``a_1 & ... & a_k & ~b``
-    of ``{~[]a_1, ..., ~[]a_k, []b}`` implies the demand of every clause
-    inside it (a congruence pair's ``a & ~b``, a smaller K demand, the
-    seriality demand ``a_1 & ... & a_k``), so a sub-clause's challenge is
-    answered exactly when the maximal clause's is.  A K or KD node thus has
-    one challenge per diamond, with the one candidate K, and a refuted node
-    is refuted by the first maximal clause in mask order."""
+    and its candidates are its ``matchings``, less congruence wherever
+    another candidate matches the clause.  Only a K, M or COAL4 instance can
+    share congruence's pair ``{~La, Lb}``, since KD and COAL1 need no
+    positive literal, and its one demand ``a & ~b`` is congruence's first.
+    In K and KD only the inclusion-maximal clauses are built: each
+    clause-positive box with all the clause-negative boxes, and in KD, when
+    no box is clause-positive, the clause-negative boxes alone.  The K
+    demand ``a_1 & ... & a_k & ~b`` of ``{~[]a_1, ..., ~[]a_k, []b}``
+    implies the demand of every clause inside it (a congruence pair's
+    ``a & ~b``, a smaller K demand, the seriality demand ``a_1 & ... &
+    a_k``), so a sub-clause's challenge is answered exactly when the maximal
+    clause's is.  A K or KD node thus has one challenge per diamond, with
+    the one candidate K, and a refuted node is refuted by the first maximal
+    clause in mask order."""
     if cfg.is_arithmetic():
         atoms = proper_atoms(valuation)
         node = tuple(
@@ -256,9 +270,9 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
         found = matchings(clause, cfg)
-        if any(m.code.scheme in ("K", "KD", "M", "COAL4") for m in found):
-            # Congruence's first demand is this instance's one demand.
-            found = [m for m in found if m.code.scheme != "CONG"]
+        # A shape instance on a congruence pair has congruence's first
+        # demand as its one demand.
+        found = [m for m in found if m.code.scheme != "CONG"] or found
         if found:
             yield clause, found
 
@@ -313,37 +327,13 @@ def _pairwise_disjoint(sets) -> bool:
 def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
     """Validity of a rule code in isolation (used by certificate checkers)."""
     scheme = code.scheme
-    arity = code.arity()
-    if arity < 1 and scheme != "CONG":
-        return False
-    signs = code.signs()
     if scheme == "CONG":
         return len(code.ints) == 2 and sorted(code.ints) == [-1, 1]
-    if scheme == "K":
-        return cfg.logic in ("K", "KD") and sum(signs) == 1
-    if scheme == "KD":
-        return cfg.logic == "KD" and sum(signs) == 0 and arity >= 1
-    if scheme == "M":
-        return cfg.logic == "M" and arity == 2 and sum(signs) == 1
-    if scheme == "COAL1":
-        if cfg.logic != "COAL" or sum(signs) != 0 or len(code.coalitions) != arity:
-            return False
-        return _pairwise_disjoint(code.coalitions)
-    if scheme == "COAL4":
-        if cfg.logic != "COAL" or len(code.coalitions) != arity:
-            return False
-        d = code.ints[-1]
-        if not (0 <= d < arity and signs[d]):
-            return False
-        grand = cfg.grand_coalition
-        negatives = [i for i in range(arity) if not signs[i]]
-        if not _pairwise_disjoint([code.coalitions[i] for i in negatives]):
-            return False
-        if not all(code.coalitions[i] <= code.coalitions[d] for i in negatives):
-            return False
-        return all(
-            code.coalitions[i] == grand for i in range(arity) if signs[i] and i != d
-        )
+    arity = code.arity()
+    if arity < 1:
+        return False
+    if scheme in _SHAPE_SCHEMES.get(cfg.logic, ()):
+        return _shape_fits(scheme, code.signs(), code.coalitions, code.ints[-1], cfg)
     if scheme in LINEAR_SCHEMES:
         coeffs = code.ints[:-1]
         bound = code.ints[-1]

@@ -34,13 +34,10 @@ below.
   of a small carrier, reads the neighbourhoods off the positive bits, and
   keeps a guess only when ``lift`` gives every box its bit;
 * ``structures`` writes out each logic's one-step structures over a small
-  carrier, the only place they are enumerated: rule soundness, the
-  completeness probe and the tree search all read it, so a leaner structure
-  space (COAL effectivity functions, E/M orbits, PML integer numerators)
-  goes in there;
-* ``resolve_rules`` cut-combines two linear rule instances on a pivot literal;
-* ``strict_completeness_probe`` hunts for a rule instance matching a clause
-  that is valid over a given concrete one-step argument assignment.
+  carrier, the only place they are enumerated: rule soundness, the tree
+  search and the tests' strict completeness probe (tests/test_oracle.py)
+  all read it, so a leaner structure space (COAL effectivity functions, E/M
+  orbits, PML integer numerators) goes in there.
 
 The searches are bounded, so a ``None`` answer from ``brute_force_sat`` means
 "no model within the bounds", not unsatisfiability in general; within the
@@ -66,12 +63,11 @@ from .formula import (
     modal_atoms,
     subformulas,
 )
-from .logics import LogicConfig, challenges
+from .logics import LogicConfig
 from .onestep import (
     ClausePremise,
     LinearPremise,
     RuleCode,
-    RuleMatching,
     code_operators,
 )
 from .certificates import ModelWitness, _Checker, model_check
@@ -717,80 +713,3 @@ def brute_force_sat(f: Formula, cfg: LogicConfig) -> Optional[ModelWitness]:
     if not model_check(w, w.root, f):
         raise AssertionError("enumerated witness failed its own check")
     return w
-
-
-# ---------------------------------------------------------------------------
-# Rule resolution
-# ---------------------------------------------------------------------------
-
-
-def resolve_rules(code1: RuleCode, code2: RuleCode, i: int, j: int) -> Optional[RuleCode]:
-    """Cut two unit-coefficient linear rule instances on a pivot: literal
-    ``i`` of the first (must be positive, coefficient +1) against literal
-    ``j`` of the second (negative, coefficient -1) over the same operator.
-    Returns the combined instance, or None when the pivot does not line up."""
-    if code1.scheme != code2.scheme or code1.scheme not in ("GML", "MAJ", "PML"):
-        return None
-    if any(abs(r) != 1 for r in code1.ints[:-1] + code2.ints[:-1]):
-        return None
-    q1, q2 = code1.arity(), code2.arity()
-    if not (0 <= i < q1 and 0 <= j < q2):
-        return None
-    if code1.ints[i] != 1 or code2.ints[j] != -1:
-        return None
-
-    def op_key(code, k):
-        if code.scheme in ("GML", "MAJ"):
-            return code.grades[k]
-        return code.rationals[k]
-
-    if op_key(code1, i) != op_key(code2, j):
-        return None
-    ints = (
-        tuple(r for k, r in enumerate(code1.ints[:-1]) if k != i)
-        + tuple(r for k, r in enumerate(code2.ints[:-1]) if k != j)
-        + (code1.ints[-1] + code2.ints[-1],)
-    )
-    grades = tuple(g for k, g in enumerate(code1.grades) if k != i) + tuple(
-        g for k, g in enumerate(code2.grades) if k != j
-    )
-    rationals = tuple(r for k, r in enumerate(code1.rationals) if k != i) + tuple(
-        r for k, r in enumerate(code2.rationals) if k != j
-    )
-    return RuleCode(code1.logic, code1.scheme, ints, rationals, grades, ())
-
-
-# ---------------------------------------------------------------------------
-# Strict one-step completeness probe
-# ---------------------------------------------------------------------------
-
-
-def clause_valid_on(chi, tau, n: int, cfg: LogicConfig) -> bool:
-    """Is the abstract clause ``chi`` (pairs of sign and operator) true under
-    every structure, given the argument subsets ``tau``?"""
-    kind = MODEL_KINDS[cfg.logic]
-    for struct in structures(cfg, n):
-        if not any(
-            lift(kind, op, struct, tau[i], cfg.logic == "M") == s
-            for i, (s, op) in enumerate(chi)
-        ):
-            return False
-    return True
-
-
-def strict_completeness_probe(
-    chi, tau, n: int, cfg: LogicConfig
-) -> Optional[RuleMatching]:
-    """Given a clause of signed operators valid over ``tau``, find a rule
-    instance whose conclusion is a subclause and whose premise holds pointwise
-    on the carrier.  Returns None when no instance is found."""
-    lits = tuple((s, modal(op, atom("v%d" % i))) for i, (s, op) in enumerate(chi))
-    position = {a: i for i, (_, a) in enumerate(lits)}
-    # The argument sign pattern of each carrier point, over all literals.
-    sat_bits = {sum(1 << k for k in range(len(lits)) if x in tau[k]) for x in range(n)}
-    for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg, sat_bits):
-        sub_tau = tuple(tau[position[a]] for _, a in sub)
-        for m in cands:
-            if _premise_holds(m.premise(), sub_tau, n):
-                return m
-    return None

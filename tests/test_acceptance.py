@@ -33,9 +33,10 @@ from modalsat.certificates import (
 from modalsat.formula import neg, neg_fold, parse
 from modalsat.logics import LogicConfig, side_condition
 from modalsat.onestep import RuleCode
-from modalsat.oracle import brute_force_sat, one_step_sound, resolve_rules
+from modalsat.oracle import brute_force_sat, one_step_sound
 from modalsat.sampling import sample_matchings
 from modalsat.solver import satisfiable
+from test_oracle import resolve_rules
 
 # ---------------------------------------------------------------------------
 # 1. Validity corpus

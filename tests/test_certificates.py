@@ -122,6 +122,20 @@ def test_model_check_kripke():
         model_check(w, 0, parse("[C 1]a", 2))
 
 
+@pytest.mark.parametrize("text", ["&", "|"])
+def test_model_check_takes_wide_flat_formulas(text):
+    # 3,000 operands nest 3,000 left operands deep, past the default
+    # recursion limit; `model` checks such a root at its model's states.
+    f = parse((" %s " % text).join("a%d" % i for i in range(3000)))
+    names = ["a%d" % i for i in range(3000)]
+    w = ModelWitness(kind="kripke", root=0, states=[0], labels={0: frozenset(names)})
+    assert model_check(w, 0, f)
+    w.labels[0] = frozenset(names[:1700] + names[1701:])
+    assert model_check(w, 0, f) is (text == "|")
+    w.labels[0] = frozenset(names[1700:1701])
+    assert model_check(w, 0, f) is (text == "|")
+
+
 def test_model_check_multigraph():
     w = ModelWitness(
         kind="multigraph",

@@ -11,7 +11,7 @@ from modalsat.cli import main
 from modalsat.formula import parse
 from modalsat.logics import LogicConfig
 from test_certificates import LINEAR_PAIR_SAT
-from test_solver import box_family
+from test_solver import THREE_PAIRS, box_family
 
 
 def run(capsys, *argv):
@@ -458,16 +458,19 @@ def test_model_falls_back_to_the_oracle(spec, text, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize(
     "spec,text",
     [
-        # Block weights above MAX_WEIGHT = 16.
-        ("GML", "<20>a"),
+        # Decided satisfiable, but only rational weights satisfy the root
+        # (docs/certificates.md, "Known limitation").
+        ("GML", THREE_PAIRS),
+        ("MAJ", THREE_PAIRS),
         # Agent 1 needs three choices; the oracle's game tables allow two.
         ("COAL:2", "[C 1]a & [C 1]b & [C 1]c & ~[C 1](a & b) & ~[C 1](a & c) & ~[C 1](b & c)"),
     ],
 )
 def test_model_exits_three_when_synthesis_fails(spec, text, capsys):
-    # Satisfiable, but no model is found within the bounds.  Model synthesis
-    # without weight caps or the oracle (ROADMAP items 2 and 4) will turn
-    # both into models on purpose.
+    # Satisfiable, but no model is found within the bounds.  Integer-exact
+    # linear nodes and game synthesis (ROADMAP items 1 and 4) will turn the
+    # GML and MAJ cases into unsatisfiable verdicts and the COAL one into a
+    # model, on purpose.
     code, out, _ = run(capsys, "--logic", spec, "--format", "json", "model", text)
     assert code == 3
     record = json.loads(out)
@@ -475,6 +478,28 @@ def test_model_exits_three_when_synthesis_fails(spec, text, capsys):
     code, out, _ = run(capsys, "--logic", spec, "model", text)
     assert code == 3
     assert out.endswith("  satisfiable, but model synthesis failed within bounds\n")
+
+
+@pytest.mark.parametrize(
+    "spec,text,weights",
+    [
+        ("GML", "<20>a", [21]),
+        ("MAJ", "<20>a", [21]),
+        ("GML", "<16>a & ~<17>a", [17]),
+        ("MAJ", "<16>a & ~<17>a", [17]),
+        ("MAJ", "W a & <17>~a", [18, 18]),
+    ],
+)
+def test_model_weights_reach_past_the_largest_grade(spec, text, weights, tmp_path, capsys):
+    # The root's block weight cap is its largest grade + 1 once that passes
+    # MAX_WEIGHT = 16; these models once exited 3.
+    cert = tmp_path / "model.json"
+    code, _, _ = run(capsys, "--logic", spec, "model", text, "--cert", str(cert))
+    assert code == 0
+    witness = model_from_json(json.loads(cert.read_text()))
+    assert sorted(witness.structs[witness.root].values()) == weights
+    code, out, _ = run(capsys, "--logic", spec, "check-cert", text, "--cert", str(cert))
+    assert (code, out) == (0, "model  ok: ok\n")
 
 
 def test_solve_cert_of_unsatisfiable_formula_writes_nothing(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from conftest import ALL_LOGICS
 from modalsat import certificates, linarith, logics, oracle, solver
 from modalsat.certificates import check_proof, check_tableau, extract_proof, extract_tableau
-from modalsat.formula import Atom, FModal, conj_fold, modal, neg, parse, subformulas
+from modalsat.formula import Atom, Box, Coal, FModal, conj_fold, modal, neg, parse, subformulas
 from modalsat.logics import (
     LogicConfig,
     challenges,
@@ -116,6 +116,170 @@ def test_coal_positive_schema_distinguished_and_grand():
     # Negative coalition not inside the distinguished one: no matching.
     clause4 = _clause([(True, "[C 1]a"), (False, "[C 2]b")])
     assert [m for m in matchings(clause4, cfg) if m.code.scheme == "COAL4"] == []
+
+
+def _reference_disjoint(sets):
+    seen = set()
+    for s in sets:
+        if seen & s:
+            return False
+        seen |= s
+    return True
+
+
+def _reference_matchings(clause, cfg):
+    """``matchings`` as it was before each shape schema's condition was
+    written once: every schema's sign count, disjointness test and
+    grand-coalition test inline."""
+    out = list(congruence_matchings(clause, cfg.logic))
+    if not all(isinstance(a, FModal) and not isinstance(a.op, Atom) for _, a in clause):
+        return out
+    signs = tuple(s for s, _ in clause)
+    ops = tuple(a.op for _, a in clause)
+    args = tuple(a.arg for _, a in clause)
+    sign_ints = tuple(1 if s else -1 for s in signs)
+    n_pos = sum(signs)
+    if cfg.logic in ("K", "KD") and all(isinstance(op, Box) for op in ops):
+        if n_pos == 1:
+            out.append(RuleMatching(RuleCode(cfg.logic, "K", ints=sign_ints), args))
+        if cfg.logic == "KD" and n_pos == 0 and len(clause) >= 1:
+            out.append(RuleMatching(RuleCode(cfg.logic, "KD", ints=sign_ints), args))
+    if cfg.logic == "M" and all(isinstance(op, Box) for op in ops):
+        if len(clause) == 2 and n_pos == 1:
+            out.append(RuleMatching(RuleCode(cfg.logic, "M", ints=sign_ints), args))
+    if cfg.logic == "COAL" and all(isinstance(op, Coal) for op in ops):
+        coalitions = tuple(op.agents for op in ops)
+        negatives = [i for i, s in enumerate(signs) if not s]
+        positives = [i for i, s in enumerate(signs) if s]
+        disjoint = _reference_disjoint([coalitions[i] for i in negatives])
+        if n_pos == 0 and len(clause) >= 1 and disjoint:
+            code = RuleCode(cfg.logic, "COAL1", ints=sign_ints, coalitions=coalitions)
+            out.append(RuleMatching(code, args))
+        if n_pos >= 1 and disjoint:
+            non_grand = [i for i in positives if coalitions[i] != cfg.grand_coalition]
+            if len(non_grand) <= 1:
+                d = non_grand[0] if non_grand else positives[0]
+                if all(coalitions[i] <= coalitions[d] for i in negatives):
+                    code = RuleCode(
+                        cfg.logic, "COAL4", ints=sign_ints + (d,), coalitions=coalitions
+                    )
+                    out.append(RuleMatching(code, args))
+    return out
+
+
+def _reference_shape_side_condition(code, cfg):
+    """``side_condition``'s shape-scheme branches as they were before the
+    conditions were written once."""
+    scheme, arity, signs = code.scheme, code.arity(), code.signs()
+    if arity < 1:
+        return False
+    if scheme == "K":
+        return cfg.logic in ("K", "KD") and sum(signs) == 1
+    if scheme == "KD":
+        return cfg.logic == "KD" and sum(signs) == 0 and arity >= 1
+    if scheme == "M":
+        return cfg.logic == "M" and arity == 2 and sum(signs) == 1
+    if scheme == "COAL1":
+        if cfg.logic != "COAL" or sum(signs) != 0 or len(code.coalitions) != arity:
+            return False
+        return _reference_disjoint(code.coalitions)
+    assert scheme == "COAL4"
+    if cfg.logic != "COAL" or len(code.coalitions) != arity:
+        return False
+    d = code.ints[-1]
+    if not (0 <= d < arity and signs[d]):
+        return False
+    negatives = [i for i in range(arity) if not signs[i]]
+    if not _reference_disjoint([code.coalitions[i] for i in negatives]):
+        return False
+    if not all(code.coalitions[i] <= code.coalitions[d] for i in negatives):
+        return False
+    return all(
+        code.coalitions[i] == cfg.grand_coalition
+        for i in range(arity)
+        if signs[i] and i != d
+    )
+
+
+REFERENCE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"] + [
+    LogicConfig(logic="COAL", n_agents=k) for k in (1, 2, 3)
+]
+
+
+def _foreign_operator(rng, cfg):
+    """An operator of another logic, never a coalition operator over another
+    number of agents (see ``test_matchings_skip_a_foreign_coalition_operator``)."""
+    others = [lg for lg in ALL_LOGICS if lg != cfg.logic]
+    return random_operator(rng, LogicConfig(logic=rng.choice(others)))
+
+
+def test_matchings_match_the_reference_on_random_clauses():
+    # The empty clause, and 10,000 clauses per logic, E to PML and COAL:1-3,
+    # of one to four literals drawn from a pool of modal atoms: one in 20
+    # has an operator foreign to the logic, and one in 50 is a propositional
+    # atom.
+    rng = random.Random(2626)
+    args = [parse(t) for t in ("p", "q", "r", "~p", "p & q", "false")]
+    compared = {}
+    for cfg in REFERENCE_CONFIGS:
+        own = [modal(random_operator(rng, cfg), rng.choice(args)) for _ in range(200)]
+        foreign = [modal(_foreign_operator(rng, cfg), rng.choice(args)) for _ in range(10)]
+        pool = own * 19 + foreign * 20 + [parse("p")] * 80
+        assert matchings((), cfg) == _reference_matchings((), cfg) == []
+        shapes = 0
+        for _ in range(10000):
+            clause = tuple((rng.random() < 0.5, rng.choice(pool)) for _ in range(rng.randint(1, 4)))
+            got = matchings(clause, cfg)
+            assert got == _reference_matchings(clause, cfg), (cfg, clause)
+            shapes += any(m.code.scheme != "CONG" for m in got)
+        compared[cfg.logic, cfg.n_agents] = shapes
+    # Every finite logic's shape schemes were proposed, and often.
+    for (logic, _), shapes in compared.items():
+        assert (shapes >= 1000) == (logic in ("K", "KD", "M", "COAL")), compared
+
+
+def test_matchings_skip_a_foreign_coalition_operator():
+    # A coalition operator over another number of agents is in no formula
+    # of the logic (``validate_formula``), and no shape instance is proposed
+    # for it; a rule with it would fail ``_rule_conclusion`` anyway.
+    cfg = LogicConfig(logic="COAL", n_agents=2)
+    clause = ((False, modal(Coal(frozenset({1}), 3), parse("p"))),)
+    assert matchings(clause, cfg) == []
+
+
+def test_side_condition_matches_the_reference_on_random_shape_codes():
+    rng = random.Random(2627)
+    # Random signs, coalitions (some with an agent outside the logic's) and
+    # distinguished literal, for all five shape schemes, mostly in a logic
+    # with the scheme; now and then the coalitions' count is off.
+    logics_with = {"K": "K KD", "KD": "KD", "M": "M", "COAL1": "COAL", "COAL4": "COAL"}
+    accepted = dict.fromkeys(logics_with, 0)
+    for _ in range(40000):
+        scheme = rng.choice(tuple(accepted))
+        cfg = rng.choice(
+            [c for c in REFERENCE_CONFIGS if c.logic in logics_with[scheme].split()]
+            if rng.random() < 0.8
+            else REFERENCE_CONFIGS
+        )
+        arity = rng.randint(0, 4)
+        # Now and then a sign written as 0, which ``signs`` reads as negative.
+        ints = tuple(rng.choice((-1, 1) if rng.random() < 0.95 else (0,)) for _ in range(arity))
+        if scheme == "COAL4":
+            ints += (rng.randint(-1, arity),)
+        n_agents = cfg.n_agents if cfg.logic == "COAL" else rng.randint(1, 3)
+        coalitions = ()
+        if scheme.startswith("COAL") or rng.random() < 0.1:
+            width = arity if rng.random() < 0.9 else rng.randint(0, 4)
+            coalitions = tuple(
+                frozenset(a for a in range(1, n_agents + 2) if rng.random() < 0.5)
+                for _ in range(width)
+            )
+        logic = cfg.logic if rng.random() < 0.9 else "K"
+        code = RuleCode(logic, scheme, ints=ints, coalitions=coalitions)
+        want = _reference_shape_side_condition(code, cfg)
+        assert side_condition(code, cfg) == want, (code, cfg)
+        accepted[scheme] += want
+    assert min(accepted.values()) >= 200, accepted
 
 
 # -- side conditions ----------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The semantic oracle: one-step soundness, brute-force models, resolution,
-and the completeness probe."""
+"""The semantic oracle: one-step soundness, brute-force models, and two
+properties of the rule sets checked against it: linear rule instances are
+closed under resolution, and the strict completeness probe finds a rule
+instance for a clause valid over a concrete argument assignment."""
 
 import itertools
 import random
@@ -8,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from modalsat import cli, oracle
-from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, neg_fold, parse
-from modalsat.logics import LogicConfig, parse_logic_spec, side_condition
+from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, atom, modal, neg_fold, parse
+from modalsat.logics import LogicConfig, challenges, parse_logic_spec, side_condition
 from modalsat.onestep import RuleCode, code_operators, premise_of
 from modalsat.oracle import (
     BRANCH_BOUND,
@@ -27,10 +29,7 @@ from modalsat.oracle import (
     _premise_holds,
     _TreeEnumerator,
     brute_force_sat,
-    clause_valid_on,
     one_step_sound,
-    resolve_rules,
-    strict_completeness_probe,
     structures,
 )
 from modalsat.certificates import (
@@ -499,6 +498,42 @@ def test_brute_force_known_cases(logic, text, expected):
 # -- resolution ---------------------------------------------------------------
 
 
+def resolve_rules(code1: RuleCode, code2: RuleCode, i: int, j: int):
+    """Cut two unit-coefficient linear rule instances on a pivot: literal
+    ``i`` of the first (must be positive, coefficient +1) against literal
+    ``j`` of the second (negative, coefficient -1) over the same operator.
+    Returns the combined instance, or None when the pivot does not line up."""
+    if code1.scheme != code2.scheme or code1.scheme not in ("GML", "MAJ", "PML"):
+        return None
+    if any(abs(r) != 1 for r in code1.ints[:-1] + code2.ints[:-1]):
+        return None
+    q1, q2 = code1.arity(), code2.arity()
+    if not (0 <= i < q1 and 0 <= j < q2):
+        return None
+    if code1.ints[i] != 1 or code2.ints[j] != -1:
+        return None
+
+    def op_key(code, k):
+        if code.scheme in ("GML", "MAJ"):
+            return code.grades[k]
+        return code.rationals[k]
+
+    if op_key(code1, i) != op_key(code2, j):
+        return None
+    ints = (
+        tuple(r for k, r in enumerate(code1.ints[:-1]) if k != i)
+        + tuple(r for k, r in enumerate(code2.ints[:-1]) if k != j)
+        + (code1.ints[-1] + code2.ints[-1],)
+    )
+    grades = tuple(g for k, g in enumerate(code1.grades) if k != i) + tuple(
+        g for k, g in enumerate(code2.grades) if k != j
+    )
+    rationals = tuple(r for k, r in enumerate(code1.rationals) if k != i) + tuple(
+        r for k, r in enumerate(code2.rationals) if k != j
+    )
+    return RuleCode(code1.logic, code1.scheme, ints, rationals, grades, ())
+
+
 def _unit_linear_codes(rng, cfg, count):
     """Sound unit-coefficient codes with at least one positive and one
     negative literal."""
@@ -582,6 +617,36 @@ def test_resolve_rules_rejects_mismatched_pivot():
 
 
 # -- completeness probe -------------------------------------------------------
+
+
+def clause_valid_on(chi, tau, n: int, cfg: LogicConfig) -> bool:
+    """Is the abstract clause ``chi`` (pairs of sign and operator) true under
+    every structure, given the argument subsets ``tau``?"""
+    kind = MODEL_KINDS[cfg.logic]
+    for struct in structures(cfg, n):
+        if not any(
+            lift(kind, op, struct, tau[i], cfg.logic == "M") == s
+            for i, (s, op) in enumerate(chi)
+        ):
+            return False
+    return True
+
+
+def strict_completeness_probe(chi, tau, n: int, cfg: LogicConfig, challenges=challenges):
+    """Given a clause of signed operators valid over ``tau``, find a rule
+    instance whose conclusion is a subclause and whose premise holds pointwise
+    on the carrier, among the candidates ``challenges`` offers.  Returns None
+    when no instance is found."""
+    lits = tuple((s, modal(op, atom("v%d" % i))) for i, (s, op) in enumerate(chi))
+    position = {a: i for i, (_, a) in enumerate(lits)}
+    # The argument sign pattern of each carrier point, over all literals.
+    sat_bits = {sum(1 << k for k in range(len(lits)) if x in tau[k]) for x in range(n)}
+    for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg, sat_bits):
+        sub_tau = tuple(tau[position[a]] for _, a in sub)
+        for m in cands:
+            if _premise_holds(m.premise(), sub_tau, n):
+                return m
+    return None
 
 
 def test_probe_finds_k_matching():
@@ -672,7 +737,7 @@ def test_probe_random_valid_clauses():
 
 
 @pytest.mark.parametrize("logic", ["K", "KD"])
-def test_probe_finds_what_the_full_clause_loop_finds(logic, monkeypatch):
+def test_probe_finds_what_the_full_clause_loop_finds(logic):
     # K and KD challenge only maximal clauses.  The probe must still find an
     # instance wherever asking every clause a rule matches finds one: on the
     # clauses probed above, on the K clause probed by hand, and on wider
@@ -682,8 +747,10 @@ def test_probe_finds_what_the_full_clause_loop_finds(logic, monkeypatch):
     clauses.append((((True, Box()), (False, Box())), (frozenset({0, 1}), frozenset({0})), 2))
     clauses += itertools.islice(_valid_clauses(random.Random(23), cfg, max_width=4), 80)
     maximal = [strict_completeness_probe(chi, tau, n, cfg) for chi, tau, n in clauses]
-    monkeypatch.setattr(oracle, "challenges", _mask_loop_challenges)
-    full = [strict_completeness_probe(chi, tau, n, cfg) for chi, tau, n in clauses]
+    full = [
+        strict_completeness_probe(chi, tau, n, cfg, _mask_loop_challenges)
+        for chi, tau, n in clauses
+    ]
     assert [m is None for m in maximal] == [m is None for m in full]
     assert sum(m is not None for m in maximal) >= 20
     for m in maximal:
