@@ -839,6 +839,22 @@ def _formula_reader(n_agents: int):
     return formula
 
 
+def _formula_writer():
+    """A printer for the formulas of one certificate that prints each
+    distinct formula once: the writer's inverse of ``_formula_reader``.
+    Certificates repeat formulas (tableau nodes share literals, edges and
+    proof rules share substitutions), and each is one interned object."""
+    texts = {}
+
+    def text(f):
+        s = texts.get(f)
+        if s is None:
+            s = texts[f] = pretty(f)
+        return s
+
+    return text
+
+
 def _frac_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
@@ -940,9 +956,10 @@ def model_from_json(doc: dict) -> ModelWitness:
     return w
 
 
-def _matching_json(m: RuleMatching) -> dict:
-    """A rule instance as written in tableau edges and proof entries."""
-    return {"rule": m.code.to_json(), "substitution": [pretty(g) for g in m.subst]}
+def _matching_json(m: RuleMatching, text) -> dict:
+    """A rule instance as written in tableau edges and proof entries, its
+    formulas printed by ``text``."""
+    return {"rule": m.code.to_json(), "substitution": [text(g) for g in m.subst]}
 
 
 def _matching_from_json(data: dict, formula) -> RuleMatching:
@@ -961,15 +978,19 @@ def _json_list(value) -> list:
 
 
 def tableau_to_json(tb: Tableau) -> dict:
+    text = _formula_writer()
     edges = []
     for src, m, dst in tb.edges:
         edge = {"src": src, "dst": dst}
         if m is not None:
-            edge.update(_matching_json(m))
+            edge.update(_matching_json(m, text))
         edges.append(edge)
     payload = {
         "root": tb.root,
-        "nodes": [[pretty_literal(lit) for lit in valuation] for valuation in tb.nodes],
+        "nodes": [
+            [text(a) if positive else "~" + text(a) for positive, a in valuation]
+            for valuation in tb.nodes
+        ],
         "edges": edges,
     }
     return {"kind": "tableau", "version": CERT_VERSIONS["tableau"], "payload": payload}
@@ -996,8 +1017,9 @@ def tableau_from_json(doc: dict, n_agents: int) -> Tableau:
 
 
 def proof_to_json(doc: ProofDoc) -> dict:
+    text = _formula_writer()
     proofs = [
-        {"formula": pretty(f), "rules": [_matching_json(m) for m in rules]}
+        {"formula": text(f), "rules": [_matching_json(m, text) for m in rules]}
         for f, rules in doc.items()
     ]
     return {"kind": "proof", "version": CERT_VERSIONS["proof"], "payload": {"proofs": proofs}}

@@ -94,12 +94,6 @@ def _emit(args, record, human_line):
         print(human_line)
 
 
-def _parse_formula(text: str, cfg: LogicConfig):
-    f = parse(text, cfg.n_agents)
-    validate_formula(f, cfg)
-    return f
-
-
 def _write_cert(path: str, doc: dict):
     with open(path, "w") as fh:
         fh.write(_dump(doc))
@@ -107,7 +101,7 @@ def _write_cert(path: str, doc: dict):
 
 
 def _solve_one(text: str, args, cfg: LogicConfig) -> int:
-    f = _parse_formula(text, cfg)
+    f = parse(text, cfg.n_agents)
     verdict = satisfiable(f, cfg)
     shown = pretty(f)
     record = {
@@ -163,7 +157,7 @@ def _cmd_solve(args, cfg: LogicConfig) -> int:
 
 
 def _cmd_prove(args, cfg: LogicConfig) -> int:
-    goal = _parse_formula(args.formula, cfg)
+    goal = parse(args.formula, cfg.n_agents)
     verdict = satisfiable(neg_fold(goal), cfg)
     valid = not verdict.satisfiable
     shown = pretty(goal)
@@ -186,7 +180,7 @@ def _cmd_prove(args, cfg: LogicConfig) -> int:
 
 
 def _cmd_model(args, cfg: LogicConfig) -> int:
-    f = _parse_formula(args.formula, cfg)
+    f = parse(args.formula, cfg.n_agents)
     verdict = satisfiable(f, cfg)
     shown = pretty(f)
     if not verdict.satisfiable:
@@ -238,7 +232,10 @@ def _unique_keys(pairs) -> dict:
 
 
 def _cmd_check_cert(args, cfg: LogicConfig) -> int:
-    f = _parse_formula(args.formula, cfg)
+    # The other subcommands leave this check to ``satisfiable``; this one
+    # never solves, and a foreign operator is reported before the file.
+    f = parse(args.formula, cfg.n_agents)
+    validate_formula(f, cfg)
     with open(args.cert) as fh:
         doc = json.load(fh, object_pairs_hook=_unique_keys)
     cert = certificates.certificate_from_json(doc, cfg.n_agents)

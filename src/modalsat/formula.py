@@ -168,8 +168,14 @@ def modal(op, arg: Optional[Formula]) -> Formula:
 TOP = neg(BOT)
 
 
+_ATOM_TABLE: dict = {}  # name -> the interned atom node
+
+
 def atom(name: str) -> Formula:
-    return modal(Atom(name), None)
+    node = _ATOM_TABLE.get(name)
+    if node is None:
+        node = _ATOM_TABLE[name] = modal(Atom(name), None)
+    return node
 
 
 def disj(lhs: Formula, rhs: Formula) -> Formula:
@@ -454,10 +460,14 @@ def assignments(f: Formula, covered=None) -> Iterator[tuple]:
 
 def pretty(f: Formula) -> str:
     """Canonical text form; ``parse`` inverts it on normalized formulas.
+    Tokens are separated by single spaces around ``&`` and after a modal
+    operator, and by nothing else; an atom is its name.
 
     The text is written left to right.  A prefix goes out at once; what
     follows it waits on a stack of formulas and closing strings, so deep
     nesting needs no recursion."""
+    if f.__class__ is FModal and f.op.__class__ is Atom:
+        return f.op.name
     out = []
     write = out.append
     todo = [f]
@@ -510,12 +520,14 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# Tried in order at each position, so "<->" comes before "->", and "[C",
-# "L{" and the operator letters W and M come before words.  A word must start
-# lower-case; any other character that no token starts with is caught last.
+# Each match is one token with the whitespace before it, which group 1
+# holds, so a token starts at ``m.end(1)``.  The alternatives are tried in
+# order, so "<->" comes before "->", and "[C", "L{" and the operator letters W
+# and M come before words.  A word must start lower-case; any other character
+# that no token starts with is caught last.
 _TOKEN = re.compile(
-    r"""\s+
-    | (?P<binary><->|->|&|\|)
+    r"""(\s*)
+    (?: (?P<binary><->|->|&|\|)
     | (?P<prefix>~|\[\]|W|M)
     | <(?P<grade>\d+)>
     | \[C(?P<coal>[^\]]*)\]
@@ -523,16 +535,18 @@ _TOKEN = re.compile(
     | (?P<word>\w+)
     | (?P<open>\()
     | (?P<close>\))
-    | (?P<bad>.)""",
-    re.VERBOSE | re.DOTALL,
+    | (?P<bad>\S))""",
+    re.VERBOSE,
 )
 
-# symbol: (precedence, constructor); all associate to the left but "->".
+# symbol: (precedence, floor, constructor).  Reading the symbol first
+# applies every pending operator whose precedence is above its floor; all
+# associate to the left but "->", whose floor is its own precedence.
 _BINARY = {
-    "<->": (1, iff),
-    "->": (2, implies),
-    "|": (3, disj),
-    "&": (4, conj),
+    "<->": (1, 0, iff),
+    "->": (2, 2, implies),
+    "|": (3, 2, disj),
+    "&": (4, 3, conj),
 }
 _PREFIX_PREC = 5  # above every binary connective; "(" is pending at 0
 
@@ -571,60 +585,75 @@ def _indexed_operator(kind: str, body: str, pos: int, n_agents: int):
 
 def parse(text: str, n_agents: int = 2) -> Formula:
     """Parse a formula; coalition agent lists are checked against the
-    1..n_agents universe.
+    1..n_agents universe.  Whitespace (spaces, tabs, newlines) may separate
+    any two tokens, and a ``ParseError`` gives the position of the token it
+    rejects, never of the whitespace before it.
 
     Operator precedence on two explicit stacks, so nesting depth is not
     bounded by Python's recursion limit: ``operands`` holds the formulas
     built so far and ``pending`` the operators still waiting for their
-    right operand, each as ``(precedence, constructor, position)``."""
+    right operand, each as ``(precedence, constructor)``, and each open
+    "(" as ``(0, position)``."""
     operands = []
     pending = []
     want_operand = True
-
-    def reduce(floor: int) -> None:
-        while pending and pending[-1][0] > floor:
-            prec, build, _ = pending.pop()
-            if prec == _PREFIX_PREC:
-                operands[-1] = build(operands[-1])
-            else:
-                rhs = operands.pop()
-                operands[-1] = build(operands[-1], rhs)
-
-    for m in _TOKEN.finditer(text):
+    # Trailing whitespace is no token; left out, it is never scanned.
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
-        if kind is None:
-            continue
-        value, pos = m[kind], m.start()
-        if kind == "bad" or kind == "word" and not value[0].islower():
-            raise ParseError("unexpected character %r" % text[pos], pos)
         if want_operand:
             if kind == "word":
-                operands.append(_CONSTANTS[value] if value in _CONSTANTS else atom(value))
-                want_operand = False
-            elif kind == "open":
-                pending.append((0, None, pos))
+                value = m[kind]
+                if value[0].islower():
+                    f = _CONSTANTS.get(value)
+                    operands.append(atom(value) if f is None else f)
+                    want_operand = False
+                    continue
             elif kind == "prefix":
-                pending.append((_PREFIX_PREC, _PREFIX[value], pos))
-            elif kind in ("grade", "prob", "coal"):
-                op = _indexed_operator(kind, value, pos, n_agents)
-                pending.append((_PREFIX_PREC, partial(modal, op), pos))
+                pending.append((_PREFIX_PREC, _PREFIX[m[kind]]))
+                continue
+            elif kind == "open":
+                pending.append((0, m.end(1)))
+                continue
+            elif kind == "grade" or kind == "prob" or kind == "coal":
+                op = _indexed_operator(kind, m[kind], m.end(1), n_agents)
+                pending.append((_PREFIX_PREC, partial(modal, op)))
+                continue
+            expected = "expected a formula"
+        elif kind == "binary" or kind == "close":
+            if kind == "binary":
+                prec, floor, build = _BINARY[m[kind]]
             else:
-                raise ParseError("expected a formula", pos)
-        elif kind == "binary":
-            prec, build = _BINARY[value]
-            reduce(prec if value == "->" else prec - 1)
-            pending.append((prec, build, pos))
-            want_operand = True
-        elif kind == "close":
-            reduce(0)
-            if not pending:
-                raise ParseError("unmatched ')'", pos)
-            pending.pop()
+                floor = 0
+            while pending and pending[-1][0] > floor:
+                top, apply = pending.pop()
+                if top == _PREFIX_PREC:
+                    operands[-1] = apply(operands[-1])
+                else:
+                    rhs = operands.pop()
+                    operands[-1] = apply(operands[-1], rhs)
+            if kind == "binary":
+                pending.append((prec, build))
+                want_operand = True
+            elif pending:
+                pending.pop()
+            else:
+                raise ParseError("unmatched ')'", m.end(1))
+            continue
         else:
-            raise ParseError("expected a connective or ')'", pos)
+            expected = "expected a connective or ')'"
+        pos = m.end(1)
+        if kind == "bad" or kind == "word" and not text[pos].islower():
+            raise ParseError("unexpected character %r" % text[pos], pos)
+        raise ParseError(expected, pos)
     if want_operand:
         raise ParseError("expected a formula", len(text))
-    reduce(0)
-    if pending:
-        raise ParseError("unclosed '('", pending[-1][2])
+    while pending:
+        top, apply = pending.pop()
+        if top == 0:
+            raise ParseError("unclosed '('", apply)
+        if top == _PREFIX_PREC:
+            operands[-1] = apply(operands[-1])
+        else:
+            rhs = operands.pop()
+            operands[-1] = apply(operands[-1], rhs)
     return operands[0]

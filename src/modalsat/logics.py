@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import linarith
@@ -78,8 +79,9 @@ class LogicConfig:
         if self.logic == "COAL" and self.n_agents < 1:
             raise ValueError("coalition logic needs at least one agent")
 
-    @property
+    @cached_property
     def grand_coalition(self) -> frozenset:
+        # Built on first read: no code changes a config after making it.
         return frozenset(range(1, self.n_agents + 1))
 
     def is_arithmetic(self) -> bool:

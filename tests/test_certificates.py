@@ -9,7 +9,7 @@ import pytest
 
 from conftest import proof_sha256, proof_within_subformulas, tableau_sha256
 from test_logics import _congruence_and_refuter_challenges, _mask_loop_challenges
-from modalsat import certificates, cli, solver
+from modalsat import certificates, cli, formula, solver
 from modalsat.certificates import (
     MAX_WEIGHT,
     ModelWitness,
@@ -1249,6 +1249,41 @@ def test_family_tableau_bytes_pinned(spec, text):
     ok, msg = check_tableau(tb, f, cfg)
     assert ok, msg
     assert tableau_sha256(tb) == TABLEAU_SHA256[(spec, text)]
+
+
+def _formula_texts(doc):
+    """Every formula text a tableau or proof document writes, in order."""
+    payload = doc["payload"]
+    if doc["kind"] == "tableau":
+        texts = [t for node in payload["nodes"] for t in node]
+        rules = [e for e in payload["edges"] if "rule" in e]
+    else:
+        texts = [e["formula"] for e in payload["proofs"]]
+        rules = [r for e in payload["proofs"] for r in e["rules"]]
+    return texts + [t for r in rules for t in r["substitution"]]
+
+
+@pytest.mark.parametrize("spec,text", [("K", _wide("[]", "[]", 9)), ("M", _m_validity(7))])
+def test_writers_print_each_distinct_formula_once(spec, text, monkeypatch):
+    cfg = parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
+    if spec == "K":
+        cert = extract_tableau(satisfiable(f, cfg), cfg)
+    else:
+        cert = extract_proof(satisfiable(neg_fold(f), cfg), f, cfg)
+    printed = []
+
+    def spy(g):
+        printed.append(g)
+        return pretty(g)
+
+    # The writers print through ``certificates.pretty``; a literal printed
+    # by ``pretty_literal`` would go through ``formula.pretty``.
+    monkeypatch.setattr(certificates, "pretty", spy)
+    monkeypatch.setattr(formula, "pretty", spy)
+    texts = _formula_texts(certificate_to_json(cert))
+    assert len(texts) > len(set(texts))  # the certificate repeats formulas
+    assert len(printed) <= len(set(texts))
 
 
 # -- dispatcher ---------------------------------------------------------------

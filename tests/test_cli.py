@@ -38,9 +38,24 @@ def test_parse_error_exit_two(capsys):
     assert "error" in err
 
 
-def test_wrong_operator_exit_two(capsys):
-    code, _, err = run(capsys, "--logic", "K", "solve", "<1>a")
-    assert code == 2
+def test_wrong_operator_exit_two(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    batch = tmp_path / "batch.txt"
+    batch.write_text("[]a\n<1>a\n")
+    for argv in (
+        ["solve", "<1>a"],
+        ["solve", "<1>a", "--cert", str(cert)],
+        ["solve", "<1>a", "--oracle-check"],
+        ["solve", "--batch", str(batch)],
+        ["prove", "<1>a", "--cert", str(cert)],
+        ["model", "<1>a", "--cert", str(cert)],
+        # The certificate does not exist: the operator is reported first.
+        ["check-cert", "<1>a", "--cert", str(cert)],
+    ):
+        code, _, err = run(capsys, "--logic", "K", *argv)
+        assert code == 2, argv
+        assert err == "error: operator <1> is not part of logic K\n", argv
+        assert not cert.exists(), argv
 
 
 def test_prove_valid_and_invalid(capsys):

@@ -1,6 +1,8 @@
 """Formula layer: parsing, printing, measures, and propositional tooling."""
 
 from fractions import Fraction
+import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,17 @@ _REJECTED = [
     ("L{1/0}a", 0),  # bad probability
     ("L{a}a", 0),
     ("~L{3/2}a", 1),  # probability out of range
+    # Whitespace before a token is not part of it: the position is the
+    # token's own, and text that ends in whitespace ends at its full length.
+    ("  a &  $b", 7),
+    ("a\t&\n(b", 4),
+    ("  ", 2),
+    (" ( a ) ) ", 7),
+    ("a &  ", 5),
+    ("\t[C 1 x] a", 1),
+    (" ~ L{3/2} a", 3),
+    ("a  b", 3),
+    (" A", 1),
 ]
 
 
@@ -123,6 +136,46 @@ def test_parse_rejects_bad_inputs():
         with pytest.raises(ParseError) as info:
             parse(text, 2)
         assert info.value.pos == pos, text
+
+
+# The tokens of a printed formula, whitespace between them left out.
+_PRINTED_TOKEN = re.compile(r"<->|->|[&|~()W]|\[\]|<\d+>|\[C[^\]]*\]|L\{[^}]*\}|\w+")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(ALL),
+    st.integers(0, 2 ** 30),
+    st.lists(st.text(" \t\n", min_size=1, max_size=3), min_size=1, max_size=40),
+)
+def test_parse_ignores_whitespace_between_tokens(logic, seed, gaps):
+    cfg = LogicConfig(logic=logic)
+    f = random_formula(random.Random(seed), cfg, max_depth=3)
+    tokens = _PRINTED_TOKEN.findall(pretty(f))
+    assert "".join(tokens).replace(" ", "") == pretty(f).replace(" ", "")
+    spaced = gaps[-1]
+    for i, tok in enumerate(tokens):
+        spaced += tok + gaps[i % len(gaps)]
+    assert parse(spaced, cfg.n_agents) is f
+
+
+def test_parse_long_trailing_whitespace():
+    # Trailing whitespace is never scanned: a scan would retry the rest of
+    # the run at each of its positions, quadratic in its length.
+    start = time.perf_counter()
+    assert parse("a" + " " * 20000) is atom("a")
+    with pytest.raises(ParseError) as info:
+        parse("a &" + "\n" * 20000)
+    assert info.value.pos == 20003
+    assert time.perf_counter() - start < 1.0
+
+
+def test_atom_index_is_interning():
+    # Whichever comes first, the name or the node, both give one object.
+    assert atom("fresh_p") is modal(Atom("fresh_p"), None)
+    node = modal(Atom("fresh_q"), None)
+    assert atom("fresh_q") is node and parse("fresh_q") is node
+    assert pretty(node) == "fresh_q"
 
 
 def test_parse_deep_nesting():

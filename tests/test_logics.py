@@ -37,6 +37,9 @@ def test_parse_logic_spec():
     assert parse_logic_spec("K").logic == "K"
     cfg = parse_logic_spec("COAL:3")
     assert cfg.logic == "COAL" and cfg.n_agents == 3
+    # Built once per config, not once per read.
+    assert cfg.grand_coalition == frozenset({1, 2, 3})
+    assert cfg.grand_coalition is cfg.grand_coalition
     with pytest.raises(ValueError):
         parse_logic_spec("COAL:x")
     with pytest.raises(ValueError):
