@@ -1,24 +1,46 @@
-"""Command-line interface.
+"""modalsat: satisfiability and provability for rank-1 modal logics.
 
-Subcommands:
-  solve          decide satisfiability of a formula
-  prove          decide provability (validity) and optionally emit a proof
-  model          find a concrete model and emit it
-  check-cert     validate a certificate file against a formula
-  selftest-rules sample rule instances and check them semantically
+usage: modalsat [--logic SPEC] [--format FORMAT] SUBCOMMAND [FORMULA] [options]
+
+Global flags, before the subcommand:
+  --logic SPEC       E, M, K, KD, COAL, COAL:n, GML, MAJ or PML (default K;
+                     COAL alone has 2 agents)
+  --format FORMAT    human or json (default human)
+  -h, --help         print this text and exit 0
+
+Subcommands, each with its options before or after the formula:
+  solve FORMULA      decide satisfiability of a formula
+    --cert PATH      write a tableau certificate to PATH if it is satisfiable
+    --oracle-check   cross-check the verdict against the brute-force oracle
+    --batch PATH     decide each line of PATH (# starts a comment) in place
+                     of FORMULA; takes no --cert
+  prove FORMULA      decide provability (validity) of a formula
+    --cert PATH      write a proof certificate to PATH if it is valid
+  model FORMULA      find a concrete model and print it
+    --cert PATH      write the model to PATH instead
+  check-cert FORMULA --cert PATH
+                     validate the certificate file PATH against a formula
+  selftest-rules     sample rule instances and check them semantically
+    --count N        instances to sample, at least 1 (default 25)
+    --seed N         seed of the sampler (default 0)
+
+An option's value is the next word, or follows "=" as in --cert=PATH. The
+last repeat of an option wins. Options are never abbreviated.
 
 Exit codes: 0 positive answer (sat / valid / certificate ok / rules sound),
-1 negative answer, 2 usage, input or internal error, 3 only from ``model``:
-the formula is satisfiable but model synthesis failed within its bounds.
+1 negative answer, 2 usage, input or internal error (one "error:" line on
+stderr), 3 only from model: the formula is satisfiable but model synthesis
+failed within its bounds.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 import traceback
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import certificates, oracle, sampling
 from .formula import ParseError, neg_fold, parse, pretty
@@ -29,58 +51,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_CAVEAT = 3
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="modalsat",
-        description="Satisfiability and provability for rank-1 modal logics.",
-    )
-    p.add_argument(
-        "--logic",
-        default="K",
-        help="one of E, M, K, KD, COAL:n, GML, MAJ, PML (default K)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="output format",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("solve", help="decide satisfiability")
-    sp.add_argument("formula", nargs="?", help="formula text")
-    sp.add_argument(
-        "--batch",
-        help="file with one formula per line (# comments); no formula or --cert with it",
-    )
-    sp.add_argument(
-        "--oracle-check",
-        action="store_true",
-        help="cross-check the verdict against the brute-force oracle",
-    )
-    sp.add_argument("--cert", help="write a tableau certificate to this file")
-
-    pp = sub.add_parser("prove", help="decide provability")
-    pp.add_argument("formula")
-    pp.add_argument("--cert", help="write a proof certificate to this file")
-
-    mp = sub.add_parser("model", help="find a concrete model")
-    mp.add_argument("formula")
-    mp.add_argument("--cert", help="write the model to this file")
-
-    cp = sub.add_parser("check-cert", help="validate a certificate file")
-    cp.add_argument("formula")
-    cp.add_argument("--cert", required=True, help="certificate file to check")
-
-    tp = sub.add_parser("selftest-rules", help="semantically check sampled rules")
-    tp.add_argument("--count", type=int, default=25)
-    tp.add_argument("--seed", type=int, default=0)
-    return p
-
-
-_PARSER = _build_parser()
 
 
 def _dump(obj) -> str:
@@ -281,21 +251,96 @@ def _cmd_selftest(args, cfg: LogicConfig) -> int:
     return EXIT_YES if not bad else EXIT_NO
 
 
+def _format(value: str) -> str:
+    if value not in ("human", "json"):
+        raise ValueError(value)
+    return value
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    formula: bool  # takes one formula word
+    # option name -> (reader of its value, default); the reader bool marks
+    # a flag, which takes no value
+    options: dict
+    # "formula" and option names that must be given
+    required: tuple = ()
+
+
+_GLOBALS = {"--logic": (str, "K"), "--format": (_format, "human")}
+
+_COMMANDS = {
+    "solve": _Command(
+        _cmd_solve,
+        True,
+        {"--cert": (str, None), "--oracle-check": (bool, False), "--batch": (str, None)},
+    ),
+    "prove": _Command(_cmd_prove, True, {"--cert": (str, None)}, ("formula",)),
+    "model": _Command(_cmd_model, True, {"--cert": (str, None)}, ("formula",)),
+    "check-cert": _Command(_cmd_check_cert, True, {"--cert": (str, None)}, ("formula", "--cert")),
+    "selftest-rules": _Command(_cmd_selftest, False, {"--count": (int, 25), "--seed": (int, 0)}),
+}
+
+
+def _read_argv(argv):
+    """The subcommand's ``_Command`` and the ``args`` its handler reads, or
+    (None, None) for -h or --help.  A usage error raises ValueError naming
+    the word at fault."""
+    args = SimpleNamespace(logic="K", format="human", formula=None)
+    command = name = None
+    options = _GLOBALS
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return None, None
+        if word.startswith("-"):
+            option, eq, value = word.partition("=")
+            if option not in options:
+                raise ValueError("unknown option %r%s" % (word, " for " + name if name else ""))
+            reader = options[option][0]
+            if reader is bool:
+                if eq:
+                    raise ValueError("%s takes no value" % option)
+                value = True
+            else:
+                if not eq:
+                    value = next(words, None)
+                    # A word that looks like an option is not a value; a
+                    # negative number is.
+                    if value is None or value.startswith("-") and not value[1:].isdigit():
+                        raise ValueError("%s needs a value" % option)
+                try:
+                    value = reader(value)
+                except ValueError:
+                    raise ValueError("bad value %r for %s" % (value, option)) from None
+            setattr(args, option[2:].replace("-", "_"), value)
+        elif command is None:
+            command = _COMMANDS.get(word)
+            if command is None:
+                raise ValueError("unknown subcommand %r" % word)
+            name = word
+            options = command.options
+            for option, (_, default) in options.items():
+                setattr(args, option[2:].replace("-", "_"), default)
+        elif command.formula and args.formula is None:
+            args.formula = word
+        else:
+            raise ValueError("unexpected word %r" % word)
+    if command is None:
+        raise ValueError("a subcommand is required: %s" % ", ".join(_COMMANDS))
+    for need in command.required:
+        if getattr(args, need.lstrip("-").replace("-", "_")) is None:
+            raise ValueError("%s needs %s" % (name, "a formula" if need == "formula" else need))
+    return command, args
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        cfg = parse_logic_spec(args.logic)
-        if args.command == "solve":
-            return _cmd_solve(args, cfg)
-        if args.command == "prove":
-            return _cmd_prove(args, cfg)
-        if args.command == "model":
-            return _cmd_model(args, cfg)
-        if args.command == "check-cert":
-            return _cmd_check_cert(args, cfg)
-        if args.command == "selftest-rules":
-            return _cmd_selftest(args, cfg)
-        return EXIT_ERROR
+        command, args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            sys.stdout.write(__doc__)
+            return EXIT_YES
+        return command.handler(args, parse_logic_spec(args.logic))
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

@@ -93,9 +93,12 @@ def parse_logic_spec(spec: str) -> LogicConfig:
     if spec.startswith("COAL"):
         if spec == "COAL":
             return LogicConfig("COAL")
-        if spec.startswith("COAL:"):
-            return LogicConfig("COAL", n_agents=int(spec.split(":", 1)[1]))
-        raise ValueError("bad logic spec %r" % spec)
+        # int() would also take " 3", "+2" and non-ASCII digits, and the
+        # spec is echoed as typed in every JSON record.
+        agents = spec[5:]
+        if spec[4] != ":" or not (agents.isascii() and agents.isdigit()):
+            raise ValueError("bad logic spec %r" % spec)
+        return LogicConfig("COAL", n_agents=int(agents))
     return LogicConfig(spec)
 
 

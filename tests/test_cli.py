@@ -1,11 +1,10 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import argparse
 import json
 
 import pytest
 
-from modalsat import oracle
+from modalsat import cli, oracle
 from modalsat.certificates import check_certificate, model_from_json
 from modalsat.cli import main
 from modalsat.formula import parse
@@ -150,21 +149,6 @@ def test_json_output_byte_identical(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for _ in range(2):
-        code, _, _ = run(capsys, "--logic", "K", "solve", "[]a")
-        assert code == 0
-    assert built == []
 
 
 def test_selftest_rules(capsys):
@@ -557,3 +541,108 @@ def test_solve_needs_a_formula_or_a_batch(capsys):
     code, out, err = run(capsys, "--logic", "K", "solve")
     assert (code, out) == (2, "")
     assert err == "error: a formula or --batch is required\n"
+
+
+# -- the argv grammar ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--bogus", "solve", "a"], "unknown option '--bogus'"),
+        (["solve", "a", "--bogus"], "unknown option '--bogus' for solve"),
+        # No prefix of an option stands for it.
+        (["--log", "K", "solve", "a"], "unknown option '--log'"),
+        (["solve", "a", "--oracle"], "unknown option '--oracle' for solve"),
+        (["bogus", "a"], "unknown subcommand 'bogus'"),
+        ([], "a subcommand is required: solve, prove, model, check-cert, selftest-rules"),
+        (["--logic", "K"], "a subcommand is required: solve, prove, model, check-cert, selftest-rules"),
+        (["prove"], "prove needs a formula"),
+        (["model", "--cert", "m.json"], "model needs a formula"),
+        (["check-cert", "--cert", "c.json"], "check-cert needs a formula"),
+        (["check-cert", "a"], "check-cert needs --cert"),
+        (["check-cert", "a", "--cert"], "--cert needs a value"),
+        (["solve", "a", "--cert"], "--cert needs a value"),
+        (["solve", "--cert", "--oracle-check", "a"], "--cert needs a value"),
+        (["solve", "a", "--oracle-check=yes"], "--oracle-check takes no value"),
+        (["--format", "xml", "solve", "a"], "bad value 'xml' for --format"),
+        (["selftest-rules", "--count", "x"], "bad value 'x' for --count"),
+        (["selftest-rules", "--seed=1.5"], "bad value '1.5' for --seed"),
+        (["solve", "a", "b"], "unexpected word 'b'"),
+        (["check-cert", "a", "--cert", "c.json", "b"], "unexpected word 'b'"),
+        (["selftest-rules", "a"], "unexpected word 'a'"),
+        # Global flags go before the subcommand.
+        (["solve", "a", "--format", "json"], "unknown option '--format' for solve"),
+        (["prove", "--logic", "K", "a"], "unknown option '--logic' for prove"),
+        (["--logic", "COAL: 3", "solve", "a"], "bad logic spec 'COAL: 3'"),
+    ],
+)
+def test_usage_errors_exit_two(argv, message, tmp_path, capsys, monkeypatch):
+    # main returns 2 with one error line; it raises no SystemExit.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        ["--logic", "GML", "-h"],
+        ["solve", "--help"],
+        ["check-cert", "a", "-h"],
+        ["selftest-rules", "--count", "3", "--help"],
+    ],
+)
+def test_help_prints_the_module_docstring(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, cli.__doc__, "")
+    names = list(cli._GLOBALS)
+    for name, command in cli._COMMANDS.items():
+        names += [name] + list(command.options)
+    for name in names:
+        assert " %s " % name in out, name
+
+
+def test_option_spelling_and_place_give_identical_output(tmp_path, capsys, monkeypatch):
+    # --cert=PATH and --cert PATH, before or after the formula: the same
+    # records and certificate bytes.
+    monkeypatch.chdir(tmp_path)
+    cases = [
+        ("K", "solve", "[](a | b) & ~[]a & ~[]b", ["--oracle-check"]),
+        ("GML", "prove", "<1>a -> <0>a", []),
+        ("PML", "model", "L{1/2}a & L{1/2}~a", []),
+    ]
+    for logic, command, text, flags in cases:
+        spellings = [
+            [command, text, "--cert", "c.json"] + flags,
+            [command] + flags + ["--cert", "c.json", text],
+            [command, "--cert=c.json", text] + flags,
+            # The last repeat of an option wins.
+            [command, "--cert", "other.json", text, "--cert", "c.json"] + flags,
+        ]
+        seen = set()
+        for argv in spellings:
+            code, out, _ = run(capsys, "--format", "human", "--logic", logic, "--format=json", *argv)
+            assert code == 0, argv
+            cert = (tmp_path / "c.json").read_bytes()
+            checks = [
+                run(capsys, "--logic", logic, "check-cert", text, "--cert", "c.json"),
+                run(capsys, "--logic", logic, "check-cert", "--cert=c.json", text),
+            ]
+            seen.add((out, cert, tuple(checks)))
+            (tmp_path / "c.json").unlink()
+        assert len(seen) == 1, command
+        (_, _, checks), = seen
+        assert [check[0] for check in checks] == [0, 0]
+        assert not (tmp_path / "other.json").exists()
+
+
+def test_negative_count_is_a_value(capsys):
+    # A word that looks like a negative number is an option's value, and
+    # selftest-rules rejects it itself.
+    for argv in (["--count", "-3"], ["--count=-3"]):
+        code, out, err = run(capsys, "--logic", "K", "selftest-rules", *argv)
+        assert (code, out, err) == (2, "", "error: --count must be at least 1\n")

@@ -2,6 +2,7 @@
 coefficient search for the linear logics."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,8 +41,12 @@ def test_parse_logic_spec():
     # Built once per config, not once per read.
     assert cfg.grand_coalition == frozenset({1, 2, 3})
     assert cfg.grand_coalition is cfg.grand_coalition
-    with pytest.raises(ValueError):
-        parse_logic_spec("COAL:x")
+    assert parse_logic_spec("COAL:007").n_agents == 7
+    # Only decimal digits after "COAL:"; int() alone took " 3" and "+2",
+    # and the spec is echoed as typed in every JSON record.
+    for spec in ("COAL:x", "COAL:", "COAL: 3", "COAL:+2", "COAL:3 ", "COAL:\u0663", "COAL3"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape("bad logic spec %r" % spec)):
+            parse_logic_spec(spec)
     with pytest.raises(ValueError):
         parse_logic_spec("S5")
 
