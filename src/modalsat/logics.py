@@ -208,8 +208,9 @@ def matchings(clause, cfg: LogicConfig) -> list:
 
 def challenges(valuation, cfg: LogicConfig, sat_bits):
     """The universal challenges of a pseudovaluation: ``(clause, candidates)``
-    for each clause over negated literals of ``valuation`` that some rule
-    matches, in increasing mask order (bit i = literal i of the valuation).
+    for the clauses over negated literals of ``valuation`` that some rule
+    matches and that answer for every other such clause (below), in
+    increasing mask order (bit i = literal i of the valuation).
     Propositional atoms never enter a clause: the challenges depend only on
     ``proper_literals(valuation)`` and ``sat_bits``.
 
@@ -223,21 +224,23 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     ``a & ~b`` and ``~a & b`` are both unsatisfiable, and then the system
     refutes the node too (docs/certificates.md, "Coverage").
 
-    In the other logics a clause is built only where a schema's shape fits,
-    and its candidates are its ``matchings``, less congruence wherever
-    another candidate matches the clause.  Only a K, M or COAL4 instance can
-    share congruence's pair ``{~La, Lb}``, since KD and COAL1 need no
-    positive literal, and its one demand ``a & ~b`` is congruence's first.
-    In K and KD only the inclusion-maximal clauses are built: each
-    clause-positive box with all the clause-negative boxes, and in KD, when
-    no box is clause-positive, the clause-negative boxes alone.  The K
-    demand ``a_1 & ... & a_k & ~b`` of ``{~[]a_1, ..., ~[]a_k, []b}``
-    implies the demand of every clause inside it (a congruence pair's
-    ``a & ~b``, a smaller K demand, the seriality demand ``a_1 & ... &
-    a_k``), so a sub-clause's challenge is answered exactly when the maximal
-    clause's is.  A K or KD node thus has one challenge per diamond, with
-    the one candidate K, and a refuted node is refuted by the first maximal
-    clause in mask order."""
+    In the other logics only the inclusion-maximal clauses that a schema's
+    shape fits are built, and a clause's candidates are its ``matchings``,
+    less congruence wherever another candidate matches the clause.  Only a
+    K, M or COAL4 instance can share congruence's pair ``{~La, Lb}``, since
+    KD and COAL1 need no positive literal, and its one demand ``a & ~b`` is
+    congruence's first.  Each clause is one distinguished clause-positive
+    literal (or none, in KD and COAL), every grand-coalition positive in
+    COAL, and a maximal family of clause-negative literals that may join it
+    (``_families``); a clause inside another is dropped.  Every shape rule
+    has one demand, the conjunction of its negative literals' arguments and
+    its positive ones' negated arguments, so a clause's demand implies the
+    demand of every clause inside it, and a sub-clause's challenge is
+    answered exactly when the maximal clause's is (docs/certificates.md,
+    "Coverage").  E's congruence pairs lie inside no other clause.  A K or
+    KD node thus has one challenge per diamond, with the one candidate K,
+    and a refuted node is refuted by the first maximal clause in mask
+    order."""
     if cfg.is_arithmetic():
         atoms = proper_atoms(valuation)
         node = tuple(
@@ -255,22 +258,22 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     for i, (s, a) in enumerate(valuation):
         if isinstance(a, FModal) and not isinstance(a.op, Atom):
             (neg if s else pos).append(i)
-    if cfg.logic in ("K", "KD"):
-        negs = sum(1 << j for j in neg)
-        masks = {1 << i | negs for i in pos}
-        if cfg.logic == "KD" and not pos:
-            masks.add(negs)
-    else:
-        masks = {
-            1 << i | 1 << j
-            for i in pos
-            for j in neg
-            if valuation[i][1].op == valuation[j][1].op
-        }
-        if cfg.logic == "COAL":
-            masks.update(_coalition_masks(valuation, pos, neg, cfg))
-    masks.discard(0)
-    for mask in sorted(masks):
+    ops = {i: valuation[i][1].op for i in pos + neg}
+    grand = 0
+    if cfg.logic == "COAL":
+        # A node read from a certificate may hold any operator.
+        pos = [i for i in pos if isinstance(ops[i], Coal)]
+        neg = [j for j in neg if isinstance(ops[j], Coal)]
+        grand = sum(1 << i for i in pos if ops[i].agents == cfg.grand_coalition)
+    masks = set()
+    for d in pos + ([None] if cfg.logic in ("KD", "COAL") else []):
+        head = grand if d is None else grand | 1 << d
+        masks.update(head | family for family in _families(d, neg, ops, cfg))
+    maximal = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if mask and all(mask & other != mask for other in maximal):
+            maximal.append(mask)
+    for mask in sorted(maximal):
         clause = tuple(
             (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
         )
@@ -282,37 +285,31 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
             yield clause, found
 
 
-def _submasks(indices) -> list:
-    """Every mask over the given bit positions, the empty one included."""
-    masks = [0]
-    for i in indices:
-        masks += [m | 1 << i for m in masks]
-    return masks
-
-
-def _coalition_masks(valuation, pos, neg, cfg: LogicConfig):
-    """Clauses the coalition schemas can match: a family of clause-negative
-    literals with pairwise disjoint coalitions, together with clause-positive
-    literals holding at most one non-grand coalition."""
-    coal = {}
-    for i in pos + neg:
-        op = valuation[i][1].op
-        if isinstance(op, Coal):
-            coal[i] = op.agents
-    families = [(0, frozenset())]
-    for i in neg:
-        if i in coal:
-            families += [
-                (m | 1 << i, used | coal[i])
-                for m, used in families
-                if not used & coal[i]
-            ]
-    grand = cfg.grand_coalition
-    positives = _submasks([i for i in pos if coal.get(i) == grand])
-    positives += [
-        m | 1 << i for i in pos if i in coal and coal[i] != grand for m in positives
-    ]
-    return {m | p for m, _ in families for p in positives}
+def _families(d, neg, ops, cfg: LogicConfig) -> list:
+    """The maximal families of clause-negative literals (indices ``neg``)
+    that may join the distinguished clause-positive literal ``d``, or no
+    positive literal when ``d`` is None, in one clause, as masks: in K and
+    KD all of them; in E and M any one with ``d``'s operator; in COAL the
+    maximal families with pairwise disjoint coalitions inside ``d``'s
+    coalition, or inside the grand coalition when ``d`` is None."""
+    if cfg.logic in ("K", "KD"):
+        return [sum(1 << j for j in neg)]
+    if cfg.logic != "COAL":
+        return [1 << j for j in neg if ops[j] == ops[d]]
+    within = cfg.grand_coalition if d is None else ops[d].agents
+    coalitions = [(j, ops[j].agents) for j in neg if ops[j].agents <= within]
+    # A literal whose coalition meets no other one's joins every family;
+    # branching on it would double the families only to drop half.
+    seen = shared = frozenset()
+    for _, c in coalitions:
+        shared |= seen & c
+        seen |= c
+    free = sum(1 << j for j, c in coalitions if not c & shared)
+    rest = [(j, c) for j, c in coalitions if c & shared]
+    families = [(free, frozenset())]
+    for j, c in rest:
+        families += [(m | 1 << j, used | c) for m, used in families if not used & c]
+    return [m for m, used in families if all(used & c for j, c in rest if not m >> j & 1)]
 
 
 def _pairwise_disjoint(sets) -> bool:

@@ -7,14 +7,15 @@ negations of H's literals, some clause of the premise CNF must have a
 satisfiable negation (a strictly shallower formula, solved recursively).
 Pseudovaluations are the true rows of the formula's truth table, which
 ``assignments`` computes bit-parallel; challenges come from
-``challenges``, which builds only the clauses some schema can match, and in
-K and KD only the inclusion-maximal ones: one per diamond, whose demand
-implies the demand of every clause inside it.  Both keep binary-counter
-order.  Congruence is asked only in E.  In K, KD, M and COAL every
-congruence pair is also matched by a shape rule, whose one demand is
-congruence's first, so a K or KD node has one challenge per diamond with
-one candidate, and each demand is solved once.  A linear node asks only
-its one system, which refutes the node whenever a congruence pair would.
+``challenges``, which builds only the inclusion-maximal clauses some schema
+can match, whose demands imply those of the clauses inside them: one per
+diamond in K and KD, and in COAL one per diamond (or none) and maximal
+family of disjoint coalitions.  Both keep binary-counter order.  Congruence
+is asked only in E.  In K, KD, M and COAL every congruence pair is also
+matched by a shape rule, whose one demand is congruence's first, so a K or
+KD node has one challenge per diamond with one candidate, and each demand
+is solved once.  A linear node asks only its one system, which refutes
+the node whenever a congruence pair would.
 
 When a pseudovaluation fails, the conclusion of the rule instance that
 refuted it is valid, and every pseudovaluation falsifying it is

@@ -383,19 +383,30 @@ def _dominated_forgery(f, cfg):
     return Tableau(0, nodes, edges)
 
 
-@pytest.mark.parametrize("logic", ["K", "KD"])
-def test_tableau_rejects_answers_to_dominated_clauses_only(logic):
-    # Each box argument alone leaves room for ~(a0 & a1), so every clause
-    # inside the maximal one has a satisfiable demand; only the maximal
-    # clause's demand a0 & a1 & ~(a0 & a1) refutes the node.
-    cfg = LogicConfig(logic=logic)
-    f = parse("[]a0 & []a1 & ~[](a0 & a1)")
+@pytest.mark.parametrize(
+    "spec,text,rule",
+    [
+        ("K", "[]a0 & []a1 & ~[](a0 & a1)", "K"),
+        ("KD", "[]a0 & []a1 & ~[](a0 & a1)", "K"),
+        # The COAL1 clause {~[C 1]a0, ~[C 2]a1} lies inside the COAL4 one.
+        ("COAL:2", "[C 1]a0 & [C 2]a1 & ~[C 1,2](a0 & a1)", "COAL4"),
+        # The clause with the grand-coalition diamond distinguished lies
+        # inside the one with ~[C 1]b distinguished.
+        ("COAL:2", "[C 1]a & ~[C 1]b & ~[C 1,2](a & ~b)", "COAL4"),
+    ],
+)
+def test_tableau_rejects_answers_to_dominated_clauses_only(spec, text, rule):
+    # Every clause inside the maximal one has a satisfiable demand; only the
+    # maximal clause's demand, such as a0 & a1 & ~(a0 & a1), refutes the
+    # node.
+    cfg = parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
     assert not satisfiable(f, cfg).satisfiable
     tb = _dominated_forgery(f, cfg)
     assert len(tb.edges) >= 4
     ok, msg = check_tableau(tb, f, cfg)
     assert not ok
-    assert msg == "unanswered challenge at node 0: the K rule refutes it"
+    assert msg == "unanswered challenge at node 0: the %s rule refutes it" % rule
 
 
 OLD_STYLE_SAT = [
@@ -734,6 +745,21 @@ def test_linear_challenge_leaves_out_operators_outside_the_logic(tmp_path, capsy
     cert.write_text(json.dumps(tableau_to_json(tb)))
     assert cli.main(["--logic", "GML", "check-cert", text, "--cert", str(cert)]) == 1
     assert "INVALID: " + msg in capsys.readouterr().out
+
+
+def test_coalition_challenge_leaves_out_operators_outside_the_logic():
+    # An extra, unreachable node holds a box, which has no coalition for a
+    # family of disjoint coalitions to read; the checker still asks the
+    # node's coalition clauses, {[C 1]b} and {~[C 2]c}, and rejects it.
+    cfg = parse_logic_spec("COAL:2")
+    f = parse("[C 1]a", 2)
+    tb = extract_tableau(satisfiable(f, cfg), cfg)
+    assert check_tableau(tb, f, cfg) == (True, "ok")
+    tb.nodes.append(
+        ((True, parse("[]a", 2)), (False, parse("[C 1]b", 2)), (True, parse("[C 2]c", 2)))
+    )
+    unanswered = "unanswered challenge at node %d: the COAL4 rule refutes it"
+    assert check_tableau(tb, f, cfg) == (False, unanswered % (len(tb.nodes) - 1))
 
 
 # -- model synthesis ----------------------------------------------------------

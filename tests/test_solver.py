@@ -305,6 +305,29 @@ def test_box_family_solve_calls_grow_linearly(logic):
     assert calls[20] <= 2 * calls[10], calls
 
 
+# Width-20 coalition families, each with one maximal clause at its root: 20
+# grand-coalition diamonds beside one coalition box, and 20 empty-coalition
+# boxes beside one coalition box and one grand-coalition diamond.
+COAL_FAMILIES = [
+    ("COAL:2", " & ".join(["~[C 1,2]b%d" % i for i in range(20)] + ["[C 1]a"])),
+    ("COAL:3", " & ".join(["[C]b%d" % i for i in range(20)] + ["[C 1]a", "~[C 1,2,3]c"])),
+]
+
+
+@pytest.mark.parametrize("spec,text", COAL_FAMILIES)
+def test_coalition_family_asks_one_maximal_clause(spec, text):
+    # Every grand-coalition diamond and every family of disjoint boxes
+    # joins one clause, whose demand implies the demand of each clause
+    # inside it, so the work does not double with each literal.
+    cfg = logics.parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
+    verdict = satisfiable(f, cfg)
+    assert verdict.satisfiable
+    assert verdict.stats.solve_calls <= 4
+    assert verdict.stats.matchings_checked <= 4
+    assert check_tableau(extract_tableau(verdict, cfg), f, cfg) == (True, "ok")
+
+
 def diamond_family(n: int) -> str:
     """``~[]a0 & ... & ~[]a(n-1) & [](a0 | ... | a(n-1))``: n diamonds and
     one box, so each diamond's maximal clause is a congruence pair."""
