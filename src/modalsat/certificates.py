@@ -71,7 +71,7 @@ from .solver import SatNode, Verdict
 # edges carry only their rule instance; no reader of older versions is kept.
 CERT_VERSIONS = {"model": 1, "tableau": 2, "proof": 3}
 
-# Largest block weight ``_ModelBuilder`` tries in a GML/MAJ multigraph, or
+# Largest child weight ``_ModelBuilder`` tries in a GML/MAJ multigraph, or
 # the node's largest grade + 1 if that is more.
 MAX_WEIGHT = 16
 
@@ -415,16 +415,17 @@ def tableau_to_model(tb: Tableau, cfg: LogicConfig) -> Optional[ModelWitness]:
 
 
 def _weight_search(literals, insides, weights, idx, cap):
-    """The lexicographically first block weights in ``0 .. cap`` that extend
-    ``weights`` from block ``idx`` on and give every literal ``(sign, atom)``
-    its sign; ``insides`` holds, per literal, the blocks inside its argument.
-    ``<k>`` and ``W`` are monotone in the weight inside their argument and
-    antitone in the weight outside, so a prefix is dropped as soon as some
-    literal fails at its most favourable completion: ``cap`` on each free
-    block whose membership equals the literal's sign, 0 on the others.
+    """The lexicographically first child weights in ``0 .. cap`` that extend
+    ``weights`` from child ``idx`` on and give every literal ``(sign, atom)``
+    its sign; ``insides`` holds, per literal, the children inside its
+    argument.  ``<k>`` and ``W`` are monotone in the weight inside their
+    argument and antitone in the weight outside, so a prefix is dropped as
+    soon as some literal fails at its most favourable completion: ``cap`` on
+    each free child whose membership equals the literal's sign, 0 on the
+    others.
 
-    The depth-first walk keeps its place in ``idx`` (blocks before it are
-    set), not in one call per block: a wide node has about 2^n blocks."""
+    The depth-first walk keeps its place in ``idx`` (children before it are
+    set), not in one call per child: a wide node has about 2^n children."""
     first = idx
 
     def completable():
@@ -443,8 +444,8 @@ def _weight_search(literals, insides, weights, idx, cap):
             weights[idx] = 0
             idx += 1
             continue
-        # Next prefix: raise the last block below ``cap``, clearing the
-        # blocks after it.
+        # Next prefix: raise the last child below ``cap``, clearing the
+        # children after it.
         while idx > first and weights[idx - 1] == cap:
             idx -= 1
             weights[idx] = 0
@@ -530,37 +531,21 @@ class _ModelBuilder:
 
     def _build_multigraph(self, i, kids) -> bool:
         literals = proper_literals(self.tb.nodes[i])
-        member = {
-            t: tuple(self.checker.check(t, a.arg) for (_, a) in literals)
-            for t in kids
-        }
-        # Merge children with the same membership vector; weight one block
-        # representative.
-        blocks = []
-        reps = []
-        seen = {}
-        for t in kids:
-            vec = member[t]
-            if vec in seen:
-                continue
-            seen[vec] = t
-            blocks.append(vec)
-            reps.append(t)
-        nb = len(blocks)
-        # Per literal, the blocks whose members satisfy its argument.
+        # Per literal, the children that satisfy its argument, by position
+        # in ``kids``.  A solver tableau gives a node one child per
+        # satisfiable pattern, so each child is weighed on its own.
         insides = [
-            {b for b in range(nb) if blocks[b][li]} for li in range(len(literals))
+            {c for c, t in enumerate(kids) if self.checker.check(t, a.arg)}
+            for _, a in literals
         ]
         # A weight past the largest grade + 1 changes no graded literal
         # (docs/certificates.md, "Multigraph weights").
         grades = [a.op.grade for _, a in literals if isinstance(a.op, GDiamond)]
         cap = max(MAX_WEIGHT, max(grades, default=0) + 1)
-        found = _weight_search(literals, insides, dict.fromkeys(range(nb), 0), 0, cap)
+        found = _weight_search(literals, insides, dict.fromkeys(range(len(kids)), 0), 0, cap)
         if found is None:
             return False
-        self.w.structs[i] = {
-            reps[b]: wgt for b, wgt in found.items() if wgt > 0
-        }
+        self.w.structs[i] = {kids[c]: wgt for c, wgt in found.items() if wgt > 0}
         return True
 
     # -- distributions -----------------------------------------------------

@@ -18,7 +18,11 @@ tag         operators                    rules besides congruence
 
 Each shape schema's side condition is written once, in ``_shape_fits``:
 ``matchings`` proposes a logic's shape instances through it, and
-``side_condition`` checks a rule code through it.
+``side_condition`` checks a rule code through it.  Each linear schema's side
+condition is written once too, as rows over the coefficient magnitudes and
+the bound, in ``_side_rows``: the coefficient search solves them with a
+clause's pattern rows, and ``side_condition`` checks a rule code's point
+against them.
 
 For the linear schemas a clause has infinitely many matchings, indexed by
 nonzero integer coefficients (one per literal, sign agreeing with the
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -59,6 +62,7 @@ from .onestep import (
     LINEAR_SCHEMES,
     RuleCode,
     RuleMatching,
+    code_operators,
     conclusion_clause,
     congruence_matchings,
 )
@@ -327,7 +331,11 @@ def _pairwise_disjoint(sets) -> bool:
 
 
 def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
-    """Validity of a rule code in isolation (used by certificate checkers)."""
+    """Validity of a rule code in isolation (used by certificate checkers).
+    Each schema's side condition is written once, and read here: a shape
+    code is checked by ``_shape_fits``, and a linear code whose fields have
+    the shape of the logic's codes is checked against ``_side_rows`` at the
+    point x_i = |c_i|, t = bound, the rows the coefficient search solves."""
     scheme = code.scheme
     if scheme == "CONG":
         return len(code.ints) == 2 and sorted(code.ints) == [-1, 1]
@@ -336,40 +344,19 @@ def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
         return False
     if scheme in _SHAPE_SCHEMES.get(cfg.logic, ()):
         return _shape_fits(scheme, code.signs(), code.coalitions, code.ints[-1], cfg)
-    if scheme in LINEAR_SCHEMES:
-        coeffs = code.ints[:-1]
-        bound = code.ints[-1]
-        if any(c == 0 for c in coeffs):
-            return False
-        if scheme == "GML":
-            if cfg.logic != "GML" or bound != 0 or len(code.grades) != arity:
-                return False
-            if any(g < 0 for g in code.grades):
-                return False
-            lhs = sum(-c * (k + 1) for c, k in zip(coeffs, code.grades) if c < 0)
-            rhs = 1 + sum(c * k for c, k in zip(coeffs, code.grades) if c > 0)
-            return lhs >= rhs
-        if scheme == "MAJ":
-            if cfg.logic != "MAJ" or len(code.grades) != arity:
-                return False
-            graded = [(c, k) for c, k in zip(coeffs, code.grades) if k >= 0]
-            wsum = sum(c for c, k in zip(coeffs, code.grades) if k < 0)
-            wpos = sum(c for c, k in zip(coeffs, code.grades) if k < 0 and c > 0)
-            lhs = sum(-c * (k + 1) for c, k in graded if c < 0)
-            lhs -= sum(c * k for c, k in graded if c > 0)
-            if lhs - 1 + wpos - max(bound, 0) < 0:
-                return False
-            return 2 * bound - wsum >= 0
-        if scheme == "PML":
-            if cfg.logic != "PML" or len(code.rationals) != arity:
-                return False
-            if any(not 0 <= p <= 1 for p in code.rationals):
-                return False
-            total = sum(Fraction(c) * p for c, p in zip(coeffs, code.rationals))
-            if all(c < 0 for c in coeffs):
-                return total < bound
-            return total <= bound
-    return False
+    if scheme != cfg.logic or not cfg.is_arithmetic():
+        return False
+    coeffs, bound = code.ints[:-1], code.ints[-1]
+    if 0 in coeffs or len(code.rationals if scheme == "PML" else code.grades) != arity:
+        return False
+    if scheme == "GML" and (bound != 0 or any(g < 0 for g in code.grades)):
+        return False
+    if scheme == "PML" and not all(0 <= p <= 1 for p in code.rationals):
+        return False
+    rows = [_linear_row(op, cfg) for op in code_operators(code, cfg.n_agents)]
+    point = {_x(i): abs(c) for i, c in enumerate(coeffs)}
+    point["t"] = bound
+    return _check_point(_side_rows(code.signs(), rows, cfg), point)
 
 
 # ---------------------------------------------------------------------------
@@ -413,68 +400,79 @@ def clause_patterns(clause, arith_atoms, sat_bits):
     return patterns
 
 
+def _linear_row(op, cfg: LogicConfig):
+    """The row kind of a literal with operator ``op`` in the logic's linear
+    schema: ``("g", grade)`` for a graded diamond in GML and MAJ,
+    ``("w", -1)`` for MAJ's ``W`` (-1 is a rule code's ``W`` grade), and
+    ``("p", probability)`` for a probability operator in PML; None for any
+    other operator."""
+    if cfg.logic in ("GML", "MAJ") and isinstance(op, GDiamond):
+        return "g", op.grade
+    if cfg.logic == "MAJ" and isinstance(op, MajW):
+        return "w", -1
+    if cfg.logic == "PML" and isinstance(op, LProb):
+        return "p", op.prob
+    return None
+
+
 def _linear_literal_data(clause, cfg: LogicConfig):
-    """Per-literal (sign, kind, index) for the linear schema of the logic,
-    or None when the clause does not fit the schema's shape."""
+    """Per-literal (sign, row kind, argument) for the linear schema of the
+    logic, or None when the clause does not fit the schema's shape."""
     shape = _clause_ops(clause)
     if shape is None:
         return None
     signs, ops, args = shape
-    rows = []
-    for op in ops:
-        if cfg.logic in ("GML", "MAJ") and isinstance(op, GDiamond):
-            rows.append(("g", op.grade))
-        elif cfg.logic == "MAJ" and isinstance(op, MajW):
-            rows.append(("w", None))
-        elif cfg.logic == "PML" and isinstance(op, LProb):
-            rows.append(("p", op.prob))
-        else:
-            return None
+    rows = [_linear_row(op, cfg) for op in ops]
+    if None in rows:
+        return None
     return signs, rows, args
 
 
 def _build_constraints(signs, rows, sat_patterns, cfg):
     """Constraint list over magnitude variables x_i and bound t (fixed 0 in
-    GML), without the magnitudes' lower bounds."""
-    q = len(signs)
+    GML), without the magnitudes' lower bounds: one row per satisfiable
+    sign pattern, then the side condition's rows."""
     use_t = cfg.logic != "GML"
     cons = []
     # Every satisfiable sign pattern J must satisfy r(J) >= bound.
     for bits in sorted(sat_patterns):
-        coeffs = {_x(i): 1 if signs[i] else -1 for i in range(q) if bits >> i & 1}
+        coeffs = {_x(i): 1 if s else -1 for i, s in enumerate(signs) if bits >> i & 1}
         if use_t:
             coeffs["t"] = -1
         cons.append((coeffs, 0, False))
-    if cfg.logic == "GML":
-        coeffs = {}
-        for i, (kind, k) in enumerate(rows):
-            coeffs[_x(i)] = k + 1 if not signs[i] else -k
-        cons.append((coeffs, -1, False))
-    elif cfg.logic == "MAJ":
-        coeffs = {}
-        for i, (kind, k) in enumerate(rows):
-            if kind == "g":
-                coeffs[_x(i)] = k + 1 if not signs[i] else -k
-            elif signs[i]:
-                coeffs[_x(i)] = 1
-        # A - 1 - max(t, 0) >= 0 is convex: A - 1 >= 0 and A - t - 1 >= 0.
-        cons.append((coeffs, -1, False))
-        cons.append((dict(coeffs, t=-1), -1, False))
-        # 2m - (signed sum of W coefficients) >= 0
-        coeffs2 = {"t": 2}
-        for i, (kind, k) in enumerate(rows):
-            if kind == "w":
-                coeffs2[_x(i)] = -1 if signs[i] else 1
-        cons.append((coeffs2, 0, False))
-    elif cfg.logic == "PML":
+    return cons + _side_rows(signs, rows, cfg)
+
+
+def _side_rows(signs, rows, cfg):
+    """The side condition of the logic's linear schema as rows over the
+    magnitudes x_i and the bound t, which no GML row reads: the one
+    statement of each linear schema's side condition.  The coefficient
+    search solves them with the pattern rows, and ``side_condition`` checks
+    a rule code's point against them."""
+    if cfg.logic == "PML":
         # The one row with rational coefficients: the probabilities.
         coeffs = {"t": 1}
-        for i, (kind, p) in enumerate(rows):
+        for i, (_, p) in enumerate(rows):
             coeffs[_x(i)] = -p if signs[i] else p
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        strict = all(not s for s in signs)
-        cons.append((coeffs, 0, strict))
-    return cons
+        return [(coeffs, 0, not any(signs))]
+    # The premise row A: grade k weighs k + 1 on a negative literal and -k
+    # on a positive one; a positive W weighs 1.
+    coeffs = {}
+    for i, (kind, k) in enumerate(rows):
+        if kind == "g":
+            coeffs[_x(i)] = k + 1 if not signs[i] else -k
+        elif signs[i]:
+            coeffs[_x(i)] = 1
+    if cfg.logic == "GML":
+        return [(coeffs, -1, False)]
+    # A - 1 - max(t, 0) >= 0 is convex: A - 1 >= 0 and A - t - 1 >= 0.
+    # Then 2t - (signed sum of W coefficients) >= 0.
+    w_row = {"t": 2}
+    for i, (kind, _) in enumerate(rows):
+        if kind == "w":
+            w_row[_x(i)] = -1 if signs[i] else 1
+    return [(coeffs, -1, False), (dict(coeffs, t=-1), -1, False), (w_row, 0, False)]
 
 
 def _x(i: int) -> str:
@@ -568,20 +566,13 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
         raise RuntimeError("coefficient point fails its own constraint system")
     coeffs = tuple(point[_x(i)] * (1 if signs[i] else -1) for i in range(len(signs)))
     bound = point["t"] if use_t else 0
-    if cfg.logic == "GML":
-        code = RuleCode(
-            cfg.logic, "GML", ints=coeffs + (bound,), grades=tuple(k for _, k in rows)
-        )
-    elif cfg.logic == "MAJ":
-        grades = tuple(k if kind == "g" else -1 for kind, k in rows)
-        code = RuleCode(cfg.logic, "MAJ", ints=coeffs + (bound,), grades=grades)
-    else:
-        code = RuleCode(
-            cfg.logic,
-            "PML",
-            ints=coeffs + (bound,),
-            rationals=tuple(p for _, p in rows),
-        )
+    code = RuleCode(
+        cfg.logic,
+        cfg.logic,
+        ints=coeffs + (bound,),
+        rationals=tuple(v for kind, v in rows if kind == "p"),
+        grades=tuple(v for kind, v in rows if kind != "p"),
+    )
     return RuleMatching(code, args), False
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import proof_sha256, proof_within_subformulas, tableau_sha256
+from conftest import ARITH, corpus, proof_sha256, proof_within_subformulas, tableau_sha256
 from test_logics import _congruence_and_refuter_challenges, _mask_loop_challenges
 from modalsat import certificates, cli, formula, solver
 from modalsat.certificates import (
@@ -22,6 +22,7 @@ from modalsat.certificates import (
     check_tableau,
     extract_proof,
     extract_tableau,
+    _pattern_of,
     model_check,
     model_from_json,
     model_to_json,
@@ -44,7 +45,7 @@ from modalsat.formula import (
     parse,
     pretty,
 )
-from modalsat.logics import LogicConfig, challenges, parse_logic_spec
+from modalsat.logics import LogicConfig, challenges, parse_logic_spec, proper_atoms
 from modalsat.onestep import (
     RuleCode,
     RuleMatching,
@@ -804,8 +805,68 @@ def test_pml_model_mass_sums_to_one():
         assert sum(w.structs[s].values()) == 1
 
 
+def _linear_sat_width_family(logic, n):
+    """The satisfiable width-n family of a linear logic: n literals over
+    a0, ..., a(n-1) and a negated literal over their disjunction (GML, PML)
+    or conjunction (MAJ)."""
+    names = ["a%d" % i for i in range(n)]
+    lits = {
+        "GML": ["<%d>%s" % (i, a) for i, a in enumerate(names)],
+        "MAJ": ["W " + a for a in names],
+        "PML": ["L{1/%d}%s" % (n, a) for a in names],
+    }[logic]
+    last = {
+        "GML": "~<%d>(%s)" % (n, " | ".join(names)),
+        "MAJ": "~<0>(%s)" % " & ".join(names),
+        "PML": "~L{1/1}(%s)" % " | ".join(names),
+    }[logic]
+    return " & ".join(lits + [last])
+
+
+@pytest.mark.parametrize("logic", ARITH)
+def test_linear_children_differ_on_some_argument(logic):
+    # ``_build_multigraph`` weighs each child of a node on its own: a solver
+    # tableau gives a linear node one child per satisfiable pattern, so no
+    # two children agree on every argument of the node.
+    cfg, formulas = corpus(logic, 300, seed=3030)
+    formulas = [g for f in formulas for g in (f, neg_fold(f))]
+    formulas += [parse(_linear_sat_width_family(logic, n)) for n in range(1, 9)]
+    nodes = 0
+    for f in formulas:
+        verdict = satisfiable(f, cfg)
+        if not verdict.satisfiable:
+            continue
+        tb = extract_tableau(verdict, cfg)
+        children = {}
+        for src, _, dst in tb.edges:
+            children.setdefault(src, set()).add(dst)
+        for src, kids in children.items():
+            arith = proper_atoms(tb.nodes[src])
+            patterns = {_pattern_of(tb.nodes[t], arith) for t in kids}
+            assert len(patterns) == len(kids), (pretty(f), src)
+            nodes += 1
+    assert nodes >= 300, nodes
+
+
+def test_children_that_agree_on_every_argument_still_get_a_model():
+    # A hand-made GML tableau gives <1>(a | b) two children, a & ~b and
+    # ~a & b, that both satisfy the node's one argument.
+    cfg = LogicConfig(logic="GML")
+    f = parse("<1>(a | b)")
+    doc = tableau_to_json(extract_tableau(satisfiable(f, cfg), cfg))
+    payload = doc["payload"]
+    assert payload["nodes"] == [["<1> ~(~a & ~b)"], ["~a", "~b"], ["a", "~b"]]
+    payload["nodes"].append(["~a", "b"])
+    payload["edges"].append({"src": 0, "dst": 3})
+    tb = tableau_from_json(doc, cfg.n_agents)
+    assert check_tableau(tb, f, cfg) == (True, "ok")
+    w = tableau_to_model(tb, cfg)
+    assert w is not None
+    assert check_certificate(w, f, cfg) == (True, "ok")
+
+
 def _exhaustive_weights(literals, insides, blocks, cap):
-    """The first block weights in lexicographic order that give every
+    """The first child weights in lexicographic order that give every
     literal its sign."""
     for ws in itertools.product(range(cap + 1), repeat=blocks):
         weights = dict(enumerate(ws))
@@ -841,9 +902,9 @@ def test_weight_search_matches_exhaustive(logic):
 
 
 def test_weight_search_walks_more_blocks_than_the_recursion_limit():
-    # The root of ``gml_wide(10)`` has about 2^10 blocks.  Here only the
-    # last of 2,000 blocks can make ``<0>v`` true, so the search sets every
-    # block before it, past the default recursion limit of 1,000.
+    # The root of ``gml_wide(10)`` has about 2^10 children.  Here only the
+    # last of 2,000 children can make ``<0>v`` true, so the search sets
+    # every child before it, past the default recursion limit of 1,000.
     blocks = 2000
     literals = [(True, modal(GDiamond(0), atom("v")))]
     insides = [{blocks - 1}]
@@ -1147,6 +1208,34 @@ def test_format_3_forgeries_are_rejected(tamper, message, tmp_path, capsys):
     cert = tmp_path / "proof.json"
     cert.write_text(json.dumps(payload))
     assert cli.main(["--logic", "M", "check-cert", text, "--cert", str(cert)]) == 1
+    assert capsys.readouterr().out == "proof  INVALID: %s\n" % message
+
+
+# Per linear logic: a valid implication, the ints of its root rule, and
+# ints that miss the rule's side condition by one unit.
+LINEAR_SIDE_FORGERIES = [
+    # lhs = 2 against rhs = 1 + 2 * 1 = 3.
+    ("GML", "<1>a -> <1>(a | b)", [-1, 1, 0], [-1, 2, 0]),
+    # A - t - 1 = 1 - 1 - 1 = -1.
+    ("MAJ", "W a -> W (a | b)", [-1, 1, 0], [-1, 1, 1]),
+    # -1/2 + 1/2 = 0 above the bound -1.
+    ("PML", "L{1/2}a -> L{1/2}(a | b)", [-1, 1, 0], [-1, 1, -1]),
+]
+
+
+@pytest.mark.parametrize("logic,text,ints,forged", LINEAR_SIDE_FORGERIES)
+def test_linear_rule_missing_its_side_condition_is_rejected(logic, text, ints, forged, tmp_path, capsys):
+    cfg = LogicConfig(logic=logic)
+    goal = parse(text)
+    payload = proof_to_json(extract_proof(satisfiable(neg_fold(goal), cfg), goal, cfg))
+    rule = _entries(payload)[0]["rules"][0]["rule"]
+    assert (rule["scheme"], rule["ints"]) == (logic, ints)
+    rule["ints"] = forged
+    message = "entry %r rule 0: rule code fails its side condition" % pretty(goal)
+    assert check_proof(proof_from_json(payload, cfg.n_agents), goal, cfg) == (False, message)
+    cert = tmp_path / "proof.json"
+    cert.write_text(json.dumps(payload))
+    assert cli.main(["--logic", logic, "check-cert", text, "--cert", str(cert)]) == 1
     assert capsys.readouterr().out == "proof  INVALID: %s\n" % message
 
 

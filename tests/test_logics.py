@@ -209,6 +209,39 @@ def _reference_shape_side_condition(code, cfg):
     )
 
 
+def _reference_linear_side_condition(code, cfg):
+    """``side_condition``'s linear-scheme branches as closed forms, as they
+    were before the conditions were written once, as rows."""
+    scheme, arity = code.scheme, code.arity()
+    coeffs, bound = code.ints[:-1], code.ints[-1]
+    if arity < 1 or scheme != cfg.logic or any(c == 0 for c in coeffs):
+        return False
+    if scheme == "GML":
+        if bound != 0 or len(code.grades) != arity or any(g < 0 for g in code.grades):
+            return False
+        lhs = sum(-c * (k + 1) for c, k in zip(coeffs, code.grades) if c < 0)
+        rhs = 1 + sum(c * k for c, k in zip(coeffs, code.grades) if c > 0)
+        return lhs >= rhs
+    if scheme == "MAJ":
+        if len(code.grades) != arity:
+            return False
+        graded = [(c, k) for c, k in zip(coeffs, code.grades) if k >= 0]
+        wsum = sum(c for c, k in zip(coeffs, code.grades) if k < 0)
+        wpos = sum(c for c, k in zip(coeffs, code.grades) if k < 0 and c > 0)
+        lhs = sum(-c * (k + 1) for c, k in graded if c < 0)
+        lhs -= sum(c * k for c, k in graded if c > 0)
+        if lhs - 1 + wpos - max(bound, 0) < 0:
+            return False
+        return 2 * bound - wsum >= 0
+    assert scheme == "PML"
+    if len(code.rationals) != arity or any(not 0 <= p <= 1 for p in code.rationals):
+        return False
+    total = sum(Fraction(c) * p for c, p in zip(coeffs, code.rationals))
+    if all(c < 0 for c in coeffs):
+        return total < bound
+    return total <= bound
+
+
 REFERENCE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"] + [
     LogicConfig(logic="COAL", n_agents=k) for k in (1, 2, 3)
 ]
@@ -288,6 +321,99 @@ def test_side_condition_matches_the_reference_on_random_shape_codes():
         assert side_condition(code, cfg) == want, (code, cfg)
         accepted[scheme] += want
     assert min(accepted.values()) >= 200, accepted
+
+
+def _random_linear_code(rng):
+    """A random GML, MAJ or PML rule code, now and then malformed: a zero
+    coefficient, a GML bound other than 0, a field whose length is not the
+    arity, a negative GML grade or a probability outside [0, 1]."""
+    scheme = rng.choice(("GML", "MAJ", "PML"))
+    arity = rng.randint(0, 4)
+    coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(arity))
+    if arity and rng.random() < 0.03:
+        i = rng.randrange(arity)
+        coeffs = coeffs[:i] + (0,) + coeffs[i + 1:]
+    bound = {"GML": 0, "MAJ": rng.randint(-4, 4), "PML": rng.randint(-3, 3)}[scheme]
+    if rng.random() < 0.03:
+        bound = rng.randint(-2, 2)
+    width = arity if rng.random() < 0.95 else rng.randint(0, 5)
+    grades = rationals = ()
+    if scheme == "PML":
+        probs = [Fraction(n, d) for d in range(1, 5) for n in range(d + 1)]
+        probs += [Fraction(-1, 2), Fraction(3, 2)] if rng.random() < 0.05 else []
+        rationals = tuple(rng.choice(probs) for _ in range(width))
+    else:
+        low = -2 if scheme == "MAJ" or rng.random() < 0.05 else 0
+        grades = tuple(rng.randint(low, 3) for _ in range(width))
+    return RuleCode(scheme, scheme, ints=coeffs + (bound,), rationals=rationals, grades=grades)
+
+
+# Boundary and malformed linear codes, with their verdicts.
+LINEAR_BOUNDARY_CODES = [
+    # GML: -1 on <1>a, +1 on <1>b: lhs = 2 = rhs.
+    (RuleCode("GML", "GML", (-1, 1, 0), grades=(1, 1)), True),
+    # -1 on <0>a, +1 on <1>b: lhs = 1 = rhs - 1.
+    (RuleCode("GML", "GML", (-1, 1, 0), grades=(0, 1)), False),
+    (RuleCode("GML", "GML", (-2, 1, 0), grades=(1, 3)), True),
+    (RuleCode("GML", "GML", (-2, 1, 0), grades=(1, 4)), False),
+    # MAJ, bound > 0: A - t - 1 >= 0 is the row that binds.  +1 on W a,
+    # -1 on <0>b: A = 2.
+    (RuleCode("MAJ", "MAJ", (1, -1, 1), grades=(-1, 0)), True),
+    (RuleCode("MAJ", "MAJ", (1, -1, 2), grades=(-1, 0)), False),
+    # 2t - (signed sum of W coefficients) = 0.
+    (RuleCode("MAJ", "MAJ", (2, -1, 1), grades=(-1, 0)), True),
+    (RuleCode("MAJ", "MAJ", (3, -2, 1), grades=(-1, 0)), False),
+    # MAJ, bound < 0: A - 1 >= 0 is the row that binds.  -2 on W a, -1 on
+    # <0>b gives A = 1; +1 on <0>b gives A = 0.
+    (RuleCode("MAJ", "MAJ", (-2, -1, -1), grades=(-1, 0)), True),
+    (RuleCode("MAJ", "MAJ", (-2, 1, -1), grades=(-1, 0)), False),
+    # PML, all negative: the total must lie strictly below the bound.
+    (RuleCode("PML", "PML", (-1, -1, -1), rationals=(Fraction(2, 3),) * 2), True),
+    (RuleCode("PML", "PML", (-1, -1, -1), rationals=(Fraction(1, 2),) * 2), False),
+    # PML, mixed signs: a total equal to the bound suffices.
+    (RuleCode("PML", "PML", (1, -1, 0), rationals=(Fraction(1, 2),) * 2), True),
+    (RuleCode("PML", "PML", (1, -1, -1), rationals=(Fraction(1, 2),) * 2), False),
+    # Malformed: a code of another logic, a zero coefficient, a GML bound
+    # other than 0, a field shorter or longer than the arity, a negative
+    # GML grade, a probability outside [0, 1], no literal at all.
+    (RuleCode("GML", "GML", (-1, 1, 0), grades=(1, 1)), "MAJ"),
+    (RuleCode("MAJ", "MAJ", (-1, 1, 0), grades=(1, 1)), "GML"),
+    (RuleCode("PML", "PML", (-1, 1, 0), rationals=(Fraction(1, 2),) * 2), "K"),
+    (RuleCode("GML", "GML", (-1, 0, 1, 0), grades=(1, 1, 0)), False),
+    (RuleCode("GML", "GML", (-1, 1, -1), grades=(1, 1)), False),
+    (RuleCode("GML", "GML", (-1, 1, 0), grades=(1,)), False),
+    (RuleCode("MAJ", "MAJ", (-1, 1, 0), grades=(1, 1, 1)), False),
+    (RuleCode("PML", "PML", (-1, 1, 0), rationals=(Fraction(1, 2),)), False),
+    (RuleCode("GML", "GML", (-1, 1, 0), grades=(1, -1)), False),
+    (RuleCode("PML", "PML", (-1, 1, 0), rationals=(Fraction(3, 2), Fraction(1, 2))), False),
+    (RuleCode("PML", "PML", (-1, 1, 0), rationals=(Fraction(1, 2), Fraction(-1, 2))), False),
+    (RuleCode("GML", "GML", (0,)), False),
+]
+
+
+@pytest.mark.parametrize("code,verdict", LINEAR_BOUNDARY_CODES)
+def test_linear_side_condition_on_boundary_codes(code, verdict):
+    # A string names a logic other than the code's, where it is no rule.
+    cfg = LogicConfig(logic=verdict if isinstance(verdict, str) else code.logic)
+    want = verdict is True
+    assert _reference_linear_side_condition(code, cfg) == want
+    assert side_condition(code, cfg) == want
+
+
+def test_side_condition_matches_the_reference_on_random_linear_codes():
+    # 30,000 random GML, MAJ and PML codes, one in ten asked in another
+    # logic, against the closed forms.
+    rng = random.Random(2630)
+    accepted = dict.fromkeys(("GML", "MAJ", "PML"), 0)
+    rejected = dict(accepted)
+    for _ in range(30000):
+        code = _random_linear_code(rng)
+        cfg = LogicConfig(logic=code.scheme if rng.random() < 0.9 else rng.choice(ALL_LOGICS))
+        want = _reference_linear_side_condition(code, cfg)
+        assert side_condition(code, cfg) == want, (code, cfg)
+        (accepted if want else rejected)[code.scheme] += 1
+    assert min(accepted.values()) >= 500, accepted
+    assert min(rejected.values()) >= 500, rejected
 
 
 # -- side conditions ----------------------------------------------------------
@@ -797,8 +923,8 @@ def test_width_10_root_is_one_system(logic, monkeypatch):
 
 def test_maj_side_condition_is_one_system():
     # MAJ's side condition A - 1 - max(t, 0) >= 0 is the two rows A - 1 >= 0
-    # and A - t - 1 >= 0, so a rule code meets it exactly when its
-    # magnitudes and bound satisfy the premise rows of the node's system.
+    # and A - t - 1 >= 0, so a rule code meets its closed form exactly when
+    # its magnitudes and bound satisfy the premise rows of the node's system.
     cfg = LogicConfig(logic="MAJ")
     rng = random.Random(2626)
     held = set()
@@ -809,11 +935,11 @@ def test_maj_side_condition_is_one_system():
         bound = rng.randint(-4, 4)
         code = RuleCode("MAJ", "MAJ", ints=coeffs + (bound,), grades=grades)
         signs = [c > 0 for c in coeffs]
-        rows = [("g", k) if k >= 0 else ("w", None) for k in grades]
+        rows = [logics._linear_row(op, cfg) for op in code_operators(code, 2)]
         cons = logics._build_constraints(signs, rows, set(), cfg)
         point = {"x%d" % i: abs(c) for i, c in enumerate(coeffs)}
         point["t"] = bound
-        holds = side_condition(code, cfg)
+        holds = _reference_linear_side_condition(code, cfg)
         assert logics._check_point(cons, point) == holds, code
         held.add((holds, bound < 0))
     assert held == {(h, n) for h in (True, False) for n in (True, False)}
