@@ -57,11 +57,10 @@ from .onestep import (
     RuleMatching,
     code_operators,
     conclusion_clause,
+    demands,
     json_bool,
     json_int,
-    negated_clause_instance,
     parse_fraction,
-    premise_cnf_clauses,
 )
 from .semantics import MODEL_KINDS, lift, points_of
 from .solver import SatNode, Verdict
@@ -337,7 +336,7 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
 
     Edges state no clause, premise clause or pattern: a rule edge's clause
     is its rule's conclusion, and its target must be a pseudovaluation for
-    the negated instance of some premise CNF clause; a pattern edge's target
+    one of the rule's demands (``onestep.demands``); a pattern edge's target
     decides every argument of the source's proper modal atoms, which fixes
     the pattern it is a pseudovaluation for."""
     n = len(tb.nodes)
@@ -375,10 +374,7 @@ def check_tableau(tb: Tableau, f: Formula, cfg: LogicConfig):
         negations = {(not s, a) for (s, a) in valuation}
         if not concl or not set(concl) <= negations:
             return False, "edge %d: rule conclusion is not built from negated node literals" % k
-        if not any(
-            _is_pseudovaluation_for(child, negated_clause_instance(gamma, m.subst))
-            for gamma in premise_cnf_clauses(m.premise())
-        ):
+        if not any(_is_pseudovaluation_for(child, d) for d in demands(m)):
             return False, "edge %d: target answers no premise clause" % k
         answered.add((src, m))
     # Challenge coverage: every candidate of every challenge has an answering
@@ -645,11 +641,9 @@ def extract_proof(verdict: Verdict, goal: Formula, cfg: LogicConfig) -> ProofDoc
         f, node = stack.pop()
         if f in doc:
             continue
-        doc[f] = tuple(m for _, _, m, _ in node.failures)
-        for _, _, _, gamma_children in reversed(node.failures):
-            stack.extend(
-                (neg_fold(child.formula), child) for _, child in reversed(gamma_children)
-            )
+        doc[f] = tuple(m for _, m, _ in node.failures)
+        for _, _, children in reversed(node.failures):
+            stack.extend((neg_fold(child.formula), child) for child in reversed(children))
     return doc
 
 
@@ -754,8 +748,8 @@ def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
     A worklist starts from the stated goal.  Each demanded formula must have
     an entry, which is checked once: its rule instances are distinct, each
     is a rule of the logic whose conclusion literals lie on modal atoms of
-    the formula, the conclusions together entail the formula, and every
-    premise CNF clause's negated instance, negated again, is demanded in
+    the formula, the conclusions together entail the formula, and the
+    negation of each of its demands (``onestep.demands``) is demanded in
     turn.  An entry that is never demanded is rejected too.  A rejection
     names the formula and, for a rule, its index, such as
     ``entry '~([] a & ~[] b)' rule 0: rule code fails its side condition``."""
@@ -784,8 +778,7 @@ def check_proof(doc: ProofDoc, goal: Formula, cfg: LogicConfig):
             if msg is not None:
                 return False, "entry %r rule %d: %s" % (pretty(f), r, msg)
             conclusions.append(concl)
-            for gamma in premise_cnf_clauses(m.premise()):
-                g = neg_fold(negated_clause_instance(gamma, m.subst))
+            for g in map(neg_fold, demands(m)):
                 if g not in demanded:
                     demanded[g] = (f, r)
                     work.append(g)

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from . import linarith
@@ -83,10 +82,15 @@ class LogicConfig:
         if self.logic == "COAL" and self.n_agents < 1:
             raise ValueError("coalition logic needs at least one agent")
 
-    @cached_property
-    def grand_coalition(self) -> frozenset:
-        # Built on first read: no code changes a config after making it.
-        return frozenset(range(1, self.n_agents + 1))
+    def coalition_legal(self, agents) -> bool:
+        """Is every agent of the coalition one of ``1 .. n_agents``?  Tested
+        by range: the set of all agents is never built, so a config's cost
+        does not grow with its number of agents."""
+        return all(1 <= i <= self.n_agents for i in agents)
+
+    def is_grand_coalition(self, agents) -> bool:
+        """Is the coalition the set of all ``n_agents`` agents?"""
+        return len(agents) == self.n_agents and self.coalition_legal(agents)
 
     def is_arithmetic(self) -> bool:
         return self.logic in LINEAR_SCHEMES
@@ -115,7 +119,7 @@ def operator_legal(op, cfg: LogicConfig) -> bool:
         return (
             isinstance(op, Coal)
             and op.n_agents == cfg.n_agents
-            and op.agents <= cfg.grand_coalition
+            and cfg.coalition_legal(op.agents)
         )
     if cfg.logic == "GML":
         return isinstance(op, GDiamond) and op.grade >= 0
@@ -179,8 +183,8 @@ def _shape_fits(scheme, signs, coalitions, d, cfg: LogicConfig) -> bool:
     if not all(c <= coalitions[d] for c in negatives):
         return False
     if n_pos > 1:
-        grand = cfg.grand_coalition
-        if any(s and c != grand for i, (c, s) in enumerate(zip(coalitions, signs)) if i != d):
+        others = (c for i, (c, s) in enumerate(zip(coalitions, signs)) if s and i != d)
+        if not all(cfg.is_grand_coalition(c) for c in others):
             return False
     return _pairwise_disjoint(negatives)
 
@@ -268,7 +272,7 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         # A node read from a certificate may hold any operator.
         pos = [i for i in pos if isinstance(ops[i], Coal)]
         neg = [j for j in neg if isinstance(ops[j], Coal)]
-        grand = sum(1 << i for i in pos if ops[i].agents == cfg.grand_coalition)
+        grand = sum(1 << i for i in pos if cfg.is_grand_coalition(ops[i].agents))
     masks = set()
     for d in pos + ([None] if cfg.logic in ("KD", "COAL") else []):
         head = grand if d is None else grand | 1 << d
@@ -300,8 +304,10 @@ def _families(d, neg, ops, cfg: LogicConfig) -> list:
         return [sum(1 << j for j in neg)]
     if cfg.logic != "COAL":
         return [1 << j for j in neg if ops[j] == ops[d]]
-    within = cfg.grand_coalition if d is None else ops[d].agents
-    coalitions = [(j, ops[j].agents) for j in neg if ops[j].agents <= within]
+    if d is None:
+        coalitions = [(j, ops[j].agents) for j in neg if cfg.coalition_legal(ops[j].agents)]
+    else:
+        coalitions = [(j, ops[j].agents) for j in neg if ops[j].agents <= ops[d].agents]
     # A literal whose coalition meets no other one's joins every family;
     # branching on it would double the families only to drop half.
     seen = shared = frozenset()

@@ -1,4 +1,4 @@
-"""One-step rules: codes, premises, matchings, and instance helpers.
+"""One-step rules: codes, premises, matchings, and their demands.
 
 A rule has a propositional premise over variables and a clause conclusion
 whose literals apply one modal operator each to a distinct variable.  Rule
@@ -22,6 +22,7 @@ from .formula import (
     Box,
     Coal,
     FModal,
+    Formula,
     GDiamond,
     LProb,
     MajW,
@@ -60,49 +61,6 @@ def json_bool(value) -> bool:
     if type(value) is not bool:
         raise ValueError("%r is not a boolean" % (value,))
     return value
-
-
-# ---------------------------------------------------------------------------
-# Premises
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClausePremise:
-    """Premise already in CNF: clauses of ``(positive, var)`` literals."""
-
-    clauses: tuple
-
-
-@dataclass(frozen=True)
-class LinearPremise:
-    """Premise ``sum(coeffs[i] * a_i) >= bound`` over 0/1-valued variables.
-
-    Its CNF has one clause per subset J of variables with coefficient sum
-    below the bound: the clause negating exactly the variables in J.
-    """
-
-    coeffs: tuple
-    bound: int
-
-    def subset_sum(self, bits: int) -> int:
-        return sum(c for j, c in enumerate(self.coeffs) if bits >> j & 1)
-
-
-def premise_cnf_clauses(premise) -> Iterator[tuple]:
-    """CNF clauses of a premise, in deterministic order.
-
-    For a linear premise the clauses are indexed by variable subsets in
-    binary-counter order; subset J yields the clause that is false exactly
-    when the variables in J are true and the rest false.
-    """
-    if isinstance(premise, ClausePremise):
-        yield from premise.clauses
-        return
-    q = len(premise.coeffs)
-    for bits in range(1 << q):
-        if premise.subset_sum(bits) < premise.bound:
-            yield tuple((not (bits >> j & 1), j) for j in range(q))
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +103,14 @@ class RuleCode:
     def arity(self) -> int:
         if self.scheme == "CONG":
             return 2
-        if self.scheme in LINEAR_SCHEMES:
-            return len(self.ints) - 1
-        if self.scheme == "COAL4":
+        # The bound or the distinguished literal follows the literals' ints.
+        if self.scheme in LINEAR_SCHEMES or self.scheme == "COAL4":
             return len(self.ints) - 1
         return len(self.ints)
 
     def signs(self) -> tuple:
-        """Conclusion literal signs, True = positive."""
-        if self.scheme in LINEAR_SCHEMES:
-            return tuple(c > 0 for c in self.ints[: self.arity()])
+        """Conclusion literal signs, True = positive: the signs of the
+        literals' ints, sign pattern or coefficients alike."""
         return tuple(s > 0 for s in self.ints[: self.arity()])
 
     def to_json(self) -> dict:
@@ -209,21 +165,29 @@ def code_operators(code: RuleCode, n_agents: int) -> tuple:
     raise ValueError("unknown scheme %r" % code.scheme)
 
 
-def premise_of(code: RuleCode):
-    """Reconstruct the premise of a rule code, over variables 0..arity-1."""
+def premise_clauses(code: RuleCode) -> Iterator[tuple]:
+    """The CNF clauses of a rule code's premise over the variables
+    ``0 .. arity-1``, as tuples of ``(positive, var)`` literals, each naming
+    every variable once; the one statement of each rule's premise.
+
+    Congruence ``a <-> b`` has two clauses, the negative conclusion
+    literal's variable first in each; a shape scheme has the one clause
+    that mirrors its conclusion's signs.  A linear premise
+    ``sum(c_i a_i) >= bound`` has one clause per subset J of the variables
+    whose coefficient sum is below the bound, in binary-counter order: the
+    clause false exactly when the variables in J are true and the rest
+    false."""
     if code.scheme == "CONG":
-        i_neg = 0 if code.ints[0] < 0 else 1
-        i_pos = 1 - i_neg
-        return ClausePremise(
-            (
-                ((False, i_neg), (True, i_pos)),
-                ((True, i_neg), (False, i_pos)),
-            )
-        )
-    if code.scheme in LINEAR_SCHEMES:
-        return LinearPremise(code.ints[:-1], code.ints[-1])
-    # Shape schemes: single clause mirroring the conclusion sign pattern.
-    return ClausePremise((tuple((s, i) for i, s in enumerate(code.signs())),))
+        neg = 0 if code.ints[0] < 0 else 1
+        yield ((False, neg), (True, 1 - neg))
+        yield ((True, neg), (False, 1 - neg))
+    elif code.scheme in LINEAR_SCHEMES:
+        coeffs, bound = code.ints[:-1], code.ints[-1]
+        for bits in range(1 << len(coeffs)):
+            if sum(c for j, c in enumerate(coeffs) if bits >> j & 1) < bound:
+                yield tuple((not bits >> j & 1, j) for j in range(len(coeffs)))
+    else:
+        yield tuple((s, i) for i, s in enumerate(code.signs()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +205,6 @@ class RuleMatching:
     code: RuleCode
     subst: tuple
 
-    def premise(self):
-        return premise_of(self.code)
-
 
 def conclusion_clause(matching: RuleMatching, n_agents: int) -> tuple:
     ops = code_operators(matching.code, n_agents)
@@ -253,14 +214,15 @@ def conclusion_clause(matching: RuleMatching, n_agents: int) -> tuple:
     )
 
 
-def negated_clause_instance(gamma, subst):
-    """The negation of a premise CNF clause under a substitution: the
-    conjunction of the negated instantiated literals, constant-folded."""
-    parts = []
-    for positive, var in gamma:
-        g = subst[var]
-        parts.append(neg_fold(g) if positive else g)
-    return conj_fold(parts)
+def demands(m: RuleMatching) -> Iterator[Formula]:
+    """The formulas a rule instance demands, one per premise clause in
+    ``premise_clauses`` order: the clause's negated instance, the
+    conjunction of its literals' negated arguments, constant-folded.  An
+    instance whose demands are all unsatisfiable shows its conclusion
+    valid; the solver, both certificate checkers and proof extraction read
+    the demands here."""
+    for clause in premise_clauses(m.code):
+        yield conj_fold([neg_fold(m.subst[v]) if s else m.subst[v] for s, v in clause])
 
 
 def congruence_matchings(clause, logic: str) -> list:

@@ -13,6 +13,8 @@ below.
   argument sets alike leaves every literal's truth unchanged; and the
   premise holds point by point, so the argument assignments it validates
   are the products of per-point sign patterns, a set closed under renaming.
+  The patterns are read off ``onestep.premise_clauses``, the premise that
+  the solver and the certificate checkers demand.
   A counterexample therefore exists only if one exists at a single
   representative of each structure's orbit, with every assignment tried.
   The representatives, and each operator's truth under every representative
@@ -64,12 +66,7 @@ from .formula import (
     subformulas,
 )
 from .logics import LogicConfig
-from .onestep import (
-    ClausePremise,
-    LinearPremise,
-    RuleCode,
-    code_operators,
-)
+from .onestep import RuleCode, code_operators, premise_clauses
 from .certificates import ModelWitness, _Checker, model_check
 from .semantics import MODEL_KINDS, lift, lifting, relabel
 
@@ -152,35 +149,15 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 
 
-def _premise_holds(premise, tau, n: int) -> bool:
-    """Does every carrier element satisfy the propositional premise under the
-    subset assignment ``tau``?"""
-    if isinstance(premise, ClausePremise):
-        for clause in premise.clauses:
-            for x in range(n):
-                if not any((x in tau[v]) == s for (s, v) in clause):
-                    return False
-        return True
-    if isinstance(premise, LinearPremise):
-        for x in range(n):
-            weight = sum(c for c, t in zip(premise.coeffs, tau) if x in t)
-            if weight < premise.bound:
-                return False
-        return True
-    raise TypeError(premise)
-
-
-def _point_patterns(premise, q: int) -> list:
+def _point_patterns(code: RuleCode) -> list:
     """The argument sign patterns (bit ``i``: the point is in argument
-    ``i``) that one point may have under the premise, in increasing order."""
-    point = frozenset({0})
-    return [
-        bits
-        for bits in range(1 << q)
-        if _premise_holds(
-            premise, tuple(point if bits >> i & 1 else frozenset() for i in range(q)), 1
-        )
-    ]
+    ``i``) that one point may have under the rule's premise, in increasing
+    order: those that falsify none of its clauses (``premise_clauses``), the
+    clauses whose negated instances the solver demands.  A clause names
+    every variable once, so the one pattern falsifying it gives each
+    variable the opposite of its sign there."""
+    falsifying = {sum(1 << v for s, v in clause if not s) for clause in premise_clauses(code)}
+    return [bits for bits in range(1 << code.arity()) if bits not in falsifying]
 
 
 def _canonical(kind: str, struct) -> bool:
@@ -324,12 +301,12 @@ def _one_step_sound(code: RuleCode, cfg: LogicConfig, max_carrier: int) -> bool:
     every assignment against the representative (``_canonical``) of each
     orbit.  For the same reason the valid assignments over ``n`` points are
     the ways of giving each point a sign pattern valid at one point, which
-    ``_counterexample`` tries point by point.  The rule prepares no lifting
-    of its own: each literal reads its operator's ``_failure_levels``."""
-    from .onestep import premise_of
-
+    ``_counterexample`` tries point by point; they are read off
+    ``premise_clauses``, so the premise judged here is the one the solver
+    and the certificate checkers demand.  The rule prepares no lifting of
+    its own: each literal reads its operator's ``_failure_levels``."""
     ops = code_operators(code, cfg.n_agents)
-    patterns = _point_patterns(premise_of(code), code.arity())
+    patterns = _point_patterns(code)
     for n in range(max_carrier + 1):
         every = (1 << len(_canonical_structures(cfg, n))) - 1
         if not every:

@@ -46,7 +46,7 @@ pattern; these are exactly the edges of a shallow tableau.
 UNSAT traces are the shallow proofs.  Every pseudovaluation of a refuted
 formula falsifies the conclusion of one of the rule instances that refuted
 the tried ones, so those conclusions together entail the formula's
-negation; each instance's children refute its negated premise clauses.
+negation; each instance's children refute its demands.
 For linear logics those children are the projected demands of the found
 matching, each solved in its own right.  The memo gives one node per
 formula, so the refutation is a dag, and a proof is one table entry per
@@ -65,11 +65,7 @@ from .logics import (
     proper_literals,
     validate_formula,
 )
-from .onestep import (
-    LINEAR_SCHEMES,
-    negated_clause_instance,
-    premise_cnf_clauses,
-)
+from .onestep import LINEAR_SCHEMES, demands
 
 
 @dataclass
@@ -101,11 +97,11 @@ class UnsatNode:
     tried, so each failure has its own rule matching, whose conclusion is
     the failure's clause.  This is also the entry of the negated formula in
     a shallow proof: the conclusions together entail it, and each matching
-    has one refuted child per premise clause ``gamma``.  A child refuted for
-    several parents is one shared node."""
+    has one refuted child per demand (``onestep.demands``), in order.  A
+    child refuted for several parents is one shared node."""
 
     formula: Formula
-    # (valuation, clause, matching, [(gamma, child_unsat_node), ...])
+    # (clause, matching, [child_unsat_node per demand])
     failures: list = field(default_factory=list)
 
 
@@ -150,7 +146,7 @@ class Solver:
                 result = (True, verdict)
                 break
             failures.append(verdict)
-            covered.append(verdict[1])
+            covered.append(verdict[0])
         if result is None:
             result = (False, UnsatNode(f, failures))
         self.memo[f] = result
@@ -163,7 +159,7 @@ class Solver:
         answer = self.nodes.get(modal)
         if answer is None:
             answer = self.nodes[modal] = self._answer(modal, level)
-        return SatNode(f, valuation, answer) if isinstance(answer, list) else (valuation,) + answer
+        return SatNode(f, valuation, answer) if isinstance(answer, list) else answer
 
     def _answer(self, modal: tuple, level: int):
         """A modal part's obligations, or the (clause, matching, children) refuting it."""
@@ -181,20 +177,17 @@ class Solver:
         for clause, cands in challenges(modal, self.cfg, sat_bits):
             for m in cands:
                 self.stats.matchings_checked += 1
-                gamma_children = []
-                chosen = None
-                for gamma in premise_cnf_clauses(m.premise()):
-                    demand = negated_clause_instance(gamma, m.subst)
+                children = []
+                for demand in demands(m):
                     sat, child = self.solve(demand, level + 1)
                     if sat:
-                        chosen = child
                         break
-                    gamma_children.append((gamma, child))
-                if chosen is None:
-                    return (clause, m, gamma_children)
+                    children.append(child)
+                else:
+                    return (clause, m, children)
                 if m.code.scheme in LINEAR_SCHEMES:
                     raise RuntimeError("refuting matching leaves a satisfiable demand")
-                obligations.append((m, chosen))
+                obligations.append((m, child))
         return obligations
 
 

@@ -15,6 +15,27 @@ ALL_LOGICS = ("E", "M", "K", "KD", "COAL", "GML", "MAJ", "PML")
 ARITH = ("GML", "MAJ", "PML")
 
 
+def reference_premise(code, values) -> bool:
+    """The premise of a rule code, stated semantically, where variable i has
+    the truth value ``values[i]``: the reference the tests hold
+    ``onestep.premise_clauses`` to.  A linear premise holds when the
+    coefficients of the true variables sum to at least the bound,
+    congruence when its two variables have the same value, and a shape
+    premise when some variable agrees with its conclusion literal's sign."""
+    if code.scheme in ARITH:
+        coeffs, bound = code.ints[:-1], code.ints[-1]
+        return sum(c for c, v in zip(coeffs, values) if v) >= bound
+    if code.scheme == "CONG":
+        return values[0] == values[1]
+    return any(v == s for v, s in zip(values, code.signs()))
+
+
+def reference_premise_on(code, tau, n: int) -> bool:
+    """Does the reference premise hold at every point of the carrier
+    ``0 .. n - 1`` when variable i denotes the set ``tau[i]``?"""
+    return all(reference_premise(code, [x in t for t in tau]) for x in range(n))
+
+
 def config_for(logic: str) -> LogicConfig:
     return LogicConfig(logic=logic)
 

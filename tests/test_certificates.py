@@ -51,8 +51,7 @@ from modalsat.onestep import (
     RuleMatching,
     conclusion_clause,
     congruence_matchings,
-    negated_clause_instance,
-    premise_cnf_clauses,
+    demands,
 )
 from modalsat.oracle import brute_force_sat
 from modalsat.sampling import random_formula
@@ -375,8 +374,7 @@ def _dominated_forgery(f, cfg):
         if clause in maximal:
             continue
         for m in cands:
-            for gamma in premise_cnf_clauses(m.premise()):
-                demand = negated_clause_instance(gamma, m.subst)
+            for demand in demands(m):
                 if satisfiable(demand, cfg).satisfiable:
                     edges.append((0, m, len(nodes)))
                     nodes.append(next(assignments(demand)))
@@ -463,7 +461,7 @@ def _pair_tableau(spec, text, answer_pair):
     answers += congruence_matchings(pair, cfg.logic)
     nodes, edges = [valuation], []
     for m in answers:
-        demand = negated_clause_instance(list(premise_cnf_clauses(m.premise()))[-1], m.subst)
+        demand = list(demands(m))[-1]
         edges.append((0, m, len(nodes)))
         nodes.append(next(assignments(demand)))
     return Tableau(0, nodes, edges), f, cfg
@@ -575,8 +573,7 @@ def test_tableau_rejects_answered_linear_refuters(logic, text):
         nodes, edges = [valuation], []
         for _, cands in challenges(valuation, cfg, set()):
             for m in cands:
-                for gamma in premise_cnf_clauses(m.premise()):
-                    demand = negated_clause_instance(gamma, m.subst)
+                for demand in demands(m):
                     if satisfiable(demand, cfg).satisfiable:
                         edges.append((0, m, len(nodes)))
                         nodes.append(next(assignments(demand)))
@@ -610,8 +607,7 @@ def test_tableau_rejects_rule_over_an_operator_outside_the_logic(tmp_path, capsy
     assert check_tableau(tb, f, cfg) == (True, "ok")
     m = RuleMatching(RuleCode("K", "CONG", (-1, 1), (), (), (frozenset({1}),)), (atom("a"), atom("b")))
     clause = conclusion_clause(m, cfg.n_agents)
-    gamma = next(premise_cnf_clauses(m.premise()))
-    demand = negated_clause_instance(gamma, m.subst)
+    demand = next(demands(m))
     src = len(tb.nodes)
     tb.nodes.append(tuple((not s, a) for s, a in clause))
     tb.nodes.append(next(assignments(demand)))

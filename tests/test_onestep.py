@@ -1,63 +1,92 @@
-"""Rule codes, premises, and premise CNF."""
+"""Rule codes, premise CNF clauses, and the demands of rule instances."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
+from conftest import ALL_LOGICS, reference_premise
 from modalsat.formula import atom, modal, parse, GDiamond
+from modalsat.logics import parse_logic_spec
 from modalsat.onestep import (
-    ClausePremise,
-    LinearPremise,
     RuleCode,
     RuleMatching,
     conclusion_clause,
     congruence_matchings,
-    negated_clause_instance,
-    premise_cnf_clauses,
-    premise_of,
+    demands,
+    premise_clauses,
 )
+from modalsat.sampling import sample_matchings
 
 
-def test_linear_premise_subset_sum():
-    prem = LinearPremise(coeffs=(2, -1, 1), bound=1)
-    assert prem.subset_sum(0b001) == 2
-    assert prem.subset_sum(0b111) == 2
-    assert prem.subset_sum(0b010) == -1
+def _cnf_holds(clauses, values) -> bool:
+    return all(any(values[v] == s for s, v in clause) for clause in clauses)
+
+
+def test_linear_premise_clauses_are_the_light_subsets():
+    # Coefficients (2, -1, 1) against bound 1: the subsets {}, {1} and
+    # {1, 2} weigh 0, -1 and 0, below the bound; each gives the clause
+    # that negates exactly its variables, in binary-counter order.
+    code = RuleCode("MAJ", "MAJ", (2, -1, 1, 1), (), (0, 1, 2), ())
+    assert list(premise_clauses(code)) == [
+        ((True, 0), (True, 1), (True, 2)),
+        ((True, 0), (False, 1), (True, 2)),
+        ((True, 0), (False, 1), (False, 2)),
+    ]
 
 
 def test_premise_cnf_matches_exhaustive_semantics():
-    # A premise CNF clause set must be satisfied by exactly the variable
+    # A linear code's premise CNF must be satisfied by exactly the variable
     # assignments whose weighted sum meets the bound.  Exhaustive over all
-    # small coefficient vectors with at most 4 variables.
-    coeff_choices = (-2, -1, 1, 2)
+    # small coefficient vectors with at most 4 variables, the schemes GML,
+    # MAJ and PML in turn (only the coefficients and the bound matter).
+    schemes = itertools.cycle(("GML", "MAJ", "PML"))
     for q in range(1, 5):
-        for coeffs in itertools.product(coeff_choices, repeat=q):
+        for coeffs in itertools.product((-2, -1, 1, 2), repeat=q):
             for bound in (-1, 0, 1, 2):
-                prem = LinearPremise(coeffs=coeffs, bound=bound)
-                clauses = list(premise_cnf_clauses(prem))
-                for bits in range(1 << q):
-                    assign = [bool(bits >> i & 1) for i in range(q)]
-                    weight = sum(c for c, b in zip(coeffs, assign) if b)
-                    holds = weight >= bound
-                    cnf_holds = all(
-                        any(assign[v] == s for (s, v) in clause)
-                        for clause in clauses
-                    )
-                    assert holds == cnf_holds, (coeffs, bound, assign)
+                scheme = next(schemes)
+                code = RuleCode(scheme, scheme, coeffs + (bound,))
+                clauses = list(premise_clauses(code))
+                for values in itertools.product((False, True), repeat=q):
+                    weight = sum(c for c, v in zip(coeffs, values) if v)
+                    assert (weight >= bound) == _cnf_holds(clauses, values), (code, values)
 
 
 def test_premise_cnf_clause_signs():
     # The clause for a failing subset J contains the negation of exactly
     # the variables inside J.
-    prem = LinearPremise(coeffs=(1, 1), bound=2)
-    clauses = list(premise_cnf_clauses(prem))
+    code = RuleCode("PML", "PML", (1, 1, 2), (Fraction(1, 2), Fraction(1, 3)), (), ())
+    clauses = list(premise_clauses(code))
     # Failing subsets: {}, {0}, {1} -> three clauses.
-    assert len(clauses) == 3
-    assert clauses[0] == ((True, 0), (True, 1))
+    assert clauses == [
+        ((True, 0), (True, 1)),
+        ((False, 0), (True, 1)),
+        ((True, 0), (False, 1)),
+    ]
 
 
-def test_clause_premise_cnf_passthrough():
-    prem = ClausePremise(clauses=(((True, 0), (False, 1)),))
-    assert list(premise_cnf_clauses(prem)) == [((True, 0), (False, 1))]
+SAMPLED_CODES = [
+    m.code
+    for spec in ALL_LOGICS + ("COAL:3",)
+    for m in sample_matchings(random.Random(17), parse_logic_spec(spec), 30)
+]
+
+
+@pytest.mark.parametrize("scheme", ["CONG", "K", "KD", "M", "COAL1", "COAL4", "GML", "MAJ", "PML"])
+def test_premise_clauses_match_the_reference(scheme):
+    # Codes sampled in all 8 logics and COAL:3: the premise CNF holds under
+    # exactly the assignments where the semantic premise does, and every
+    # clause names each variable once.
+    codes = [code for code in SAMPLED_CODES if code.scheme == scheme]
+    assert codes, scheme
+    for code in codes:
+        q = code.arity()
+        clauses = list(premise_clauses(code))
+        for clause in clauses:
+            assert sorted(v for _, v in clause) == list(range(q)), (code, clause)
+        for values in itertools.product((False, True), repeat=q):
+            assert reference_premise(code, values) == _cnf_holds(clauses, values), (code, values)
 
 
 def test_rule_code_json_roundtrip():
@@ -94,11 +123,21 @@ def test_congruence_matching_premise_and_conclusion():
     assert len(ms) == 1
     m = ms[0]
     assert conclusion_clause(m, 2) == clause
-    gammas = list(premise_cnf_clauses(m.premise()))
-    assert len(gammas) == 2
-    # Negated premise clauses instantiate to the two difference patterns.
-    insts = {str(negated_clause_instance(g, m.subst)) for g in gammas}
-    assert len(insts) == 2
+    # The two demands are the two difference patterns.
+    assert [str(d) for d in demands(m)] == [
+        str(parse("(p & q) & ~r")),
+        str(parse("~(p & q) & r")),
+    ]
+
+
+def test_congruence_demands_put_the_negative_argument_first():
+    # In the clause ([]b, ~[]a) the negative literal comes second, yet each
+    # demand names its argument first: a & ~b, then ~a & b.  Proofs in E
+    # list their entries in this order.
+    clause = ((True, parse("[]b")), (False, parse("[]a")))
+    (m,) = congruence_matchings(clause, "E")
+    assert list(premise_clauses(m.code)) == [((False, 1), (True, 0)), ((True, 1), (False, 0))]
+    assert list(demands(m)) == [parse("a & ~b"), parse("~a & b")]
 
 
 def test_congruence_requires_matching_operator():
@@ -120,6 +159,22 @@ def test_linear_code_conclusion_signs_follow_coefficients():
 
 def test_shape_premise_mirrors_conclusion_signs():
     code = RuleCode("K", "K", (1, -1, -1), (), (), ())
-    prem = premise_of(code)
-    assert isinstance(prem, ClausePremise)
-    assert prem.clauses == (((True, 0), (False, 1), (False, 2)),)
+    assert list(premise_clauses(code)) == [((True, 0), (False, 1), (False, 2))]
+    m = RuleMatching(code, (atom("p"), atom("q"), atom("r")))
+    assert list(demands(m)) == [parse("~p & q & r")]
+
+
+def test_rule_code_arity_and_signs():
+    # The bound of a linear code and the distinguished literal of a COAL4
+    # code follow the literals' ints and carry no sign.
+    c = (frozenset({1}), frozenset({1, 2}))
+    cases = [
+        (RuleCode("E", "CONG", (1, -1)), (True, False)),
+        (RuleCode("K", "K", (-1, 1, -1)), (False, True, False)),
+        (RuleCode("COAL", "COAL4", (-1, 1, 1), coalitions=c), (False, True)),
+        (RuleCode("GML", "GML", (2, -3, 0), grades=(1, 0)), (True, False)),
+        (RuleCode("MAJ", "MAJ", (-1, -2), grades=(0,)), (False,)),
+    ]
+    for code, signs in cases:
+        assert code.arity() == len(signs)
+        assert code.signs() == signs

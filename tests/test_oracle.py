@@ -12,7 +12,7 @@ import pytest
 from modalsat import cli, oracle
 from modalsat.formula import Box, Coal, GDiamond, LProb, MajW, atom, modal, neg_fold, parse
 from modalsat.logics import LogicConfig, challenges, parse_logic_spec, side_condition
-from modalsat.onestep import RuleCode, code_operators, premise_of
+from modalsat.onestep import RuleCode, code_operators
 from modalsat.oracle import (
     BRANCH_BOUND,
     MAX_DENOMINATOR,
@@ -26,7 +26,6 @@ from modalsat.oracle import (
     _one_step_sound,
     _point_patterns,
     _prefix_levels,
-    _premise_holds,
     _TreeEnumerator,
     brute_force_sat,
     one_step_sound,
@@ -41,7 +40,7 @@ from modalsat.certificates import (
 from modalsat.sampling import random_formula, random_operator, sample_matchings
 from modalsat.semantics import MODEL_KINDS, lift, lifting, relabel
 
-from conftest import ALL_LOGICS, model_sha256
+from conftest import ALL_LOGICS, model_sha256, reference_premise, reference_premise_on
 from test_logics import _mask_loop_challenges
 
 
@@ -243,7 +242,6 @@ def _reference_one_step_sound(code, cfg, max_carrier):
     """One-step soundness checked assignment by assignment: every structure,
     every premise-validating argument assignment, one ``lift`` per literal."""
     q = code.arity()
-    premise = premise_of(code)
     ops = code_operators(code, cfg.n_agents)
     signs = code.signs()
     kind = MODEL_KINDS[cfg.logic]
@@ -254,7 +252,7 @@ def _reference_one_step_sound(code, cfg, max_carrier):
         taus = [
             tau
             for tau in itertools.product(subsets, repeat=q)
-            if _premise_holds(premise, tau, n)
+            if reference_premise_on(code, tau, n)
         ]
         if not taus:
             continue
@@ -424,6 +422,22 @@ def test_orbit_check_rejects_wrong_representatives():
     )
 
 
+@pytest.mark.parametrize("spec", ALL_LOGICS + ("COAL:3",))
+def test_point_patterns_are_the_reference_single_point_patterns(spec):
+    # The oracle reads its per-point patterns off the premise CNF clauses
+    # that the solver demands; they are exactly the sign patterns under
+    # which the semantic premise holds at one point.
+    cfg = parse_logic_spec(spec)
+    for m in sample_matchings(random.Random(23), cfg, 60):
+        q = m.code.arity()
+        want = [
+            bits
+            for bits in range(1 << q)
+            if reference_premise(m.code, [bool(bits >> i & 1) for i in range(q)])
+        ]
+        assert _point_patterns(m.code) == want, m.code
+
+
 @pytest.mark.parametrize("logic", ALL_LOGICS)
 def test_pruned_search_reaches_exactly_the_premise_assignments(logic):
     # Clause premises (E, M, K, KD, COAL) and linear ones (GML, MAJ, PML):
@@ -435,8 +449,7 @@ def test_pruned_search_reaches_exactly_the_premise_assignments(logic):
     rejected = 0
     for m in sample_matchings(random.Random(31), cfg, 6):
         q = m.code.arity()
-        premise = premise_of(m.code)
-        patterns = _point_patterns(premise, q)
+        patterns = _point_patterns(m.code)
         for n in range(4):
             subsets = [
                 frozenset(x for x in range(n) if mask >> x & 1)
@@ -447,7 +460,7 @@ def test_pruned_search_reaches_exactly_the_premise_assignments(logic):
                     _prefix_levels([int(mask == t) for mask in range(1 << n)], n)
                     for t in tau
                 ]
-                want = _premise_holds(premise, [subsets[t] for t in tau], n)
+                want = reference_premise_on(m.code, [subsets[t] for t in tau], n)
                 assert _counterexample(levels, patterns, n, 1) == want, (m.code, tau)
                 rejected += not want
     assert rejected, logic
@@ -644,7 +657,7 @@ def strict_completeness_probe(chi, tau, n: int, cfg: LogicConfig, challenges=cha
     for sub, cands in challenges(tuple((not s, a) for s, a in lits), cfg, sat_bits):
         sub_tau = tuple(tau[position[a]] for _, a in sub)
         for m in cands:
-            if _premise_holds(m.premise(), sub_tau, n):
+            if reference_premise_on(m.code, sub_tau, n):
                 return m
     return None
 
