@@ -39,7 +39,9 @@ below.
   carrier, the only place they are enumerated: rule soundness, the tree
   search and the tests' strict completeness probe (tests/test_oracle.py)
   all read it, so a leaner structure space (COAL effectivity functions, E/M
-  orbits, PML integer numerators) goes in there.
+  orbits) goes in there.  A PML distribution there is given by integer
+  weights, read relative to their total; only a witness's states get
+  probabilities.
 
 The searches are bounded, so a ``None`` answer from ``brute_force_sat`` means
 "no model within the bounds", not unsatisfiability in general; within the
@@ -87,12 +89,15 @@ BRANCH_BOUND = 4
 
 def structures(cfg: LogicConfig, n: int, full: bool = False):
     """Every one-step structure of the logic over the points ``0 .. n - 1``,
-    in the format of ``semantics.lift``, within the bounds above.
+    in the format of ``semantics.lift``, within the bounds above.  A PML
+    distribution comes as integer weights ``{point: weight}`` of gcd 1 and
+    total at most ``MAX_DENOMINATOR``, which ``lift`` reads relative to
+    their total; no ``Fraction`` is built.
 
     With ``full``, only the structures that use every point: the whole
-    carrier as successors, every weight or probability positive.  Every
-    neighbourhood collection and every game table counts as full.  These are
-    the tree search's structures over its children."""
+    carrier as successors, every weight positive.  Every neighbourhood
+    collection and every game table counts as full.  These are the tree
+    search's structures over its children."""
     kind = MODEL_KINDS[cfg.logic]
     low = int(full)
     if kind == "kripke":
@@ -118,30 +123,33 @@ def structures(cfg: LogicConfig, n: int, full: bool = False):
             yield dict(enumerate(ws))
     elif kind == "distribution":
         for den in range(1, MAX_DENOMINATOR + 1):
-            # With ``full``, one unit per point first, then split the rest.
-            for parts in _compositions(den - low * n, n):
-                parts = tuple(p + low for p in parts)
-                # In lowest terms only: each distribution comes once, at its
-                # least denominator.
-                if math.gcd(den, *parts) == 1:
-                    yield {i: Fraction(p, den) for i, p in enumerate(parts)}
-    else:
+            for parts in _compositions(den, n, low):
+                # Weights of gcd 1 only: each distribution comes once, at its
+                # least total.
+                if math.gcd(*parts) == 1:
+                    yield dict(enumerate(parts))
+    elif n:
+        # A game table needs an outcome point, so carrier 0 has none; this
+        # returns before the 2^agents strategy counts are walked.
         for sizes in itertools.product(range(1, MAX_STRATEGIES + 1), repeat=cfg.n_agents):
             profiles = list(itertools.product(*(range(s) for s in sizes)))
             for outcomes in itertools.product(range(n), repeat=len(profiles)):
                 yield (sizes, dict(zip(profiles, outcomes)))
 
 
-def _compositions(total: int, parts: int):
-    """All splits of ``total`` into ``parts`` non-negative summands (none
-    when ``total`` is negative)."""
-    if parts == 0:
-        if total == 0:
+def _compositions(total: int, parts: int, low: int = 0):
+    """All splits of ``total`` into ``parts`` summands of at least ``low``,
+    in lexicographic order: stars and bars, with ``low`` given to each part
+    first and the ``parts - 1`` bars placed among the slots of the rest."""
+    total -= low * parts
+    if parts == 0 or total < 0:
+        if parts == total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        # A part is ``low`` plus the slots between its two bars.
+        yield tuple(b - a - 1 + low for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +199,18 @@ def _canonical_structures(cfg: LogicConfig, n: int) -> list:
     n)``, in the order it yields them; built once per (logic, agents,
     carrier) in ``_SOUNDNESS_CACHE``.
 
-    PML's representatives are the distributions whose probabilities do not
+    PML's representatives are the distributions whose weights do not
     increase along the points, so only those compositions become dicts."""
     key = ("structures", cfg.logic, cfg.n_agents, n)
     reps = _SOUNDNESS_CACHE.get(key)
     if reps is None:
         if cfg.logic == "PML":
-            # In lowest terms only, as in ``structures``.
+            # Weights of gcd 1 only, as in ``structures``.
             reps = [
-                {i: Fraction(p, den) for i, p in enumerate(parts)}
+                dict(enumerate(parts))
                 for den in range(1, MAX_DENOMINATOR + 1)
                 for parts in _non_increasing(den, n, den)
-                if math.gcd(den, *parts) == 1
+                if math.gcd(*parts) == 1
             ]
         else:
             kind = MODEL_KINDS[cfg.logic]
@@ -395,7 +403,8 @@ class _TreeEnumerator:
     built.  Structures are generated lazily, so the root search stops at its
     first hit even where a child count has billions of them.  Built
     candidates are the states of one scratch model, ``self.w``, whose truths
-    the model checker reads."""
+    the model checker reads; a PML state keeps its integer weights there
+    until ``materialize``."""
 
     def __init__(self, f: Formula, cfg: LogicConfig):
         self.f = f
@@ -598,7 +607,7 @@ class _TreeEnumerator:
 
     def materialize(self, root: int) -> ModelWitness:
         """The states that ``root`` reaches, renumbered from 0 in depth-first
-        order."""
+        order, with PML weights turned into probabilities in lowest terms."""
         w = ModelWitness(
             kind=self.kind,
             root=0,
@@ -614,7 +623,11 @@ class _TreeEnumerator:
             t = ids[s] = len(w.states)
             w.states.append(t)
             w.labels[t] = self.w.labels[s]
-            w.structs[t] = relabel(self.kind, self.w.structs[s], visit)
+            struct = relabel(self.kind, self.w.structs[s], visit)
+            if self.kind == "distribution":
+                total = sum(struct.values())
+                struct = {u: Fraction(c, total) for u, c in struct.items()}
+            w.structs[t] = struct
             return t
 
         w.root = visit(root)

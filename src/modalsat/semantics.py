@@ -7,7 +7,10 @@ of its argument.  The structure of a state, per model kind, is the value
 
 * ``kripke``: the successors, a collection of points;
 * ``multigraph``: ``{point: weight}`` with natural-number weights;
-* ``distribution``: ``{point: probability}``;
+* ``distribution``: ``{point: probability}``, probabilities of total 1,
+  as ``certificates.validate_structure`` demands of a model; ``lifting``
+  reads any non-negative weights of positive total relative to their
+  total, so the oracle enumerates distributions as integer weights;
 * ``neighbourhood``: a collection of neighbourhoods, each a set of points;
 * ``game``: ``(sizes, table)``, the strategy count of every agent and the
   outcome point of every strategy profile.
@@ -20,7 +23,6 @@ through ``lift``, which reads one argument set.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 
 from .formula import Box, Coal, GDiamond, LProb, MajW
@@ -70,12 +72,11 @@ def lifting(kind: str, op, struct, monotone: bool = False):
         total = sum(struct.values())
         return lambda inside: 2 * sum(map(struct.__getitem__, inside)) >= total
     if kind == "distribution" and isinstance(op, LProb):
-        # L{p} f: f has probability at least p.  Probabilities and p become
-        # integer numerators over one common denominator.
-        den = math.lcm(op.prob.denominator, *(p.denominator for p in struct.values()))
-        mass = {t: p.numerator * (den // p.denominator) for t, p in struct.items()}
-        bound = op.prob.numerator * (den // op.prob.denominator)
-        return lambda inside: sum(map(mass.__getitem__, inside)) >= bound
+        # L{p} f: f has probability at least p, that is, the weight inside is
+        # at least p times the total weight (1 for a model's probabilities).
+        den = op.prob.denominator
+        bound = op.prob.numerator * sum(struct.values())
+        return lambda inside: den * sum(map(struct.__getitem__, inside)) >= bound
     if kind == "game" and isinstance(op, Coal):
         # [C] f: the coalition has a joint choice whose outcome satisfies f
         # whatever the other agents choose, that is, one whose outcome set

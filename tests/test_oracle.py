@@ -4,7 +4,9 @@ closed under resolution, and the strict completeness probe finds a rule
 instance for a clause valid over a concrete argument assignment."""
 
 import itertools
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from modalsat.oracle import (
 )
 from modalsat.certificates import (
     ModelWitness,
+    check_certificate,
     model_check,
     model_to_json,
     validate_structure,
@@ -89,6 +92,8 @@ def test_neighbourhood_backend_monotone_upclosed():
 
 
 def test_distribution_backend_yields_each_distribution_once():
+    # Each distribution comes once, as the integer weights of its first
+    # occurrence, which are its numerators over its least denominator.
     for n in range(1, 4):
         seen = set()
         want = []
@@ -97,8 +102,38 @@ def test_distribution_backend_yields_each_distribution_once():
                 dist = tuple(Fraction(p, den) for p in parts)
                 if dist not in seen:
                     seen.add(dist)
-                    want.append(dict(enumerate(dist)))
-        assert list(structures(LogicConfig(logic="PML"), n)) == want
+                    want.append(dict(enumerate(parts)))
+        got = list(structures(LogicConfig(logic="PML"), n))
+        assert got == want
+        for struct in got:
+            assert all(type(c) is int for c in struct.values())
+            assert math.gcd(*struct.values()) == 1
+            assert sum(struct.values()) <= MAX_DENOMINATOR
+
+
+def _reference_compositions(total, parts):
+    """The splits of ``total`` into ``parts`` non-negative summands, head
+    first and recursively."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in _reference_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def test_compositions_match_the_recursive_reference():
+    for total in range(-2, 15):
+        for parts in range(5):
+            want = list(_reference_compositions(total, parts))
+            assert list(_compositions(total, parts)) == want, (total, parts)
+            # Positive summands: one unit per part first, then split the rest.
+            want = [
+                tuple(p + 1 for p in c)
+                for c in _reference_compositions(total - parts, parts)
+            ]
+            assert list(_compositions(total, parts, 1)) == want, (total, parts)
 
 
 def test_compositions_of_zero_parts():
@@ -148,6 +183,10 @@ def test_structures_pass_the_validator(spec):
                     labels={s: frozenset() for s in range(n)},
                     monotone=False,
                 )
+                if w.kind == "distribution":
+                    # PML weights, normalized to probabilities.
+                    total = sum(struct.values())
+                    struct = {t: Fraction(c, total) for t, c in struct.items()}
                 w.structs.update(dict.fromkeys(range(n), struct))
                 assert validate_structure(w, cfg) == (True, "ok"), (n, struct)
 
@@ -508,6 +547,56 @@ def test_brute_force_known_cases(logic, text, expected):
         assert model_sha256(w) == BF_MODEL_SHA256[(logic, text)]
 
 
+@pytest.mark.parametrize(
+    "text, dist",
+    [
+        ("L{1/3}a & ~L{1/2}a", (Fraction(2, 3), Fraction(1, 3))),
+        ("L{2/5}a & ~L{1/2}a & L{1/4}(b & ~a)", (Fraction(2, 5), Fraction(3, 5))),
+    ],
+)
+def test_pml_witnesses_are_probabilities(text, dist):
+    # The search reads integer weights; its witness holds probabilities.
+    cfg = LogicConfig(logic="PML")
+    f = parse(text)
+    w = brute_force_sat(f, cfg)
+    assert tuple(w.structs[w.root].values()) == dist
+    for struct in w.structs.values():
+        assert all(type(p) is Fraction for p in struct.values())
+        assert sum(struct.values()) == 1
+    assert check_certificate(w, f, cfg) == (True, "ok")
+
+
+class _Timeout(Exception):
+    pass
+
+
+@pytest.fixture
+def five_seconds():
+    """Fails the test with ``_Timeout`` after 5 s of wall time instead of
+    letting it hang."""
+
+    def expire(signum, frame):
+        raise _Timeout()
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_coal_carrier_zero_skips_the_strategy_counts(five_seconds):
+    # No game has 0 outcome points; 2^40 strategy-count tuples were walked to
+    # find that out.
+    cfg = parse_logic_spec("COAL:40")
+    assert list(structures(cfg, 0)) == []
+    assert list(structures(cfg, 0, True)) == []
+    assert _canonical_structures(cfg, 0) == []
+    f = parse("[C 1]a", cfg.n_agents)
+    w = brute_force_sat(f, cfg)
+    assert model_check(w, w.root, f)
+
+
 # -- resolution ---------------------------------------------------------------
 
 
@@ -783,14 +872,16 @@ def _reference_child_structs(enum, children):
         for ws in itertools.product(range(1, MAX_MULTIPLICITY + 1), repeat=len(children)):
             yield dict(zip(children, ws))
     elif kind == "distribution":
+        # The integer weights of each distribution's first occurrence.
         seen = set()
         for den in range(len(children), MAX_DENOMINATOR + 1):
             for parts in _compositions(den - len(children), len(children)):
-                probs = tuple(Fraction(p + 1, den) for p in parts)
+                weights = tuple(p + 1 for p in parts)
+                probs = tuple(Fraction(c, den) for c in weights)
                 if probs in seen:
                     continue
                 seen.add(probs)
-                yield dict(zip(children, probs))
+                yield dict(zip(children, weights))
     elif kind == "game":
         for sizes in itertools.product(
             range(1, MAX_STRATEGIES + 1), repeat=enum.cfg.n_agents

@@ -2,6 +2,7 @@
 its truth condition."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -111,6 +112,24 @@ def test_lifting_matches_the_truth_condition(kind, make, monotone):
             assert got == want(inside), (op, struct, inside)
             assert lift(kind, op, struct, inside, monotone) == got
             checked.add(got)
+    assert checked == {True, False}
+
+
+def test_distribution_lifting_reads_weights_relative_to_their_total():
+    # A distribution given as probabilities and as its integer weights times
+    # any k > 0 gives every L{p} the same truth.
+    rng = random.Random("weights")
+    checked = set()
+    for _ in range(300):
+        op, struct, points, _ = _distribution(rng)
+        den = math.lcm(*(q.denominator for q in struct.values()))
+        k = rng.randint(1, 5)
+        weights = {t: q.numerator * (den // q.denominator) * k for t, q in struct.items()}
+        holds = lifting("distribution", op, struct)
+        by_weight = lifting("distribution", op, weights)
+        for inside in _subsets(points):
+            assert by_weight(inside) == holds(inside), (op, struct, weights, inside)
+            checked.add(holds(inside))
     assert checked == {True, False}
 
 
