@@ -267,22 +267,15 @@ def extract_tableau(verdict: Verdict, cfg: LogicConfig) -> Tableau:
     nodes = []
     edges = []
     seen_edges = set()
-    visited = {}
-
-    def node_id(valuation):
-        vid = index.get(valuation)
-        if vid is None:
-            vid = len(nodes)
-            index[valuation] = vid
-            nodes.append(valuation)
-        return vid
 
     def visit(tn: SatNode) -> int:
-        known = visited.get(id(tn))
-        if known is not None:
-            return known
-        vid = node_id(tn.valuation)
-        visited[id(tn)] = vid
+        # Equal valuations share one modal part, so one obligations list
+        # (``Solver.nodes``): a valuation's edges are written once.
+        vid = index.get(tn.valuation)
+        if vid is not None:
+            return vid
+        vid = index[tn.valuation] = len(nodes)
+        nodes.append(tn.valuation)
         for m, child in tn.obligations:
             edge = (vid, m, visit(child))
             if edge not in seen_edges:
@@ -410,24 +403,24 @@ def tableau_to_model(tb: Tableau, cfg: LogicConfig) -> Optional[ModelWitness]:
     return builder.build()
 
 
-def _weight_search(literals, insides, weights, idx, cap):
-    """The lexicographically first child weights in ``0 .. cap`` that extend
-    ``weights`` from child ``idx`` on and give every literal ``(sign, atom)``
-    its sign; ``insides`` holds, per literal, the children inside its
-    argument.  ``<k>`` and ``W`` are monotone in the weight inside their
-    argument and antitone in the weight outside, so a prefix is dropped as
-    soon as some literal fails at its most favourable completion: ``cap`` on
-    each free child whose membership equals the literal's sign, 0 on the
-    others.
+def _weight_search(literals, insides, n, cap):
+    """The lexicographically first weights in ``0 .. cap`` of the children
+    ``0 .. n-1`` that give every literal ``(sign, atom)`` its sign, or None;
+    ``insides`` holds, per literal, the children inside its argument.
+    ``<k>`` and ``W`` are monotone in the weight inside their argument and
+    antitone in the weight outside, so a prefix is dropped as soon as some
+    literal fails at its most favourable completion: ``cap`` on each free
+    child whose membership equals the literal's sign, 0 on the others.
 
     The depth-first walk keeps its place in ``idx`` (children before it are
     set), not in one call per child: a wide node has about 2^n children."""
-    first = idx
+    weights = dict.fromkeys(range(n), 0)
+    idx = 0
 
     def completable():
         for (s, a), inside in zip(literals, insides):
             best = dict(weights)
-            for b in range(idx, len(weights)):
+            for b in range(idx, n):
                 best[b] = cap if (b in inside) == s else 0
             if lift("multigraph", a.op, best, inside) != s:
                 return False
@@ -435,17 +428,17 @@ def _weight_search(literals, insides, weights, idx, cap):
 
     while True:
         if completable():
-            if idx == len(weights):
-                return dict(weights)
+            if idx == n:
+                return weights
             weights[idx] = 0
             idx += 1
             continue
         # Next prefix: raise the last child below ``cap``, clearing the
         # children after it.
-        while idx > first and weights[idx - 1] == cap:
+        while idx and weights[idx - 1] == cap:
             idx -= 1
             weights[idx] = 0
-        if idx == first:
+        if not idx:
             return None
         weights[idx - 1] += 1
 
@@ -538,7 +531,7 @@ class _ModelBuilder:
         # (docs/certificates.md, "Multigraph weights").
         grades = [a.op.grade for _, a in literals if isinstance(a.op, GDiamond)]
         cap = max(MAX_WEIGHT, max(grades, default=0) + 1)
-        found = _weight_search(literals, insides, dict.fromkeys(range(len(kids)), 0), 0, cap)
+        found = _weight_search(literals, insides, len(kids), cap)
         if found is None:
             return False
         self.w.structs[i] = {kids[c]: wgt for c, wgt in found.items() if wgt > 0}

@@ -144,13 +144,11 @@ def validate_formula(f: Formula, cfg: LogicConfig) -> None:
 
 
 def _clause_ops(clause):
-    """(signs, ops, args) if every literal is a proper modal atom, else None."""
+    """(signs, ops, args) of a clause of proper modal literals."""
     signs = []
     ops = []
     args = []
     for positive, a in clause:
-        if not isinstance(a, FModal) or isinstance(a.op, Atom):
-            return None
         signs.append(positive)
         ops.append(a.op)
         args.append(a.arg)
@@ -190,18 +188,18 @@ def _shape_fits(scheme, signs, coalitions, d, cfg: LogicConfig) -> bool:
 
 
 def matchings(clause, cfg: LogicConfig) -> list:
-    """All matchings of the finite schemas against a clause, congruence
-    first, then each of the logic's shape schemes in ``_SHAPE_SCHEMES``
-    order where ``_shape_fits`` accepts the clause; a COAL4 instance takes
-    the first positive literal that fits as its distinguished one.  A
-    linear schema has infinitely many matchings; ``challenges`` adds the
-    one that matters, the refuting one."""
+    """All matchings of the finite schemas against a clause of proper modal
+    literals whose operators are in the logic, as ``challenges`` builds
+    them: congruence first, then each of the logic's shape schemes in
+    ``_SHAPE_SCHEMES`` order where ``_shape_fits`` accepts the clause; a
+    COAL4 instance takes the first positive literal that fits as its
+    distinguished one.  A linear schema has infinitely many matchings;
+    ``challenges`` adds the one that matters, the refuting one."""
     out = list(congruence_matchings(clause, cfg.logic))
     schemes = _SHAPE_SCHEMES.get(cfg.logic)
-    shape = schemes and _clause_ops(clause)
-    if not shape or not all(operator_legal(op, cfg) for op in shape[1]):
+    if not schemes:
         return out
-    signs, ops, args = shape
+    signs, ops, args = _clause_ops(clause)
     sign_ints = tuple(1 if s else -1 for s in signs)
     coalitions = tuple(op.agents for op in ops) if cfg.logic == "COAL" else ()
     for scheme in schemes:
@@ -214,23 +212,29 @@ def matchings(clause, cfg: LogicConfig) -> list:
     return out
 
 
-def challenges(valuation, cfg: LogicConfig, sat_bits):
-    """The universal challenges of a pseudovaluation: ``(clause, candidates)``
-    for the clauses over negated literals of ``valuation`` that some rule
-    matches and that answer for every other such clause (below), in
-    increasing mask order (bit i = literal i of the valuation).
-    Propositional atoms never enter a clause: the challenges depend only on
-    ``proper_literals(valuation)`` and ``sat_bits``.
+def challenges(modal, cfg: LogicConfig, sat_bits):
+    """The universal challenges of a node: ``(clause, candidates)`` for the
+    clauses over negated literals of ``modal`` that some rule matches and
+    that answer for every other such clause (below), in increasing mask
+    order (bit i = literal i of ``legal``, below).
+
+    ``modal`` is the node's proper modal literals, ``proper_literals`` of
+    its pseudovaluation, and ``sat_bits`` the satisfiable sign patterns of
+    their arguments as bitmasks over them.  Only the literals whose
+    operator is in the logic (``operator_legal``), ``legal``, in order,
+    enter a clause: no rule of the logic mentions another operator, and
+    only a node read from a certificate can hold one.  Every clause built
+    here is made of them, so ``matchings`` and ``refuting_matching_exists``
+    test neither atoms nor operators.
 
     A linear node has at most one challenge: the clause its relaxed system
     refutes, with the refuting matching as the only candidate, which leaves
     every one of its demands unsatisfiable.  ``refuting_matching_exists`` is
-    asked once, for the clause of every literal whose operator is in the
-    logic, against ``sat_bits``, the satisfiable sign patterns of the
-    arguments as bitmasks over ``proper_atoms(valuation)``.  No congruence
-    pair is asked beside it: congruence on ``{~La, Lb}`` refutes only when
-    ``a & ~b`` and ``~a & b`` are both unsatisfiable, and then the system
-    refutes the node too (docs/certificates.md, "Coverage").
+    asked once, for the clause of every legal literal, against ``sat_bits``
+    projected onto them.  No congruence pair is asked beside it: congruence
+    on ``{~La, Lb}`` refutes only when ``a & ~b`` and ``~a & b`` are both
+    unsatisfiable, and then the system refutes the node too
+    (docs/certificates.md, "Coverage").
 
     In the other logics only the inclusion-maximal clauses that a schema's
     shape fits are built, and a clause's candidates are its ``matchings``,
@@ -249,29 +253,23 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
     KD node thus has one challenge per diamond, with the one candidate K,
     and a refuted node is refuted by the first maximal clause in mask
     order."""
+    legal = [(s, a) for s, a in modal if operator_legal(a.op, cfg)]
     if cfg.is_arithmetic():
-        atoms = proper_atoms(valuation)
-        node = tuple(
-            (not s, a) for s, a in valuation if a in atoms and operator_legal(a.op, cfg)
-        )
-        if node:
+        if legal:
+            node = tuple((not s, a) for s, a in legal)
+            atoms = [a for _, a in modal]
             refuter, _ = refuting_matching_exists(
                 node, clause_patterns(node, atoms, sat_bits), cfg
             )
             if refuter is not None:
                 yield conclusion_clause(refuter, cfg.n_agents), [refuter]
         return
-    # Clause literal i is the negation of valuation literal i.
-    pos, neg = [], []
-    for i, (s, a) in enumerate(valuation):
-        if isinstance(a, FModal) and not isinstance(a.op, Atom):
-            (neg if s else pos).append(i)
-    ops = {i: valuation[i][1].op for i in pos + neg}
+    # Clause literal i is the negation of legal literal i.
+    ops = [a.op for _, a in legal]
+    pos = [i for i, (s, _) in enumerate(legal) if not s]
+    neg = [i for i, (s, _) in enumerate(legal) if s]
     grand = 0
     if cfg.logic == "COAL":
-        # A node read from a certificate may hold any operator.
-        pos = [i for i in pos if isinstance(ops[i], Coal)]
-        neg = [j for j in neg if isinstance(ops[j], Coal)]
         grand = sum(1 << i for i in pos if cfg.is_grand_coalition(ops[i].agents))
     masks = set()
     for d in pos + ([None] if cfg.logic in ("KD", "COAL") else []):
@@ -282,9 +280,7 @@ def challenges(valuation, cfg: LogicConfig, sat_bits):
         if mask and all(mask & other != mask for other in maximal):
             maximal.append(mask)
     for mask in sorted(maximal):
-        clause = tuple(
-            (not s, a) for i, (s, a) in enumerate(valuation) if mask >> i & 1
-        )
+        clause = tuple((not s, a) for i, (s, a) in enumerate(legal) if mask >> i & 1)
         found = matchings(clause, cfg)
         # A shape instance on a congruence pair has congruence's first
         # demand as its one demand.
@@ -304,10 +300,7 @@ def _families(d, neg, ops, cfg: LogicConfig) -> list:
         return [sum(1 << j for j in neg)]
     if cfg.logic != "COAL":
         return [1 << j for j in neg if ops[j] == ops[d]]
-    if d is None:
-        coalitions = [(j, ops[j].agents) for j in neg if cfg.coalition_legal(ops[j].agents)]
-    else:
-        coalitions = [(j, ops[j].agents) for j in neg if ops[j].agents <= ops[d].agents]
+    coalitions = [(j, ops[j].agents) for j in neg if d is None or ops[j].agents <= ops[d].agents]
     # A literal whose coalition meets no other one's joins every family;
     # branching on it would double the families only to drop half.
     seen = shared = frozenset()
@@ -359,7 +352,7 @@ def side_condition(code: RuleCode, cfg: LogicConfig) -> bool:
         return False
     if scheme == "PML" and not all(0 <= p <= 1 for p in code.rationals):
         return False
-    rows = [_linear_row(op, cfg) for op in code_operators(code, cfg.n_agents)]
+    rows = [_linear_row(op) for op in code_operators(code, cfg.n_agents)]
     point = {_x(i): abs(c) for i, c in enumerate(coeffs)}
     point["t"] = bound
     return _check_point(_side_rows(code.signs(), rows, cfg), point)
@@ -406,32 +399,22 @@ def clause_patterns(clause, arith_atoms, sat_bits):
     return patterns
 
 
-def _linear_row(op, cfg: LogicConfig):
+def _linear_row(op):
     """The row kind of a literal with operator ``op`` in the logic's linear
-    schema: ``("g", grade)`` for a graded diamond in GML and MAJ,
-    ``("w", -1)`` for MAJ's ``W`` (-1 is a rule code's ``W`` grade), and
-    ``("p", probability)`` for a probability operator in PML; None for any
-    other operator."""
-    if cfg.logic in ("GML", "MAJ") and isinstance(op, GDiamond):
+    schema: ``("g", grade)`` for a graded diamond (GML and MAJ), ``("w",
+    -1)`` for MAJ's ``W`` (-1 is a rule code's ``W`` grade), and ``("p",
+    probability)`` for a probability operator (PML)."""
+    if isinstance(op, GDiamond):
         return "g", op.grade
-    if cfg.logic == "MAJ" and isinstance(op, MajW):
+    if isinstance(op, MajW):
         return "w", -1
-    if cfg.logic == "PML" and isinstance(op, LProb):
-        return "p", op.prob
-    return None
+    return "p", op.prob
 
 
-def _linear_literal_data(clause, cfg: LogicConfig):
-    """Per-literal (sign, row kind, argument) for the linear schema of the
-    logic, or None when the clause does not fit the schema's shape."""
-    shape = _clause_ops(clause)
-    if shape is None:
-        return None
-    signs, ops, args = shape
-    rows = [_linear_row(op, cfg) for op in ops]
-    if None in rows:
-        return None
-    return signs, rows, args
+def _linear_literal_data(clause):
+    """Per-literal (sign, row kind, argument) for the logic's linear schema."""
+    signs, ops, args = _clause_ops(clause)
+    return signs, [_linear_row(op) for op in ops], args
 
 
 def _build_constraints(signs, rows, sat_patterns, cfg):
@@ -524,7 +507,9 @@ def _scale_to_integers(point) -> dict:
 def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     """Search for a linear-schema matching, with a sub-clause of ``clause``
     as its conclusion, whose premise CNF consists only of clauses with
-    unsatisfiable negations.
+    unsatisfiable negations.  ``clause`` is made of proper modal literals
+    whose operators are in the logic, as ``challenges`` and
+    ``sampling.sample_matchings`` build it.
 
     ``sat_patterns`` is the set of satisfiable sign patterns, as bitmasks
     over clause positions (bit i set = argument of literal i true).
@@ -542,10 +527,7 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
     Returns ``(matching_or_None, caveat)``.  The search is exact, so
     ``caveat`` is always False; the pair is the interface callers read.
     """
-    data = _linear_literal_data(clause, cfg)
-    if data is None:
-        return None, False
-    signs, rows, _ = data
+    signs, rows, _ = _linear_literal_data(clause)
     use_t = cfg.logic != "GML"
     xs = [_x(i) for i in range(len(signs))]
     variables = xs + (["t"] if use_t else [])
@@ -558,7 +540,7 @@ def refuting_matching_exists(clause, sat_patterns, cfg: LogicConfig):
         return None, False
     support = [i for i in range(len(signs)) if point[_x(i)] > 0]
     sub = tuple(clause[i] for i in support)
-    signs, rows, args = _linear_literal_data(sub, cfg)
+    signs, rows, args = _linear_literal_data(sub)
     sub_patterns = clause_patterns(sub, [a for _, a in clause], sat_patterns)
     cons = [({_x(j): 1}, -1, False) for j in range(len(sub))]
     cons += _build_constraints(signs, rows, sub_patterns, cfg)

@@ -18,10 +18,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .formula import (
-    Atom,
     Box,
     Coal,
-    FModal,
     Formula,
     GDiamond,
     LProb,
@@ -226,16 +224,12 @@ def demands(m: RuleMatching) -> Iterator[Formula]:
 
 
 def congruence_matchings(clause, logic: str) -> list:
-    """Congruence matchings of a clause: exactly one negative and one
-    positive literal carrying the same proper modal operator."""
+    """Congruence matchings of a clause of proper modal literals: exactly
+    one negative and one positive literal carrying the same operator."""
     if len(clause) != 2:
         return []
     (s0, a0), (s1, a1) = clause
-    if s0 == s1:
-        return []
-    if not isinstance(a0, FModal) or not isinstance(a1, FModal):
-        return []
-    if isinstance(a0.op, Atom) or a0.op != a1.op:
+    if s0 == s1 or a0.op != a1.op:
         return []
     op = a0.op
     grades = ()

@@ -99,8 +99,6 @@ def sample_matchings(rng: random.Random, cfg: LogicConfig, count: int):
     while len(out) < count and attempts < count * 40:
         attempts += 1
         clause = random_clause(rng, cfg)
-        if not clause:
-            continue
         if cfg.is_arithmetic():
             out.extend(congruence_matchings(clause, cfg.logic))
             q = len(clause)

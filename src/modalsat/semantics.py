@@ -97,13 +97,12 @@ def lifting(kind: str, op, struct, monotone: bool = False):
 
 
 def points_of(kind: str, struct):
-    """The points ``struct`` refers to."""
+    """The points ``struct`` refers to, for every kind but neighbourhoods,
+    whose box reads a whole truth set."""
     if kind == "kripke":
         return struct
     if kind in ("multigraph", "distribution"):
         return struct.keys()
-    if kind == "neighbourhood":
-        return frozenset().union(*struct)
     return struct[1].values()
 
 

@@ -725,38 +725,42 @@ def test_tableau_edges_carry_only_their_rule_instance():
     assert edges and all(set(e) == {"src", "dst"} for e in edges)
 
 
-def test_linear_challenge_leaves_out_operators_outside_the_logic(tmp_path, capsys):
-    # An extra, unreachable node claims no pattern, so a GML rule refutes
-    # its clause {~<1>b, <0>b}.  Its box literal belongs to no GML rule; had
-    # the node's one linear system taken it in, the system would fit no
-    # schema, no refuter would be found, and the forgery would check.
-    cfg = LogicConfig(logic="GML")
-    text = "<0>a"
-    f = parse(text)
-    tb = extract_tableau(satisfiable(f, cfg), cfg)
-    assert check_tableau(tb, f, cfg) == (True, "ok") and len(tb.nodes) == 3
-    tb.nodes.append(((True, parse("<1>b")), (False, parse("<0>b")), (True, parse("[] p"))))
-    msg = "unanswered challenge at node 3: the GML rule refutes it"
-    assert check_tableau(tb, f, cfg) == (False, msg)
-    cert = tmp_path / "tableau.json"
-    cert.write_text(json.dumps(tableau_to_json(tb)))
-    assert cli.main(["--logic", "GML", "check-cert", text, "--cert", str(cert)]) == 1
-    assert "INVALID: " + msg in capsys.readouterr().out
+# An extra, unreachable node per logic, with one literal whose operator is
+# outside the logic, and the rule of its first challenge.  In all but COAL
+# that rule refutes the node; the GML node claims no pattern, so a GML rule
+# refutes its clause {~<1>b, <0>b}.  The COAL node is asked {[C 1]b} and
+# {~[C 2]c}, and no edge answers them.
+FOREIGN_OPERATOR_NODES = [
+    ("K", "[]a", ("[]p", "~[](p | q)", "<0>r"), "K"),
+    ("KD", "[]a", ("[]p", "~[](p | q)", "<0>r"), "K"),
+    ("M", "[]a", ("[]p", "~[](p | q)", "<0>r"), "M"),
+    ("E", "[]a", ("[]p", "~[](p & p)", "<0>r"), "CONG"),
+    ("GML", "<0>a", ("<1>b", "~<0>b", "[]p"), "GML"),
+    ("COAL:2", "[C 1]a", ("[]a", "~[C 1]b", "[C 2]c"), "COAL4"),
+]
 
 
-def test_coalition_challenge_leaves_out_operators_outside_the_logic():
-    # An extra, unreachable node holds a box, which has no coalition for a
-    # family of disjoint coalitions to read; the checker still asks the
-    # node's coalition clauses, {[C 1]b} and {~[C 2]c}, and rejects it.
-    cfg = parse_logic_spec("COAL:2")
-    f = parse("[C 1]a", 2)
+@pytest.mark.parametrize(
+    "spec,text,junk,rule", FOREIGN_OPERATOR_NODES, ids=[row[0] for row in FOREIGN_OPERATOR_NODES]
+)
+def test_challenge_leaves_out_operators_outside_the_logic(spec, text, junk, rule, tmp_path, capsys):
+    # The foreign literal enters no clause.  Were it to join the node's one
+    # K clause as a third literal, no rule would match that clause, the
+    # node would be asked nothing and the forgery would check; a linear
+    # node's one system would fit no schema either.
+    cfg = parse_logic_spec(spec)
+    f = parse(text, cfg.n_agents)
     tb = extract_tableau(satisfiable(f, cfg), cfg)
     assert check_tableau(tb, f, cfg) == (True, "ok")
     tb.nodes.append(
-        ((True, parse("[]a", 2)), (False, parse("[C 1]b", 2)), (True, parse("[C 2]c", 2)))
+        tuple((not t.startswith("~"), parse(t.lstrip("~"), cfg.n_agents)) for t in junk)
     )
-    unanswered = "unanswered challenge at node %d: the COAL4 rule refutes it"
-    assert check_tableau(tb, f, cfg) == (False, unanswered % (len(tb.nodes) - 1))
+    msg = "unanswered challenge at node %d: the %s rule refutes it" % (len(tb.nodes) - 1, rule)
+    assert check_tableau(tb, f, cfg) == (False, msg)
+    cert = tmp_path / "tableau.json"
+    cert.write_text(json.dumps(tableau_to_json(tb)))
+    assert cli.main(["--logic", spec, "check-cert", text, "--cert", str(cert)]) == 1
+    assert "INVALID: " + msg in capsys.readouterr().out
 
 
 # -- model synthesis ----------------------------------------------------------
@@ -891,7 +895,7 @@ def test_weight_search_matches_exhaustive(logic):
                 op = GDiamond(rng.randrange(0, 2 * cap))
             literals.append((rng.random() < 0.5, modal(op, atom("v%d" % k))))
             insides.append({b for b in range(blocks) if rng.random() < 0.5})
-        got = _weight_search(literals, insides, dict.fromkeys(range(blocks), 0), 0, cap)
+        got = _weight_search(literals, insides, blocks, cap)
         assert got == _exhaustive_weights(literals, insides, blocks, cap), literals
         outcomes.append(got is not None)
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
@@ -904,7 +908,7 @@ def test_weight_search_walks_more_blocks_than_the_recursion_limit():
     blocks = 2000
     literals = [(True, modal(GDiamond(0), atom("v")))]
     insides = [{blocks - 1}]
-    got = _weight_search(literals, insides, dict.fromkeys(range(blocks), 0), 0, MAX_WEIGHT)
+    got = _weight_search(literals, insides, blocks, MAX_WEIGHT)
     assert got == {**dict.fromkeys(range(blocks - 1), 0), blocks - 1: 1}
 
 

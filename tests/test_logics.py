@@ -19,6 +19,7 @@ from modalsat.logics import (
     matchings,
     operator_legal,
     parse_logic_spec,
+    proper_literals,
     refuting_matching_exists,
     side_condition,
     validate_formula,
@@ -288,25 +289,16 @@ REFERENCE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"]
 ]
 
 
-def _foreign_operator(rng, cfg):
-    """An operator of another logic, never a coalition operator over another
-    number of agents (see ``test_matchings_skip_a_foreign_coalition_operator``)."""
-    others = [lg for lg in ALL_LOGICS if lg != cfg.logic]
-    return random_operator(rng, LogicConfig(logic=rng.choice(others)))
-
-
 def test_matchings_match_the_reference_on_random_clauses():
     # The empty clause, and 10,000 clauses per logic, E to PML and COAL:1-3,
-    # of one to four literals drawn from a pool of modal atoms: one in 20
-    # has an operator foreign to the logic, and one in 50 is a propositional
-    # atom.
+    # of one to four literals drawn from a pool of proper modal atoms with
+    # the logic's operators: the clauses ``challenges`` builds.
     rng = random.Random(2626)
     args = [parse(t) for t in ("p", "q", "r", "~p", "p & q", "false")]
     compared = {}
     for cfg in REFERENCE_CONFIGS:
-        own = [modal(random_operator(rng, cfg), rng.choice(args)) for _ in range(200)]
-        foreign = [modal(_foreign_operator(rng, cfg), rng.choice(args)) for _ in range(10)]
-        pool = own * 19 + foreign * 20 + [parse("p")] * 80
+        pool = [modal(random_operator(rng, cfg), rng.choice(args)) for _ in range(200)]
+        assert all(operator_legal(a.op, cfg) for a in pool)
         assert matchings((), cfg) == _reference_matchings((), cfg) == []
         shapes = 0
         for _ in range(10000):
@@ -320,13 +312,17 @@ def test_matchings_match_the_reference_on_random_clauses():
         assert (shapes >= 1000) == (logic in ("K", "KD", "M", "COAL")), compared
 
 
-def test_matchings_skip_a_foreign_coalition_operator():
+def test_challenges_leave_out_a_foreign_coalition_operator():
     # A coalition operator over another number of agents is in no formula
-    # of the logic (``validate_formula``), and no shape instance is proposed
-    # for it; a rule with it would fail ``_rule_conclusion`` anyway.
+    # of the logic (``validate_formula``), so no clause holds it, and it
+    # keeps no other literal out of one: the node's own box is asked alone.
     cfg = LogicConfig(logic="COAL", n_agents=2)
-    clause = ((False, modal(Coal(frozenset({1}), 3), parse("p"))),)
-    assert matchings(clause, cfg) == []
+    foreign = modal(Coal(frozenset({1}), 3), parse("p"))
+    own = parse("[C 2]q", 2)
+    asked = list(challenges(((True, foreign), (True, own)), cfg, set()))
+    assert [(clause, [m.code.scheme for m in found]) for clause, found in asked] == [
+        (((False, own),), ["COAL1"])
+    ]
 
 
 def test_side_condition_matches_the_reference_on_random_shape_codes():
@@ -598,10 +594,7 @@ def _clause_refuter(clause, patterns, cfg):
     """The per-clause search ``challenges`` no longer runs: a linear
     matching whose conclusion is ``clause`` itself, from the clause's system
     with every magnitude x_i >= 1 and every pattern row, or None."""
-    data = logics._linear_literal_data(clause, cfg)
-    if data is None:
-        return None
-    signs, rows, args = data
+    signs, rows, args = logics._linear_literal_data(clause)
     xs = ["x%d" % i for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
     cons = [({x: 1}, -1, False) for x in xs]
@@ -655,14 +648,14 @@ def _mask_loop_challenges(valuation, cfg, sat_bits, refuter=_clause_refuter):
     return out
 
 
-def _one_refuter_challenges(valuation, cfg, sat_bits):
+def _one_refuter_challenges(literals, cfg, sat_bits):
     """What ``challenges`` asks in a linear logic: the clause of the matching
-    that ``refuting_matching_exists`` finds for the node's literals in the
-    logic, against the patterns projected onto them, with that matching as
-    its one candidate; or nothing."""
-    proper = [a for _, a in valuation if isinstance(a, FModal) and not isinstance(a.op, Atom)]
-    node = tuple((not s, a) for s, a in valuation if a in proper and operator_legal(a.op, cfg))
-    positions = [proper.index(a) for _, a in node]
+    that ``refuting_matching_exists`` finds for the node's proper modal
+    ``literals`` in the logic, against the patterns projected onto them,
+    with that matching as its one candidate; or nothing."""
+    atoms = [a for _, a in literals]
+    node = tuple((not s, a) for s, a in literals if operator_legal(a.op, cfg))
+    positions = [atoms.index(a) for _, a in node]
     patterns = {sum((bits >> ai & 1) << j for j, ai in enumerate(positions)) for bits in sat_bits}
     refuter = refuting_matching_exists(node, patterns, cfg)[0] if node else None
     if refuter is None:
@@ -711,8 +704,10 @@ CHALLENGE_CONFIGS = [LogicConfig(logic=lg) for lg in ALL_LOGICS if lg != "COAL"]
 def test_challenges_match_mask_loop(cfg):
     rng = random.Random(4242)
     # Modal atoms at every level of random formulas, propositional ones
-    # included, with every operator the sampler draws for the logic.  The
-    # linear logics also get boxes, which no linear rule mentions.
+    # included, with every operator the sampler draws for the logic; a node
+    # is the proper ones of a pseudovaluation over some of them.  The linear
+    # logics also get boxes, which no linear rule mentions and no clause
+    # holds.
     pool = [parse("[]p"), parse("[]q")] if cfg.is_arithmetic() else []
     for _ in range(40):
         f = random_formula(rng, cfg, max_depth=2, size_budget=14)
@@ -723,18 +718,20 @@ def test_challenges_match_mask_loop(cfg):
     for _ in range(500 if cfg.is_arithmetic() else 250):
         atoms = rng.sample(pool, rng.randint(1, min(8, len(pool))))
         valuation = tuple((rng.random() < 0.5, a) for a in atoms)
-        n_proper = sum(not isinstance(a.op, Atom) for a in atoms)
-        sat_bits = {bits for bits in range(1 << n_proper) if rng.random() < 0.5}
+        node = proper_literals(valuation)
+        sat_bits = {bits for bits in range(1 << len(node)) if rng.random() < 0.5}
         if cfg.is_arithmetic():
-            expected = _one_refuter_challenges(valuation, cfg, sat_bits)
+            expected = _one_refuter_challenges(node, cfg, sat_bits)
         else:
-            expected = _mask_loop_challenges(valuation, cfg, sat_bits)
+            # The mask loop over the node's literals in the logic.
+            legal = tuple((s, a) for s, a in node if operator_legal(a.op, cfg))
+            expected = _mask_loop_challenges(legal, cfg, sat_bits)
             # A shape instance on a congruence pair demands what congruence
             # demands first; see ``challenges``.
             expected = [(clause, _without_congruence(found)) for clause, found in expected]
             # Every other clause is dominated; see ``challenges``.
             expected = _maximal_challenges(expected)
-        assert list(challenges(valuation, cfg, sat_bits)) == expected, valuation
+        assert list(challenges(node, cfg, sat_bits)) == expected, valuation
         nontrivial += bool(expected)
     assert nontrivial >= 50
 
@@ -864,7 +861,7 @@ def test_refuter_is_a_sound_rule_over_a_sub_clause(logic):
 def _unpruned_relaxed(clause, sat_bits, cfg):
     """Whether the relaxed system of ``refuting_matching_exists``, with every
     pattern row kept, is feasible."""
-    signs, rows, _ = logics._linear_literal_data(clause, cfg)
+    signs, rows, _ = logics._linear_literal_data(clause)
     xs = ["x%d" % i for i in range(len(signs))]
     variables = xs + (["t"] if cfg.logic != "GML" else [])
     cons = logics._build_constraints(signs, rows, sat_bits, cfg)
@@ -975,7 +972,7 @@ def test_maj_side_condition_is_one_system():
         bound = rng.randint(-4, 4)
         code = RuleCode("MAJ", "MAJ", ints=coeffs + (bound,), grades=grades)
         signs = [c > 0 for c in coeffs]
-        rows = [logics._linear_row(op, cfg) for op in code_operators(code, 2)]
+        rows = [logics._linear_row(op) for op in code_operators(code, 2)]
         cons = logics._build_constraints(signs, rows, set(), cfg)
         point = {"x%d" % i: abs(c) for i, c in enumerate(coeffs)}
         point["t"] = bound
